@@ -12,13 +12,10 @@ import (
 	"nwhy"
 	"nwhy/internal/core"
 	"nwhy/internal/gen"
-	"nwhy/internal/slinegraph"
-	"nwhy/internal/smetrics"
 )
 
 // soverlapReport is the BENCH_soverlap.json schema: one entry per
-// (dataset, s) with the full strategy x schedule sweep and the
-// pairs-path vs direct-CSR allocation comparison.
+// (dataset, s) with the full strategy x schedule sweep.
 type soverlapReport struct {
 	Scale   float64          `json:"scale"`
 	Reps    int              `json:"reps"`
@@ -33,7 +30,6 @@ type soverlapResult struct {
 	S         int             `json:"s"`
 	LineEdges int             `json:"line_edges"`
 	Sweep     []soverlapEntry `json:"sweep"`
-	Alloc     soverlapAlloc   `json:"alloc"`
 	// Connectivity-intent prune sweep: s-connected-components timing at each
 	// prune level, with every pruned labelling pinned bit-identical to the
 	// unpruned baseline (PrunedLabelsEqual is the CI assertion).
@@ -51,15 +47,6 @@ type soverlapEntry struct {
 type soverlapPruneEntry struct {
 	Prune string `json:"prune"`
 	Nanos int64  `json:"ns"`
-}
-
-// soverlapAlloc compares heap traffic of the two smetrics build paths for
-// the same (dataset, s): the legacy pairs path materializes a global edge
-// list and re-sorts it into a CSR; the direct path scatters the kernel's
-// per-worker buffers straight into the CSR.
-type soverlapAlloc struct {
-	PairsPathBytes uint64 `json:"pairs_path_bytes"`
-	DirectCSRBytes uint64 `json:"direct_csr_bytes"`
 }
 
 // soverlapInputs are the sweep inputs: bipartite power-law hypergraphs at
@@ -85,20 +72,8 @@ func soverlapInputs(scale float64) []struct {
 	}
 }
 
-// allocBytes reports the heap bytes allocated while fn runs (single
-// measurement after a forced GC; coarse but directional).
-func allocBytes(fn func()) uint64 {
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	fn()
-	runtime.ReadMemStats(&m1)
-	return m1.TotalAlloc - m0.TotalAlloc
-}
-
 // soverlap runs the kernel strategy/schedule sweep on skewed-degree inputs,
-// prints a summary table, and writes the machine-readable report (including
-// the before/after allocation comparison of the CSR assembly) to outPath.
+// prints a summary table, and writes the machine-readable report to outPath.
 func soverlap(w io.Writer, scale float64, sList []int, reps int, outPath string) error {
 	fmt.Fprintf(w, "== S-overlap kernel sweep: strategy x schedule (scale %.2f) ==\n", scale)
 	strategies := []nwhy.Strategy{nwhy.StrategyAuto, nwhy.StrategyHashmap, nwhy.StrategyDense, nwhy.StrategyIntersection}
@@ -106,7 +81,6 @@ func soverlap(w io.Writer, scale float64, sList []int, reps int, outPath string)
 	report := soverlapReport{Scale: scale, Reps: reps, Workers: runtime.GOMAXPROCS(0)}
 	for _, in := range soverlapInputs(scale) {
 		g := nwhy.Wrap(in.h)
-		eng := g.Engine()
 		fmt.Fprintf(w, "-- %s (|E|=%d |V|=%d) --\n", in.name, g.NumEdges(), g.NumNodes())
 		for _, s := range sList {
 			res := soverlapResult{
@@ -131,21 +105,6 @@ func soverlap(w io.Writer, scale float64, sList []int, reps int, outPath string)
 				}
 				fmt.Fprintln(w)
 			}
-			// Before/after allocation comparison of the smetrics build:
-			// global pair list + re-sort vs direct per-worker CSR assembly.
-			hin := slinegraph.FromHypergraph(in.h)
-			res.Alloc.PairsPathBytes = allocBytes(func() {
-				pairs, err := slinegraph.Construct(eng, hin, s, slinegraph.Options{})
-				if err == nil {
-					smetrics.BuildWith(eng, in.h, s, pairs)
-				}
-			})
-			res.Alloc.DirectCSRBytes = allocBytes(func() {
-				_, _ = smetrics.BuildOptions(eng, in.h, s, slinegraph.Options{})
-			})
-			fmt.Fprintf(w, "  alloc: pairs-path %d B, direct-CSR %d B (%.2fx)\n",
-				res.Alloc.PairsPathBytes, res.Alloc.DirectCSRBytes,
-				float64(res.Alloc.DirectCSRBytes)/float64(max64(res.Alloc.PairsPathBytes, 1)))
 			// Connectivity-intent prune sweep: s-CC at each prune level, with
 			// the unpruned run as the label baseline. PruneToplex warms the
 			// facade's toplex cache on its first rep; min-of-reps then shows
@@ -183,11 +142,4 @@ func soverlap(w io.Writer, scale float64, sList []int, reps int, outPath string)
 	}
 	fmt.Fprintf(w, "report written to %s\n\n", outPath)
 	return nil
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -124,6 +124,8 @@ type Pool struct {
 	// pending counts tasks that are queued somewhere but not yet taken.
 	// Workers park only when pending is zero.
 	pending atomic.Int64
+	// submitted counts the tasks ever handed in from outside (see Submitted).
+	submitted atomic.Int64
 
 	parkMu  sync.Mutex
 	parked  *sync.Cond
@@ -162,8 +164,14 @@ func (p *Pool) Close() {
 	p.done.Wait()
 }
 
+// Submitted reports how many tasks the pool has been handed from outside its
+// workers: one per structured loop (For, ForCyclic), one per function of
+// Invoke or Go. A computation bound to another pool leaves it unchanged.
+func (p *Pool) Submitted() int64 { return p.submitted.Load() }
+
 // submit enqueues a task from outside the pool.
 func (p *Pool) submit(t task) {
+	p.submitted.Add(1)
 	p.injectMu.Lock()
 	p.inject.pushBack(t)
 	p.injectMu.Unlock()

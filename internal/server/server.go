@@ -559,15 +559,17 @@ func (s *Server) SComponents(ctx context.Context, req SCCRequest) (SCCResult, er
 				return err
 			}
 		}
-		sizes := map[uint32]int{}
-		largest := 0
+		// A label is its component's minimum member ID, so it indexes labels.
+		sizes := make([]int32, len(labels))
+		components, largest := 0, int32(0)
 		for _, l := range labels {
-			sizes[l]++
-			if sizes[l] > largest {
-				largest = sizes[l]
+			if sizes[l] == 0 {
+				components++
 			}
+			sizes[l]++
+			largest = max(largest, sizes[l])
 		}
-		out = SCCResult{Dataset: req.Dataset, S: req.S, NumComponents: len(sizes), LargestSize: largest, CacheHit: hit, Incremental: inc, Sharded: req.Sharded, Parts: parts}
+		out = SCCResult{Dataset: req.Dataset, S: req.S, NumComponents: components, LargestSize: int(largest), CacheHit: hit, Incremental: inc, Sharded: req.Sharded, Parts: parts}
 		if req.WithLabels {
 			out.Labels = labels
 		}

@@ -1,0 +1,182 @@
+package slinegraph
+
+import (
+	"context"
+	"errors"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"nwhy/internal/core"
+	"nwhy/internal/gen"
+	"nwhy/internal/parallel"
+	"nwhy/internal/sparse"
+)
+
+// lineRows lays a canonical pair list out as the sorted adjacency rows the
+// CSR must hold: walking (U, V)-sorted pairs hands every row its lower
+// neighbours, ascending, before its upper ones, ascending.
+func lineRows(idSpace int, pairs []sparse.Edge) [][]uint32 {
+	rows := make([][]uint32, idSpace)
+	for _, p := range pairs {
+		rows[p.U] = append(rows[p.U], p.V)
+		rows[p.V] = append(rows[p.V], p.U)
+	}
+	return rows
+}
+
+// FuzzConstructCSR is the differential pin of the run collector and the
+// two-transpose assembly: on random small hypergraphs — with or without a
+// hub hyperedge adjacent to everything, at thresholds up to one that leaves
+// the line graph empty — ConstructCSR's rows and Construct's pairs must equal
+// the Naive oracle's for every counter x schedule x relabel order at 1, 2
+// and 3 workers, on the bipartite input, the adjoin input (ID space wider
+// than the hyperedge range) and a Renamed input (non-contiguous IDs).
+func FuzzConstructCSR(f *testing.F) {
+	engines := []*parallel.Engine{parallel.NewEngine(1), parallel.NewEngine(2), parallel.NewEngine(3)}
+	f.Cleanup(func() {
+		for _, eng := range engines {
+			eng.Close()
+		}
+	})
+	f.Add(int64(1), uint8(0), false)
+	f.Add(int64(2), uint8(1), true)
+	f.Add(int64(-9), uint8(2), true)
+	f.Add(int64(77), uint8(5), true) // s = 6 > every degree but the hub's: empty
+	f.Fuzz(func(t *testing.T, seed int64, sRaw uint8, hub bool) {
+		const nv = 14
+		s := 1 + int(sRaw%6)
+		rng := rand.New(rand.NewSource(seed))
+		base := randomHypergraph(1+rng.Intn(30), nv, 5, seed)
+		sets := make([][]uint32, base.NumEdges())
+		for e := range sets {
+			sets[e] = base.EdgeIncidence(e)
+		}
+		if hub {
+			all := make([]uint32, nv)
+			for v := range all {
+				all[v] = uint32(v)
+			}
+			sets = append(sets, all)
+		}
+		h := core.FromSets(sets, nv)
+		ne := h.NumEdges()
+		oracle := tNaive(h, s)
+
+		space := 4 * ne
+		rename := map[uint32]uint32{}
+		for e, id := range rng.Perm(space)[:ne] {
+			rename[uint32(e)] = uint32(id)
+		}
+		var renamed []sparse.Edge
+		for _, p := range oracle {
+			u, v := rename[p.U], rename[p.V]
+			renamed = append(renamed, sparse.Edge{U: min(u, v), V: max(u, v)})
+		}
+		sort.Slice(renamed, func(a, b int) bool {
+			return renamed[a].U < renamed[b].U || renamed[a].U == renamed[b].U && renamed[a].V < renamed[b].V
+		})
+
+		for _, tc := range []struct {
+			name string
+			in   Input
+			want []sparse.Edge
+		}{
+			{"bipartite", FromHypergraph(h), oracle},
+			{"adjoin", FromAdjoin(core.Adjoin(teng, h)), oracle},
+			{"renamed", Renamed(FromHypergraph(h), rename, space), renamed},
+		} {
+			wantRows := lineRows(tc.in.IDSpace(), tc.want)
+			for _, eng := range engines {
+				for _, ctr := range []Counter{AutoCounter, HashmapCounter, DenseCounter, IntersectionCounter} {
+					for _, sched := range []Schedule{BlockedSchedule, CyclicSchedule, QueueSchedule} {
+						for _, rel := range []sparse.Order{sparse.NoOrder, sparse.Ascending, sparse.Descending} {
+							o := Options{Counter: ctr, Schedule: sched, Relabel: rel}
+							fail := func(format string, args ...any) {
+								t.Helper()
+								t.Fatalf("seed=%d s=%d hub=%v %s workers=%d counter=%v schedule=%v relabel=%v: "+format,
+									append([]any{seed, s, hub, tc.name, eng.NumWorkers(), ctr, sched, rel}, args...)...)
+							}
+							csr, err := ConstructCSR(eng, tc.in, s, o)
+							if err != nil {
+								fail("ConstructCSR: %v", err)
+							}
+							if csr.NumRows() != tc.in.IDSpace() || csr.NumEdges() != 2*len(tc.want) {
+								fail("CSR has %d rows, %d entries; want %d, %d", csr.NumRows(), csr.NumEdges(), tc.in.IDSpace(), 2*len(tc.want))
+							}
+							for e, want := range wantRows {
+								row := csr.Row(e)
+								if !slices.Equal(row, want) {
+									fail("row %d = %v, want %v", e, row, want)
+								}
+								for k := 1; k < len(row); k++ {
+									if row[k-1] >= row[k] {
+										fail("row %d = %v repeats or misorders an entry", e, row)
+									}
+								}
+							}
+							pairs, err := Construct(eng, tc.in, s, o)
+							if err != nil {
+								fail("Construct: %v", err)
+							}
+							if !slices.Equal(pairs, tc.want) || (len(tc.want) == 0 && pairs != nil) {
+								fail("Construct = %v, want %v", pairs, tc.want)
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestConstructStaysOnEngine pins the engine binding: a construction on a
+// 1-worker engine must hand the process-wide default pool nothing — not a
+// row sort, not a scan — or a thread limit and a request context would stop
+// applying part of the way through. The input is wide enough (> 2^14 IDs)
+// to take the parallel branch of every helper that has one.
+func TestConstructStaysOnEngine(t *testing.T) {
+	eng := parallel.NewEngine(1)
+	defer eng.Close()
+	in := FromHypergraph(gen.Uniform(20000, 6000, 3, 5))
+	def := parallel.Default()
+	before := def.Submitted()
+	for _, o := range []Options{{}, {Counter: HashmapCounter, Schedule: QueueSchedule}, {Schedule: AutoSchedule, Relabel: sparse.Descending}} {
+		csr, err := ConstructCSR(eng, in, 1, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs, err := Construct(eng, in, 1, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pairs) == 0 || csr.NumEdges() != 2*len(pairs) {
+			t.Fatalf("%+v: %d CSR entries for %d pairs", o, csr.NumEdges(), len(pairs))
+		}
+	}
+	if got := def.Submitted() - before; got != 0 {
+		t.Fatalf("the default pool received %d tasks during constructions bound to a 1-worker engine", got)
+	}
+}
+
+// TestAssembleSurfacesCancellation cancels between the kernel pass and the
+// assembly: the collected runs are complete, yet ConstructCSR's second half
+// must give the error back from its first phase on.
+func TestAssembleSurfacesCancellation(t *testing.T) {
+	eng := parallel.NewEngine(2)
+	defer eng.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	bound := eng.WithContext(ctx)
+	c, err := collect(bound, FromHypergraph(gen.Uniform(400, 200, 5, 11)), 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if _, _, err := c.assemble(bound); !errors.Is(err, context.Canceled) {
+		t.Fatalf("assemble on a cancelled engine: err = %v, want Canceled", err)
+	}
+	if _, col, err := c.assemble(eng); err != nil || len(col) == 0 {
+		t.Fatalf("assemble of the same runs on the live engine: %d entries, err = %v", len(col), err)
+	}
+}

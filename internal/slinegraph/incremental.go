@@ -69,7 +69,7 @@ func ConstructDirty(eng *parallel.Engine, in Input, s int, dirty []uint32, o Opt
 	if err := eng.Err(); err != nil {
 		return nil, err
 	}
-	return collectTLS(eng, tls), nil
+	return canonPairs(eng, parallel.FlattenTLS(nil, tls, nil)), nil
 }
 
 // MergeCanonical merges two canonical s-line pair lists into one canonical

@@ -21,8 +21,8 @@ import (
 type Counter int
 
 const (
-	// AutoCounter picks a strategy from s and the degree statistics of the
-	// input (see resolveAxes).
+	// AutoCounter picks dense or hashmap from the size of the ID space (see
+	// resolveAxes).
 	AutoCounter Counter = iota
 	// HashmapCounter tallies overlaps in a per-worker open-addressing hash
 	// map (countmap.Map): O(distinct neighbors) memory, the IPDPS'22 default.
@@ -242,70 +242,42 @@ func getCounter(eng *parallel.Engine, tls *parallel.TLS[overlapCounter], w int, 
 	return *cp
 }
 
-// degreeStats computes the mean and maximum hyperedge degree over ids.
-func degreeStats(in Input, ids []uint32) (mean float64, max int) {
-	total := 0
-	for _, e := range ids {
-		d := in.EdgeDegree(e)
-		total += d
-		if d > max {
-			max = d
+// denseIDSpaceMax is the largest ID space AutoCounter gives the dense counter,
+// whose arrays cost 8 B per ID per worker: 32 MiB a worker at the bound.
+const denseIDSpaceMax = 4 << 20
+
+// resolveAxes turns Auto/Default axis values into concrete ones:
+//
+//   - Counter: the dense array up to denseIDSpaceMax IDs, the hashmap
+//     beyond — measured, not modelled: no threshold run in EXPERIMENTS.md
+//     has another counter ahead of dense by more than noise. Intersection
+//     (the HiPC'21 heuristic) runs only when the caller pins it.
+//   - Schedule: a relabel order or a skewed degree distribution
+//     (max ≥ 8 × mean, from Options.Stats or else a scan on eng) begs for
+//     the dynamic queue's load rebalancing; otherwise the static schedules
+//     win on scheduling overhead, honoring the Partition option.
+func resolveAxes(eng *parallel.Engine, in Input, o Options) (Counter, Schedule) {
+	ctr, sched := o.Counter, o.Schedule
+	if ctr == AutoCounter {
+		ctr = HashmapCounter
+		if in.IDSpace() <= denseIDSpaceMax {
+			ctr = DenseCounter
 		}
 	}
-	if len(ids) > 0 {
-		mean = float64(total) / float64(len(ids))
+	if sched == AutoSchedule {
+		st := o.Stats
+		if st == nil {
+			scanned := ComputeDegreeStats(eng, in)
+			st = &scanned
+		}
+		if o.Relabel != sparse.NoOrder || float64(st.Max) >= 8*st.Mean {
+			return ctr, QueueSchedule
+		}
 	}
-	return mean, max
-}
-
-// resolveAxes turns Auto/Default axis values into concrete ones, following
-// the degree-based heuristics of Liu et al. (arXiv:2010.11448):
-//
-//   - Counter: a threshold s large relative to the mean degree favors the
-//     intersection strategy (the s short-circuit kills most merges early and
-//     few pairs survive the degree filter); when the expected candidate
-//     volume (mean × max degree) rivals the ID space, the dense array beats
-//     the hash map (no probing, every slot hit anyway); otherwise the
-//     hashmap is the safe default.
-//   - Schedule: a relabel order or a skewed degree distribution
-//     (max ≥ 8 × mean) begs for the dynamic queue's load rebalancing;
-//     otherwise the static schedules win on scheduling overhead, honoring
-//     the Partition option.
-func resolveAxes(in Input, s int, ids []uint32, o Options) (Counter, Schedule) {
-	ctr, sched := o.Counter, o.Schedule
-	if sched == DefaultSchedule {
+	if sched == DefaultSchedule || sched == AutoSchedule {
+		sched = BlockedSchedule
 		if o.Partition == CyclicPartition {
 			sched = CyclicSchedule
-		} else {
-			sched = BlockedSchedule
-		}
-	}
-	if ctr == AutoCounter || sched == AutoSchedule {
-		var mean float64
-		var max int
-		if o.Stats != nil {
-			mean, max = o.Stats.Mean, o.Stats.Max
-		} else {
-			mean, max = degreeStats(in, ids)
-		}
-		if ctr == AutoCounter {
-			switch {
-			case s >= 2 && float64(s) >= mean/2:
-				ctr = IntersectionCounter
-			case mean*float64(max) >= float64(in.IDSpace()):
-				ctr = DenseCounter
-			default:
-				ctr = HashmapCounter
-			}
-		}
-		if sched == AutoSchedule {
-			if o.Relabel != sparse.NoOrder || float64(max) >= 8*mean {
-				sched = QueueSchedule
-			} else if o.Partition == CyclicPartition {
-				sched = CyclicSchedule
-			} else {
-				sched = BlockedSchedule
-			}
 		}
 	}
 	return ctr, sched
@@ -339,13 +311,12 @@ func sortByDegree(ids []uint32, in Input, ord sparse.Order) []uint32 {
 // surface mid-run cancellation.
 func construct(eng *parallel.Engine, in Input, s int, o Options, exact bool, emit func(w int, e, f uint32, c int32)) error {
 	ids := in.EdgeIDs()
-	// Axis 4 first: the prefiltered work span feeds the schedule and, when
-	// Stats is unset, the axis-resolution scan only visits eligible edges.
+	// Axis 4 first: the prefiltered work span feeds the schedule.
 	pr, ids := buildPrune(eng, in, s, o, ids)
 	if err := eng.Err(); err != nil {
 		return err
 	}
-	ctr, sched := resolveAxes(in, s, ids, o)
+	ctr, sched := resolveAxes(eng, in, o)
 	if sched == QueueSchedule {
 		ids = orderQueue(eng, ids, in, o)
 	} else {
@@ -379,20 +350,6 @@ func construct(eng *parallel.Engine, in Input, s int, o Options, exact bool, emi
 	return eng.Err()
 }
 
-// Construct runs the kernel and collects the canonical s-line edge list.
-// It is the slice-output adapter over the kernel; the default smetrics path
-// uses ConstructCSR instead and never materializes this list.
-func Construct(eng *parallel.Engine, in Input, s int, o Options) ([]sparse.Edge, error) {
-	tls := parallel.NewTLSFor(eng, func() []sparse.Edge { return nil })
-	if err := construct(eng, in, s, o, false, func(w int, e, f uint32, _ int32) {
-		buf := tls.Get(w)
-		*buf = append(*buf, sparse.Edge{U: e, V: f})
-	}); err != nil {
-		return nil, err
-	}
-	return collectTLS(eng, tls), nil
-}
-
 // ConstructWeighted runs the kernel in exact-count mode and collects the
 // canonical weighted s-line edge list (each pair with its |e ∩ f|).
 func ConstructWeighted(eng *parallel.Engine, in Input, s int, o Options) ([]WeightedPair, error) {
@@ -404,75 +361,6 @@ func ConstructWeighted(eng *parallel.Engine, in Input, s int, o Options) ([]Weig
 		return nil, err
 	}
 	return canonWeighted(eng, parallel.FlattenTLS(nil, tls, nil)), nil
-}
-
-// ConstructCSR runs the kernel and assembles the symmetric s-line adjacency
-// directly into a sparse.CSR over in's ID space — the fast path consumed by
-// smetrics.Build. Per-worker sorted chunk buffers are counted into a degree
-// array, a parallel.ScanExclusive pass turns the counts into row offsets,
-// and the chunks scatter both arc directions straight into the CSR's column
-// storage; no global []sparse.Edge list ever exists.
-func ConstructCSR(eng *parallel.Engine, in Input, s int, o Options) (*sparse.CSR, error) {
-	tls := parallel.NewTLSFor(eng, func() []sparse.Edge { return nil })
-	if err := construct(eng, in, s, o, false, func(w int, e, f uint32, _ int32) {
-		buf := tls.Get(w)
-		*buf = append(*buf, sparse.Edge{U: e, V: f})
-	}); err != nil {
-		return nil, err
-	}
-	// Collect the per-worker chunks (the slice headers, not the pairs).
-	var chunks [][]sparse.Edge
-	tls.Each(func(_ int, v *[]sparse.Edge) {
-		if len(*v) > 0 {
-			chunks = append(chunks, *v)
-		}
-	})
-	n := in.IDSpace()
-	// Sort each chunk in parallel so the scatter below writes each row in
-	// near-sorted runs (FromParts' final row sort then works on almost-ordered
-	// data), and count both arc directions into the degree array.
-	counts := make([]int64, n)
-	sortAndCount := make([]func(), len(chunks))
-	for ci := range chunks {
-		chunk := chunks[ci]
-		sortAndCount[ci] = func() {
-			sort.Slice(chunk, func(a, b int) bool {
-				if chunk[a].U != chunk[b].U {
-					return chunk[a].U < chunk[b].U
-				}
-				return chunk[a].V < chunk[b].V
-			})
-			for _, p := range chunk {
-				parallel.AddI64(&counts[p.U], 1)
-				parallel.AddI64(&counts[p.V], 1)
-			}
-		}
-	}
-	eng.Invoke(sortAndCount...)
-	if err := eng.Err(); err != nil {
-		return nil, err
-	}
-	total := parallel.ScanExclusive(counts)
-	rowptr := make([]int64, n+1)
-	copy(rowptr, counts)
-	rowptr[n] = total
-	// The scanned array doubles as the per-row scatter cursors.
-	col := make([]uint32, total)
-	scatter := make([]func(), len(chunks))
-	for ci := range chunks {
-		chunk := chunks[ci]
-		scatter[ci] = func() {
-			for _, p := range chunk {
-				col[parallel.AddI64(&counts[p.U], 1)-1] = p.V
-				col[parallel.AddI64(&counts[p.V], 1)-1] = p.U
-			}
-		}
-	}
-	eng.Invoke(scatter...)
-	if err := eng.Err(); err != nil {
-		return nil, err
-	}
-	return sparse.FromParts(n, n, rowptr, col, nil), nil
 }
 
 // countCommonExact counts |a ∩ b| of two sorted slices exactly, pruning only

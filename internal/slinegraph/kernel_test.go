@@ -2,11 +2,14 @@ package slinegraph
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
 
+	"nwhy/internal/core"
 	"nwhy/internal/gen"
+	"nwhy/internal/parallel"
 	"nwhy/internal/sparse"
 )
 
@@ -120,38 +123,68 @@ func TestConstructCSREmpty(t *testing.T) {
 	}
 }
 
-// TestResolveAxesAuto pins the Auto heuristic's direction: high thresholds
-// pick intersection, dense overlap picks the dense counter, relabel orders
-// and skew pick the queue schedule.
-func TestResolveAxesAuto(t *testing.T) {
-	in := FromHypergraph(overlapHypergraph()) // degrees 4,4,4,2: mean 3.5
-	ids := in.EdgeIDs()
+// wideInput reports a larger ID space than the input it wraps, to stand on
+// either side of denseIDSpaceMax without allocating one.
+type wideInput struct {
+	Input
+	idSpace int
+}
 
-	ctr, sched := resolveAxes(in, 3, ids, Options{})
-	if ctr != IntersectionCounter {
-		t.Fatalf("s=3 vs mean 3.5: counter %v, want intersection", ctr)
-	}
-	if sched != BlockedSchedule {
-		t.Fatalf("default schedule %v, want blocked", sched)
-	}
+func (w wideInput) IDSpace() int { return w.idSpace }
 
-	// s=1 keeps tallying; the tiny ID space (4) vs mean*max=14 forces dense.
-	if ctr, _ := resolveAxes(in, 1, ids, Options{}); ctr != DenseCounter {
-		t.Fatalf("dense-overlap input: counter %v, want dense", ctr)
+// TestResolveAxes pins the axis resolution: Auto picks the counter from the
+// ID space alone, a pinned counter is never overridden, and the Auto
+// schedule reads injected Stats in place of scanning.
+func TestResolveAxes(t *testing.T) {
+	flat := FromHypergraph(overlapHypergraph()) // degrees 4,4,4,2: max < 8 × mean
+	hub := [][]uint32{{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}}
+	for v := uint32(0); v < 15; v++ {
+		hub = append(hub, []uint32{v})
 	}
+	skewed := FromHypergraph(core.FromSets(hub, 16)) // max 16 ≥ 8 × mean 1.9
+	over := wideInput{flat, denseIDSpaceMax + 1}
+	for _, tc := range []struct {
+		name  string
+		in    Input
+		o     Options
+		ctr   Counter
+		sched Schedule
+	}{
+		{"auto under the bound", flat, Options{}, DenseCounter, BlockedSchedule},
+		{"auto at the bound", wideInput{flat, denseIDSpaceMax}, Options{}, DenseCounter, BlockedSchedule},
+		{"auto over the bound", over, Options{}, HashmapCounter, BlockedSchedule},
+		{"pinned hashmap under", flat, Options{Counter: HashmapCounter}, HashmapCounter, BlockedSchedule},
+		{"pinned intersection under", flat, Options{Counter: IntersectionCounter}, IntersectionCounter, BlockedSchedule},
+		{"pinned dense over", over, Options{Counter: DenseCounter}, DenseCounter, BlockedSchedule},
+		{"pinned intersection over", over, Options{Counter: IntersectionCounter}, IntersectionCounter, BlockedSchedule},
+		{"default schedule, cyclic partition", flat, Options{Partition: CyclicPartition}, DenseCounter, CyclicSchedule},
+		{"pinned schedule", flat, Options{Schedule: QueueSchedule}, DenseCounter, QueueSchedule},
+		{"auto schedule, scanned flat", flat, Options{Schedule: AutoSchedule}, DenseCounter, BlockedSchedule},
+		{"auto schedule, scanned flat, cyclic", flat, Options{Schedule: AutoSchedule, Partition: CyclicPartition}, DenseCounter, CyclicSchedule},
+		{"auto schedule, scanned skew", skewed, Options{Schedule: AutoSchedule}, DenseCounter, QueueSchedule},
+		{"auto schedule, injected skew beats the scan", flat, Options{Schedule: AutoSchedule, Stats: &DegreeStats{Mean: 2, Max: 16}}, DenseCounter, QueueSchedule},
+		{"auto schedule, injected flat beats the scan", skewed, Options{Schedule: AutoSchedule, Stats: &DegreeStats{Mean: 4, Max: 4}}, DenseCounter, BlockedSchedule},
+		{"auto schedule, relabel order", flat, Options{Schedule: AutoSchedule, Relabel: sparse.Descending}, DenseCounter, QueueSchedule},
+	} {
+		ctr, sched := resolveAxes(teng, tc.in, tc.o)
+		if ctr != tc.ctr || sched != tc.sched {
+			t.Errorf("%s: resolved (%v, %v), want (%v, %v)", tc.name, ctr, sched, tc.ctr, tc.sched)
+		}
+	}
+}
 
-	// A sparse-overlap input falls back to the hashmap.
-	sp := FromHypergraph(gen.Uniform(500, 2000, 3, 4))
-	if ctr, _ := resolveAxes(sp, 1, sp.EdgeIDs(), Options{}); ctr != HashmapCounter {
-		t.Fatalf("sparse-overlap input: counter %v, want hashmap", ctr)
-	}
+// cancelInKernel is an input that cancels its run's context at the first
+// neighbour lookup: the kernel pass is then under way, so a construction
+// that returns the error stopped in or after it, not before it began.
+// (TestAssembleSurfacesCancellation cancels after the pass.)
+type cancelInKernel struct {
+	Input
+	cancel context.CancelFunc
+}
 
-	if _, sched := resolveAxes(in, 1, ids, Options{Schedule: AutoSchedule, Relabel: sparse.Descending}); sched != QueueSchedule {
-		t.Fatalf("relabel order should pick the queue schedule, got %v", sched)
-	}
-	if _, sched := resolveAxes(in, 1, ids, Options{Schedule: AutoSchedule, Partition: CyclicPartition}); sched != CyclicSchedule {
-		t.Fatalf("auto over cyclic partition: %v, want cyclic", sched)
-	}
+func (c cancelInKernel) EdgesOf(v uint32) []uint32 {
+	c.cancel()
+	return c.Input.EdgesOf(v)
 }
 
 func TestConstructSurfacesCancellation(t *testing.T) {
@@ -165,6 +198,25 @@ func TestConstructSurfacesCancellation(t *testing.T) {
 	}
 	if _, err := ConstructCSR(teng.WithContext(ctx), in, 1, Options{}); err == nil {
 		t.Fatal("cancelled ConstructCSR returned nil error")
+	}
+
+	// Cancelled once the kernel pass is running: the error comes back, no
+	// partial CSR does, and the engine serves the next run.
+	eng := parallel.NewEngine(2)
+	defer eng.Close()
+	big := FromHypergraph(gen.Uniform(400, 200, 5, 11))
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	csr, err := ConstructCSR(eng.WithContext(ctx), cancelInKernel{big, cancel}, 1, Options{})
+	if !errors.Is(err, context.Canceled) || csr != nil {
+		t.Fatalf("ConstructCSR cancelled mid-run: csr=%v err=%v, want nil and Canceled", csr, err)
+	}
+	got, err := ConstructCSR(eng, big, 1, Options{})
+	if err != nil {
+		t.Fatalf("engine not reusable after a cancelled run: %v", err)
+	}
+	if want := ToLineGraph(big.IDSpace(), tNaive(gen.Uniform(400, 200, 5, 11), 1)).CSR(); !got.Equal(want) {
+		t.Fatal("run after a cancelled one differs from the oracle")
 	}
 }
 

@@ -31,7 +31,7 @@ func Naive(eng *parallel.Engine, h *core.Hypergraph, s int) ([]sparse.Edge, erro
 	if err := eng.Err(); err != nil {
 		return nil, err
 	}
-	return collectTLS(eng, tls), nil
+	return canonPairs(eng, parallel.FlattenTLS(nil, tls, nil)), nil
 }
 
 // Intersection is the set-intersection heuristic of Liu et al. (HiPC'21):

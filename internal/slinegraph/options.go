@@ -1,7 +1,6 @@
 package slinegraph
 
 import (
-	"nwhy/internal/parallel"
 	"nwhy/internal/sparse"
 	"nwhy/internal/unionfind"
 )
@@ -106,8 +105,8 @@ func (p Prune) String() string {
 }
 
 // Options configure a construction algorithm run. The zero value selects
-// the historical defaults: blocked distribution, no relabeling, hashmap
-// counting (via AutoCounter resolution) under the entry point's schedule.
+// blocked distribution, no relabeling and AutoCounter's choice (dense up to
+// denseIDSpaceMax IDs, else hashmap) under the entry point's schedule.
 type Options struct {
 	// Partition selects blocked or cyclic work distribution. It feeds the
 	// DefaultSchedule resolution and the queue interleave; callers using the
@@ -122,7 +121,7 @@ type Options struct {
 	// demonstrate; results are always in the original ID space.
 	Relabel sparse.Order
 	// Counter selects the overlap-counting strategy (kernel axis 1).
-	// AutoCounter (the zero value) resolves from s and degree statistics.
+	// AutoCounter (the zero value) resolves from the size of the ID space.
 	Counter Counter
 	// Schedule selects the work distribution (kernel axis 2).
 	// DefaultSchedule (the zero value) derives from Partition; the legacy
@@ -134,9 +133,9 @@ type Options struct {
 	// Prune selects the pruning heuristics (kernel axis 4). AutoPrune (the
 	// zero value) resolves from Intent.
 	Prune Prune
-	// Stats optionally injects precomputed degree statistics so resolveAxes
-	// skips its per-run scan — the facade memoizes one DegreeStats per
-	// snapshot epoch. nil falls back to scanning.
+	// Stats optionally injects precomputed degree statistics so the
+	// AutoSchedule resolution skips its per-run scan — the facade memoizes
+	// one DegreeStats per snapshot epoch. nil falls back to scanning.
 	Stats *DegreeStats
 	// Subset restricts construction to these hyperedge IDs (the toplex-only
 	// path). Honored only under ToplexPrune: the components builder that
@@ -148,10 +147,4 @@ type Options struct {
 	// because skipping already-connected pairs is only sound when the emit
 	// target is this same forest.
 	forest *unionfind.Forest
-}
-
-// collectTLS gathers per-worker edge buffers into one canonical list
-// through the shared TLS merge path.
-func collectTLS(eng *parallel.Engine, tls *parallel.TLS[[]sparse.Edge]) []sparse.Edge {
-	return canonPairs(eng, parallel.FlattenTLS(nil, tls, nil))
 }

@@ -134,8 +134,8 @@ func buildPrune(eng *parallel.Engine, in Input, s int, o Options, ids []uint32) 
 }
 
 // filterSpan compacts ids to the elements passing keep, engine-parallel and
-// order-preserving: per-chunk counts, an exclusive scan, then a scatter —
-// the same two-pass shape as ConstructCSR's assembly.
+// order-preserving: per-chunk counts, an exclusive scan (serial — one entry
+// per 4096 ids), then a scatter.
 func filterSpan(eng *parallel.Engine, ids []uint32, keep func(uint32) bool) []uint32 {
 	n := len(ids)
 	if n == 0 {
@@ -154,7 +154,10 @@ func filterSpan(eng *parallel.Engine, ids []uint32, keep func(uint32) bool) []ui
 		}
 		counts[c] = k
 	})
-	total := parallel.ScanExclusive(counts)
+	var total int64
+	for c, k := range counts {
+		counts[c], total = total, total+k
+	}
 	if total == int64(n) {
 		return ids // nothing filtered; skip the copy
 	}

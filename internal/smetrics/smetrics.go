@@ -98,20 +98,7 @@ func BuildWith(eng *parallel.Engine, h *core.Hypergraph, s int, pairs []sparse.E
 // sorted, so walking the upper triangle yields canonical order directly);
 // handles built from a pair list return that list.
 func (l *SLineGraph) Pairs() []sparse.Edge {
-	l.pairs.once.Do(func() {
-		c := l.G.CSR()
-		out := make([]sparse.Edge, 0, c.NumEdges()/2)
-		for u := 0; u < c.NumRows(); u++ {
-			for _, v := range c.Row(u) {
-				if v > uint32(u) {
-					out = append(out, sparse.Edge{U: uint32(u), V: v})
-				}
-			}
-		}
-		if len(out) > 0 {
-			l.pairs.list = out
-		}
-	})
+	l.pairs.once.Do(func() { l.pairs.list = l.G.CSR().UpperTriangle() })
 	return l.pairs.list
 }
 

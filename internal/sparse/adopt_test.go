@@ -40,16 +40,32 @@ func TestAdoptSortedRejects(t *testing.T) {
 	}
 }
 
-func TestAdoptSortedMatchesFromParts(t *testing.T) {
-	rowptr := []int64{0, 2, 3}
-	col := []uint32{0, 2, 1}
-	val := []float64{1, 2, 3}
-	a, err := AdoptSorted(2, 3, append([]int64(nil), rowptr...), append([]uint32(nil), col...), append([]float64(nil), val...))
+func TestAdoptSortedMatchesFromPairs(t *testing.T) {
+	a, err := AdoptSorted(2, 3, []int64{0, 2, 3}, []uint32{0, 2, 1}, []float64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := FromParts(2, 3, append([]int64(nil), rowptr...), append([]uint32(nil), col...), append([]float64(nil), val...))
+	b := FromPairs(2, 3, []Edge{{1, 1}, {0, 2}, {0, 0}}, []float64{3, 2, 1})
 	if !a.Equal(b) {
-		t.Fatal("AdoptSorted differs from FromParts on sorted input")
+		t.Fatal("AdoptSorted differs from FromPairs on the same entries")
+	}
+}
+
+func TestUpperTriangle(t *testing.T) {
+	// Path 0-1-2 plus edge 0-2, stored symmetrically with sorted rows.
+	c, err := AdoptSorted(4, 4, []int64{0, 2, 4, 6, 6}, []uint32{1, 2, 0, 2, 0, 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Edge{{0, 1}, {0, 2}, {1, 2}}
+	if got := c.UpperTriangle(); len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Fatalf("UpperTriangle = %v, want %v", got, want)
+	}
+	empty, err := AdoptSorted(2, 2, []int64{0, 0, 0}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := empty.UpperTriangle(); got != nil {
+		t.Fatalf("UpperTriangle of an empty CSR = %v, want nil", got)
 	}
 }

@@ -94,6 +94,24 @@ func (c *CSR) HasEntry(row int, col uint32) bool {
 	return k < len(r) && r[k] == col
 }
 
+// UpperTriangle returns the entries (i, j) with j > i in row order: for a
+// symmetric adjacency with sorted rows, its canonical undirected edge list
+// (U < V, sorted). nil when there is none.
+func (c *CSR) UpperTriangle() []Edge {
+	var out []Edge
+	for i := 0; i < c.nrows; i++ {
+		for _, j := range c.Row(i) {
+			if j > uint32(i) {
+				if out == nil {
+					out = make([]Edge, 0, len(c.Col)/2)
+				}
+				out = append(out, Edge{U: uint32(i), V: j})
+			}
+		}
+	}
+	return out
+}
+
 // Validate checks structural invariants: monotone RowPtr, in-range columns,
 // sorted rows.
 func (c *CSR) Validate() error {
@@ -161,26 +179,14 @@ func FromPairs(nrows, ncols int, pairs []Edge, weights []float64) *CSR {
 	return c
 }
 
-// FromParts adopts prebuilt CSR storage: rowptr must have length nrows+1
-// with rowptr[0] == 0 and rowptr[nrows] == len(col), and col (plus val, when
-// non-nil, aligned with it) must hold each row's entries in its
-// rowptr-delimited window, in any order — FromParts sorts the rows in place.
-// The caller must not reuse the slices afterwards. It is the assembly entry
-// point for builders that scatter directly into CSR storage (the s-overlap
-// kernel's direct-CSR path) instead of routing through a global pair list.
-func FromParts(nrows, ncols int, rowptr []int64, col []uint32, val []float64) *CSR {
-	c := &CSR{nrows: nrows, ncols: ncols, RowPtr: rowptr, Col: col, Val: val}
-	c.sortRows()
-	return c
-}
-
 // AdoptSorted adopts prebuilt CSR storage whose rows are already sorted —
-// the snapshot-load fast path, which must not pay FromParts' per-row sort on
-// data that was canonical when written. The full structural invariant set is
-// checked before adoption (including val/col alignment, which Validate does
-// not see), so a corrupted or hand-forged payload is rejected instead of
-// producing a CSR that violates the sorted-rows contract HasEntry and the
-// merge kernels rely on. The caller must not reuse the slices afterwards.
+// the snapshot-load fast path and the s-overlap kernel's assembly, which lay
+// their rows out in order and must not pay a per-row sort. The full
+// structural invariant set is checked before adoption (including val/col
+// alignment, which Validate does not see), so a corrupted or hand-forged
+// payload is rejected instead of producing a CSR that violates the
+// sorted-rows contract HasEntry and the merge kernels rely on. The caller
+// must not reuse the slices afterwards.
 func AdoptSorted(nrows, ncols int, rowptr []int64, col []uint32, val []float64) (*CSR, error) {
 	if val != nil && len(val) != len(col) {
 		return nil, fmt.Errorf("sparse: %d values for %d columns", len(val), len(col))

@@ -49,7 +49,7 @@ func (a Algorithm) String() string {
 type Strategy int
 
 const (
-	// StrategyAuto picks a counter from s and the degree statistics.
+	// StrategyAuto picks dense or hashmap from the size of the ID space.
 	StrategyAuto Strategy = iota
 	// StrategyHashmap tallies overlaps in per-worker hash maps.
 	StrategyHashmap
