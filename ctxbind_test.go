@@ -3,6 +3,9 @@ package nwhy
 import (
 	"context"
 	"errors"
+	"math"
+	"reflect"
+	"sync/atomic"
 	"testing"
 )
 
@@ -66,5 +69,69 @@ func TestRefreshSLineGraphCtxDetached(t *testing.T) {
 	cancelNow()
 	if _, _, err := g.RefreshSLineGraphCtx(cancelled, patched, ConstructOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled refresh err = %v, want Canceled", err)
+	}
+}
+
+// pollsCtx reports cancellation from its (left+1)-th Err call on, so a
+// kernel is cancelled between two of its own polls rather than by a timer.
+type pollsCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *pollsCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSMetricQueriesCtxCancellation pins the cancellation contract of the
+// three s-metric traversals — the point query, the closeness sweep and
+// Brandes — at the facade: cancelled before the call or between two polls
+// inside it, each *Ctx entry returns the context's error and no partial
+// answer, and the same handle then answers a live request exactly.
+func TestSMetricQueriesCtxCancellation(t *testing.T) {
+	lg := engineTestHypergraph(t).SLineGraph(2, true) // a 400-chain beside 200 isolated hyperedges
+	wantHarmonic, wantBC := lg.SHarmonicClosenessCentrality(), lg.SBetweennessCentrality(true)
+
+	for _, polls := range []int64{0, 3, 40} {
+		newCtx := func() context.Context {
+			ctx := &pollsCtx{Context: context.Background()}
+			ctx.left.Store(polls)
+			return ctx
+		}
+		if d, err := lg.SDistanceCtx(newCtx(), 0, 399); !errors.Is(err, context.Canceled) || d != 0 {
+			t.Fatalf("polls=%d: SDistanceCtx = %d, %v; want 0, Canceled", polls, d, err)
+		}
+		if p, err := lg.SPathCtx(newCtx(), 0, 399); !errors.Is(err, context.Canceled) || p != nil {
+			t.Fatalf("polls=%d: SPathCtx = %v, %v; want nil, Canceled", polls, p, err)
+		}
+		if v, err := lg.SHarmonicClosenessCentralityCtx(newCtx()); !errors.Is(err, context.Canceled) || v != nil {
+			t.Fatalf("polls=%d: SHarmonicClosenessCentralityCtx = %d scores, %v; want none, Canceled", polls, len(v), err)
+		}
+		if v, err := lg.SBetweennessCentralityCtx(newCtx(), true); !errors.Is(err, context.Canceled) || v != nil {
+			t.Fatalf("polls=%d: SBetweennessCentralityCtx = %d scores, %v; want none, Canceled", polls, len(v), err)
+		}
+
+		ctx := context.Background()
+		if d, err := lg.SDistanceCtx(ctx, 0, 399); err != nil || d != 399 {
+			t.Fatalf("polls=%d: live SDistanceCtx = %d, %v; want 399", polls, d, err)
+		}
+		if p, err := lg.SPathCtx(ctx, 399, 0); err != nil || len(p) != 400 || p[0] != 399 || p[399] != 0 {
+			t.Fatalf("polls=%d: live SPathCtx has %d hyperedges, %v", polls, len(p), err)
+		}
+		if v, err := lg.SHarmonicClosenessCentralityCtx(ctx); err != nil || !reflect.DeepEqual(v, wantHarmonic) {
+			t.Fatalf("polls=%d: live harmonic closeness differs after a cancellation (%v)", polls, err)
+		}
+		v, err := lg.SBetweennessCentralityCtx(ctx, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for e := range v {
+			if math.Abs(v[e]-wantBC[e]) > 1e-12 {
+				t.Fatalf("polls=%d: live betweenness[%d] = %v, want %v", polls, e, v[e], wantBC[e])
+			}
+		}
 	}
 }

@@ -33,6 +33,11 @@ func ApproxBetweennessCentrality(eng *parallel.Engine, g *Graph, k int, seed int
 	return betweenness(eng, g, perm[:k], normalized, float64(n))
 }
 
+// betweenness sums the Brandes dependencies of the given sources, each
+// scaled by n/len(sources). Sources without a neighbor are skipped (their
+// dependencies are all exactly zero) but still count in the scale. Grains
+// borrow their worker's brandesState from the engine arena, so a call
+// allocates the score partials and nothing per source.
 func betweenness(eng *parallel.Engine, g *Graph, sources []int, normalized bool, n float64) []float64 {
 	partials := parallel.NewTLSFor(eng, func() []float64 { return make([]float64, g.NumVertices()) })
 	scale := n / float64(len(sources))
@@ -41,10 +46,14 @@ func betweenness(eng *parallel.Engine, g *Graph, sources []int, normalized bool,
 	// single-source Brandes accumulations.
 	eng.For(parallel.BlockedGrain(0, len(sources), 1), func(w, lo, hi int) {
 		score := *partials.Get(w)
-		st := newBrandesState(g.NumVertices())
-		for i := lo; i < hi; i++ {
-			brandesFromSource(g, sources[i], score, st, scale)
+		st := grabScratch[brandesState](eng, w, brandesStateKey)
+		st.ensure(g.NumVertices())
+		for _, src := range sources[lo:hi] {
+			if g.Degree(src) > 0 {
+				st.accumulate(g, src, score, scale)
+			}
 		}
+		eng.Stash(w, brandesStateKey, st)
 	})
 
 	out := make([]float64, g.NumVertices())
@@ -66,59 +75,63 @@ func betweenness(eng *parallel.Engine, g *Graph, sources []int, normalized bool,
 	return out
 }
 
-// brandesState holds per-worker scratch reused across sources.
+// brandesState is one worker's scratch, reused across sources and calls.
+// dist is all -1 between sources; sigma and coef are written before they
+// are read.
 type brandesState struct {
-	sigma []float64
-	delta []float64
+	sigma []float64 // number of shortest paths from the source
+	coef  []float64 // (1 + dependency) / sigma, set in reverse BFS order
 	dist  []int32
 	order []uint32 // vertices in non-decreasing BFS order
 }
 
-func newBrandesState(n int) *brandesState {
-	return &brandesState{
-		sigma: make([]float64, n),
-		delta: make([]float64, n),
-		dist:  make([]int32, n),
-		order: make([]uint32, 0, n),
+func (st *brandesState) ensure(n int) {
+	if len(st.dist) < n {
+		st.sigma, st.coef, st.dist = make([]float64, n), make([]float64, n), make([]int32, n)
+		for i := range st.dist {
+			st.dist[i] = unreachable
+		}
 	}
 }
 
-// brandesFromSource runs one sequential Brandes accumulation, adding each
-// vertex's dependency (times scale/1) into score.
-func brandesFromSource(g *Graph, src int, score []float64, st *brandesState, scale float64) {
-	n := g.NumVertices()
-	for i := 0; i < n; i++ {
-		st.sigma[i] = 0
-		st.delta[i] = 0
-		st.dist[i] = -1
-	}
-	st.order = st.order[:0]
-	st.sigma[src] = 1
-	st.dist[src] = 0
-	st.order = append(st.order, uint32(src))
-	// BFS in order; st.order doubles as the queue.
-	for head := 0; head < len(st.order); head++ {
-		u := st.order[head]
-		du := st.dist[u]
+// accumulate runs one sequential Brandes pass from src, adding each
+// vertex's dependency times scale into score. The backward pass gathers: a
+// vertex sums coef over its BFS successors (one level deeper, final in
+// reverse BFS order) — one division per vertex, writes to its own slots only.
+func (st *brandesState) accumulate(g *Graph, src int, score []float64, scale float64) {
+	sigma, coef, dist := st.sigma, st.coef, st.dist
+	sigma[src], dist[src] = 1, 0
+	order := append(st.order[:0], uint32(src))
+	// BFS in order; order doubles as the queue.
+	for head := 0; head < len(order); head++ {
+		u := order[head]
+		next := dist[u] + 1
 		for _, v := range g.Row(int(u)) {
-			if st.dist[v] == -1 {
-				st.dist[v] = du + 1
-				st.order = append(st.order, v)
+			if dist[v] == unreachable {
+				dist[v] = next
+				sigma[v] = 0
+				order = append(order, v)
 			}
-			if st.dist[v] == du+1 {
-				st.sigma[v] += st.sigma[u]
+			if dist[v] == next {
+				sigma[v] += sigma[u]
 			}
 		}
 	}
-	// Reverse accumulation.
-	for i := len(st.order) - 1; i > 0; i-- {
-		w := st.order[i]
-		coeff := (1 + st.delta[w]) / st.sigma[w]
-		for _, v := range g.Row(int(w)) {
-			if st.dist[v] == st.dist[w]-1 {
-				st.delta[v] += st.sigma[v] * coeff
+	for i := len(order) - 1; i > 0; i-- {
+		v := order[i]
+		next := dist[v] + 1
+		sum := 0.0
+		for _, w := range g.Row(int(v)) {
+			if dist[w] == next {
+				sum += coef[w]
 			}
 		}
-		score[w] += st.delta[w] * scale
+		delta := sigma[v] * sum
+		coef[v] = (1 + delta) / sigma[v]
+		score[v] += delta * scale
 	}
+	for _, v := range order {
+		dist[v] = unreachable
+	}
+	st.order = order
 }

@@ -19,10 +19,12 @@ func WeightedBetweennessCentrality(eng *parallel.Engine, g *Graph, normalized bo
 
 	eng.For(parallel.BlockedGrain(0, n, 1), func(w, lo, hi int) {
 		score := *partials.Get(w)
-		st := newWeightedBrandesState(n)
+		st := grabScratch[weightedBrandesState](eng, w, weightedBrandesStateKey)
+		st.ensure(n)
 		for src := lo; src < hi; src++ {
 			weightedBrandesFromSource(g, src, score, st)
 		}
+		eng.Stash(w, weightedBrandesStateKey, st)
 	})
 
 	out := make([]float64, n)
@@ -43,6 +45,8 @@ func WeightedBetweennessCentrality(eng *parallel.Engine, g *Graph, normalized bo
 	return out
 }
 
+// weightedBrandesState is one worker's scratch, reused across sources and
+// calls; every source re-initializes the first n entries it uses.
 type weightedBrandesState struct {
 	dist  []float64
 	sigma []float64
@@ -52,13 +56,10 @@ type weightedBrandesState struct {
 	pq    distHeap
 }
 
-func newWeightedBrandesState(n int) *weightedBrandesState {
-	return &weightedBrandesState{
-		dist:  make([]float64, n),
-		sigma: make([]float64, n),
-		delta: make([]float64, n),
-		done:  make([]bool, n),
-		order: make([]uint32, 0, n),
+func (st *weightedBrandesState) ensure(n int) {
+	if len(st.dist) < n {
+		st.dist, st.sigma, st.delta = make([]float64, n), make([]float64, n), make([]float64, n)
+		st.done = make([]bool, n)
 	}
 }
 

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"math/bits"
+
 	"nwhy/internal/parallel"
 )
 
@@ -11,8 +13,7 @@ func bfsDistances(g *Graph, src int, dist []int32, queue []uint32) []uint32 {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	queue = queue[:0]
-	queue = append(queue, uint32(src))
+	queue = append(queue[:0], uint32(src))
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		du := dist[u]
@@ -26,27 +27,136 @@ func bfsDistances(g *Graph, src int, dist []int32, queue []uint32) []uint32 {
 	return queue
 }
 
-// perSourceScan computes fn over the BFS distance vector of every source in
-// parallel (one sequential BFS per source, sources distributed over workers).
-func perSourceScan(eng *parallel.Engine, g *Graph, fn func(src int, dist []int32, reached []uint32) float64) []float64 {
-	n := g.NumVertices()
-	out := make([]float64, n)
-	type scratch struct {
-		dist  []int32
-		queue []uint32
-	}
-	tls := parallel.NewTLSFor(eng, func() scratch {
-		return scratch{dist: make([]int32, n), queue: make([]uint32, 0, n)}
-	})
-	eng.For(parallel.BlockedGrain(0, n, 1), func(w, lo, hi int) {
-		s := tls.Get(w)
-		for src := lo; src < hi; src++ {
-			reached := bfsDistances(g, src, s.dist, s.queue)
-			s.queue = reached
-			out[src] = fn(src, s.dist, reached)
+// levelHistogram runs one BFS from src and returns hist[d], the number of
+// vertices at hop distance d (hist[0] = 1 is src itself).
+func levelHistogram(g *Graph, src int) []int64 {
+	dist := make([]int32, g.NumVertices())
+	var hist []int64
+	for _, v := range bfsDistances(g, src, dist, nil) {
+		if int(dist[v]) == len(hist) {
+			hist = append(hist, 0)
 		}
+		hist[dist[v]]++
+	}
+	return hist
+}
+
+// sweepScratch is one worker's state for a batch of up to 64 BFS sources
+// advancing together, source i of the batch owning bit i of every word.
+// All three word arrays are zero between batches.
+type sweepScratch struct {
+	seen, front, next []uint64    // per vertex: sources that reached it / have it on the current / next frontier
+	cur, nxt, visited []uint32    // the vertices whose front / next / seen word is non-zero
+	hist              [64][]int64 // level histogram of each source
+}
+
+func (sc *sweepScratch) ensure(n int) {
+	if len(sc.seen) < n {
+		sc.seen, sc.front, sc.next = make([]uint64, n), make([]uint64, n), make([]uint64, n)
+	}
+}
+
+func (sc *sweepScratch) reset() {
+	for _, v := range sc.visited {
+		sc.seen[v], sc.front[v], sc.next[v] = 0, 0, 0
+	}
+	sc.cur, sc.nxt, sc.visited = sc.cur[:0], sc.nxt[:0], sc.visited[:0]
+}
+
+// run sweeps all levels of the batch, filling sc.hist[i] for source i. A
+// level walks its frontier list and those vertices' arcs only, so a long
+// thin graph costs what one BFS per source would. It reports false if eng
+// was cancelled (observed between levels).
+func (sc *sweepScratch) run(eng *parallel.Engine, g *Graph, batch []uint32) bool {
+	seen, front, next := sc.seen, sc.front, sc.next
+	for i, s := range batch {
+		seen[s], front[s] = 1<<i, 1<<i
+		sc.cur = append(sc.cur, s)
+		sc.visited = append(sc.visited, s)
+		sc.hist[i] = append(sc.hist[i][:0], 1)
+	}
+	for d := 1; len(sc.cur) > 0; d++ {
+		if eng.Cancelled() {
+			return false
+		}
+		for _, u := range sc.cur {
+			fu := front[u]
+			front[u] = 0
+			for _, v := range g.Row(int(u)) {
+				if nw := fu &^ seen[v]; nw != 0 {
+					if next[v] == 0 {
+						sc.nxt = append(sc.nxt, v)
+					}
+					next[v] |= nw
+				}
+			}
+		}
+		for _, v := range sc.nxt {
+			nw := next[v]
+			if seen[v] == 0 {
+				sc.visited = append(sc.visited, v)
+			}
+			seen[v] |= nw
+			for ; nw != 0; nw &= nw - 1 {
+				i := bits.TrailingZeros64(nw)
+				if h := sc.hist[i]; len(h) == d {
+					sc.hist[i] = append(h, 1)
+				} else {
+					h[d]++
+				}
+			}
+		}
+		front, next = next, front
+		sc.cur, sc.nxt = sc.nxt, sc.cur[:0]
+	}
+	return true
+}
+
+// levelHistograms calls fn(src, hist) for every vertex with a neighbor,
+// hist[d] being the number of vertices at hop distance d from src (valid
+// during the call only); an isolated vertex's histogram is [1] and is not
+// reported. Sources advance 64 at a time as one bit-parallel BFS, batches
+// being the parallel grain. A cancelled engine leaves sources unreported.
+func levelHistograms(eng *parallel.Engine, g *Graph, fn func(src int, hist []int64)) {
+	n := g.NumVertices()
+	srcs := make([]uint32, 0, n)
+	for v := 0; v < n; v++ {
+		if g.Degree(v) > 0 {
+			srcs = append(srcs, uint32(v))
+		}
+	}
+	eng.For(parallel.BlockedGrain(0, (len(srcs)+63)/64, 1), func(w, lo, hi int) {
+		sc := grabScratch[sweepScratch](eng, w, sweepScratchKey)
+		sc.ensure(n)
+		for b := lo; b < hi; b++ {
+			batch := srcs[b*64 : min(b*64+64, len(srcs))]
+			if sc.run(eng, g, batch) {
+				for i, s := range batch {
+					fn(int(s), sc.hist[i])
+				}
+			}
+			sc.reset()
+		}
+		eng.Stash(w, sweepScratchKey, sc)
 	})
-	return out
+}
+
+// closeness scores one level histogram by the Wasserman–Faust convention:
+// ((r-1)/(n-1)) * ((r-1)/sum) over the r vertices reached.
+func closeness(hist []int64, n int) float64 {
+	var r, sum int64
+	for d, c := range hist {
+		r += c
+		sum += int64(d) * c
+	}
+	if r <= 1 || sum == 0 {
+		return 0
+	}
+	c := float64(r-1) / float64(sum)
+	if n > 1 {
+		c *= float64(r-1) / float64(n-1)
+	}
+	return c
 }
 
 // ClosenessCentrality computes, for every vertex, the closeness
@@ -55,67 +165,45 @@ func perSourceScan(eng *parallel.Engine, g *Graph, fn func(src int, dist []int32
 // ((r-1)/(n-1)) * ((r-1)/sum). Vertices with no reachable peers score 0.
 func ClosenessCentrality(eng *parallel.Engine, g *Graph) []float64 {
 	n := g.NumVertices()
-	return perSourceScan(eng, g, func(src int, dist []int32, reached []uint32) float64 {
-		var sum int64
-		for _, v := range reached {
-			sum += int64(dist[v])
-		}
-		r := len(reached)
-		if r <= 1 || sum == 0 {
-			return 0
-		}
-		c := float64(r-1) / float64(sum)
-		if n > 1 {
-			c *= float64(r-1) / float64(n-1)
-		}
-		return c
-	})
+	out := make([]float64, n)
+	levelHistograms(eng, g, func(src int, hist []int64) { out[src] = closeness(hist, n) })
+	return out
+}
+
+// ClosenessCentralityOf computes one vertex's closeness with one BFS.
+func ClosenessCentralityOf(g *Graph, src int) float64 {
+	return closeness(levelHistogram(g, src), g.NumVertices())
 }
 
 // HarmonicClosenessCentrality computes sum over other vertices of 1/d(u,v)
 // (0 for unreachable pairs), normalized by n-1.
 func HarmonicClosenessCentrality(eng *parallel.Engine, g *Graph) []float64 {
 	n := g.NumVertices()
-	return perSourceScan(eng, g, func(src int, dist []int32, reached []uint32) float64 {
+	out := make([]float64, n)
+	levelHistograms(eng, g, func(src int, hist []int64) {
 		sum := 0.0
-		for _, v := range reached {
-			if d := dist[v]; d > 0 {
-				sum += 1 / float64(d)
-			}
+		for d := 1; d < len(hist); d++ {
+			sum += float64(hist[d]) / float64(d)
 		}
 		if n > 1 {
 			sum /= float64(n - 1)
 		}
-		return sum
+		out[src] = sum
 	})
+	return out
 }
 
 // Eccentricity computes, for every vertex, the greatest hop distance to any
 // vertex reachable from it. Isolated vertices score 0.
 func Eccentricity(eng *parallel.Engine, g *Graph) []float64 {
-	return perSourceScan(eng, g, func(src int, dist []int32, reached []uint32) float64 {
-		var ecc int32
-		for _, v := range reached {
-			if dist[v] > ecc {
-				ecc = dist[v]
-			}
-		}
-		return float64(ecc)
-	})
+	out := make([]float64, g.NumVertices())
+	levelHistograms(eng, g, func(src int, hist []int64) { out[src] = float64(len(hist) - 1) })
+	return out
 }
 
-// EccentricityOf computes one vertex's eccentricity without the all-pairs
-// sweep.
+// EccentricityOf computes one vertex's eccentricity with one BFS.
 func EccentricityOf(g *Graph, src int) float64 {
-	dist := make([]int32, g.NumVertices())
-	reached := bfsDistances(g, src, dist, nil)
-	var ecc int32
-	for _, v := range reached {
-		if dist[v] > ecc {
-			ecc = dist[v]
-		}
-	}
-	return float64(ecc)
+	return float64(len(levelHistogram(g, src)) - 1)
 }
 
 // PageRank runs damped power iteration until the L1 change drops below tol

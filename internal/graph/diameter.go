@@ -5,33 +5,14 @@ import (
 )
 
 // Diameter computes the exact diameter (longest shortest path, per
-// component) by running a BFS from every vertex in parallel. O(n·m); use
-// ApproxDiameter for large graphs.
+// component): the largest Eccentricity. O(n·m/64); use ApproxDiameter for
+// large graphs.
 func Diameter(eng *parallel.Engine, g *Graph) int {
-	n := g.NumVertices()
-	if n == 0 {
-		return 0
+	d := 0.0
+	for _, e := range Eccentricity(eng, g) {
+		d = max(d, e)
 	}
-	return parallel.ReduceWith(eng, n, 0,
-		func(lo, hi, acc int) int {
-			dist := make([]int32, n)
-			var queue []uint32
-			for src := lo; src < hi; src++ {
-				queue = bfsDistances(g, src, dist, queue)
-				for _, v := range queue {
-					if int(dist[v]) > acc {
-						acc = int(dist[v])
-					}
-				}
-			}
-			return acc
-		},
-		func(a, b int) int {
-			if a > b {
-				return a
-			}
-			return b
-		})
+	return int(d)
 }
 
 // ApproxDiameter lower-bounds the diameter with iterated double sweeps:

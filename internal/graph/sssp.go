@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"sync/atomic"
 
 	"nwhy/internal/parallel"
 )
@@ -41,7 +42,7 @@ func DeltaStepping(eng *parallel.Engine, g *Graph, src int, delta float64) *SSSP
 	relax := func(v uint32, nd float64) bool {
 		return parallel.MinU64(&distBits[v], math.Float64bits(nd))
 	}
-	dist := func(v uint32) float64 { return math.Float64frombits(distBits[v]) }
+	dist := func(v uint32) float64 { return math.Float64frombits(atomic.LoadUint64(&distBits[v])) }
 
 	arcWeight := func(ws []float64, k int) float64 {
 		if ws == nil {

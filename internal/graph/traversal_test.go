@@ -1,0 +1,272 @@
+package graph
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync/atomic"
+	"testing"
+
+	"nwhy/internal/parallel"
+	"nwhy/internal/sparse"
+)
+
+// ringWithChords builds k non-isolated vertices at the even IDs of a
+// 2k+1-vertex graph (the odd IDs and the last stay isolated): a ring through
+// all of them plus k random chords. k = 1 is a single self-loop, k = 2 one
+// edge.
+func ringWithChords(k int, seed int64) *Graph {
+	rng := rand.New(rand.NewSource(seed))
+	el := sparse.NewEdgeList(2*k + 1)
+	for i := 0; i < k; i++ {
+		el.Add(uint32(2*i), uint32(2*((i+1)%k)))
+		el.Add(uint32(2*rng.Intn(k)), uint32(2*rng.Intn(k)))
+	}
+	return FromEdgeList(el, true)
+}
+
+// TestLevelHistogramsMatchPerSourceBFS pins the 64-wide sweep to one BFS
+// per source across the shapes that stress it: more levels than bits, one
+// level, components of different depth, nothing to sweep, and source counts
+// around the batch width. Histograms — hence closeness sums and
+// eccentricities — must be integer-exact, harmonic closeness within 1e-12,
+// and every non-isolated source reported exactly once, at any worker count.
+func TestLevelHistogramsMatchPerSourceBFS(t *testing.T) {
+	star := sparse.NewEdgeList(40)
+	for v := 1; v < 40; v++ {
+		star.Add(0, uint32(v))
+	}
+	twoComps := sparse.NewEdgeList(90)
+	for v := 0; v+1 < 70; v++ { // a 70-path ...
+		twoComps.Add(uint32(v), uint32(v+1))
+	}
+	for v := 70; v < 90; v++ { // ... beside a 20-clique
+		for u := 70; u < v; u++ {
+			twoComps.Add(uint32(u), uint32(v))
+		}
+	}
+	cases := map[string]*Graph{
+		"path200":     pathGraph(200),
+		"star":        FromEdgeList(star, true),
+		"twoComps":    FromEdgeList(twoComps, true),
+		"allIsolated": FromEdgeList(sparse.NewEdgeList(10), true),
+	}
+	for _, k := range []int{1, 63, 64, 65, 130} {
+		cases[fmt.Sprintf("sources%d", k)] = ringWithChords(k, int64(k))
+	}
+	for workers := 1; workers <= 3; workers++ {
+		eng := parallel.NewEngine(workers)
+		defer eng.Close()
+		for name, g := range cases {
+			n := g.NumVertices()
+			got := make([][]int64, n)
+			var calls atomic.Int64
+			levelHistograms(eng, g, func(src int, hist []int64) {
+				calls.Add(1)
+				got[src] = slices.Clone(hist)
+			})
+			clo, harmonic, ecc := ClosenessCentrality(eng, g), HarmonicClosenessCentrality(eng, g), Eccentricity(eng, g)
+			nonIsolated := 0
+			dist := make([]int32, n)
+			for src := 0; src < n; src++ {
+				var want []int64
+				wantHarmonic := 0.0
+				for _, v := range bfsDistances(g, src, dist, nil) {
+					if int(dist[v]) == len(want) {
+						want = append(want, 0)
+					}
+					want[dist[v]]++
+					if dist[v] > 0 {
+						wantHarmonic += 1 / float64(dist[v])
+					}
+				}
+				if n > 1 {
+					wantHarmonic /= float64(n - 1)
+				}
+				if g.Degree(src) == 0 {
+					if got[src] != nil {
+						t.Fatalf("%s workers=%d: isolated vertex %d reported %v", name, workers, src, got[src])
+					}
+				} else {
+					nonIsolated++
+					if !slices.Equal(got[src], want) {
+						t.Fatalf("%s workers=%d: hist[%d] = %v, want %v", name, workers, src, got[src], want)
+					}
+				}
+				if ecc[src] != float64(len(want)-1) || ecc[src] != EccentricityOf(g, src) {
+					t.Fatalf("%s workers=%d: ecc[%d] = %v, want %d", name, workers, src, ecc[src], len(want)-1)
+				}
+				if clo[src] != ClosenessCentralityOf(g, src) {
+					t.Fatalf("%s workers=%d: closeness[%d] = %v, want %v", name, workers, src, clo[src], ClosenessCentralityOf(g, src))
+				}
+				if math.Abs(harmonic[src]-wantHarmonic) > 1e-12 {
+					t.Fatalf("%s workers=%d: harmonic[%d] = %v, want %v", name, workers, src, harmonic[src], wantHarmonic)
+				}
+			}
+			if int(calls.Load()) != nonIsolated {
+				t.Fatalf("%s workers=%d: %d sources reported, want %d", name, workers, calls.Load(), nonIsolated)
+			}
+		}
+		checkArenaScratchClean(t, eng)
+	}
+}
+
+// countdownCtx reports cancellation from its (left+1)-th Err call on: a
+// deterministic way to cancel a kernel between two of its polls.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// checkArenaScratchClean pops every traversal scratch stashed in eng's
+// arenas, checks the state each must be in between calls (ShortestPath marks
+// and sweep words all zero, Brandes distances all unreachable, no list
+// left non-empty), puts them back and returns how many it saw.
+func checkArenaScratchClean(t *testing.T, eng *parallel.Engine) int {
+	t.Helper()
+	allZero := func(what string, words []uint64) {
+		for v, x := range words {
+			if x != 0 {
+				t.Fatalf("stashed sweep scratch has %s[%d] = %#x", what, v, x)
+			}
+		}
+	}
+	found := 0
+	for w := 0; w < eng.NumWorkers(); w++ {
+		for _, key := range []string{pathScratchKey, sweepScratchKey, brandesStateKey} {
+			var held []any
+			for v, ok := eng.Grab(w, key); ok; v, ok = eng.Grab(w, key) {
+				held = append(held, v)
+			}
+			for _, v := range held {
+				switch sc := v.(type) {
+				case *pathScratch:
+					for v, m := range sc.mark {
+						if m != 0 {
+							t.Fatalf("stashed path scratch has mark[%d] = %d", v, m)
+						}
+					}
+					if len(sc.visited) != 0 {
+						t.Fatalf("stashed path scratch lists %d visited vertices", len(sc.visited))
+					}
+				case *sweepScratch:
+					allZero("seen", sc.seen)
+					allZero("front", sc.front)
+					allZero("next", sc.next)
+					if len(sc.cur)+len(sc.nxt)+len(sc.visited) != 0 {
+						t.Fatalf("stashed sweep scratch has non-empty lists")
+					}
+				case *brandesState:
+					for v, d := range sc.dist {
+						if d != unreachable {
+							t.Fatalf("stashed Brandes state has dist[%d] = %d", v, d)
+						}
+					}
+				}
+				eng.Stash(w, key, v)
+			}
+			found += len(held)
+		}
+	}
+	return found
+}
+
+// TestCancelledTraversalsLeaveEngineReusable cancels each of the three
+// traversals before it starts and between any two of its first polls. A
+// cancelled run must leave the engine reporting the context's error, return
+// its scratch to the arenas in the between-calls state, and not disturb the
+// next run on the same engine, which must be exact.
+func TestCancelledTraversalsLeaveEngineReusable(t *testing.T) {
+	eng := parallel.NewEngine(2)
+	defer eng.Close()
+	// A 150-path (many levels, many polls) joined to a random blob.
+	el := sparse.NewEdgeList(230)
+	for v := 0; v+1 < 150; v++ {
+		el.Add(uint32(v), uint32(v+1))
+	}
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 300; i++ {
+		el.Add(uint32(149+rng.Intn(81)), uint32(149+rng.Intn(81)))
+	}
+	g := FromEdgeList(el, true)
+	n := g.NumVertices()
+
+	dist := make([]int32, n)
+	bfsDistances(g, 0, dist, nil)
+	wantBC := bcOracle(g, false)
+	wantHarmonic := HarmonicClosenessCentrality(eng, g)
+
+	kernels := map[string]func(e *parallel.Engine) error{
+		"ShortestPath": func(e *parallel.Engine) error {
+			if got := len(ShortestPath(e, g, 0, n-1)) - 1; got != int(dist[n-1]) {
+				return fmt.Errorf("distance = %d, want %d", got, dist[n-1])
+			}
+			return nil
+		},
+		"Harmonic": func(e *parallel.Engine) error {
+			if got := HarmonicClosenessCentrality(e, g); !slices.Equal(got, wantHarmonic) {
+				return errors.New("harmonic closeness differs from the uncancelled run")
+			}
+			return nil
+		},
+		"Betweenness": func(e *parallel.Engine) error {
+			for v, got := range BetweennessCentrality(e, g, false) {
+				if math.Abs(got-wantBC[v]) > 1e-9*(1+wantBC[v]) {
+					return fmt.Errorf("betweenness[%d] = %v, want %v", v, got, wantBC[v])
+				}
+			}
+			return nil
+		},
+	}
+	for name, kernel := range kernels {
+		cancelled := 0
+		for polls := int64(0); polls < 60; polls++ {
+			ctx := &countdownCtx{Context: context.Background()}
+			ctx.left.Store(polls)
+			ceng := eng.WithContext(ctx)
+			err := kernel(ceng)
+			if ceng.Err() != nil {
+				cancelled++
+			} else if err != nil {
+				t.Fatalf("%s: run that outlived %d polls: %v", name, polls, err)
+			}
+			checkArenaScratchClean(t, eng)
+			if err := kernel(eng); err != nil {
+				t.Fatalf("%s: run after a cancellation at poll %d: %v", name, polls, err)
+			}
+		}
+		if cancelled < 30 {
+			t.Fatalf("%s: only %d of 60 runs were cancelled; the test no longer cancels mid-run", name, cancelled)
+		}
+	}
+	if checkArenaScratchClean(t, eng) < 3 {
+		t.Fatal("traversal scratch was not stashed back into the engine arenas")
+	}
+}
+
+// TestBetweennessAllocatesPerWorkerNotPerSource pins the allocation shape
+// of Brandes: score partials and traversal state per worker, nothing per
+// source. One state per source is 28 KB x 1000 sources here.
+func TestBetweennessAllocatesPerWorkerNotPerSource(t *testing.T) {
+	eng := parallel.NewEngine(2)
+	defer eng.Close()
+	g := randomGraph(1000, 4000, 11)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	BetweennessCentrality(eng, g, false)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("BetweennessCentrality on 1000 vertices allocated %d bytes, want < 1 MiB", got)
+	}
+}

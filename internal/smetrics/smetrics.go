@@ -159,28 +159,16 @@ func (l *SLineGraph) IsSConnected() bool {
 }
 
 // SDistance reports the s-walk length between hyperedges src and dst: the
-// hop distance in the s-line graph, or -1 if no s-walk connects them.
+// hop distance in the s-line graph, or -1 if no s-walk connects them. A point
+// query: graph.ShortestPath searches from both ends, not the whole line graph.
 func (l *SLineGraph) SDistance(src, dst int) int {
-	r := graph.BFSTopDown(l.eng, l.G, src)
-	return int(r.Level[dst])
+	return len(l.SPath(src, dst)) - 1
 }
 
 // SPath returns one shortest s-walk from src to dst as a hyperedge ID
 // sequence (inclusive), or nil if none exists.
 func (l *SLineGraph) SPath(src, dst int) []uint32 {
-	r := graph.BFSTopDown(l.eng, l.G, src)
-	if r.Level[dst] < 0 {
-		return nil
-	}
-	var rev []uint32
-	for v := int32(dst); v != -1; v = r.Parent[v] {
-		rev = append(rev, uint32(v))
-	}
-	out := make([]uint32, len(rev))
-	for i, v := range rev {
-		out[len(rev)-1-i] = v
-	}
-	return out
+	return graph.ShortestPath(l.eng, l.G, src, dst)
 }
 
 // SBetweennessCentrality computes betweenness centrality of every hyperedge
@@ -195,9 +183,10 @@ func (l *SLineGraph) SClosenessCentrality() []float64 {
 	return graph.ClosenessCentrality(l.eng, l.G)
 }
 
-// SClosenessCentralityOf computes one hyperedge's s-closeness.
+// SClosenessCentralityOf computes one hyperedge's s-closeness (one BFS, not
+// the all-hyperedges sweep).
 func (l *SLineGraph) SClosenessCentralityOf(e int) float64 {
-	return l.SClosenessCentrality()[e]
+	return graph.ClosenessCentralityOf(l.G, e)
 }
 
 // SHarmonicClosenessCentrality computes harmonic closeness over s-walks.

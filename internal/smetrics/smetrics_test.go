@@ -162,6 +162,26 @@ func TestSClosenessChain(t *testing.T) {
 	}
 }
 
+// TestSClosenessCentralityOfMatchesVector pins the one-BFS point form to the
+// all-hyperedges sweep on a disconnected input: a 3-chain, a pair, and a
+// hyperedge too small to be 2-adjacent to anything.
+func TestSClosenessCentralityOfMatchesVector(t *testing.T) {
+	l := tBuild(core.FromSets([][]uint32{
+		{0, 1, 2}, {1, 2, 3}, {2, 3, 4},
+		{10, 11, 12}, {11, 12, 13},
+		{20},
+	}, 21), 2)
+	all := l.SClosenessCentrality()
+	for e := range all {
+		if got := l.SClosenessCentralityOf(e); got != all[e] {
+			t.Fatalf("SClosenessCentralityOf(%d) = %v, SClosenessCentrality()[%d] = %v", e, got, e, all[e])
+		}
+	}
+	if all[0] == 0 || all[3] == 0 || all[5] != 0 {
+		t.Fatalf("closeness = %v: want positive scores in both components and 0 for the isolated hyperedge", all)
+	}
+}
+
 func TestSHarmonicChain(t *testing.T) {
 	l := tBuild(chainHypergraph(), 2)
 	hc := l.SHarmonicClosenessCentrality()
