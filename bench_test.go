@@ -241,7 +241,7 @@ func BenchmarkAblationDirectComponents(b *testing.B) {
 	})
 	b.Run("direct-unionfind", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = g.SConnectedComponentsDirect(2)
+			_ = g.SConnectedComponents(2)
 		}
 	})
 }

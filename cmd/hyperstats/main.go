@@ -85,7 +85,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "toplexes: %d of %d hyperedges are maximal\n", len(g.Toplexes()), g.NumEdges())
 	}
 	if *scc > 0 {
-		labels := g.SConnectedComponentsPruned(*scc, nwhy.PruneAuto)
+		labels := g.SConnectedComponents(*scc)
 		distinct := map[uint32]bool{}
 		for _, c := range labels {
 			distinct[c] = true

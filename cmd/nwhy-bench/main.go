@@ -9,14 +9,12 @@
 //	nwhy-bench -exp fig7 -threads 1,2,4 -reps 3
 //	nwhy-bench -exp fig8
 //	nwhy-bench -exp fig9 -s 1,2,4,8
-//	nwhy-bench -exp frontier
 //	nwhy-bench -exp ablation
-//	nwhy-bench -exp soverlap -s 1,2 -out BENCH_soverlap.json
-//	nwhy-bench -exp ingest -threads 1,2,4 -ingest-out BENCH_ingest.json
-//	nwhy-bench -exp serve -clients 8 -serve-out BENCH_serve.json
-//	nwhy-bench -exp mutate -s 2 -mutate-out BENCH_mutate.json
-//	nwhy-bench -exp partition -k 4 -partition-out BENCH_partition.json
 //	nwhy-bench -exp all
+//
+// The end-to-end benchmark (workloads, oracle checks, per-layer metrics) is
+// bench/, declared by BENCHMARK.json; this binary only reprints the paper's
+// tables and figures.
 package main
 
 import (
@@ -45,20 +43,13 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("nwhy-bench", flag.ContinueOnError)
 	var (
-		exp       = fs.String("exp", "all", "experiment: table1 | fig7 | fig8 | fig9 | frontier | ablation | soverlap | ingest | serve | mutate | partition | all")
-		outJSON   = fs.String("out", "BENCH_soverlap.json", "JSON report path for -exp soverlap")
-		ingestOut = fs.String("ingest-out", "BENCH_ingest.json", "JSON report path for -exp ingest")
-		serveOut  = fs.String("serve-out", "BENCH_serve.json", "JSON report path for -exp serve")
-		mutateOut = fs.String("mutate-out", "BENCH_mutate.json", "JSON report path for -exp mutate")
-		partOut   = fs.String("partition-out", "BENCH_partition.json", "JSON report path for -exp partition")
-		kParts    = fs.Int("k", 4, "shard count for -exp partition")
-		clients   = fs.Int("clients", 8, "concurrent clients for -exp serve")
-		scale     = fs.Float64("scale", 0.5, "dataset scale factor")
-		threads   = fs.String("threads", "", "comma-separated thread counts (default 1,2,..,max(4,GOMAXPROCS))")
-		ss        = fs.String("s", "1,2,4,8", "comma-separated s values for fig9")
-		reps      = fs.Int("reps", 3, "repetitions per measurement (min reported)")
-		datasets  = fs.String("datasets", "", "comma-separated preset names (default: all six)")
-		quick     = fs.Bool("quick", false, "fig9: skip the best-of partition/relabel sweep")
+		exp      = fs.String("exp", "all", "experiment: table1 | fig7 | fig8 | fig9 | ablation | all")
+		scale    = fs.Float64("scale", 0.5, "dataset scale factor")
+		threads  = fs.String("threads", "", "comma-separated thread counts (default 1,2,..,max(4,GOMAXPROCS))")
+		ss       = fs.String("s", "1,2,4,8", "comma-separated s values for fig9")
+		reps     = fs.Int("reps", 3, "repetitions per measurement (min reported)")
+		datasets = fs.String("datasets", "", "comma-separated preset names (default: all six)")
+		quick    = fs.Bool("quick", false, "fig9: skip the best-of partition/relabel sweep")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -91,26 +82,16 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	known := map[string]func() error{
-		"table1":   func() error { table1(w, presets, *scale); return nil },
-		"fig7":     func() error { fig7(w, presets, *scale, threadList, *reps); return nil },
-		"fig8":     func() error { fig8(w, presets, *scale, threadList, *reps); return nil },
-		"fig9":     func() error { fig9(w, presets, *scale, sList, *reps, *quick); return nil },
-		"frontier": func() error { frontierSweep(w, presets, *scale, *reps); return nil },
-		"ablation": func() error { ablation(w, presets, *scale, *reps); return nil },
-		"soverlap": func() error { return soverlap(w, *scale, sList, *reps, *outJSON) },
-		"ingest":   func() error { return ingest(w, *scale, threadList, *reps, *ingestOut) },
-		"serve":    func() error { return serve(w, presets, *scale, sList, *clients, *serveOut) },
-		"mutate":   func() error { return mutate(w, presets, *scale, sList, *mutateOut) },
-		"partition": func() error {
-			return partitionBench(w, *scale, sList, *reps, *kParts, *partOut)
-		},
+	known := map[string]func(){
+		"table1":   func() { table1(w, presets, *scale) },
+		"fig7":     func() { fig7(w, presets, *scale, threadList, *reps) },
+		"fig8":     func() { fig8(w, presets, *scale, threadList, *reps) },
+		"fig9":     func() { fig9(w, presets, *scale, sList, *reps, *quick) },
+		"ablation": func() { ablation(w, presets, *scale, *reps) },
 	}
 	if *exp == "all" {
-		for _, name := range []string{"table1", "fig7", "fig8", "fig9", "frontier", "ablation", "soverlap", "ingest", "serve", "mutate", "partition"} {
-			if err := known[name](); err != nil {
-				return err
-			}
+		for _, name := range []string{"table1", "fig7", "fig8", "fig9", "ablation"} {
+			known[name]()
 		}
 		return nil
 	}
@@ -118,7 +99,8 @@ func run(args []string, w io.Writer) error {
 	if !ok {
 		return fmt.Errorf("unknown experiment %q", *exp)
 	}
-	return fn()
+	fn()
+	return nil
 }
 
 func parseInts(s string) ([]int, error) {
@@ -326,38 +308,6 @@ func fig9(w io.Writer, presets []gen.Preset, scale float64, sList []int, reps in
 	fmt.Fprintln(w)
 }
 
-// frontierSweep prints, per dataset, the HyperBFS runtime under each
-// frontier strategy — forced push, forced pull, and the direction-optimizing
-// auto switch — alongside the adjoin and Hygra-baseline formulations, all on
-// the shared frontier.EdgeMap substrate. Sourced at the maximum-degree
-// hyperedge like Figure 8.
-func frontierSweep(w io.Writer, presets []gen.Preset, scale float64, reps int) {
-	fmt.Fprintf(w, "== Frontier strategy sweep: HyperBFS push vs pull vs auto (scale %.2f) ==\n", scale)
-	variants := []struct {
-		name string
-		v    nwhy.BFSVariant
-	}{
-		{"push", nwhy.BFSTopDown},
-		{"pull", nwhy.BFSBottomUp},
-		{"auto", nwhy.BFSDirectionOptimizing},
-		{"adjoin", nwhy.BFSAdjoin},
-		{"hygra", nwhy.BFSHygraBaseline},
-	}
-	for _, p := range presets {
-		g := build(p, scale)
-		g.Adjoin()
-		src := maxDegreeEdge(g)
-		reach := g.BFS(src, nwhy.BFSTopDown)
-		fmt.Fprintf(w, "-- %s (|E|=%d |V|=%d, source e%d reaches %d edges + %d nodes) --\n",
-			p.Name, g.NumEdges(), g.NumNodes(), src, reach.ReachedEdges(), reach.ReachedNodes())
-		for _, v := range variants {
-			d := measure(reps, func() { g.BFS(src, v.v) })
-			fmt.Fprintf(w, "  %-8s %12s\n", v.name, d.Round(time.Microsecond))
-		}
-	}
-	fmt.Fprintln(w)
-}
-
 // ablation prints the design-choice studies DESIGN.md calls out: partition
 // strategy, relabel order, queue input representation, and materialized vs
 // direct s-connected components.
@@ -387,7 +337,7 @@ func ablation(w io.Writer, presets []gen.Preset, scale float64, reps int) {
 			g.SLineGraphWith(2, true, nwhy.ConstructOptions{Algorithm: nwhy.AlgoQueueHashmap}).SConnectedComponents()
 		})
 		row("s-CC s=2 direct-unionfind", func() {
-			g.SConnectedComponentsDirect(2)
+			g.SConnectedComponents(2)
 		})
 	}
 	fmt.Fprintln(w)

@@ -2,8 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
 	"strings"
 	"testing"
 )
@@ -65,20 +63,6 @@ func TestBenchFig9Quick(t *testing.T) {
 	}
 }
 
-func TestBenchFrontier(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{"-exp", "frontier", "-scale", "0.02", "-reps", "1", "-datasets", "rand1-mini"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{"Frontier strategy sweep", "push", "pull", "auto", "adjoin", "hygra", "reaches"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("frontier output missing %s: %q", want, s)
-		}
-	}
-}
-
 func TestBenchAblation(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{"-exp", "ablation", "-scale", "0.02", "-reps", "1", "-datasets", "rand1-mini"}, &out)
@@ -93,77 +77,10 @@ func TestBenchAblation(t *testing.T) {
 	}
 }
 
-func TestBenchSoverlap(t *testing.T) {
-	out := t.TempDir() + "/BENCH_soverlap.json"
-	var buf bytes.Buffer
-	err := run([]string{"-exp", "soverlap", "-scale", "0.02", "-s", "2", "-reps", "1", "-out", out}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := buf.String()
-	for _, want := range []string{"S-overlap kernel sweep", "hashmap", "dense", "intersection", "queue"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("soverlap output missing %s: %q", want, s)
-		}
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep soverlapReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("report not valid JSON: %v", err)
-	}
-	if len(rep.Results) == 0 {
-		t.Fatal("empty report")
-	}
-	for _, r := range rep.Results {
-		if len(r.Sweep) != 12 { // 4 strategies x 3 schedules
-			t.Fatalf("%s s=%d: %d sweep entries, want 12", r.Dataset, r.S, len(r.Sweep))
-		}
-	}
-}
-
-func TestBenchIngest(t *testing.T) {
-	out := t.TempDir() + "/BENCH_ingest.json"
-	var buf bytes.Buffer
-	err := run([]string{"-exp", "ingest", "-scale", "0.02", "-threads", "1,2,4", "-reps", "1", "-ingest-out", out}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := buf.String()
-	for _, want := range []string{"Ingestion pipeline", "text parse serial", "parse parallel w=4", "snapshot load"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("ingest output missing %s: %q", want, s)
-		}
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep ingestReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("report not valid JSON: %v", err)
-	}
-	if len(rep.Results) == 0 {
-		t.Fatal("empty report")
-	}
-	for _, r := range rep.Results {
-		if len(r.Parallel) != 3 {
-			t.Fatalf("%s: %d parallel entries, want 3", r.Dataset, len(r.Parallel))
-		}
-		if r.SerialSeconds <= 0 || r.SnapshotLoad <= 0 || r.SnapshotLoadSpeedupVsText <= 0 {
-			t.Fatalf("%s: missing timings: %+v", r.Dataset, r)
-		}
-		if r.SnapshotBytes == 0 || r.Incidences == 0 {
-			t.Fatalf("%s: missing sizes: %+v", r.Dataset, r)
-		}
-	}
-}
-
 func TestBenchErrors(t *testing.T) {
 	cases := [][]string{
 		{"-exp", "nope"},
+		{"-exp", "partition"}, // a retired name is unknown like any other
 		{"-datasets", "nope"},
 		{"-threads", "0"},
 		{"-threads", "x"},

@@ -8,9 +8,6 @@
 // -compact-every policy), POST /compact flushes staged operations into a
 // fresh snapshot on demand, and /scc?incremental=true serves connectivity
 // from the maintained union-find view across insert-only commits.
-// /scc?sharded=true runs k-shard execution (partitioned sub-hypergraphs on
-// dedicated engines, halo merge); -partition name=k sets the per-dataset
-// default shard count, overridable per request with &parts=k.
 //
 // Usage:
 //
@@ -18,7 +15,6 @@
 //	nwhyd -dataset dblp=dblp.nwhyb web.mtx         # name=path and positional
 //	nwhyd -preset dblp-mini -scale 0.5             # built-in generator preset
 //	nwhyd -data ./snapshots -compact-every 64      # batch mutations 64 ops/commit
-//	nwhyd -data ./snapshots -partition dblp=4      # shard hint for /scc?sharded=true
 //
 // Query endpoints (GET, JSON): /healthz, /metrics, /datasets, /stats,
 // /toplexes, /slinegraph, /scc, /sdistance, /spath, /centrality.
@@ -44,6 +40,10 @@ import (
 	"nwhy/internal/gen"
 	"nwhy/internal/server"
 )
+
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so stalled half-open requests cannot pin connections.
+const readHeaderTimeout = 5 * time.Second
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -78,19 +78,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			return fmt.Errorf("want name=path, got %q", v)
 		}
 		named = append(named, v)
-		return nil
-	})
-	hints := map[string]int{}
-	fs.Func("partition", "per-dataset shard-count hint as name=k for /scc?sharded=true (repeatable)", func(v string) error {
-		name, ks, ok := strings.Cut(v, "=")
-		if !ok || name == "" {
-			return fmt.Errorf("want name=k, got %q", v)
-		}
-		var k int
-		if _, err := fmt.Sscanf(ks, "%d", &k); err != nil || k < 1 {
-			return fmt.Errorf("want a positive shard count, got %q", ks)
-		}
-		hints[name] = k
 		return nil
 	})
 	if err := fs.Parse(args); err != nil {
@@ -134,13 +121,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	srv, err := server.New(server.Config{
-		Engine:         eng,
-		MaxInFlight:    *inflight,
-		MaxQueue:       *queue,
-		QueueWait:      *queueWait,
-		CacheEntries:   *cacheSize,
-		CompactEvery:   *compactN,
-		PartitionHints: hints,
+		Engine:       eng,
+		MaxInFlight:  *inflight,
+		MaxQueue:     *queue,
+		QueueWait:    *queueWait,
+		CacheEntries: *cacheSize,
+		CompactEvery: *compactN,
 	}, reg)
 	if err != nil {
 		return err
@@ -153,7 +139,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "nwhyd listening on %s (%d dataset(s), %d worker(s))\n",
 		ln.Addr(), reg.Len(), eng.NumWorkers())
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	// Graceful drain: when the signal context fires, stop accepting and give
 	// in-flight queries until the drain timeout. AfterFunc runs the drain
 	// off the serve loop without a hand-rolled goroutine, and WithoutCancel

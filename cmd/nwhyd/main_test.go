@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"path/filepath"
 	"regexp"
@@ -36,10 +38,12 @@ func (w *syncWriter) String() string {
 
 var listenRE = regexp.MustCompile(`listening on ([^ ]+) `)
 
-// TestDaemonLifecycle boots the daemon on an ephemeral port against a
-// warm-start directory, queries it over HTTP, then cancels the signal
-// context and asserts a clean drain.
-func TestDaemonLifecycle(t *testing.T) {
+// bootDaemon starts the daemon on an ephemeral port against a warm-start
+// directory holding one dataset, "demo", and waits for its listen address.
+// stop cancels the signal context and returns run's result once it has
+// drained; it also runs at test cleanup, so no daemon outlives its test.
+func bootDaemon(t *testing.T) (addr string, out *syncWriter, stop func() error) {
+	t.Helper()
 	dir := t.TempDir()
 	g := nwhy.FromSets([][]uint32{{0, 1, 2}, {2, 3}, {3, 4}, {5, 6}}, 7)
 	if err := g.SaveSnapshot(filepath.Join(dir, "demo.nwhyb")); err != nil {
@@ -47,20 +51,26 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	out := &syncWriter{}
+	out = &syncWriter{}
 	runErr := make(chan error, 1)
 	go func() {
 		runErr <- run(ctx, []string{"-addr", "127.0.0.1:0", "-data", dir, "-threads", "2"}, out)
 	}()
+	stop = sync.OnceValue(func() error {
+		cancel()
+		select {
+		case err := <-runErr:
+			return err
+		case <-time.After(10 * time.Second):
+			return fmt.Errorf("daemon did not drain; output: %s", out.String())
+		}
+	})
+	t.Cleanup(func() { _ = stop() }) // a test that cares calls stop itself
 
-	// Wait for the daemon to print its actual listen address.
-	var base string
 	deadline := time.Now().Add(10 * time.Second)
-	for base == "" {
+	for {
 		if m := listenRE.FindStringSubmatch(out.String()); m != nil {
-			base = "http://" + m[1]
-			break
+			return m[1], out, stop
 		}
 		select {
 		case err := <-runErr:
@@ -72,6 +82,13 @@ func TestDaemonLifecycle(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestDaemonLifecycle boots the daemon, queries it over HTTP, then cancels
+// the signal context and asserts a clean drain.
+func TestDaemonLifecycle(t *testing.T) {
+	addr, out, stop := bootDaemon(t)
+	base := "http://" + addr
 
 	get := func(path string, into any) {
 		t.Helper()
@@ -119,14 +136,8 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 
 	// Signal-context cancellation drains the server and run returns nil.
-	cancel()
-	select {
-	case err := <-runErr:
-		if err != nil {
-			t.Fatalf("run returned %v after drain, want nil", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatalf("daemon did not drain; output: %s", out.String())
+	if err := stop(); err != nil {
+		t.Fatalf("run returned %v after drain, want nil", err)
 	}
 	if !strings.Contains(out.String(), "drained") {
 		t.Fatalf("missing drain message; output: %s", out.String())
@@ -144,5 +155,27 @@ func TestDaemonBadDatasetFlag(t *testing.T) {
 	err := run(context.Background(), []string{"-dataset", "nopath"}, &syncWriter{})
 	if err == nil || !strings.Contains(fmt.Sprint(err), "name=path") {
 		t.Fatalf("err = %v, want name=path complaint", err)
+	}
+}
+
+// TestDaemonDropsStalledHeaders: a client that sends half a request header
+// and then stalls is disconnected once readHeaderTimeout passes, without a
+// reply; a server without the timeout would hold the connection open.
+func TestDaemonDropsStalledHeaders(t *testing.T) {
+	addr, _, _ := bootDaemon(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: nwhyd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(readHeaderTimeout + 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Now()
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read on the stalled connection = (%d, %v) after %v, want the server to close it", n, err, time.Since(t0))
 	}
 }

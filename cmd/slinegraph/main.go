@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -155,7 +156,10 @@ func run(args []string, stdout io.Writer) error {
 		*s, label, strat, sched, partitionName(*cyclic), order, *adjoin, prune, g.Engine().NumWorkers(), edges, best.Round(time.Microsecond))
 	if *components {
 		t0 := time.Now()
-		labels := g.SConnectedComponentsPruned(*s, prune)
+		labels, err := g.SConnectedComponentsCtx(context.Background(), *s, prune)
+		if err != nil {
+			return err
+		}
 		distinct := map[uint32]bool{}
 		for _, c := range labels {
 			distinct[c] = true

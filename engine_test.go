@@ -112,8 +112,8 @@ func TestSLineGraphCtxCancellation(t *testing.T) {
 			t.Fatalf("algo %v: got non-nil handle from cancelled construction", algo)
 		}
 	}
-	if _, err := g.SConnectedComponentsDirectCtx(ctx, 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SConnectedComponentsDirectCtx err = %v, want Canceled", err)
+	if _, err := g.SConnectedComponentsCtx(ctx, 2, PruneAuto); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SConnectedComponentsCtx err = %v, want Canceled", err)
 	}
 	if _, err := g.ConnectedComponentsCtx(ctx, CCHyper); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ConnectedComponentsCtx err = %v, want Canceled", err)

@@ -125,11 +125,11 @@ func ExampleNWHypergraph_CollapseEdges() {
 	// classes: [[0 1] [2]]
 }
 
-func ExampleNWHypergraph_SConnectedComponentsDirect() {
+func ExampleNWHypergraph_SConnectedComponents() {
 	hg := paperExample()
 	// s-components without materializing the line graph.
-	fmt.Println(hg.SConnectedComponentsDirect(1))
-	fmt.Println(hg.SConnectedComponentsDirect(2))
+	fmt.Println(hg.SConnectedComponents(1))
+	fmt.Println(hg.SConnectedComponents(2))
 	// Output:
 	// [0 0 0 0]
 	// [0 1 2 3]

@@ -74,9 +74,9 @@ func TestBFSDirectionOptimizingVariant(t *testing.T) {
 	}
 }
 
-func TestSConnectedComponentsDirectFacade(t *testing.T) {
+func TestSConnectedComponentsFacade(t *testing.T) {
 	hg := paperExample()
-	direct := hg.SConnectedComponentsDirect(1)
+	direct := hg.SConnectedComponents(1)
 	viaGraph := hg.SLineGraph(1, true).SConnectedComponents()
 	if !reflect.DeepEqual(direct, viaGraph) {
 		t.Fatalf("direct = %v, via line graph = %v", direct, viaGraph)

@@ -187,7 +187,7 @@ func TestPipelineWeightedAgainstPlain(t *testing.T) {
 		}
 		// Components via line graph CC == direct union-find.
 		viaGraph := plain.SConnectedComponents()
-		direct := hg.SConnectedComponentsDirect(s)
+		direct := hg.SConnectedComponents(s)
 		if !reflect.DeepEqual(viaGraph, direct) {
 			t.Fatalf("s=%d: component paths disagree", s)
 		}

@@ -18,7 +18,6 @@ var kernelPkgSuffixes = []string{
 	"internal/smetrics",
 	"internal/hygra",
 	"internal/mmio",
-	"internal/partition",
 }
 
 // isKernelPkg reports whether importPath is one of the algorithm-layer

@@ -4,16 +4,15 @@
 // Ligra-style push/pull switching once, for every frontier-based kernel in
 // the repository.
 //
-// Before this package existed, frontier handling was implemented four
+// Before this package existed, frontier handling was implemented three
 // separate times — internal/graph's three BFS variants, internal/hygra's
-// vertexSubset/edgeMap, internal/core's alternating bipartite frontiers,
-// and internal/slinegraph's component traversals. They now all build on
-// Frontier + State.EdgeMap, so direction optimization, per-worker append
-// buffers with a single merge path (parallel.FlattenTLS), and
-// engine-scratch-backed buffer reuse apply uniformly: a BFS over the
-// bipartite representation, a label propagation over an s-line graph, and
-// the Hygra baseline all share one expansion engine and differ only in
-// their visit functions.
+// vertexSubset/edgeMap, and internal/core's alternating bipartite
+// frontiers. They now all build on Frontier + State.EdgeMap, so direction
+// optimization, per-worker append buffers with a single merge path
+// (parallel.FlattenTLS), and engine-scratch-backed buffer reuse apply
+// uniformly: a BFS over the bipartite representation, a label propagation
+// over an s-line graph, and the Hygra baseline all share one expansion
+// engine and differ only in their visit functions.
 package frontier
 
 import (

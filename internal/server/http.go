@@ -84,7 +84,10 @@ func (s *Server) metricsVar() http.Handler {
 
 // statusFor maps the serving core's sentinel errors onto HTTP status codes.
 func statusFor(err error) int {
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrBadRequest):
 		return http.StatusBadRequest
 	case errors.Is(err, ErrUnknownDataset):
@@ -242,27 +245,11 @@ func (s *Server) handleSCC(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	if req.Direct, err = qBool(r, "direct", false); err != nil {
-		writeErr(w, err)
-		return
-	}
 	if req.Incremental, err = qBool(r, "incremental", false); err != nil {
 		writeErr(w, err)
 		return
 	}
-	if req.Sharded, err = qBool(r, "sharded", false); err != nil {
-		writeErr(w, err)
-		return
-	}
-	if req.Parts, err = qInt(r, "parts", 0); err != nil {
-		writeErr(w, err)
-		return
-	}
 	if req.WithLabels, err = qBool(r, "labels", false); err != nil {
-		writeErr(w, err)
-		return
-	}
-	if req.Strategy, err = qStrategy(r); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -404,10 +391,20 @@ type mutateBody struct {
 	Commit  bool     `json:"commit"`
 }
 
+// maxMutateBody caps a POST /mutate body. A 25-insert batch is a few
+// kilobytes; the cap only keeps one request from buffering unbounded memory.
+const maxMutateBody = 8 << 20
+
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	var body mutateBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeErr(w, fmt.Errorf("%w: invalid JSON body: %v", ErrBadRequest, err))
+	// Decode buffers the whole JSON value before unmarshalling any of it, so
+	// an oversized body fails at the cap with nothing decoded.
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxMutateBody)).Decode(&body); err != nil {
+		var tooLarge *http.MaxBytesError
+		if !errors.As(err, &tooLarge) { // statusFor answers tooLarge itself
+			err = fmt.Errorf("%w: invalid JSON body: %v", ErrBadRequest, err)
+		}
+		writeErr(w, err)
 		return
 	}
 	out, err := s.Mutate(r.Context(), MutateRequest{Dataset: body.Dataset, Ops: body.Ops, Commit: body.Commit})

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -36,7 +38,7 @@ func TestMutateCommitsImmediatelyByDefault(t *testing.T) {
 		t.Fatalf("NumEdges = %d after commit, want 6", g.NumEdges())
 	}
 	// The new edge {4,5} bridges the two 1-connected islands.
-	scc, err := s.SComponents(ctx, SCCRequest{Dataset: "tiny", S: 1, Direct: true})
+	scc, err := s.SComponents(ctx, SCCRequest{Dataset: "tiny", S: 1})
 	if err != nil {
 		t.Fatalf("SComponents: %v", err)
 	}
@@ -225,18 +227,14 @@ func TestSCCIncrementalEndpoint(t *testing.T) {
 	if !third.Incremental || third.NumComponents != 1 {
 		t.Fatalf("post-insert = %+v, want incremental absorption into 1 component", third)
 	}
-	direct, err := s.SComponents(ctx, SCCRequest{Dataset: "tiny", S: 1, Direct: true, WithLabels: true})
+	oneShot, err := s.SComponents(ctx, SCCRequest{Dataset: "tiny", S: 1, WithLabels: true})
 	if err != nil {
-		t.Fatalf("SComponents direct: %v", err)
+		t.Fatalf("SComponents one-shot: %v", err)
 	}
 	for i := range third.Labels {
-		if third.Labels[i] != direct.Labels[i] {
-			t.Fatalf("label %d: incremental %d vs direct %d", i, third.Labels[i], direct.Labels[i])
+		if third.Labels[i] != oneShot.Labels[i] {
+			t.Fatalf("label %d: incremental %d vs one-shot %d", i, third.Labels[i], oneShot.Labels[i])
 		}
-	}
-
-	if _, err := s.SComponents(ctx, SCCRequest{Dataset: "tiny", S: 1, Direct: true, Incremental: true}); err == nil {
-		t.Fatal("direct+incremental must be rejected")
 	}
 }
 
@@ -394,5 +392,43 @@ func TestHTTPMutateCompactAndGauges(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("endpoints gauge = %+v, want a mutate row with 4 admitted / 2 errored", eps)
+	}
+}
+
+// TestHTTPMutateBodyCap: a body of exactly maxMutateBody bytes is served, one
+// byte more is refused with a JSON 413 and nothing of it is applied — the
+// oversized body stages an edge that must not appear.
+func TestHTTPMutateBodyCap(t *testing.T) {
+	s, _ := testServer(t, Config{CompactEvery: 10})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	// Valid JSON of exactly n bytes: the decoder skips the unknown pad field.
+	bodyOf := func(n int) []byte {
+		const head, tail = `{"dataset":"tiny","ops":[{"op":"add","members":[4,5]}],"pad":"`, `"}`
+		return []byte(head + strings.Repeat("x", n-len(head)-len(tail)) + tail)
+	}
+	post := func(body []byte) (int, map[string]any) {
+		t.Helper()
+		resp, err := srv.Client().Post(srv.URL+"/mutate", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST /mutate: %v", err)
+		}
+		defer resp.Body.Close()
+		var out map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatalf("POST /mutate: response is not JSON: %v", err)
+		}
+		return resp.StatusCode, out
+	}
+
+	if status, out := post(bodyOf(maxMutateBody + 1)); status != http.StatusRequestEntityTooLarge || out["error"] == nil {
+		t.Fatalf("oversized body: status %d, body %v, want 413 with an error field", status, out)
+	}
+	if n := s.PendingOps("tiny"); n != 0 {
+		t.Fatalf("oversized body staged %d op(s)", n)
+	}
+	if status, out := post(bodyOf(maxMutateBody)); status != http.StatusOK || out["pending"] != 1.0 {
+		t.Fatalf("body at the cap: status %d, body %v, want 200 with one op staged", status, out)
 	}
 }

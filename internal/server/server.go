@@ -14,7 +14,8 @@
 // The Server type glues them together behind request-shaped methods (one
 // per query kind, each taking a context.Context first) and exposes the same
 // surface over stdlib HTTP via Handler. cmd/nwhyd is the thin daemon around
-// it; cmd/nwhy-bench's -exp serve drives it in-process.
+// it; bench/ drives both the daemon and, in its traced pass, the Server
+// methods in-process.
 //
 // Datasets are mutable in place: Mutate stages hyperedge insertions and
 // removals through the facade's delta overlay (per-dataset single writer,
@@ -79,10 +80,6 @@ type Config struct {
 	// Staged-but-uncommitted operations are invisible to queries; Compact
 	// flushes them on demand.
 	CompactEvery int
-	// PartitionHints maps dataset names to their preferred shard counts for
-	// sharded queries that do not name one (SCCRequest.Parts == 0). Entries
-	// may also be set after start with SetPartitionHint.
-	PartitionHints map[string]int
 }
 
 // Server is the serving core: registry + admission + cache + metrics behind
@@ -113,11 +110,6 @@ type Server struct {
 	// against a different dataset's pairs.
 	latestMu sync.Mutex
 	latest   map[latestKey]*nwhy.SLineGraph
-
-	// hintMu guards hints: per-dataset preferred shard counts for sharded
-	// queries that do not name one.
-	hintMu sync.Mutex
-	hints  map[string]int
 }
 
 // latestKey identifies one patch-source slot: the epoch-less request shape
@@ -167,10 +159,6 @@ func New(cfg Config, reg *Registry) (*Server, error) {
 	if reg == nil {
 		reg = NewRegistry()
 	}
-	hints := map[string]int{}
-	for name, k := range cfg.PartitionHints {
-		hints[name] = k
-	}
 	return &Server{
 		eng:          cfg.Engine,
 		reg:          reg,
@@ -182,27 +170,7 @@ func New(cfg Config, reg *Registry) (*Server, error) {
 		muts:         map[string]*mutState{},
 		sccs:         map[sccKey]*sccEntry{},
 		latest:       map[latestKey]*nwhy.SLineGraph{},
-		hints:        hints,
 	}, nil
-}
-
-// SetPartitionHint records dataset's preferred shard count for sharded
-// queries that do not name one (k < 1 removes the hint).
-func (s *Server) SetPartitionHint(dataset string, k int) {
-	s.hintMu.Lock()
-	defer s.hintMu.Unlock()
-	if k < 1 {
-		delete(s.hints, dataset)
-		return
-	}
-	s.hints[dataset] = k
-}
-
-// PartitionHint reports dataset's configured shard count, 0 when unset.
-func (s *Server) PartitionHint(dataset string) int {
-	s.hintMu.Lock()
-	defer s.hintMu.Unlock()
-	return s.hints[dataset]
 }
 
 // Registry returns the server's dataset registry.
@@ -438,31 +406,14 @@ func (s *Server) SLine(ctx context.Context, req SLineRequest) (SLineResult, erro
 type SCCRequest struct {
 	Dataset string
 	S       int
-	// Direct bypasses the s-line cache and runs the union-find kernel that
-	// never materializes the line graph — the right call for one-shot
-	// connectivity on a cold dataset.
-	Direct bool
 	// Incremental serves from the server-held maintained s-CC view: the
 	// first call computes from scratch and keeps the union-find forest, and
 	// insert-only mutation epochs are absorbed by growing it — the right
-	// call for repeated connectivity on a mutating dataset. Mutually
-	// exclusive with Direct.
+	// call for repeated connectivity on a mutating dataset.
 	Incremental bool
-	// Sharded runs the k-shard execution path: partition the dataset, run
-	// the union-find kernel per shard on dedicated engines, merge across
-	// halos. Labels match Direct exactly. Mutually exclusive with Direct
-	// and Incremental.
-	Sharded bool
-	// Parts is the shard count for Sharded (0: the dataset's configured
-	// partition hint, falling back to an engine-derived default).
-	Parts int
 	// WithLabels includes the full per-hyperedge label vector in the
 	// result (the summary is always computed).
 	WithLabels bool
-	// Strategy selects the overlap counter for the legacy line-graph path;
-	// the default pruned path auto-resolves it from the handle's memoized
-	// degree statistics.
-	Strategy nwhy.Strategy
 	// Prune selects the pruning level for the default path (PruneAuto: the
 	// connectivity arsenal, upgrading to toplex-only once the dataset's
 	// toplex cache is warm; PruneNone: the unpruned baseline). Labels are
@@ -476,88 +427,44 @@ type SCCResult struct {
 	S             int    `json:"s"`
 	NumComponents int    `json:"num_components"`
 	LargestSize   int    `json:"largest_size"`
-	CacheHit      bool   `json:"cache_hit"`
+	// CacheHit is always false: no s-CC route reads the s-line cache. The
+	// field stays so responses keep their shape.
+	CacheHit bool `json:"cache_hit"`
 	// Incremental reports that the maintained view answered without a full
 	// recompute (only meaningful on SCCRequest.Incremental).
-	Incremental bool `json:"incremental,omitempty"`
-	// Sharded echoes the execution path; Parts is the shard count used.
-	Sharded bool     `json:"sharded,omitempty"`
-	Parts   int      `json:"parts,omitempty"`
-	Labels  []uint32 `json:"labels,omitempty"`
+	Incremental bool     `json:"incremental,omitempty"`
+	Labels      []uint32 `json:"labels,omitempty"`
 }
 
 // SComponents computes s-connected components. The default path is the
 // intent-aware pruned union-find kernel (no s-line graph is ever
-// materialized; the prune level comes from req.Prune); Direct forces the
-// unpruned-era direct kernel, Incremental the maintained view, Sharded the
-// k-shard execution path. Labels agree across all of them.
+// materialized; the prune level comes from req.Prune); Incremental serves
+// from the maintained view instead. Labels agree between the two.
 func (s *Server) SComponents(ctx context.Context, req SCCRequest) (SCCResult, error) {
 	var out SCCResult
 	err := s.do(ctx, "scc", func(ctx context.Context) error {
 		if req.S < 1 {
 			return fmt.Errorf("%w: s must be >= 1 (got %d)", ErrBadRequest, req.S)
 		}
-		if req.Direct && req.Incremental {
-			return fmt.Errorf("%w: direct and incremental are mutually exclusive", ErrBadRequest)
-		}
-		if req.Sharded && (req.Direct || req.Incremental) {
-			return fmt.Errorf("%w: sharded is mutually exclusive with direct and incremental", ErrBadRequest)
-		}
-		if req.Parts < 0 || (req.Parts > 0 && !req.Sharded) {
-			return fmt.Errorf("%w: parts requires sharded=true and must be >= 0", ErrBadRequest)
+		g, err := s.dataset(req.Dataset)
+		if err != nil {
+			return err
 		}
 		var (
 			labels []uint32
-			hit    bool
 			inc    bool
-			parts  int
 		)
-		switch {
-		case req.Sharded:
-			g, err := s.dataset(req.Dataset)
-			if err != nil {
-				return err
-			}
-			k := req.Parts
-			if k < 1 {
-				k = s.PartitionHint(req.Dataset)
-			}
-			labels, err = g.SConnectedComponentsShardedCtx(ctx, req.S, k)
-			if err != nil {
-				return err
-			}
-			parts = k // 0 means the facade picked an engine-derived count
-		case req.Incremental:
-			g, err := s.dataset(req.Dataset)
-			if err != nil {
-				return err
-			}
+		if req.Incremental {
 			labels, inc, err = s.incrementalSCC(req.Dataset, req.S, g).Labels(ctx)
-			if err != nil {
-				return err
-			}
-		case req.Direct:
-			g, err := s.dataset(req.Dataset)
-			if err != nil {
-				return err
-			}
-			labels, err = g.SConnectedComponentsDirectCtx(ctx, req.S)
-			if err != nil {
-				return err
-			}
-		default:
-			// The pruned connectivity path: never materializes the s-line
-			// graph, unions s-incident pairs under the full pruning arsenal
-			// (degree prefilter, connected short-circuit, and — once the
-			// dataset's toplex cache is warm — toplex-only construction).
-			g, err := s.dataset(req.Dataset)
-			if err != nil {
-				return err
-			}
-			labels, err = g.SConnectedComponentsPrunedCtx(ctx, req.S, req.Prune)
-			if err != nil {
-				return err
-			}
+		} else {
+			// Never materializes the s-line graph: unions s-incident pairs
+			// under the full pruning arsenal (degree prefilter, connected
+			// short-circuit, and — once the dataset's toplex cache is warm —
+			// toplex-only construction).
+			labels, err = g.SConnectedComponentsCtx(ctx, req.S, req.Prune)
+		}
+		if err != nil {
+			return err
 		}
 		// A label is its component's minimum member ID, so it indexes labels.
 		sizes := make([]int32, len(labels))
@@ -569,7 +476,7 @@ func (s *Server) SComponents(ctx context.Context, req SCCRequest) (SCCResult, er
 			sizes[l]++
 			largest = max(largest, sizes[l])
 		}
-		out = SCCResult{Dataset: req.Dataset, S: req.S, NumComponents: components, LargestSize: int(largest), CacheHit: hit, Incremental: inc, Sharded: req.Sharded, Parts: parts}
+		out = SCCResult{Dataset: req.Dataset, S: req.S, NumComponents: components, LargestSize: int(largest), Incremental: inc}
 		if req.WithLabels {
 			out.Labels = labels
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -94,9 +95,9 @@ func TestSCCPruneLevels(t *testing.T) {
 	s, _ := testServer(t, Config{})
 	ctx := context.Background()
 
-	base, err := s.SComponents(ctx, SCCRequest{Dataset: "tiny", S: 1, Direct: true, WithLabels: true})
+	base, err := s.SComponents(ctx, SCCRequest{Dataset: "tiny", S: 1, Prune: nwhy.PruneNone, WithLabels: true})
 	if err != nil {
-		t.Fatalf("direct: %v", err)
+		t.Fatalf("unpruned: %v", err)
 	}
 	for _, p := range []nwhy.Prune{nwhy.PruneAuto, nwhy.PruneNone, nwhy.PruneDegree, nwhy.PruneConnectivity, nwhy.PruneToplex} {
 		r, err := s.SComponents(ctx, SCCRequest{Dataset: "tiny", S: 1, Prune: p, WithLabels: true})
@@ -133,35 +134,27 @@ func TestSCCPruneLevels(t *testing.T) {
 	}
 }
 
+// TestSComponentsCachedMatchesDirect: the default /scc route labels like the
+// unpruned kernel and like the facade called directly.
 func TestSComponentsCachedMatchesDirect(t *testing.T) {
 	s, eng := testServer(t, Config{})
 	ctx := context.Background()
 
-	direct, err := s.SComponents(ctx, SCCRequest{Dataset: "tiny", S: 1, Direct: true, WithLabels: true})
+	unpruned, err := s.SComponents(ctx, SCCRequest{Dataset: "tiny", S: 1, Prune: nwhy.PruneNone, WithLabels: true})
 	if err != nil {
-		t.Fatalf("direct: %v", err)
+		t.Fatalf("unpruned: %v", err)
 	}
-	cached, err := s.SComponents(ctx, SCCRequest{Dataset: "tiny", S: 1, WithLabels: true})
+	def, err := s.SComponents(ctx, SCCRequest{Dataset: "tiny", S: 1, WithLabels: true})
 	if err != nil {
-		t.Fatalf("cached: %v", err)
+		t.Fatalf("default: %v", err)
 	}
-	if direct.NumComponents != 2 || cached.NumComponents != 2 {
-		t.Fatalf("components = %d (direct) / %d (cached), want 2", direct.NumComponents, cached.NumComponents)
-	}
-	if len(direct.Labels) != len(cached.Labels) {
-		t.Fatalf("label lengths differ: %d vs %d", len(direct.Labels), len(cached.Labels))
-	}
-	for i := range direct.Labels {
-		if direct.Labels[i] != cached.Labels[i] {
-			t.Fatalf("label[%d] = %d (direct) vs %d (cached)", i, direct.Labels[i], cached.Labels[i])
-		}
+	if unpruned.NumComponents != 2 || def.NumComponents != 2 {
+		t.Fatalf("components = %d (unpruned) / %d (default), want 2", unpruned.NumComponents, def.NumComponents)
 	}
 	// Serial ground truth straight off the facade.
-	want := nwhy.FromSets(twoIslands(), 8).WithEngine(eng).SConnectedComponentsDirect(1)
-	for i := range want {
-		if direct.Labels[i] != want[i] {
-			t.Fatalf("label[%d] = %d, want %d", i, direct.Labels[i], want[i])
-		}
+	want := nwhy.FromSets(twoIslands(), 8).WithEngine(eng).SConnectedComponents(1)
+	if !slices.Equal(unpruned.Labels, want) || !slices.Equal(def.Labels, want) {
+		t.Fatalf("labels = %v (unpruned) / %v (default), want %v", unpruned.Labels, def.Labels, want)
 	}
 }
 
@@ -575,55 +568,5 @@ func TestWarmStartBootEngineDetached(t *testing.T) {
 	}
 	if lg := g.SLineGraph(1, true); lg == nil || lg.NumVertices() == 0 {
 		t.Fatal("query on warm-started handle failed after boot ctx cancel")
-	}
-}
-
-func TestSComponentsShardedMatchesDirect(t *testing.T) {
-	s, _ := testServer(t, Config{PartitionHints: map[string]int{"tiny": 2}})
-	ctx := context.Background()
-
-	direct, err := s.SComponents(ctx, SCCRequest{Dataset: "tiny", S: 1, Direct: true, WithLabels: true})
-	if err != nil {
-		t.Fatalf("direct: %v", err)
-	}
-	// Explicit parts.
-	sharded, err := s.SComponents(ctx, SCCRequest{Dataset: "tiny", S: 1, Sharded: true, Parts: 2, WithLabels: true})
-	if err != nil {
-		t.Fatalf("sharded: %v", err)
-	}
-	if !sharded.Sharded || sharded.Parts != 2 {
-		t.Fatalf("sharded echo = (%v, %d), want (true, 2)", sharded.Sharded, sharded.Parts)
-	}
-	if sharded.NumComponents != direct.NumComponents || sharded.LargestSize != direct.LargestSize {
-		t.Fatalf("sharded summary (%d, %d) != direct (%d, %d)",
-			sharded.NumComponents, sharded.LargestSize, direct.NumComponents, direct.LargestSize)
-	}
-	for i := range direct.Labels {
-		if sharded.Labels[i] != direct.Labels[i] {
-			t.Fatalf("label[%d] = %d (sharded) vs %d (direct)", i, sharded.Labels[i], direct.Labels[i])
-		}
-	}
-	// Parts omitted: the configured hint applies.
-	hinted, err := s.SComponents(ctx, SCCRequest{Dataset: "tiny", S: 1, Sharded: true, WithLabels: true})
-	if err != nil {
-		t.Fatalf("hinted: %v", err)
-	}
-	if hinted.Parts != 2 {
-		t.Fatalf("hinted parts = %d, want 2 from PartitionHints", hinted.Parts)
-	}
-	for i := range direct.Labels {
-		if hinted.Labels[i] != direct.Labels[i] {
-			t.Fatalf("hinted label[%d] = %d, want %d", i, hinted.Labels[i], direct.Labels[i])
-		}
-	}
-	// Validation: sharded is exclusive with direct/incremental, parts needs sharded.
-	if _, err := s.SComponents(ctx, SCCRequest{Dataset: "tiny", S: 1, Sharded: true, Direct: true}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("sharded+direct err = %v, want ErrBadRequest", err)
-	}
-	if _, err := s.SComponents(ctx, SCCRequest{Dataset: "tiny", S: 1, Parts: 2}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("parts without sharded err = %v, want ErrBadRequest", err)
-	}
-	if _, err := s.SComponents(ctx, SCCRequest{Dataset: "tiny", S: 1, Sharded: true, Parts: -1}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("negative parts err = %v, want ErrBadRequest", err)
 	}
 }

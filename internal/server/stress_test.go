@@ -103,7 +103,7 @@ func TestConcurrentReadersMatchSerial(t *testing.T) {
 		lg := serial.SLineGraph(s, true)
 		base[s] = &baseline{
 			pairs:       lg.Pairs(),
-			labels:      serial.SConnectedComponentsDirect(s),
+			labels:      serial.SConnectedComponents(s),
 			closeness:   lg.SClosenessCentrality(),
 			harmonic:    lg.SHarmonicClosenessCentrality(),
 			ecc:         lg.SEccentricity(),
@@ -154,19 +154,19 @@ func TestConcurrentReadersMatchSerial(t *testing.T) {
 					}
 					err = equalPairs(b.pairs, lg.Pairs())
 				case 1:
-					res, gerr := srv.SComponents(ctx, SCCRequest{Dataset: "stress", S: s, Direct: true, WithLabels: true})
+					res, gerr := srv.SComponents(ctx, SCCRequest{Dataset: "stress", S: s, Prune: nwhy.PruneConnectivity, WithLabels: true})
 					if gerr != nil {
 						err = gerr
 						break
 					}
-					err = equalU32("direct labels", b.labels, res.Labels)
+					err = equalU32("connectivity-pruned labels", b.labels, res.Labels)
 				case 2:
 					res, gerr := srv.SComponents(ctx, SCCRequest{Dataset: "stress", S: s, WithLabels: true})
 					if gerr != nil {
 						err = gerr
 						break
 					}
-					err = equalU32("cached labels", b.labels, res.Labels)
+					err = equalU32("default labels", b.labels, res.Labels)
 				case 3:
 					res, gerr := srv.Centrality(ctx, CentralityRequest{Dataset: "stress", S: s, Kind: CentralityHarmonic})
 					if gerr != nil {

@@ -1,10 +1,6 @@
 package slinegraph
 
 import (
-	"sync"
-
-	"nwhy/internal/countmap"
-	"nwhy/internal/frontier"
 	"nwhy/internal/parallel"
 	"nwhy/internal/unionfind"
 )
@@ -72,74 +68,4 @@ func SComponentsToplex(eng *parallel.Engine, in Input, s int, tops, cover []uint
 	}
 	forest.Compress()
 	return forest.Labels(), nil
-}
-
-// SComponentsFrontier computes the s-connected components of the hyperedges
-// by frontier-parallel minimum-label propagation over the IMPLICIT s-line
-// adjacency: the traversal runs on frontier.EdgeMap like every other kernel,
-// but the adjacency rows are recomputed on demand with the hashmap-counting
-// walk instead of being materialized. Compared to SComponentsDirect this
-// trades the union-find forest for the shared traversal substrate (frontier
-// scheduling, per-worker buffers, one merge path); compared to
-// materialize-then-CC it never stores the (often near-quadratic) s-line
-// edge list, at the cost of recomputing the rows of re-activated hyperedges
-// across rounds.
-//
-// Returned labels cover the full ID space [0, in.IDSpace()); hyperedges in
-// the same s-component share the minimum member ID, every other ID is a
-// singleton.
-func SComponentsFrontier(eng *parallel.Engine, in Input, s int, o Options) ([]uint32, error) {
-	n := in.IDSpace()
-	comp := make([]uint32, n)
-	for i := range comp {
-		comp[i] = uint32(i)
-	}
-	// Only eligible hyperedges start active; everything else is a singleton.
-	init := orderQueue(eng, in.EdgeIDs(), in, o)
-	k := 0
-	for _, e := range init {
-		if in.EdgeDegree(e) >= s {
-			init[k] = e
-			k++
-		}
-	}
-	// The implicit adjacency: s-neighbors of e via the two-level incidence
-	// walk. Scratch maps are pooled because Adj carries no worker identity;
-	// the returned row must outlive the scratch, so it is copied out before
-	// the scratch is recycled.
-	pool := sync.Pool{New: func() any { return countmap.New(64) }}
-	row := func(u int) []uint32 {
-		e := uint32(u)
-		cnt := pool.Get().(*countmap.Map)
-		cnt.Clear()
-		for _, v := range in.Incidence(e) {
-			for _, f := range in.EdgesOf(v) {
-				if f != e && in.EdgeDegree(f) >= s {
-					cnt.Inc(f, 1)
-				}
-			}
-		}
-		out := make([]uint32, 0, cnt.Len())
-		cnt.Range(func(f uint32, c int32) {
-			if int(c) >= s {
-				out = append(out, f)
-			}
-		})
-		pool.Put(cnt)
-		return out
-	}
-	st := frontier.NewState(0, frontier.ForcePush) // pull would scan all IDs per round
-	st.Dedup = true
-	f := frontier.FromList(n, init[:k])
-	for !f.Empty() && !eng.Cancelled() {
-		f = st.EdgeMap(eng, f, n, row, nil,
-			func(u, t uint32) bool {
-				return parallel.MinU32(&comp[t], parallel.LoadU32(&comp[u]))
-			}, nil)
-	}
-	f.Release(eng)
-	if err := eng.Err(); err != nil {
-		return nil, err
-	}
-	return comp, nil
 }

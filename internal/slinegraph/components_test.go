@@ -67,44 +67,6 @@ func TestSComponentsDirectOnAdjoin(t *testing.T) {
 	}
 }
 
-func TestSComponentsFrontierMatchesDirect(t *testing.T) {
-	f := func(seed int64) bool {
-		h := randomHypergraph(40, 25, 6, seed)
-		for s := 1; s <= 3; s++ {
-			want := tSComponentsDirect(FromHypergraph(h), s, Options{})
-			got, err := SComponentsFrontier(teng, FromHypergraph(h), s, Options{})
-			if err != nil || len(got) != len(want) {
-				return false
-			}
-			for e := range want {
-				if got[e] != want[e] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSComponentsFrontierOnAdjoin(t *testing.T) {
-	h := randomHypergraph(30, 20, 5, 9)
-	a := core.Adjoin(teng, h)
-	want := tSComponentsDirect(FromHypergraph(h), 2, Options{})
-	got, err := SComponentsFrontier(teng, FromAdjoin(a), 2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Adjoin ID space is larger, but the hyperedge prefix must agree.
-	for e := 0; e < h.NumEdges(); e++ {
-		if got[e] != want[e] {
-			t.Fatalf("adjoin frontier components differ at %d", e)
-		}
-	}
-}
-
 func TestSComponentsDirectDeterministic(t *testing.T) {
 	h := randomHypergraph(50, 30, 6, 4)
 	a := tSComponentsDirect(FromHypergraph(h), 2, Options{})

@@ -334,7 +334,7 @@ func construct(eng *parallel.Engine, in Input, s int, o Options, exact bool, emi
 	case QueueSchedule:
 		parallel.Drain(eng, parallel.NewWorkQueueFor(eng, ids), body)
 	case CyclicSchedule:
-		eng.ForCyclic(eng.Cyclic(0, len(ids), o.NumBins), func(w, start, end, stride int) {
+		eng.ForCyclic(eng.Cyclic(0, len(ids), 0), func(w, start, end, stride int) {
 			for i := start; i < end; i += stride {
 				body(w, ids[i])
 			}

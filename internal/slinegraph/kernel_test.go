@@ -42,7 +42,7 @@ func TestCrossStrategyDifferential(t *testing.T) {
 				for _, sched := range schedules {
 					for _, rel := range relabels {
 						for _, part := range partitions {
-							o := Options{Counter: ctr, Schedule: sched, Relabel: rel, Partition: part, NumBins: 8}
+							o := Options{Counter: ctr, Schedule: sched, Relabel: rel, Partition: part}
 							got := tConstruct(t, in, s, o)
 							if !reflect.DeepEqual(got, want) {
 								t.Fatalf("%s s=%d counter=%v schedule=%v relabel=%v partition=%v: %d edges, want %d",

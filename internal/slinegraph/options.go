@@ -112,8 +112,6 @@ type Options struct {
 	// DefaultSchedule resolution and the queue interleave; callers using the
 	// Schedule axis directly can ignore it.
 	Partition Partition
-	// NumBins is the cyclic stride count; <= 0 uses 4x the worker count.
-	NumBins int
 	// Relabel applies relabel-by-degree to the hyperedge IDs before
 	// construction. The kernel sorts its work order — queue contents or
 	// iteration space — rather than physically relabeling the CSR pair,

@@ -19,10 +19,7 @@ import (
 func orderQueue(eng *parallel.Engine, queue []uint32, in Input, o Options) []uint32 {
 	queue = sortByDegree(queue, in, o.Relabel)
 	if o.Partition == CyclicPartition {
-		bins := o.NumBins
-		if bins <= 0 {
-			bins = 4 * eng.NumWorkers()
-		}
+		bins := eng.Cyclic(0, len(queue), 0).MaxStride // the engine's default
 		if bins > len(queue) {
 			bins = len(queue)
 		}

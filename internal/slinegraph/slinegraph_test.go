@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"nwhy/internal/core"
+	"nwhy/internal/parallel"
 	"nwhy/internal/sparse"
 )
 
@@ -157,7 +158,7 @@ func TestOptionsMatrixAllEquivalent(t *testing.T) {
 	want := tNaive(h, 2)
 	for _, part := range []Partition{BlockedPartition, CyclicPartition} {
 		for _, rel := range []sparse.Order{sparse.NoOrder, sparse.Ascending, sparse.Descending} {
-			o := Options{Partition: part, Relabel: rel, NumBins: 8}
+			o := Options{Partition: part, Relabel: rel}
 			for name, got := range map[string][]sparse.Edge{
 				"intersection": tIntersection(h, 2, o),
 				"hashmap":      tHashmap(h, 2, o),
@@ -369,20 +370,13 @@ func TestSelfPairsNeverEmitted(t *testing.T) {
 }
 
 func TestOrderQueueCyclicPermutation(t *testing.T) {
-	h := paperHypergraph()
-	in := FromHypergraph(h)
-	q := orderQueue(teng, in.EdgeIDs(), in, Options{Partition: CyclicPartition, NumBins: 2})
-	// 4 items, 2 bins: [0 2 1 3].
-	if !reflect.DeepEqual(q, []uint32{0, 2, 1, 3}) {
+	eng := parallel.NewEngine(1) // one worker: four bins
+	defer eng.Close()
+	in := FromHypergraph(randomHypergraph(10, 8, 3, 1))
+	q := orderQueue(eng, in.EdgeIDs(), in, Options{Partition: CyclicPartition})
+	// 10 items, 4 bins: every fourth ID, bin by bin — still a permutation.
+	if !reflect.DeepEqual(q, []uint32{0, 4, 8, 1, 5, 9, 2, 6, 3, 7}) {
 		t.Fatalf("cyclic queue order = %v", q)
-	}
-	// Still a permutation.
-	seen := map[uint32]bool{}
-	for _, e := range q {
-		seen[e] = true
-	}
-	if len(seen) != 4 {
-		t.Fatal("cyclic order lost items")
 	}
 }
 

@@ -57,7 +57,7 @@ func FuzzMutateCompact(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantLabels := want.SConnectedComponentsDirect(2)
+			wantLabels := want.SConnectedComponents(2)
 			for i := range incLabels {
 				if incLabels[i] != wantLabels[i] {
 					t.Fatalf("incremental s-CC label %d: %d vs rebuild %d", i, incLabels[i], wantLabels[i])

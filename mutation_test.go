@@ -205,8 +205,8 @@ func TestMutateThenCompactMatchesRebuild(t *testing.T) {
 			t.Fatalf("trial %d: incidence mismatch vs rebuild", trial)
 		}
 		for s := 1; s <= 2; s++ {
-			gl := g.SConnectedComponentsDirect(s)
-			wl := want.SConnectedComponentsDirect(s)
+			gl := g.SConnectedComponents(s)
+			wl := want.SConnectedComponents(s)
 			for i := range gl {
 				if gl[i] != wl[i] {
 					t.Fatalf("trial %d s=%d: labels differ at %d", trial, s, i)
@@ -237,7 +237,7 @@ func TestIncrementalSCCInsertOnly(t *testing.T) {
 	if inc {
 		t.Fatal("first call cannot be incremental")
 	}
-	wantFirst := g.SConnectedComponentsDirect(2)
+	wantFirst := g.SConnectedComponents(2)
 	for i := range labels {
 		if labels[i] != wantFirst[i] {
 			t.Fatalf("initial labels differ at %d", i)
@@ -261,7 +261,7 @@ func TestIncrementalSCCInsertOnly(t *testing.T) {
 	if !inc {
 		t.Fatal("insert-only refresh was not incremental")
 	}
-	want := g.SConnectedComponentsDirect(2)
+	want := g.SConnectedComponents(2)
 	if len(labels) != len(want) {
 		t.Fatalf("label lengths: %d vs %d", len(labels), len(want))
 	}
@@ -303,7 +303,7 @@ func TestIncrementalSCCDeleteForcesRecompute(t *testing.T) {
 	if inc {
 		t.Fatal("post-delete refresh must be a full recompute")
 	}
-	want := g.SConnectedComponentsDirect(1)
+	want := g.SConnectedComponents(1)
 	for i := range labels {
 		if labels[i] != want[i] {
 			t.Fatalf("labels differ at %d", i)

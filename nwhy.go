@@ -28,7 +28,6 @@ import (
 	"nwhy/internal/core"
 	"nwhy/internal/mmio"
 	"nwhy/internal/parallel"
-	"nwhy/internal/partition"
 	"nwhy/internal/slinegraph"
 	"nwhy/internal/sparse"
 )
@@ -81,15 +80,6 @@ type lazyState struct {
 	// Commit moves the epoch and invalidates it implicitly.
 	adjoin      *core.AdjoinGraph
 	adjoinEpoch uint64
-	// part caches the k-way partition of the snapshot at partEpoch, keyed by
-	// the resolved options; shards caches the shard map derived from it.
-	// Both follow the adjoin discipline: epoch-keyed, built under mu, never
-	// cached from a cancelled engine.
-	part        *partition.Result
-	partEpoch   uint64
-	partOpts    partition.Options
-	shards      *partition.ShardMap
-	shardsEpoch uint64
 	// dstats caches the hyperedge degree statistics of the snapshot at
 	// dstatsEpoch — the numbers resolveAxes and the degree prefilter consume
 	// on every construction, memoized so repeated queries skip the scan.

@@ -4,6 +4,8 @@ import (
 	"context"
 	"slices"
 	"testing"
+
+	"nwhy/internal/gen"
 )
 
 func containmentFacade() *NWHypergraph {
@@ -21,14 +23,56 @@ func containmentFacade() *NWHypergraph {
 	}, 16)
 }
 
-func TestSConnectedComponentsPrunedMatchesDirect(t *testing.T) {
-	g := containmentFacade()
-	for s := 1; s <= 4; s++ {
-		want := g.SConnectedComponentsDirect(s)
-		for _, p := range []Prune{PruneAuto, PruneNone, PruneDegree, PruneConnectivity, PruneToplex} {
-			got := g.SConnectedComponentsPruned(s, p)
-			if !slices.Equal(got, want) {
-				t.Fatalf("s=%d prune=%v: pruned labels diverge from direct", s, p)
+var allPrunes = []Prune{PruneAuto, PruneNone, PruneDegree, PruneConnectivity, PruneToplex}
+
+// TestSConnectedComponentsCtxEveryPruneLevel is the one differential for the
+// one-shot s-CC entry: every prune level, s from 0 (below any overlap) to 4
+// (above most), on a cold and on a warm toplex cache, must label exactly
+// like the materialized route (build the s-line graph, then CC on it) and
+// like the unpruned kernel. Each cell gets a fresh handle, because
+// PruneToplex warms the cache it runs on.
+func TestSConnectedComponentsCtxEveryPruneLevel(t *testing.T) {
+	inputs := map[string]func() *NWHypergraph{
+		"containment": containmentFacade,
+		"communities": func() *NWHypergraph {
+			return Wrap(gen.Community(gen.CommunityConfig{
+				NumEdges: 120, NumNodes: 90, MeanEdgeSize: 5, SizeSkew: 1.5, MemberSkew: 0.6, Seed: 19,
+			}))
+		},
+	}
+	ctx := context.Background()
+	for name, build := range inputs {
+		for s := 0; s <= 4; s++ {
+			ref := build()
+			materialized := ref.SLineGraph(s, true).SConnectedComponents()
+			unpruned, err := ref.SConnectedComponentsCtx(ctx, s, PruneNone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(unpruned, materialized) {
+				t.Fatalf("%s s=%d: PruneNone diverges from the materialized route", name, s)
+			}
+			for _, warm := range []bool{false, true} {
+				for _, p := range allPrunes {
+					g := build()
+					if warm {
+						g.Toplexes()
+					}
+					got, err := g.SConnectedComponentsCtx(ctx, s, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, materialized) {
+						t.Fatalf("%s s=%d prune=%v warm=%v: labels diverge from the materialized route", name, s, p, warm)
+					}
+					if wantWarm := warm || p == PruneToplex; g.toplexCacheWarm() != wantWarm {
+						t.Fatalf("%s s=%d prune=%v warm=%v: toplex cache warm = %v", name, s, p, warm, !wantWarm)
+					}
+				}
+			}
+			// The shim is the PruneAuto column.
+			if !slices.Equal(ref.SConnectedComponents(s), materialized) {
+				t.Fatalf("%s s=%d: SConnectedComponents diverges from the materialized route", name, s)
 			}
 		}
 	}
@@ -39,17 +83,19 @@ func TestPruneAutoUpgradesOnWarmToplexCache(t *testing.T) {
 	if g.toplexCacheWarm() {
 		t.Fatal("fresh handle should have a cold toplex cache")
 	}
-	want := g.SConnectedComponentsPruned(2, PruneAuto)
+	want := g.SConnectedComponents(2)
 	// Cold cache: PruneAuto must not have paid for toplexes speculatively.
 	if g.toplexCacheWarm() {
 		t.Fatal("PruneAuto warmed the toplex cache on a cold handle")
 	}
 	// PruneToplex forces and caches the cover; PruneAuto then upgrades.
-	g.SConnectedComponentsPruned(2, PruneToplex)
+	if _, err := g.SConnectedComponentsCtx(context.Background(), 2, PruneToplex); err != nil {
+		t.Fatal(err)
+	}
 	if !g.toplexCacheWarm() {
 		t.Fatal("PruneToplex should warm the toplex cache")
 	}
-	if got := g.SConnectedComponentsPruned(2, PruneAuto); !slices.Equal(got, want) {
+	if got := g.SConnectedComponents(2); !slices.Equal(got, want) {
 		t.Fatal("warm-cache PruneAuto labels diverge from cold-cache run")
 	}
 }
@@ -81,9 +127,19 @@ func TestToplexCacheInvalidatedByCommit(t *testing.T) {
 	if slices.Equal(before, after) {
 		t.Fatal("toplex set should change after the commit")
 	}
-	// Pruned components still match direct on the new snapshot.
-	if !slices.Equal(g.SConnectedComponentsPruned(1, PruneToplex), g.SConnectedComponentsDirect(1)) {
-		t.Fatal("post-commit toplex-pruned labels diverge from direct")
+	// Toplex-pruned components still match the unpruned kernel on the new
+	// snapshot.
+	ctx := context.Background()
+	pruned, err := g.SConnectedComponentsCtx(ctx, 1, PruneToplex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unpruned, err := g.SConnectedComponentsCtx(ctx, 1, PruneNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(pruned, unpruned) {
+		t.Fatal("post-commit toplex-pruned labels diverge from the unpruned kernel")
 	}
 }
 
@@ -99,12 +155,12 @@ func TestToplexesReturnsCopy(t *testing.T) {
 	}
 }
 
-func TestSConnectedComponentsPrunedCtxCancel(t *testing.T) {
+func TestSConnectedComponentsCtxCancel(t *testing.T) {
 	g := containmentFacade()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, p := range []Prune{PruneAuto, PruneDegree, PruneToplex} {
-		if _, err := g.SConnectedComponentsPrunedCtx(ctx, 2, p); err == nil {
+	for _, p := range allPrunes {
+		if _, err := g.SConnectedComponentsCtx(ctx, 2, p); err == nil {
 			t.Fatalf("prune=%v: cancelled run returned nil error", p)
 		}
 	}
@@ -112,7 +168,7 @@ func TestSConnectedComponentsPrunedCtxCancel(t *testing.T) {
 	if g.toplexCacheWarm() {
 		t.Fatal("cancelled run populated the toplex cache")
 	}
-	if labels, err := g.SConnectedComponentsPrunedCtx(context.Background(), 2, PruneToplex); err != nil || len(labels) != g.NumEdges() {
+	if labels, err := g.SConnectedComponentsCtx(context.Background(), 2, PruneToplex); err != nil || len(labels) != g.NumEdges() {
 		t.Fatalf("post-cancel retry failed: %v", err)
 	}
 }

@@ -85,8 +85,8 @@ func (s Schedule) String() string { return slinegraph.Schedule(s).String() }
 // Prune selects the intent-aware pruning heuristics — the fourth kernel
 // axis (the companion paper's algorithmic cuts). The heuristics compose in
 // order; levels that drop pairs (connectivity, toplex) only ever apply to
-// connectivity-intent runs (the SConnectedComponents* family) and silently
-// degrade to the result-identical degree prefilter everywhere else.
+// connectivity-intent runs (SConnectedComponents[Ctx], IncrementalSCC) and
+// silently degrade to the result-identical degree prefilter everywhere else.
 type Prune int
 
 const (
@@ -126,8 +126,6 @@ type ConstructOptions struct {
 	Schedule Schedule
 	// Cyclic selects the cyclic range partition instead of blocked.
 	Cyclic bool
-	// NumBins is the cyclic stride count (<= 0: automatic).
-	NumBins int
 	// Relabel applies relabel-by-degree before construction.
 	Relabel sparse.Order
 	// UseAdjoin feeds the kernel and queue-based algorithms the adjoin
@@ -149,7 +147,6 @@ func (o ConstructOptions) internal() slinegraph.Options {
 	}
 	return slinegraph.Options{
 		Partition: part,
-		NumBins:   o.NumBins,
 		Relabel:   o.Relabel,
 		Counter:   slinegraph.Counter(o.Strategy),
 		Schedule:  slinegraph.Schedule(o.Schedule),
@@ -333,51 +330,30 @@ func (g *NWHypergraph) SLineGraphEnsembleQueue(ss []int, useAdjoin bool) map[int
 	return out
 }
 
-// SConnectedComponentsDirect computes the s-connected components of the
+// SConnectedComponents computes the s-connected components of the
 // hyperedges without materializing the s-line graph: s-incident pairs are
 // unioned into a concurrent disjoint-set forest as the queue-based
-// construction discovers them. Labels are canonical minimum-member IDs over
-// [0, NumEdges()).
-func (g *NWHypergraph) SConnectedComponentsDirect(s int) []uint32 {
-	labels, _ := g.SConnectedComponentsDirectCtx(context.Background(), s)
+// construction discovers them, under the PruneAuto heuristics. Labels are
+// canonical minimum-member IDs over [0, NumEdges()). For repeated queries on
+// a mutating handle use IncrementalSCC.
+func (g *NWHypergraph) SConnectedComponents(s int) []uint32 {
+	labels, _ := g.SConnectedComponentsCtx(context.Background(), s, PruneAuto)
 	return labels
 }
 
-// SConnectedComponentsDirectCtx is SConnectedComponentsDirect bounded by
-// ctx: the queue drain stops at the next chunk boundary once ctx is
-// cancelled and ctx.Err() is returned. The run declares connectivity
-// intent, so the kernel's degree prefilter and connected short-circuit
-// apply automatically (labels are identical either way); the axis
-// resolution reads the handle's memoized degree statistics.
-func (g *NWHypergraph) SConnectedComponentsDirectCtx(ctx context.Context, s int) ([]uint32, error) {
-	h := g.hg()
-	eng := g.engine().WithContext(ctx)
-	opts := slinegraph.Options{Stats: g.degreeStats(eng)}
-	labels, err := slinegraph.SComponentsDirect(eng, slinegraph.FromHypergraph(h), s, opts)
-	if err != nil {
-		return nil, err
-	}
-	return labels[:h.NumEdges()], nil
-}
-
-// SConnectedComponentsPruned computes the s-connected components through
-// the intent-aware pruned kernel: prune selects the heuristic level (see
-// Prune). Labels are bit-identical to SConnectedComponentsDirect at every
-// level — the differential tests pin this — only the work done differs.
-func (g *NWHypergraph) SConnectedComponentsPruned(s int, prune Prune) []uint32 {
-	labels, _ := g.SConnectedComponentsPrunedCtx(context.Background(), s, prune)
-	return labels
-}
-
-// SConnectedComponentsPrunedCtx is SConnectedComponentsPruned bounded by
-// ctx. PruneAuto runs the connectivity arsenal (degree prefilter +
-// connected short-circuit) and upgrades to the toplex-only path when the
-// handle's toplex cache is already warm for this snapshot — computing the
-// containment map from cold costs about one kernel pass, so Auto never
-// pays for it speculatively. PruneToplex forces the toplex path, computing
-// and caching the cover if needed (profitable when many component queries
-// hit one snapshot, the serving tier's pattern).
-func (g *NWHypergraph) SConnectedComponentsPrunedCtx(ctx context.Context, s int, prune Prune) ([]uint32, error) {
+// SConnectedComponentsCtx is SConnectedComponents bounded by ctx (the queue
+// drain stops at the next chunk boundary once ctx is cancelled and ctx.Err()
+// is returned) with an explicit prune level (see Prune). Labels are
+// bit-identical at every level — the differential tests pin this — only the
+// work done differs. PruneAuto runs the connectivity arsenal (degree
+// prefilter + connected short-circuit) and upgrades to the toplex-only path
+// when the handle's toplex cache is already warm for this snapshot —
+// computing the containment map from cold costs about one kernel pass, so
+// Auto never pays for it speculatively. PruneToplex forces the toplex path,
+// computing and caching the cover if needed (profitable when many component
+// queries hit one snapshot, the serving tier's pattern). The axis resolution
+// reads the handle's memoized degree statistics.
+func (g *NWHypergraph) SConnectedComponentsCtx(ctx context.Context, s int, prune Prune) ([]uint32, error) {
 	h := g.hg()
 	eng := g.engine().WithContext(ctx)
 	in := slinegraph.FromHypergraph(h)
@@ -398,30 +374,6 @@ func (g *NWHypergraph) SConnectedComponentsPrunedCtx(ctx context.Context, s int,
 	}
 	opts.Prune = slinegraph.Prune(prune)
 	labels, err := slinegraph.SComponentsDirect(eng, in, s, opts)
-	if err != nil {
-		return nil, err
-	}
-	return labels[:h.NumEdges()], nil
-}
-
-// SConnectedComponentsFrontier computes the s-connected components of the
-// hyperedges by frontier-parallel label propagation over the implicit
-// s-line adjacency (rows recomputed on demand, never materialized). It
-// shares the traversal substrate of every BFS/CC kernel; prefer
-// SConnectedComponentsDirect when union-find suits the workload. Labels are
-// canonical minimum-member IDs over [0, NumEdges()).
-func (g *NWHypergraph) SConnectedComponentsFrontier(s int) []uint32 {
-	labels, _ := g.SConnectedComponentsFrontierCtx(context.Background(), s)
-	return labels
-}
-
-// SConnectedComponentsFrontierCtx is SConnectedComponentsFrontier bounded by
-// ctx: the propagation stops between frontier rounds once ctx is cancelled
-// and ctx.Err() is returned.
-func (g *NWHypergraph) SConnectedComponentsFrontierCtx(ctx context.Context, s int) ([]uint32, error) {
-	h := g.hg()
-	eng := g.engine().WithContext(ctx)
-	labels, err := slinegraph.SComponentsFrontier(eng, slinegraph.FromHypergraph(h), s, slinegraph.Options{})
 	if err != nil {
 		return nil, err
 	}
