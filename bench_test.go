@@ -132,12 +132,12 @@ func BenchmarkFig8BFS(b *testing.B) {
 func BenchmarkFig9SLine(b *testing.B) {
 	algos := []struct {
 		name string
-		a    Algorithm
+		o    ConstructOptions
 	}{
-		{"Intersection", AlgoIntersection},
-		{"Hashmap", AlgoHashmap},
-		{"Alg1-queue", AlgoQueueHashmap},
-		{"Alg2-queue", AlgoQueueIntersection},
+		{"Intersection", PresetIntersection},
+		{"Hashmap", PresetHashmap},
+		{"Alg1-queue", PresetAlgorithm1},
+		{"Alg2-queue", PresetAlgorithm2},
 	}
 	for _, preset := range benchPresets {
 		g := benchHypergraph(b, preset)
@@ -145,7 +145,7 @@ func BenchmarkFig9SLine(b *testing.B) {
 			for _, a := range algos {
 				b.Run(fmt.Sprintf("%s/s=%d/%s", preset, s, a.name), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						lg := g.SLineGraphWith(s, true, ConstructOptions{Algorithm: a.a})
+						lg := g.SLineGraphWith(s, true, a.o)
 						_ = lg.NumEdges()
 					}
 				})
@@ -154,21 +154,17 @@ func BenchmarkFig9SLine(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPartition isolates the blocked vs cyclic partition
+// BenchmarkAblationPartition isolates the blocked vs cyclic schedule
 // choice on the most degree-skewed preset with descending relabel — the
 // configuration where the paper argues cyclic ranges matter.
 func BenchmarkAblationPartition(b *testing.B) {
 	g := benchHypergraph(b, "orkut-group-mini")
-	for _, cyclic := range []bool{false, true} {
-		name := "blocked"
-		if cyclic {
-			name = "cyclic"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, sched := range []Schedule{ScheduleBlocked, ScheduleCyclic} {
+		b.Run(sched.String(), func(b *testing.B) {
+			o := PresetHashmap
+			o.Schedule, o.Relabel = sched, sparse.Descending
 			for i := 0; i < b.N; i++ {
-				g.SLineGraphWith(2, true, ConstructOptions{
-					Algorithm: AlgoHashmap, Cyclic: cyclic, Relabel: sparse.Descending,
-				})
+				g.SLineGraphWith(2, true, o)
 			}
 		})
 	}
@@ -183,18 +179,18 @@ func BenchmarkAblationRelabel(b *testing.B) {
 		order sparse.Order
 	}{{"none", sparse.NoOrder}, {"asc", sparse.Ascending}, {"desc", sparse.Descending}} {
 		b.Run(rel.name, func(b *testing.B) {
+			o := PresetIntersection
+			o.Relabel = rel.order
 			for i := 0; i < b.N; i++ {
-				g.SLineGraphWith(2, true, ConstructOptions{
-					Algorithm: AlgoIntersection, Relabel: rel.order,
-				})
+				g.SLineGraphWith(2, true, o)
 			}
 		})
 	}
 }
 
-// BenchmarkAblationQueueInput compares the queue algorithms fed the
-// bipartite vs the adjoin representation: the versatility the non-queue
-// algorithms cannot offer, at (per the paper) similar cost.
+// BenchmarkAblationQueueInput compares Algorithm 1 fed the bipartite vs the
+// adjoin representation: the versatility the paper claims for the
+// queue-based algorithms, at (per the paper) similar cost.
 func BenchmarkAblationQueueInput(b *testing.B) {
 	g := benchHypergraph(b, "com-orkut-mini")
 	for _, adjoin := range []bool{false, true} {
@@ -203,10 +199,10 @@ func BenchmarkAblationQueueInput(b *testing.B) {
 			name = "adjoin"
 		}
 		b.Run(name, func(b *testing.B) {
+			o := PresetAlgorithm1
+			o.UseAdjoin = adjoin
 			for i := 0; i < b.N; i++ {
-				g.SLineGraphWith(2, true, ConstructOptions{
-					Algorithm: AlgoQueueHashmap, UseAdjoin: adjoin,
-				})
+				g.SLineGraphWith(2, true, o)
 			}
 		})
 	}
@@ -235,7 +231,7 @@ func BenchmarkAblationDirectComponents(b *testing.B) {
 	g := benchHypergraph(b, "com-orkut-mini")
 	b.Run("materialize-then-cc", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			lg := g.SLineGraphWith(2, true, ConstructOptions{Algorithm: AlgoQueueHashmap})
+			lg := g.SLineGraphWith(2, true, PresetAlgorithm1)
 			_ = lg.SConnectedComponents()
 		}
 	})
@@ -282,7 +278,7 @@ func BenchmarkEnsemble(b *testing.B) {
 	b.Run("separate-runs", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, s := range ss {
-				_ = g.SLineGraphWith(s, true, ConstructOptions{Algorithm: AlgoHashmap})
+				_ = g.SLineGraphWith(s, true, PresetHashmap)
 			}
 		}
 	})

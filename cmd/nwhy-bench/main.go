@@ -49,7 +49,7 @@ func run(args []string, w io.Writer) error {
 		ss       = fs.String("s", "1,2,4,8", "comma-separated s values for fig9")
 		reps     = fs.Int("reps", 3, "repetitions per measurement (min reported)")
 		datasets = fs.String("datasets", "", "comma-separated preset names (default: all six)")
-		quick    = fs.Bool("quick", false, "fig9: skip the best-of partition/relabel sweep")
+		quick    = fs.Bool("quick", false, "fig9: skip the best-of relabel sweep")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -247,32 +247,23 @@ func maxDegreeEdge(g *nwhy.NWHypergraph) int {
 
 // fig9 prints, per dataset and s, the construction time of the Intersection
 // and Hashmap algorithms and the paper's queue-based Algorithms 1 and 2 —
-// each the fastest over the partition x relabel configurations, normalized
-// to Hashmap, matching the Figure 9 bars.
+// the four presets, which differ only in the counter and schedule they pin —
+// each the fastest over the relabel orders, normalized to Hashmap, matching
+// the Figure 9 bars.
 func fig9(w io.Writer, presets []gen.Preset, scale float64, sList []int, reps int, quick bool) {
 	fmt.Fprintf(w, "== Figure 9: s-line graph construction, runtime relative to Hashmap (scale %.2f) ==\n", scale)
-	type config struct {
-		cyclic  bool
-		relabel sparse.Order
-	}
-	configs := []config{{false, sparse.NoOrder}}
+	relabels := []sparse.Order{sparse.NoOrder}
 	if !quick {
-		for _, cyc := range []bool{false, true} {
-			for _, rel := range []sparse.Order{sparse.NoOrder, sparse.Ascending, sparse.Descending} {
-				if cyc || rel != sparse.NoOrder {
-					configs = append(configs, config{cyc, rel})
-				}
-			}
-		}
+		relabels = append(relabels, sparse.Ascending, sparse.Descending)
 	}
 	algos := []struct {
 		name string
-		a    nwhy.Algorithm
+		o    nwhy.ConstructOptions
 	}{
-		{"Intersection", nwhy.AlgoIntersection},
-		{"Hashmap", nwhy.AlgoHashmap},
-		{"Alg1(queue)", nwhy.AlgoQueueHashmap},
-		{"Alg2(queue)", nwhy.AlgoQueueIntersection},
+		{"Intersection", nwhy.PresetIntersection},
+		{"Hashmap", nwhy.PresetHashmap},
+		{"Alg1(queue)", nwhy.PresetAlgorithm1},
+		{"Alg2(queue)", nwhy.PresetAlgorithm2},
 	}
 	for _, p := range presets {
 		g := build(p, scale)
@@ -287,8 +278,9 @@ func fig9(w io.Writer, presets []gen.Preset, scale float64, sList []int, reps in
 			var edges int
 			for i, a := range algos {
 				best[i] = time.Duration(1 << 62)
-				for _, c := range configs {
-					opts := nwhy.ConstructOptions{Algorithm: a.a, Cyclic: c.cyclic, Relabel: c.relabel}
+				for _, rel := range relabels {
+					opts := a.o
+					opts.Relabel = rel
 					var lg *nwhy.SLineGraph
 					d := measure(reps, func() { lg = g.SLineGraphWith(s, true, opts) })
 					if d < best[i] {
@@ -308,9 +300,9 @@ func fig9(w io.Writer, presets []gen.Preset, scale float64, sList []int, reps in
 	fmt.Fprintln(w)
 }
 
-// ablation prints the design-choice studies DESIGN.md calls out: partition
-// strategy, relabel order, queue input representation, and materialized vs
-// direct s-connected components.
+// ablation prints the design-choice studies DESIGN.md calls out: blocked vs
+// cyclic schedule, relabel order, queue input representation, and
+// materialized vs direct s-connected components.
 func ablation(w io.Writer, presets []gen.Preset, scale float64, reps int) {
 	fmt.Fprintf(w, "== Ablations (scale %.2f) ==\n", scale)
 	for _, p := range presets {
@@ -320,32 +312,24 @@ func ablation(w io.Writer, presets []gen.Preset, scale float64, reps int) {
 		row := func(name string, fn func()) {
 			fmt.Fprintf(w, "  %-44s %12s\n", name, measure(reps, fn).Round(time.Microsecond))
 		}
-		for _, cyc := range []bool{false, true} {
+		for _, sched := range []nwhy.Schedule{nwhy.ScheduleBlocked, nwhy.ScheduleCyclic} {
 			for _, rel := range []sparse.Order{sparse.NoOrder, sparse.Descending} {
-				o := nwhy.ConstructOptions{Algorithm: nwhy.AlgoHashmap, Cyclic: cyc, Relabel: rel}
-				name := fmt.Sprintf("hashmap s=2 partition=%v relabel=%v", partName(cyc), rel)
+				o := nwhy.PresetHashmap
+				o.Schedule, o.Relabel = sched, rel
+				name := fmt.Sprintf("hashmap s=2 schedule=%v relabel=%v", sched, rel)
 				row(name, func() { g.SLineGraphWith(2, true, o) })
 			}
 		}
-		row("alg1 s=2 input=bipartite", func() {
-			g.SLineGraphWith(2, true, nwhy.ConstructOptions{Algorithm: nwhy.AlgoQueueHashmap})
-		})
-		row("alg1 s=2 input=adjoin", func() {
-			g.SLineGraphWith(2, true, nwhy.ConstructOptions{Algorithm: nwhy.AlgoQueueHashmap, UseAdjoin: true})
-		})
+		onAdjoin := nwhy.PresetAlgorithm1
+		onAdjoin.UseAdjoin = true
+		row("alg1 s=2 input=bipartite", func() { g.SLineGraphWith(2, true, nwhy.PresetAlgorithm1) })
+		row("alg1 s=2 input=adjoin", func() { g.SLineGraphWith(2, true, onAdjoin) })
 		row("s-CC s=2 materialize-then-cc", func() {
-			g.SLineGraphWith(2, true, nwhy.ConstructOptions{Algorithm: nwhy.AlgoQueueHashmap}).SConnectedComponents()
+			g.SLineGraphWith(2, true, nwhy.PresetAlgorithm1).SConnectedComponents()
 		})
 		row("s-CC s=2 direct-unionfind", func() {
 			g.SConnectedComponents(2)
 		})
 	}
 	fmt.Fprintln(w)
-}
-
-func partName(cyclic bool) string {
-	if cyclic {
-		return "cyclic"
-	}
-	return "blocked"
 }

@@ -70,7 +70,7 @@ func TestBenchAblation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := out.String()
-	for _, want := range []string{"Ablations", "direct-unionfind", "input=adjoin", "partition=cyclic"} {
+	for _, want := range []string{"Ablations", "direct-unionfind", "input=adjoin", "schedule=cyclic"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("ablation output missing %s: %q", want, s)
 		}

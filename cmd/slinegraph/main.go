@@ -1,11 +1,12 @@
-// Command slinegraph constructs the s-line graph of a hypergraph with a
-// chosen algorithm / partition / relabel configuration and reports the
+// Command slinegraph constructs the s-line graph of a hypergraph under a
+// chosen strategy / schedule / relabel / prune configuration and reports the
 // result size and construction time — the single-run counterpart of the
-// Figure 9 benchmark.
+// Figure 9 benchmark. -algo names one of the paper's four algorithms, each a
+// preset pinning -strategy and -schedule.
 //
 // Usage:
 //
-//	slinegraph -preset livejournal-mini -s 2 -algo queue-hashmap -cyclic
+//	slinegraph -preset livejournal-mini -s 2 -algo queue-hashmap
 //	slinegraph -in file.mtx -s 3 -algo intersection -relabel desc -adjoin
 //	slinegraph -preset rand1-mini -s 2 -strategy dense -schedule queue -weighted
 package main
@@ -37,13 +38,12 @@ func run(args []string, stdout io.Writer) error {
 		presetName = fs.String("preset", "", "generator preset instead of a file")
 		scale      = fs.Float64("scale", 1.0, "preset scale factor")
 		s          = fs.Int("s", 1, "overlap threshold s")
-		algoName   = fs.String("algo", "hashmap", "naive | intersection | hashmap | queue-hashmap | queue-intersection")
+		algoName   = fs.String("algo", "", "paper preset, pins -strategy and -schedule: hashmap | intersection | queue-hashmap (Alg 1) | queue-intersection (Alg 2)")
 		strategy   = fs.String("strategy", "auto", "kernel overlap counter: auto | hashmap | dense | intersection")
 		schedule   = fs.String("schedule", "default", "kernel work schedule: default | blocked | cyclic | queue | auto")
 		weighted   = fs.Bool("weighted", false, "retain exact overlap strengths (weighted s-line graph)")
-		cyclic     = fs.Bool("cyclic", false, "use the cyclic range partition")
 		relabel    = fs.String("relabel", "none", "relabel-by-degree: none | asc | desc")
-		adjoin     = fs.Bool("adjoin", false, "feed queue algorithms the adjoin representation")
+		adjoin     = fs.Bool("adjoin", false, "feed the kernel the adjoin representation")
 		threads    = fs.Int("threads", 0, "worker count (0 = GOMAXPROCS)")
 		reps       = fs.Int("reps", 3, "repetitions (min time reported)")
 		components = fs.Bool("components", false, "also report s-connected components (pruned union-find)")
@@ -54,17 +54,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	algos := map[string]nwhy.Algorithm{
-		"naive":              nwhy.AlgoNaive,
-		"intersection":       nwhy.AlgoIntersection,
-		"hashmap":            nwhy.AlgoHashmap,
-		"queue-hashmap":      nwhy.AlgoQueueHashmap,
-		"queue-intersection": nwhy.AlgoQueueIntersection,
-	}
-	algo, ok := algos[*algoName]
-	if !ok {
-		return fmt.Errorf("unknown algorithm %q", *algoName)
-	}
 	orders := map[string]sparse.Order{"none": sparse.NoOrder, "asc": sparse.Ascending, "desc": sparse.Descending}
 	order, ok := orders[*relabel]
 	if !ok {
@@ -130,10 +119,20 @@ func run(args []string, stdout io.Writer) error {
 		g.Adjoin() // pre-build outside timing
 	}
 
-	opts := nwhy.ConstructOptions{
-		Algorithm: algo, Strategy: strat, Schedule: sched,
-		Cyclic: *cyclic, Relabel: order, UseAdjoin: *adjoin, Prune: prune,
+	opts, label := nwhy.ConstructOptions{Strategy: strat, Schedule: sched}, "kernel"
+	if *algoName != "" {
+		presets := map[string]nwhy.ConstructOptions{
+			"hashmap":            nwhy.PresetHashmap,
+			"intersection":       nwhy.PresetIntersection,
+			"queue-hashmap":      nwhy.PresetAlgorithm1,
+			"queue-intersection": nwhy.PresetAlgorithm2,
+		}
+		if opts, ok = presets[*algoName]; !ok {
+			return fmt.Errorf("unknown algorithm %q", *algoName)
+		}
+		label = *algoName
 	}
+	opts.Relabel, opts.UseAdjoin, opts.Prune = order, *adjoin, prune
 	best := time.Duration(1 << 62)
 	var edges int
 	for r := 0; r < *reps; r++ {
@@ -147,13 +146,12 @@ func run(args []string, stdout io.Writer) error {
 			best = d
 		}
 	}
-	label := algo.String()
 	if *weighted {
-		label = "weighted kernel"
+		label = "weighted " + label
 	}
 	fmt.Fprintf(stdout, "input: |E|=%d |V|=%d incidences=%d\n", g.NumEdges(), g.NumNodes(), g.NumIncidences())
-	fmt.Fprintf(stdout, "%d-line graph via %s (strategy=%s schedule=%s partition=%s relabel=%s adjoin=%v prune=%s, %d threads): %d edges in %v\n",
-		*s, label, strat, sched, partitionName(*cyclic), order, *adjoin, prune, g.Engine().NumWorkers(), edges, best.Round(time.Microsecond))
+	fmt.Fprintf(stdout, "%d-line graph via %s (strategy=%s schedule=%s relabel=%s adjoin=%v prune=%s, %d threads): %d edges in %v\n",
+		*s, label, opts.Strategy, opts.Schedule, order, *adjoin, prune, g.Engine().NumWorkers(), edges, best.Round(time.Microsecond))
 	if *components {
 		t0 := time.Now()
 		labels, err := g.SConnectedComponentsCtx(context.Background(), *s, prune)
@@ -168,11 +166,4 @@ func run(args []string, stdout io.Writer) error {
 			*s, prune, len(distinct), time.Since(t0).Round(time.Microsecond))
 	}
 	return nil
-}
-
-func partitionName(cyclic bool) string {
-	if cyclic {
-		return "cyclic"
-	}
-	return "blocked"
 }

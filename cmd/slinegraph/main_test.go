@@ -5,11 +5,30 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"nwhy/internal/gen"
+	"nwhy/internal/parallel"
+	"nwhy/internal/slinegraph"
 )
+
+// naiveEdgeCount is the all-pairs oracle's s=2 edge count on the input the
+// agreement tests run (-preset rand1-mini -scale 0.01).
+func naiveEdgeCount(t *testing.T) string {
+	t.Helper()
+	p, err := gen.ByName("rand1-mini")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, err := slinegraph.Naive(parallel.SharedEngine(), p.Build(0.01), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprint(len(pairs))
+}
 
 func TestSlinegraphAllAlgorithmsAgreeOnEdgeCount(t *testing.T) {
 	counts := map[string]string{}
-	for _, algo := range []string{"naive", "intersection", "hashmap", "queue-hashmap", "queue-intersection"} {
+	for _, algo := range []string{"", "intersection", "hashmap", "queue-hashmap", "queue-intersection"} {
 		var out bytes.Buffer
 		err := run([]string{"-preset", "rand1-mini", "-scale", "0.01", "-s", "2", "-algo", algo, "-reps", "1"}, &out)
 		if err != nil {
@@ -24,10 +43,10 @@ func TestSlinegraphAllAlgorithmsAgreeOnEdgeCount(t *testing.T) {
 		start := strings.LastIndexByte(s[:idx], ' ')
 		counts[algo] = s[start+1 : idx]
 	}
-	want := counts["naive"]
+	want := naiveEdgeCount(t)
 	for algo, c := range counts {
 		if c != want {
-			t.Fatalf("%s edge count %s != naive %s (%v)", algo, c, want, counts)
+			t.Fatalf("-algo %q edge count %s != naive %s (%v)", algo, c, want, counts)
 		}
 	}
 }
@@ -36,14 +55,14 @@ func TestSlinegraphOptionsAndComponents(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{
 		"-preset", "com-orkut-mini", "-scale", "0.02", "-s", "2",
-		"-algo", "queue-hashmap", "-cyclic", "-relabel", "desc", "-adjoin",
+		"-algo", "queue-hashmap", "-relabel", "desc", "-adjoin",
 		"-threads", "2", "-reps", "1", "-components",
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
-	if !strings.Contains(s, "partition=cyclic relabel=descending adjoin=true prune=auto") {
+	if !strings.Contains(s, "via queue-hashmap (strategy=hashmap schedule=queue relabel=descending adjoin=true prune=auto") {
 		t.Fatalf("options not echoed: %q", s)
 	}
 	if !strings.Contains(s, "2-connected components (prune=auto union-find):") {
@@ -114,7 +133,7 @@ func TestSlinegraphKernelAxesAgree(t *testing.T) {
 		}
 		return s[strings.LastIndexByte(s[:idx], ' ')+1 : idx]
 	}
-	want := edgeCount("-algo", "naive")
+	want := naiveEdgeCount(t)
 	for _, strat := range []string{"auto", "hashmap", "dense", "intersection"} {
 		for _, sched := range []string{"blocked", "cyclic", "queue", "auto"} {
 			if got := edgeCount("-strategy", strat, "-schedule", sched); got != want {

@@ -10,33 +10,30 @@ import (
 )
 
 // TestSLineGraphCtxHandleDetached pins the slgOn contract: construction —
-// the kernel, the CSR assembly, and the pair-list build alike — runs on the
-// ctx-bound engine, but the returned handle is rebound to the handle's own
-// engine, so queries survive the request deadline expiring. AlgoHashmap
-// exercises the kernel/BuildCSR path and AlgoNaive the pair-list/BuildWith
-// path (the two sites that used to build on the unbound engine).
+// the kernel and the CSR assembly, on the bipartite and the adjoin input
+// alike — runs on the ctx-bound engine, but the returned handle is rebound to
+// the handle's own engine, so queries survive the request deadline expiring.
 func TestSLineGraphCtxHandleDetached(t *testing.T) {
 	g := engineTestHypergraph(t)
-	for _, algo := range []Algorithm{AlgoHashmap, AlgoNaive} {
+	for _, o := range []ConstructOptions{{}, {UseAdjoin: true}} {
 		ctx, cancel := context.WithCancel(context.Background())
-		lg, err := g.SLineGraphCtx(ctx, 2, true, ConstructOptions{Algorithm: algo})
+		lg, err := g.SLineGraphCtx(ctx, 2, true, o)
 		if err != nil {
-			t.Fatalf("algo %v: %v", algo, err)
+			t.Fatalf("%+v: %v", o, err)
 		}
 		cancel()
 		if err := lg.Engine().Err(); err != nil {
-			t.Fatalf("algo %v: handle engine still bound to the request ctx: %v", algo, err)
+			t.Fatalf("%+v: handle engine still bound to the request ctx: %v", o, err)
 		}
 		if cc := lg.SConnectedComponents(); len(cc) == 0 {
-			t.Fatalf("algo %v: query after deadline expiry returned nothing", algo)
+			t.Fatalf("%+v: query after deadline expiry returned nothing", o)
 		}
 	}
 }
 
-// TestRefreshSLineGraphCtxDetached pins the incremental-refresh contract:
-// the delta and the merged rebuild run on the ctx-bound engine (a cancelled
-// ctx aborts the patch with its error), and the patched handle does not
-// retain the request deadline.
+// TestRefreshSLineGraphCtxDetached pins the refresh contract: the rebuild
+// runs on the ctx-bound engine (a cancelled ctx aborts it with its error),
+// and the refreshed handle does not retain the request deadline.
 func TestRefreshSLineGraphCtxDetached(t *testing.T) {
 	g := mutBase()
 	lg := g.SLineGraph(2, true)
@@ -48,7 +45,7 @@ func TestRefreshSLineGraphCtxDetached(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	patched, how, err := g.RefreshSLineGraphCtx(ctx, lg, ConstructOptions{})
-	if err != nil || how != RefreshPatched {
+	if err != nil || how != RefreshRebuilt {
 		t.Fatalf("refresh: how=%v err=%v", how, err)
 	}
 	cancel()

@@ -62,11 +62,11 @@ func TestSLineDeterministicAcrossThreadCounts(t *testing.T) {
 	want := hg.SLineGraph(2, true).Pairs()
 	for _, threads := range []int{1, 2, 4, 8} {
 		SetNumThreads(threads)
-		for _, algo := range []Algorithm{AlgoHashmap, AlgoIntersection, AlgoQueueHashmap, AlgoQueueIntersection} {
-			for _, cyclic := range []bool{false, true} {
-				got := hg.SLineGraphWith(2, true, ConstructOptions{Algorithm: algo, Cyclic: cyclic}).Pairs()
+		for _, strat := range []Strategy{StrategyAuto, StrategyHashmap, StrategyDense, StrategyIntersection} {
+			for _, sched := range []Schedule{ScheduleBlocked, ScheduleCyclic, ScheduleQueue} {
+				got := hg.SLineGraphWith(2, true, ConstructOptions{Strategy: strat, Schedule: sched}).Pairs()
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%v cyclic=%v at %d threads differs", algo, cyclic, threads)
+					t.Fatalf("%v/%v at %d threads differs", strat, sched, threads)
 				}
 			}
 		}

@@ -97,19 +97,35 @@ func TestBFSCtxCancellation(t *testing.T) {
 	}
 }
 
+// TestSLineGraphWithOnCancelledEngine: on a handle whose bound engine is
+// already cancelled, the ctx-less constructors return a nil handle, weighted
+// and unweighted alike — never a non-nil wrapper around nothing.
+func TestSLineGraphWithOnCancelledEngine(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	g := engineTestHypergraph(t)
+	bound := g.WithEngine(g.Engine().WithContext(ctx))
+	if lg := bound.SLineGraphWith(2, true, ConstructOptions{}); lg != nil {
+		t.Fatal("SLineGraphWith on a cancelled engine returned a handle")
+	}
+	if wlg := bound.SLineGraphWeightedWith(2, ConstructOptions{}); wlg != nil {
+		t.Fatal("SLineGraphWeightedWith on a cancelled engine returned a handle")
+	}
+}
+
 // TestSLineGraphCtxCancellation asserts a cancelled context aborts the
-// s-line-graph construction (queue and non-queue paths) with ctx.Err().
+// s-line-graph construction (every preset and the zero value) with ctx.Err().
 func TestSLineGraphCtxCancellation(t *testing.T) {
 	g := engineTestHypergraph(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, algo := range []Algorithm{AlgoHashmap, AlgoNaive, AlgoQueueHashmap, AlgoQueueIntersection} {
-		lg, err := g.SLineGraphCtx(ctx, 2, true, ConstructOptions{Algorithm: algo})
+	for _, o := range []ConstructOptions{{}, PresetHashmap, PresetIntersection, PresetAlgorithm1, PresetAlgorithm2} {
+		lg, err := g.SLineGraphCtx(ctx, 2, true, o)
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("algo %v: err = %v, want Canceled", algo, err)
+			t.Fatalf("%+v: err = %v, want Canceled", o, err)
 		}
 		if lg != nil {
-			t.Fatalf("algo %v: got non-nil handle from cancelled construction", algo)
+			t.Fatalf("%+v: got non-nil handle from cancelled construction", o)
 		}
 	}
 	if _, err := g.SConnectedComponentsCtx(ctx, 2, PruneAuto); !errors.Is(err, context.Canceled) {

@@ -97,10 +97,9 @@ func ExampleNWHypergraph_SLineGraphWith() {
 	hg := paperExample()
 	// The paper's Algorithm 1 (queue-based hashmap) on the adjoin
 	// representation — identical output to every other construction.
-	lg := hg.SLineGraphWith(1, true, nwhy.ConstructOptions{
-		Algorithm: nwhy.AlgoQueueHashmap,
-		UseAdjoin: true,
-	})
+	o := nwhy.PresetAlgorithm1
+	o.UseAdjoin = true
+	lg := hg.SLineGraphWith(1, true, o)
 	fmt.Println(lg.NumEdges())
 	// Output: 4
 }

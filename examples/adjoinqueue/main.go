@@ -3,7 +3,7 @@
 // work on any hyperedge ID space — the adjoin representation's shared index
 // set, degree-sorted work queues, even arbitrarily renamed IDs — while
 // producing exactly the same s-line graph as the non-queue algorithms on
-// the bipartite representation.
+// the bipartite representation. Here all four are presets of one kernel.
 package main
 
 import (
@@ -27,34 +27,34 @@ func main() {
 
 	// Reference: the non-queue hashmap algorithm on the bipartite form.
 	t0 := time.Now()
-	reference := g.SLineGraphWith(s, true, nwhy.ConstructOptions{Algorithm: nwhy.AlgoHashmap})
+	reference := g.SLineGraphWith(s, true, nwhy.PresetHashmap)
 	fmt.Printf("bipartite + Hashmap:                 %7d edges in %v\n",
 		reference.NumEdges(), time.Since(t0).Round(time.Millisecond))
 
 	// Algorithm 1 on the same bipartite form.
 	t0 = time.Now()
-	q1 := g.SLineGraphWith(s, true, nwhy.ConstructOptions{Algorithm: nwhy.AlgoQueueHashmap})
+	q1 := g.SLineGraphWith(s, true, nwhy.PresetAlgorithm1)
 	fmt.Printf("bipartite + Algorithm 1 (queue):     %7d edges in %v\n",
 		q1.NumEdges(), time.Since(t0).Round(time.Millisecond))
 
 	// Algorithm 1 fed the adjoin representation directly: one shared index
 	// set, no conversion back to bipartite form.
 	adjoin := g.Adjoin()
+	onAdjoin := nwhy.PresetAlgorithm1
+	onAdjoin.UseAdjoin = true
 	t0 = time.Now()
-	qa := g.SLineGraphWith(s, true, nwhy.ConstructOptions{Algorithm: nwhy.AlgoQueueHashmap, UseAdjoin: true})
+	qa := g.SLineGraphWith(s, true, onAdjoin)
 	fmt.Printf("adjoin    + Algorithm 1 (queue):     %7d edges in %v  (shared index set of %d IDs)\n",
 		qa.NumEdges(), time.Since(t0).Round(time.Millisecond), adjoin.NumVertices())
 
 	// Algorithm 2 with a degree-sorted work queue — relabel-by-degree
 	// without physically relabeling anything, the move the non-queue
 	// algorithms cannot make on adjoin graphs.
+	sorted := nwhy.PresetAlgorithm2
+	sorted.Relabel = sparse.Descending
 	t0 = time.Now()
-	q2 := g.SLineGraphWith(s, true, nwhy.ConstructOptions{
-		Algorithm: nwhy.AlgoQueueIntersection,
-		Relabel:   sparse.Descending,
-		Cyclic:    true,
-	})
-	fmt.Printf("bipartite + Algorithm 2 (queue, descending, cyclic): %7d edges in %v\n",
+	q2 := g.SLineGraphWith(s, true, sorted)
+	fmt.Printf("bipartite + Algorithm 2 (queue, descending): %7d edges in %v\n",
 		q2.NumEdges(), time.Since(t0).Round(time.Millisecond))
 
 	same := reflect.DeepEqual(reference.Pairs(), q1.Pairs()) &&
@@ -71,7 +71,8 @@ func main() {
 	}
 	in := slinegraph.Renamed(slinegraph.FromHypergraph(h), rename, 4*g.NumEdges()+3)
 	t0 = time.Now()
-	renamed, _ := slinegraph.QueueHashmap(nwhy.SharedEngine(), in, s, slinegraph.Options{})
+	alg1 := slinegraph.Options{Counter: slinegraph.HashmapCounter, Schedule: slinegraph.QueueSchedule}
+	renamed, _ := slinegraph.Construct(nwhy.SharedEngine(), in, s, alg1)
 	fmt.Printf("renamed   + Algorithm 1 (queue):     %7d edges in %v  (IDs 3, 7, 11, ...)\n",
 		len(renamed), time.Since(t0).Round(time.Millisecond))
 	ok := len(renamed) == reference.NumEdges()

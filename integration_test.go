@@ -52,7 +52,9 @@ func TestPipelineGenerateSaveLoadAnalyze(t *testing.T) {
 	// Approximate analytics: identical line graphs.
 	for s := 1; s <= 3; s++ {
 		a := orig.SLineGraph(s, true)
-		b := loaded.SLineGraphWith(s, true, ConstructOptions{Algorithm: AlgoQueueIntersection, UseAdjoin: true})
+		onAdjoin := PresetAlgorithm2
+		onAdjoin.UseAdjoin = true
+		b := loaded.SLineGraphWith(s, true, onAdjoin)
 		if !reflect.DeepEqual(a.Pairs(), b.Pairs()) {
 			t.Fatalf("s=%d line graphs differ across pipeline", s)
 		}
@@ -85,7 +87,8 @@ func TestPipelineAdjoinFileFlow(t *testing.T) {
 		t.Fatal("adjoin-file CC differs from bipartite CC")
 	}
 	// Queue construction on the file-loaded adjoin graph.
-	pairs, _ := slinegraph.QueueHashmap(SharedEngine(), slinegraph.FromAdjoin(a), 2, slinegraph.Options{})
+	alg1 := slinegraph.Options{Counter: slinegraph.HashmapCounter, Schedule: slinegraph.QueueSchedule}
+	pairs, _ := slinegraph.Construct(SharedEngine(), slinegraph.FromAdjoin(a), 2, alg1)
 	wantPairs := orig.SLineGraph(2, true).Pairs()
 	if !reflect.DeepEqual(pairs, wantPairs) {
 		t.Fatal("adjoin-file s-line graph differs")

@@ -233,17 +233,10 @@ func writeSnapshotCSR(w io.Writer, c *sparse.CSR) error {
 	return err
 }
 
-// SaveSnapshot writes snap to path as a .nwhyb file.
+// SaveSnapshot writes snap to path as a .nwhyb file, atomically: a failed or
+// interrupted save leaves the previous file intact.
 func SaveSnapshot(path string, snap *Snapshot) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteSnapshot(f, snap); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return sparse.WriteFileAtomic(path, func(w io.Writer) error { return WriteSnapshot(w, snap) })
 }
 
 // ReadSnapshot decodes a .nwhyb image. Both checksums are verified before

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"hash/crc32"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -208,6 +209,30 @@ func TestSnapshotCancellation(t *testing.T) {
 	data := snapshotBytes(t, &Snapshot{Bel: bel})
 	if _, err := ReadSnapshot(ceng, data); err != context.Canceled {
 		t.Fatalf("cancelled snapshot load returned %v, want context.Canceled", err)
+	}
+}
+
+// TestSaveSnapshotFailureKeepsOldFile: a save that fails leaves the
+// previous snapshot byte-identical and no temporary file beside it.
+func TestSaveSnapshotFailureKeepsOldFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "h.nwhyb")
+	if err := SaveSnapshot(path, &Snapshot{Bel: belFromHypergraph(gen.Uniform(20, 30, 3, 6), false, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := &sparse.BiEdgeList{N0: 1, N1: 1, Edges: []sparse.Edge{{U: 5, V: 5}}}
+	if err := SaveSnapshot(path, &Snapshot{Bel: bad}); err == nil {
+		t.Fatal("saved an out-of-range edge list")
+	}
+	if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, old) {
+		t.Fatalf("previous snapshot changed by a failed save (err=%v)", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("%d directory entries after a failed save, want only the old file", len(entries))
 	}
 }
 

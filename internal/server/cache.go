@@ -3,6 +3,7 @@ package server
 import (
 	"container/list"
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -31,7 +32,7 @@ type CacheKey struct {
 }
 
 // base strips the epoch off the key: the identity of the request independent
-// of dataset version, used to find patch sources across epochs.
+// of dataset version, the key of Server.latest.
 func (k CacheKey) base() CacheKey {
 	k.Epoch = 0
 	return k
@@ -83,8 +84,8 @@ func NewSLineCache(capacity int) *SLineCache {
 // Get returns the s-line graph for key, running build under single-flight on
 // a miss. The third return reports whether the result came from cache (a
 // wait on another request's in-flight build counts as a hit — nothing was
-// constructed for this caller). Failed builds are evicted so the next
-// request retries.
+// constructed for this caller). Failed builds — a panic counts as one — are
+// evicted so the next request retries.
 func (c *SLineCache) Get(ctx context.Context, key CacheKey, build func() (*nwhy.SLineGraph, *nwhy.WeightedSLineGraph, error)) (*nwhy.SLineGraph, *nwhy.WeightedSLineGraph, bool, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
@@ -116,8 +117,18 @@ func (c *SLineCache) Get(ctx context.Context, key CacheKey, build func() (*nwhy.
 	c.mu.Unlock()
 	c.misses.Add(1)
 
-	e.lg, e.wlg, e.err = build()
-	close(e.done)
+	func() {
+		// A panicking build must still close its entry, with an error:
+		// waiters would otherwise block on it for good, and evictLocked
+		// never drops an entry that is not done.
+		defer func() {
+			if r := recover(); r != nil {
+				e.err = fmt.Errorf("server: s-line build panicked: %v", r)
+			}
+			close(e.done)
+		}()
+		e.lg, e.wlg, e.err = build()
+	}()
 	if e.err != nil {
 		c.remove(key, e)
 		return nil, nil, false, e.err

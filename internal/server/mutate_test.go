@@ -136,10 +136,10 @@ func TestMutateBadOpDiscardsPending(t *testing.T) {
 	}
 }
 
-// TestSLineCacheEpochKeyedInvalidation pins the tentpole's serving behavior:
-// a commit bumps the epoch in the cache key, so the next identical request
-// misses, is served by patching the previous epoch's pairs, and the patched
-// pairs match a from-scratch construction on the mutated dataset.
+// TestSLineCacheEpochKeyedInvalidation pins the serving behavior across a
+// commit: it bumps the epoch in the cache key, so the next identical request
+// misses and rebuilds, and the rebuilt pairs match a from-scratch
+// construction on the mutated dataset.
 func TestSLineCacheEpochKeyedInvalidation(t *testing.T) {
 	s, _ := testServer(t, Config{})
 	ctx := context.Background()
@@ -168,7 +168,7 @@ func TestSLineCacheEpochKeyedInvalidation(t *testing.T) {
 		t.Fatalf("post-mutation shape = (%d,%d), want (6,5)", second.NumVertices, second.NumEdges)
 	}
 
-	// The patched pairs must equal a from-scratch construction on the same
+	// The served pairs must equal a from-scratch construction on the same
 	// live sets.
 	lg, _, _, err := s.slineGraph(ctx, req)
 	if err != nil {

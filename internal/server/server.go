@@ -22,8 +22,7 @@
 // readers unaffected until commit), and the CompactEvery policy decides when
 // staged batches fold into a fresh frozen snapshot. Cache keys carry the
 // dataset's mutation epoch, so commits invalidate stale s-line entries by
-// construction, and repeat requests after insert-only commits are served by
-// patching the previous epoch's pairs rather than rebuilding.
+// construction, and the next request for a shape rebuilds it.
 //
 // Everything here is plumbing, not computation: kernels still run on the
 // facade handles' engine, and request contexts reach them through the
@@ -104,29 +103,31 @@ type Server struct {
 	sccs  map[sccKey]*sccEntry
 
 	// latestMu guards latest: per request shape, the newest successfully
-	// built unweighted s-line handle — the patch source fed to the facade's
-	// incremental refresh when the same request arrives at a later epoch.
-	// Keyed by the facade handle too, so a registry swap can never patch
-	// against a different dataset's pairs.
+	// built unweighted s-line handle. It outlives LRU eviction, so a shape
+	// asked again at an unchanged epoch costs no rebuild (the facade's
+	// refresh returns it as current); at a later epoch the refresh rebuilds.
+	// One handle per distinct shape, not bounded by CacheEntries. Keyed by
+	// the facade handle too, so a registry swap never serves another
+	// dataset's graph.
 	latestMu sync.Mutex
 	latest   map[latestKey]*nwhy.SLineGraph
 }
 
-// latestKey identifies one patch-source slot: the epoch-less request shape
+// latestKey identifies one slot of latest: the epoch-less request shape
 // bound to the exact facade handle it was built from.
 type latestKey struct {
 	base CacheKey
 	g    *nwhy.NWHypergraph
 }
 
-// latestFor returns the recorded patch source for key's shape on g, or nil.
+// latestFor returns the recorded handle for key's shape on g, or nil.
 func (s *Server) latestFor(key CacheKey, g *nwhy.NWHypergraph) *nwhy.SLineGraph {
 	s.latestMu.Lock()
 	defer s.latestMu.Unlock()
 	return s.latest[latestKey{base: key.base(), g: g}]
 }
 
-// recordLatest keeps lg as the patch source for key's shape on g unless a
+// recordLatest keeps lg as the handle for key's shape on g unless a
 // newer-epoch handle is already recorded (builds racing across a commit
 // resolve in favor of the newer snapshot).
 func (s *Server) recordLatest(key CacheKey, g *nwhy.NWHypergraph, lg *nwhy.SLineGraph) {
@@ -189,8 +190,10 @@ func (s *Server) Engine() *nwhy.Engine { return s.eng }
 // under: acquire a slot (bounded queue, wait deadline, ctx cancellation),
 // run fn, record per-endpoint latency. The admission wait and the handler
 // run are timed separately so queueing pressure is visible as such on
-// /metrics instead of inflating handler latency.
-func (s *Server) do(ctx context.Context, endpoint string, fn func(ctx context.Context) error) error {
+// /metrics instead of inflating handler latency. A panic in fn is one failed
+// request, not a dead daemon: it comes back as an error (HTTP 500), after
+// the slot is released and the request counted.
+func (s *Server) do(ctx context.Context, endpoint string, fn func(ctx context.Context) error) (err error) {
 	q0 := time.Now()
 	release, err := s.adm.Acquire(ctx)
 	queued := time.Since(q0)
@@ -200,9 +203,13 @@ func (s *Server) do(ctx context.Context, endpoint string, fn func(ctx context.Co
 	}
 	defer release()
 	t0 := time.Now()
-	err = fn(ctx)
-	s.met.observe(endpoint, queued, time.Since(t0), err)
-	return err
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("server: panic serving %s: %v", endpoint, r)
+		}
+		s.met.observe(endpoint, queued, time.Since(t0), err)
+	}()
+	return fn(ctx)
 }
 
 // dataset resolves a registry entry.
@@ -342,11 +349,8 @@ type SLineResult struct {
 //
 // The cache key carries the dataset's current mutation epoch, so a commit
 // makes every stale entry unaddressable without explicit invalidation. A
-// miss caused only by an epoch bump does not necessarily rebuild: for
-// unweighted requests the cache's per-shape patch source feeds the facade's
-// incremental refresh, which patches the cached pairs with the dirty-edge
-// delta when the gap is insert-only and falls back to a full construction
-// otherwise.
+// miss on a shape built before goes through the facade's refresh of that
+// handle: returned as is while the epoch is unchanged, rebuilt otherwise.
 func (s *Server) slineGraph(ctx context.Context, req SLineRequest) (*nwhy.SLineGraph, *nwhy.WeightedSLineGraph, bool, error) {
 	if err := req.validate(); err != nil {
 		return nil, nil, false, err

@@ -4,11 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -375,6 +378,120 @@ func TestCacheEviction(t *testing.T) {
 	}
 	if _, _, hit, _ := c.Get(context.Background(), mk(1), ok); hit {
 		t.Fatal("least-recent key survived eviction")
+	}
+}
+
+// TestCachePanickingBuildFailsWaiters: a build that panics closes its
+// single-flight entry with an error — the builder and every waiter get it,
+// nobody blocks on the abandoned entry, and the next request rebuilds.
+func TestCachePanickingBuildFailsWaiters(t *testing.T) {
+	c := NewSLineCache(4)
+	key := CacheKey{Dataset: "d", S: 1}
+	started, release := make(chan struct{}), make(chan struct{})
+	errs := make(chan error, 2)
+	go func() {
+		_, _, _, err := c.Get(context.Background(), key, func() (*nwhy.SLineGraph, *nwhy.WeightedSLineGraph, error) {
+			close(started)
+			<-release
+			panic("kernel bug")
+		})
+		errs <- err
+	}()
+	<-started
+	go func() {
+		_, _, _, err := c.Get(context.Background(), key, func() (*nwhy.SLineGraph, *nwhy.WeightedSLineGraph, error) {
+			t.Error("waiter ran its own build")
+			return nil, nil, nil
+		})
+		errs <- err
+	}()
+	for _, _, waits := c.Stats(); waits == 0; _, _, waits = c.Stats() {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if err == nil || !strings.Contains(err.Error(), "kernel bug") {
+				t.Fatalf("err = %v, want the panic as an error", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a caller is still blocked on the panicked build's entry")
+		}
+	}
+	if c.Len() != 0 {
+		t.Fatalf("Len after panicked build = %d, want 0", c.Len())
+	}
+	if _, _, hit, err := c.Get(context.Background(), key, func() (*nwhy.SLineGraph, *nwhy.WeightedSLineGraph, error) {
+		return &nwhy.SLineGraph{}, nil, nil
+	}); err != nil || hit {
+		t.Fatalf("retry: err=%v hit=%v, want fresh successful miss", err, hit)
+	}
+}
+
+// TestDoRecoversPanic: a panic inside a request body becomes an error the
+// HTTP layer maps to 500, the admission slot is released and the request
+// still reaches the endpoint metrics.
+func TestDoRecoversPanic(t *testing.T) {
+	s, _ := testServer(t, Config{MaxInFlight: 1})
+	err := s.do(context.Background(), "boom", func(context.Context) error { panic("kernel bug") })
+	if err == nil || !strings.Contains(err.Error(), "kernel bug") {
+		t.Fatalf("err = %v, want the panic as an error", err)
+	}
+	if got := statusFor(err); got != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500", got)
+	}
+	if n := s.Admission().InFlight(); n != 0 {
+		t.Fatalf("in-flight after panic = %d, want 0 (slot leaked)", n)
+	}
+	// The one slot is free again: the next request is admitted and runs.
+	if err := s.do(context.Background(), "boom", func(context.Context) error { return nil }); err != nil {
+		t.Fatalf("request after panic: %v", err)
+	}
+	if m := s.Metrics(); len(m) != 1 || m[0].Endpoint != "boom" || m[0].Count != 2 || m[0].Errors != 1 {
+		t.Fatalf("metrics = %+v, want endpoint boom with 2 requests, 1 error", m)
+	}
+}
+
+// TestSLineHandlesDoNotGrowWithCommits: more request shapes than the cache
+// holds, asked again after each of several commits, leave reachable from the
+// Server at most the LRU's CacheEntries handles plus the newest handle of
+// each shape — never one per (shape, epoch).
+func TestSLineHandlesDoNotGrowWithCommits(t *testing.T) {
+	const capacity, shapes, commits = 2, 5, 3
+	s, _ := testServer(t, Config{CacheEntries: capacity})
+	ctx := context.Background()
+	var built, freed atomic.Int64
+	askEveryShape := func() { // returns holding no handle
+		for sv := 1; sv <= shapes; sv++ {
+			lg, _, hit, err := s.slineGraph(ctx, SLineRequest{Dataset: "tiny", S: sv, Edges: true})
+			if err != nil {
+				t.Fatalf("s=%d: %v", sv, err)
+			}
+			if !hit {
+				built.Add(1)
+				runtime.SetFinalizer(lg, func(*nwhy.SLineGraph) { freed.Add(1) })
+			}
+		}
+	}
+	for c := 0; c <= commits; c++ {
+		askEveryShape()
+		if _, err := s.Mutate(ctx, MutateRequest{Dataset: "tiny", Ops: []EdgeOp{{Op: "add", Members: []uint32{uint32(c), 7}}}}); err != nil {
+			t.Fatalf("Mutate: %v", err)
+		}
+	}
+	const bound = capacity + shapes
+	if built.Load() <= bound {
+		t.Fatalf("only %d handles built, the bound was never under pressure", built.Load())
+	}
+	for deadline := time.Now().Add(5 * time.Second); built.Load()-freed.Load() > bound && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+	}
+	live := built.Load() - freed.Load()
+	runtime.KeepAlive(s) // the handles counted live are the ones s still holds
+	if live > bound {
+		t.Fatalf("%d of %d s-line handles still reachable, want at most %d", live, built.Load(), bound)
 	}
 }
 

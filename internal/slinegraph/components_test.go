@@ -71,10 +71,10 @@ func TestSComponentsDirectDeterministic(t *testing.T) {
 	h := randomHypergraph(50, 30, 6, 4)
 	a := tSComponentsDirect(FromHypergraph(h), 2, Options{})
 	for i := 0; i < 5; i++ {
-		b := tSComponentsDirect(FromHypergraph(h), 2, Options{Partition: CyclicPartition})
+		b := tSComponentsDirect(FromHypergraph(h), 2, Options{Schedule: CyclicSchedule})
 		for e := range a {
 			if a[e] != b[e] {
-				t.Fatal("direct components not deterministic across partitions")
+				t.Fatal("direct components not deterministic across schedules")
 			}
 		}
 	}

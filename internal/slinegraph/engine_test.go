@@ -8,8 +8,16 @@ import (
 
 // teng is the engine the package tests run on; wrapper funcs restore the
 // engine-less signatures the table-driven tests were written against and
-// discard the (always-nil without cancellation) errors.
+// discard the (always-nil without cancellation) errors. The four named
+// after the paper's algorithms pin the Counter × Schedule pair each name
+// stands for.
 var teng = parallel.SharedEngine()
+
+func tPinned(in Input, s int, o Options, c Counter, sched Schedule) []sparse.Edge {
+	o.Counter, o.Schedule = c, sched
+	r, _ := Construct(teng, in, s, o)
+	return r
+}
 
 func tNaive(h *core.Hypergraph, s int) []sparse.Edge {
 	r, _ := Naive(teng, h, s)
@@ -17,13 +25,11 @@ func tNaive(h *core.Hypergraph, s int) []sparse.Edge {
 }
 
 func tIntersection(h *core.Hypergraph, s int, o Options) []sparse.Edge {
-	r, _ := Intersection(teng, h, s, o)
-	return r
+	return tPinned(FromHypergraph(h), s, o, IntersectionCounter, BlockedSchedule)
 }
 
 func tHashmap(h *core.Hypergraph, s int, o Options) []sparse.Edge {
-	r, _ := Hashmap(teng, h, s, o)
-	return r
+	return tPinned(FromHypergraph(h), s, o, HashmapCounter, BlockedSchedule)
 }
 
 func tEnsemble(h *core.Hypergraph, ss []int, o Options) map[int][]sparse.Edge {
@@ -42,13 +48,11 @@ func tCliqueExpansion(h *core.Hypergraph, o Options) []sparse.Edge {
 }
 
 func tQueueHashmap(in Input, s int, o Options) []sparse.Edge {
-	r, _ := QueueHashmap(teng, in, s, o)
-	return r
+	return tPinned(in, s, o, HashmapCounter, QueueSchedule)
 }
 
 func tQueueIntersection(in Input, s int, o Options) []sparse.Edge {
-	r, _ := QueueIntersection(teng, in, s, o)
-	return r
+	return tPinned(in, s, o, IntersectionCounter, QueueSchedule)
 }
 
 func tSComponentsDirect(in Input, s int, o Options) []uint32 {
@@ -57,11 +61,13 @@ func tSComponentsDirect(in Input, s int, o Options) []uint32 {
 }
 
 func tHashmapWeighted(h *core.Hypergraph, s int, o Options) []WeightedPair {
-	r, _ := HashmapWeighted(teng, h, s, o)
+	o.Counter, o.Schedule = HashmapCounter, BlockedSchedule
+	r, _ := ConstructWeighted(teng, FromHypergraph(h), s, o)
 	return r
 }
 
 func tQueueHashmapWeighted(in Input, s int, o Options) []WeightedPair {
-	r, _ := QueueHashmapWeighted(teng, in, s, o)
+	o.Counter, o.Schedule = HashmapCounter, QueueSchedule
+	r, _ := ConstructWeighted(teng, in, s, o)
 	return r
 }

@@ -20,21 +20,17 @@ import (
 //
 // Deletions are out of scope by design — a tombstone moves the delete epoch
 // and consumers rebuild from scratch.
-func ConstructDirty(eng *parallel.Engine, in Input, s int, dirty []uint32, o Options) ([]sparse.Edge, error) {
-	ids := orderQueue(eng, append([]uint32(nil), dirty...), in, o)
-	if err := eng.Err(); err != nil {
-		return nil, err
-	}
-	isDirty := make(map[uint32]bool, len(ids))
-	for _, e := range ids {
+func ConstructDirty(eng *parallel.Engine, in Input, s int, dirty []uint32) ([]sparse.Edge, error) {
+	isDirty := make(map[uint32]bool, len(dirty))
+	for _, e := range dirty {
 		isDirty[e] = true
 	}
 	tls := parallel.NewTLSFor(eng, func() []sparse.Edge { return nil })
 	pool := sync.Pool{New: func() any { return countmap.New(64) }}
-	eng.For(eng.Blocked(0, len(ids)), func(w, lo, hi int) {
+	eng.For(eng.Blocked(0, len(dirty)), func(w, lo, hi int) {
 		buf := tls.Get(w)
 		for i := lo; i < hi; i++ {
-			e := ids[i]
+			e := dirty[i]
 			if in.EdgeDegree(e) < s {
 				continue
 			}
@@ -70,16 +66,6 @@ func ConstructDirty(eng *parallel.Engine, in Input, s int, dirty []uint32, o Opt
 		return nil, err
 	}
 	return canonPairs(eng, parallel.FlattenTLS(nil, tls, nil)), nil
-}
-
-// MergeCanonical merges two canonical s-line pair lists into one canonical
-// list (neither input is modified). Used to patch a cached s-line graph:
-// the old pairs plus the dirty-edge pairs of an insert-only batch.
-func MergeCanonical(eng *parallel.Engine, a, b []sparse.Edge) []sparse.Edge {
-	merged := make([]sparse.Edge, 0, len(a)+len(b))
-	merged = append(merged, a...)
-	merged = append(merged, b...)
-	return canonPairs(eng, merged)
 }
 
 // SComponentsForest is SComponentsDirect keeping the union-find forest

@@ -60,7 +60,7 @@ func TestConstructDirtyMatchesFullDiff(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ConstructDirty(eng, in, s, dirtyIDs, Options{})
+			got, err := ConstructDirty(eng, in, s, dirtyIDs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,7 +86,7 @@ func TestConstructDirtySkipsIneligible(t *testing.T) {
 		{5}, // degree 1: ineligible at s=2
 	}, 6)
 	in := FromHypergraph(h)
-	got, err := ConstructDirty(eng, in, 2, []uint32{2}, Options{})
+	got, err := ConstructDirty(eng, in, 2, []uint32{2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestConstructDirtyDirtyDirtyPairOnce(t *testing.T) {
 	}, 4)
 	in := FromHypergraph(h)
 	// Both overlapping edges dirty: their mutual pair must appear exactly once.
-	got, err := ConstructDirty(eng, in, 2, []uint32{1, 2}, Options{})
+	got, err := ConstructDirty(eng, in, 2, []uint32{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,26 +116,6 @@ func TestConstructDirtyDirtyDirtyPairOnce(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("got %v, want %v", got, want)
 		}
-	}
-}
-
-func TestMergeCanonical(t *testing.T) {
-	eng := parallel.NewEngine(2)
-	a := []sparse.Edge{{U: 0, V: 1}, {U: 2, V: 3}}
-	b := []sparse.Edge{{U: 1, V: 2}, {U: 0, V: 1}} // one duplicate
-	got := MergeCanonical(eng, a, b)
-	want := []sparse.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-	// Inputs untouched.
-	if a[0] != (sparse.Edge{U: 0, V: 1}) || b[0] != (sparse.Edge{U: 1, V: 2}) {
-		t.Fatal("MergeCanonical modified an input")
 	}
 }
 
@@ -163,7 +143,7 @@ func TestIncrementalSCCMatchesFull(t *testing.T) {
 			for e := len(oldSets); e < len(all); e++ {
 				dirtyIDs = append(dirtyIDs, uint32(e))
 			}
-			delta, err := ConstructDirty(eng, FromHypergraph(newH), s, dirtyIDs, Options{})
+			delta, err := ConstructDirty(eng, FromHypergraph(newH), s, dirtyIDs)
 			if err != nil {
 				t.Fatal(err)
 			}

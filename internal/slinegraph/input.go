@@ -1,17 +1,15 @@
-// Package slinegraph implements the s-line-graph construction algorithms of
-// NWHy: the naive all-pairs algorithm, the set-intersection heuristic
-// (HiPC'21), the hashmap-counting algorithm (IPDPS'22), the ensemble
-// variant, and the paper's two new queue-based algorithms — Algorithm 1
-// (single-phase, hashmap counting over a work queue of hyperedge IDs) and
-// Algorithm 2 (two-phase: enqueue candidate hyperedge pairs, then
-// set-intersect each pair). Clique expansion is provided as the 1-line graph
-// of the dual hypergraph.
+// Package slinegraph implements NWHy's s-line-graph construction: one
+// s-overlap kernel (kernel.go) parameterized by counter strategy, work
+// schedule, emit mode and pruning level, plus the naive all-pairs oracle the
+// tests compare it against. The set-intersection heuristic (HiPC'21), the
+// hashmap-counting algorithm (IPDPS'22) and the paper's queue-based
+// Algorithms 1 and 2 are Counter × Schedule values of that kernel. Clique
+// expansion is provided as the 1-line graph of the dual hypergraph.
 //
-// The non-queue algorithms assume hyperedge IDs are the contiguous range
-// [0, nₑ) — the assumption the paper identifies as the reason they cannot
-// run on adjoin graphs or relabeled ID spaces. The queue-based algorithms
-// consume the Input interface instead and work with any hyperedge ID set:
-// bipartite, adjoin (shared index space), or arbitrarily renamed.
+// The kernel consumes the Input interface, so every configuration works
+// with any hyperedge ID set — bipartite, adjoin (shared index space), or
+// arbitrarily renamed — the versatility the paper claims for its queue-based
+// algorithms over the [0, nₑ)-bound originals.
 package slinegraph
 
 import (
@@ -21,10 +19,9 @@ import (
 	"nwhy/internal/sparse"
 )
 
-// Input is the representation-independent view the queue-based algorithms
-// operate on. Hyperedge IDs may be any subset of [0, IDSpace()); hypernode
-// handles are whatever Incidence returns and are only ever passed back to
-// EdgesOf.
+// Input is the representation-independent view the kernel operates on.
+// Hyperedge IDs may be any subset of [0, IDSpace()); hypernode handles are
+// whatever Incidence returns and are only ever passed back to EdgesOf.
 type Input interface {
 	// EdgeIDs returns the hyperedge work-queue contents. Callers may reorder
 	// the returned slice (it is a fresh copy).

@@ -12,10 +12,13 @@ import (
 // count/filter/emit cycle parameterized along three orthogonal axes —
 // counter strategy (Counter), work schedule (Schedule), and emit mode
 // (threshold pairs vs exact overlaps, chosen by the entry point). Every
-// construction algorithm in this package — the queue-based Algorithms 1 and
-// 2, the non-queue hashmap and intersection heuristics, the weighted
-// variants, the ensembles, and the direct components builder — is a thin
-// wrapper pinning some of the axes.
+// entry point of this package — Construct[CSR], the weighted variants, the
+// ensembles and the components builders — runs it; the paper's four named
+// algorithms are Counter × Schedule values, not code: Hashmap and
+// Intersection are those counters under BlockedSchedule, Algorithms 1 and 2
+// the same two under QueueSchedule (Algorithm 2's enqueue-pairs and
+// intersect phases are fused: the pair queue is the intersection counter's
+// per-worker candidate list).
 
 // Counter selects the per-worker overlap-counting strategy.
 type Counter int
@@ -54,8 +57,8 @@ func (c Counter) String() string {
 type Schedule int
 
 const (
-	// DefaultSchedule derives the schedule from Options.Partition: blocked
-	// or cyclic, matching the historical non-queue behaviour.
+	// DefaultSchedule is the entry point's own schedule: blocked for the
+	// constructions, the queue for the components builders.
 	DefaultSchedule Schedule = iota
 	// BlockedSchedule assigns contiguous chunks (tbb::blocked_range).
 	BlockedSchedule
@@ -254,8 +257,8 @@ const denseIDSpaceMax = 4 << 20
 //     (the HiPC'21 heuristic) runs only when the caller pins it.
 //   - Schedule: a relabel order or a skewed degree distribution
 //     (max ≥ 8 × mean, from Options.Stats or else a scan on eng) begs for
-//     the dynamic queue's load rebalancing; otherwise the static schedules
-//     win on scheduling overhead, honoring the Partition option.
+//     the dynamic queue's load rebalancing; otherwise the blocked schedule
+//     wins on scheduling overhead.
 func resolveAxes(eng *parallel.Engine, in Input, o Options) (Counter, Schedule) {
 	ctr, sched := o.Counter, o.Schedule
 	if ctr == AutoCounter {
@@ -276,18 +279,14 @@ func resolveAxes(eng *parallel.Engine, in Input, o Options) (Counter, Schedule) 
 	}
 	if sched == DefaultSchedule || sched == AutoSchedule {
 		sched = BlockedSchedule
-		if o.Partition == CyclicPartition {
-			sched = CyclicSchedule
-		}
 	}
 	return ctr, sched
 }
 
 // sortByDegree stably sorts ids by hyperedge degree per ord (NoOrder leaves
-// the slice untouched). For the queue schedule this is the paper's
-// relabel-by-degree without any physical CSR relabeling — only the work
-// order changes; for the static schedules it reorders the iteration space
-// the same way, so all schedules see identical orderings.
+// the slice untouched): the paper's relabel-by-degree without any physical
+// CSR relabeling — only the work order changes, the queue contents or the
+// static schedules' iteration space alike.
 func sortByDegree(ids []uint32, in Input, ord sparse.Order) []uint32 {
 	switch ord {
 	case sparse.Ascending:
@@ -317,11 +316,7 @@ func construct(eng *parallel.Engine, in Input, s int, o Options, exact bool, emi
 		return err
 	}
 	ctr, sched := resolveAxes(eng, in, o)
-	if sched == QueueSchedule {
-		ids = orderQueue(eng, ids, in, o)
-	} else {
-		ids = sortByDegree(ids, in, o.Relabel)
-	}
+	ids = sortByDegree(ids, in, o.Relabel)
 	tls, release := counterTLS(eng, ctr)
 	body := func(w int, e uint32) {
 		if !pr.ok(in, e, s) { // Alg 1, line 6 (pre-checked under the prefilter)

@@ -23,9 +23,9 @@ func tConstruct(t *testing.T, in Input, s int, o Options) []sparse.Edge {
 }
 
 // TestCrossStrategyDifferential is the kernel's differential property test:
-// on generated random hypergraphs, every (counter x schedule x relabel x
-// partition) combination must yield the identical canonicalized s-line edge
-// set for s in {1, 2, 3}.
+// on generated random hypergraphs, every (counter x schedule x relabel)
+// combination must yield the identical canonicalized s-line edge set for s
+// in {1, 2, 3}.
 func TestCrossStrategyDifferential(t *testing.T) {
 	hs := map[string]Input{
 		"uniform":  FromHypergraph(gen.Uniform(60, 40, 5, 1)),
@@ -34,20 +34,17 @@ func TestCrossStrategyDifferential(t *testing.T) {
 	counters := []Counter{AutoCounter, HashmapCounter, DenseCounter, IntersectionCounter}
 	schedules := []Schedule{DefaultSchedule, BlockedSchedule, CyclicSchedule, QueueSchedule, AutoSchedule}
 	relabels := []sparse.Order{sparse.NoOrder, sparse.Ascending, sparse.Descending}
-	partitions := []Partition{BlockedPartition, CyclicPartition}
 	for hname, in := range hs {
 		for s := 1; s <= 3; s++ {
 			want := tConstruct(t, in, s, Options{})
 			for _, ctr := range counters {
 				for _, sched := range schedules {
 					for _, rel := range relabels {
-						for _, part := range partitions {
-							o := Options{Counter: ctr, Schedule: sched, Relabel: rel, Partition: part}
-							got := tConstruct(t, in, s, o)
-							if !reflect.DeepEqual(got, want) {
-								t.Fatalf("%s s=%d counter=%v schedule=%v relabel=%v partition=%v: %d edges, want %d",
-									hname, s, ctr, sched, rel, part, len(got), len(want))
-							}
+						o := Options{Counter: ctr, Schedule: sched, Relabel: rel}
+						got := tConstruct(t, in, s, o)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s s=%d counter=%v schedule=%v relabel=%v: %d edges, want %d",
+								hname, s, ctr, sched, rel, len(got), len(want))
 						}
 					}
 				}
@@ -157,10 +154,8 @@ func TestResolveAxes(t *testing.T) {
 		{"pinned intersection under", flat, Options{Counter: IntersectionCounter}, IntersectionCounter, BlockedSchedule},
 		{"pinned dense over", over, Options{Counter: DenseCounter}, DenseCounter, BlockedSchedule},
 		{"pinned intersection over", over, Options{Counter: IntersectionCounter}, IntersectionCounter, BlockedSchedule},
-		{"default schedule, cyclic partition", flat, Options{Partition: CyclicPartition}, DenseCounter, CyclicSchedule},
 		{"pinned schedule", flat, Options{Schedule: QueueSchedule}, DenseCounter, QueueSchedule},
 		{"auto schedule, scanned flat", flat, Options{Schedule: AutoSchedule}, DenseCounter, BlockedSchedule},
-		{"auto schedule, scanned flat, cyclic", flat, Options{Schedule: AutoSchedule, Partition: CyclicPartition}, DenseCounter, CyclicSchedule},
 		{"auto schedule, scanned skew", skewed, Options{Schedule: AutoSchedule}, DenseCounter, QueueSchedule},
 		{"auto schedule, injected skew beats the scan", flat, Options{Schedule: AutoSchedule, Stats: &DegreeStats{Mean: 2, Max: 16}}, DenseCounter, QueueSchedule},
 		{"auto schedule, injected flat beats the scan", skewed, Options{Schedule: AutoSchedule, Stats: &DegreeStats{Mean: 4, Max: 4}}, DenseCounter, BlockedSchedule},

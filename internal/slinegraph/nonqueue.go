@@ -34,28 +34,6 @@ func Naive(eng *parallel.Engine, h *core.Hypergraph, s int) ([]sparse.Edge, erro
 	return canonPairs(eng, parallel.FlattenTLS(nil, tls, nil)), nil
 }
 
-// Intersection is the set-intersection heuristic of Liu et al. (HiPC'21):
-// for each eligible hyperedge, collect the candidate neighbors j > i once
-// (deduplicated with a per-worker stamp array), skip those that cannot reach
-// s by the degree filter, and set-intersect incidence lists with early
-// termination. This and Hashmap are the non-queue algorithms Figure 9
-// compares the queue-based ones against.
-func Intersection(eng *parallel.Engine, h *core.Hypergraph, s int, o Options) ([]sparse.Edge, error) {
-	o.Counter = IntersectionCounter
-	o.Schedule = DefaultSchedule
-	return Construct(eng, FromHypergraph(h), s, o)
-}
-
-// Hashmap is the hashmap-counting algorithm of Liu et al. (IPDPS'22): for
-// each hyperedge, tally overlap counts with every later hyperedge through
-// the two-level incidence walk, then emit the pairs whose tally reaches s.
-// One pass; no set intersections.
-func Hashmap(eng *parallel.Engine, h *core.Hypergraph, s int, o Options) ([]sparse.Edge, error) {
-	o.Counter = HashmapCounter
-	o.Schedule = DefaultSchedule
-	return Construct(eng, FromHypergraph(h), s, o)
-}
-
 // ensemble is the multi-threshold emit mode over the kernel: one exact-count
 // pass at the minimum threshold, with each surviving pair emitted into every
 // bucket whose threshold its overlap meets.
@@ -116,9 +94,10 @@ func EnsembleQueue(eng *parallel.Engine, in Input, ss []int, o Options) (map[int
 
 // CliqueExpansion computes the clique-expansion graph of h: each hyperedge
 // becomes a clique over its hypernodes. Per the paper, this is exactly the
-// 1-line graph of the dual hypergraph, so it reuses the Hashmap
-// construction on H* (Listing 2's to_two_graph_hashmap_cyclic(hypernodes,
-// hyperedges, ..., 1, ...)). Vertex IDs of the result are hypernode IDs.
+// 1-line graph of the dual hypergraph (Listing 2's
+// to_two_graph_hashmap_cyclic(hypernodes, hyperedges, ..., 1, ...)). Vertex
+// IDs of the result are hypernode IDs.
 func CliqueExpansion(eng *parallel.Engine, h *core.Hypergraph, o Options) ([]sparse.Edge, error) {
-	return Hashmap(eng, h.Dual(), 1, o)
+	o.Counter = HashmapCounter
+	return Construct(eng, FromHypergraph(h.Dual()), 1, o)
 }

@@ -5,27 +5,6 @@ import (
 	"nwhy/internal/unionfind"
 )
 
-// Partition selects the work-distribution strategy for the outer parallel
-// loop, mirroring the paper's blocked range vs cyclic range adaptors.
-type Partition int
-
-const (
-	// BlockedPartition assigns contiguous chunks of hyperedge IDs to workers
-	// (tbb::blocked_range). Cache friendly; imbalanced on degree-sorted
-	// inputs.
-	BlockedPartition Partition = iota
-	// CyclicPartition assigns hyperedges round-robin with a stride
-	// (NWHy's cyclic range adaptor), interleaving heavy and light hyperedges.
-	CyclicPartition
-)
-
-func (p Partition) String() string {
-	if p == CyclicPartition {
-		return "cyclic"
-	}
-	return "blocked"
-}
-
 // Intent declares what the caller consumes from a construction run — the
 // signal the Prune axis resolves against. Heuristics that drop pairs
 // (connected short-circuit, toplex restriction) are only sound when the
@@ -105,13 +84,9 @@ func (p Prune) String() string {
 }
 
 // Options configure a construction algorithm run. The zero value selects
-// blocked distribution, no relabeling and AutoCounter's choice (dense up to
-// denseIDSpaceMax IDs, else hashmap) under the entry point's schedule.
+// no relabeling and AutoCounter's choice (dense up to denseIDSpaceMax IDs,
+// else hashmap) under the entry point's schedule.
 type Options struct {
-	// Partition selects blocked or cyclic work distribution. It feeds the
-	// DefaultSchedule resolution and the queue interleave; callers using the
-	// Schedule axis directly can ignore it.
-	Partition Partition
 	// Relabel applies relabel-by-degree to the hyperedge IDs before
 	// construction. The kernel sorts its work order — queue contents or
 	// iteration space — rather than physically relabeling the CSR pair,
@@ -122,8 +97,8 @@ type Options struct {
 	// AutoCounter (the zero value) resolves from the size of the ID space.
 	Counter Counter
 	// Schedule selects the work distribution (kernel axis 2).
-	// DefaultSchedule (the zero value) derives from Partition; the legacy
-	// Queue* entry points pin QueueSchedule.
+	// DefaultSchedule (the zero value) is the entry point's own: blocked
+	// for constructions, the queue for the components builders.
 	Schedule Schedule
 	// Intent declares what the caller consumes (see Intent); it steers the
 	// AutoPrune resolution and bounds which heuristics are sound.

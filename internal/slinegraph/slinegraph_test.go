@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"nwhy/internal/core"
-	"nwhy/internal/parallel"
 	"nwhy/internal/sparse"
 )
 
@@ -156,18 +155,16 @@ func TestSLineMonotonicityProperty(t *testing.T) {
 func TestOptionsMatrixAllEquivalent(t *testing.T) {
 	h := randomHypergraph(50, 30, 6, 77)
 	want := tNaive(h, 2)
-	for _, part := range []Partition{BlockedPartition, CyclicPartition} {
-		for _, rel := range []sparse.Order{sparse.NoOrder, sparse.Ascending, sparse.Descending} {
-			o := Options{Partition: part, Relabel: rel}
-			for name, got := range map[string][]sparse.Edge{
-				"intersection": tIntersection(h, 2, o),
-				"hashmap":      tHashmap(h, 2, o),
-				"queue1":       tQueueHashmap(FromHypergraph(h), 2, o),
-				"queue2":       tQueueIntersection(FromHypergraph(h), 2, o),
-			} {
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s with %v/%v differs from naive", name, part, rel)
-				}
+	for _, rel := range []sparse.Order{sparse.NoOrder, sparse.Ascending, sparse.Descending} {
+		o := Options{Relabel: rel}
+		for name, got := range map[string][]sparse.Edge{
+			"intersection": tIntersection(h, 2, o),
+			"hashmap":      tHashmap(h, 2, o),
+			"queue1":       tQueueHashmap(FromHypergraph(h), 2, o),
+			"queue2":       tQueueIntersection(FromHypergraph(h), 2, o),
+		} {
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s with relabel %v differs from naive", name, rel)
 			}
 		}
 	}
@@ -369,25 +366,14 @@ func TestSelfPairsNeverEmitted(t *testing.T) {
 	}
 }
 
-func TestOrderQueueCyclicPermutation(t *testing.T) {
-	eng := parallel.NewEngine(1) // one worker: four bins
-	defer eng.Close()
-	in := FromHypergraph(randomHypergraph(10, 8, 3, 1))
-	q := orderQueue(eng, in.EdgeIDs(), in, Options{Partition: CyclicPartition})
-	// 10 items, 4 bins: every fourth ID, bin by bin — still a permutation.
-	if !reflect.DeepEqual(q, []uint32{0, 4, 8, 1, 5, 9, 2, 6, 3, 7}) {
-		t.Fatalf("cyclic queue order = %v", q)
-	}
-}
-
 func TestOrderQueueDegreeSort(t *testing.T) {
 	h := paperHypergraph() // degrees 3,3,3,4
 	in := FromHypergraph(h)
-	q := orderQueue(teng, in.EdgeIDs(), in, Options{Relabel: sparse.Descending})
+	q := sortByDegree(in.EdgeIDs(), in, sparse.Descending)
 	if q[0] != 3 {
 		t.Fatalf("descending queue should start with e3 (degree 4): %v", q)
 	}
-	q = orderQueue(teng, in.EdgeIDs(), in, Options{Relabel: sparse.Ascending})
+	q = sortByDegree(in.EdgeIDs(), in, sparse.Ascending)
 	if q[3] != 3 {
 		t.Fatalf("ascending queue should end with e3: %v", q)
 	}

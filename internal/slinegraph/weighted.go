@@ -1,7 +1,6 @@
 package slinegraph
 
 import (
-	"nwhy/internal/core"
 	"nwhy/internal/graph"
 	"nwhy/internal/parallel"
 	"nwhy/internal/sparse"
@@ -19,23 +18,6 @@ import (
 type WeightedPair struct {
 	U, V    uint32
 	Overlap int
-}
-
-// HashmapWeighted is the hashmap-counting construction retaining overlap
-// strengths. It produces the same pair set as Hashmap plus the exact
-// overlap count per pair.
-func HashmapWeighted(eng *parallel.Engine, h *core.Hypergraph, s int, o Options) ([]WeightedPair, error) {
-	o.Counter = HashmapCounter
-	o.Schedule = DefaultSchedule
-	return ConstructWeighted(eng, FromHypergraph(h), s, o)
-}
-
-// QueueHashmapWeighted is Algorithm 1 retaining overlap strengths; like
-// QueueHashmap it accepts any Input (bipartite, adjoin, renamed).
-func QueueHashmapWeighted(eng *parallel.Engine, in Input, s int, o Options) ([]WeightedPair, error) {
-	o.Counter = HashmapCounter
-	o.Schedule = QueueSchedule
-	return ConstructWeighted(eng, in, s, o)
 }
 
 // canonWeighted normalizes weighted pairs: U < V, sorted, deduplicated.

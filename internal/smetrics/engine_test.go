@@ -27,6 +27,7 @@ func tBuildWeighted(h *core.Hypergraph, s int) *WeightedSLineGraph {
 }
 
 func tQueueIntersection(in slinegraph.Input, s int, o slinegraph.Options) []sparse.Edge {
-	r, _ := slinegraph.QueueIntersection(teng, in, s, o)
+	o.Counter, o.Schedule = slinegraph.IntersectionCounter, slinegraph.QueueSchedule
+	r, _ := slinegraph.Construct(teng, in, s, o)
 	return r
 }

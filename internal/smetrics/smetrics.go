@@ -52,8 +52,7 @@ func Build(eng *parallel.Engine, h *core.Hypergraph, s int) (*SLineGraph, error)
 }
 
 // BuildOptions is Build with explicit construction options (counter
-// strategy, schedule, relabel order, partition), still on the direct-CSR
-// fast path.
+// strategy, schedule, relabel order), still on the direct-CSR fast path.
 func BuildOptions(eng *parallel.Engine, h *core.Hypergraph, s int, o slinegraph.Options) (*SLineGraph, error) {
 	csr, err := slinegraph.ConstructCSR(eng, slinegraph.FromHypergraph(h), s, o)
 	if err != nil {
@@ -78,9 +77,10 @@ func BuildCSR(eng *parallel.Engine, h *core.Hypergraph, s int, csr *sparse.CSR) 
 	}, nil
 }
 
-// BuildWith wraps an already-constructed s-line edge list (from any of the
-// construction algorithms — they all produce identical canonical lists),
-// binding eng for the s-metric queries.
+// BuildWith wraps an already-constructed canonical s-line edge list, binding
+// eng for the s-metric queries: the entry for the constructions that start
+// from pair lists, the weighted and the ensemble ones. Everything else
+// arrives as a CSR through BuildCSR.
 func BuildWith(eng *parallel.Engine, h *core.Hypergraph, s int, pairs []sparse.Edge) *SLineGraph {
 	box := &pairsBox{list: pairs}
 	box.once.Do(func() {}) // already populated

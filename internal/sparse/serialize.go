@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 )
 
 // Binary CSR serialization: a compact cache format for large hypergraphs so
@@ -101,17 +102,37 @@ func ReadCSR(r io.Reader) (*CSR, error) {
 	return c, nil
 }
 
-// SaveCSR writes c to a file.
-func SaveCSR(path string, c *CSR) error {
-	f, err := os.Create(path)
+// WriteFileAtomic replaces path with what write produces, or leaves it
+// alone: the bytes go to a temporary file in path's directory, are synced to
+// disk, and only then renamed over path, so neither a failing write nor a
+// crash mid-save can destroy the previous file. On any error the temporary
+// file is removed.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	if err := WriteCSR(f, c); err != nil {
-		f.Close()
-		return err
+	if err = write(f); err == nil {
+		err = f.Chmod(0o644) // CreateTemp's 0600 is not what os.Create gave
 	}
-	return f.Close()
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
+}
+
+// SaveCSR writes c to a file, atomically (see WriteFileAtomic).
+func SaveCSR(path string, c *CSR) error {
+	return WriteFileAtomic(path, func(w io.Writer) error { return WriteCSR(w, c) })
 }
 
 // LoadCSR reads a CSR file written by SaveCSR.

@@ -2,7 +2,10 @@ package sparse
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -110,5 +113,45 @@ func TestSaveLoadCSRFile(t *testing.T) {
 	}
 	if _, err := LoadCSR("/nonexistent/m.csr"); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestWriteFileAtomicKeepsOldFileOnFailure: a writer that fails midway
+// leaves the previous file byte-identical and no temporary file behind; a
+// writer that succeeds replaces it.
+func TestWriteFileAtomicKeepsOldFileOnFailure(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "m.csr")
+	if err := SaveCSR(path, FromPairs(3, 3, []Edge{{U: 0, V: 2}, {U: 2, V: 1}}, nil)); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("disk full")
+	err = WriteFileAtomic(path, func(w io.Writer) error {
+		if _, err := w.Write([]byte("half a file")); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the writer's", err)
+	}
+	if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, old) {
+		t.Fatalf("previous file changed by a failed save (err=%v)", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("%d directory entries after a failed save, want only the old file", len(entries))
+	}
+	if err := SaveCSR(path, FromPairs(2, 2, []Edge{{U: 1, V: 0}}, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if back, err := LoadCSR(path); err != nil || back.NumRows() != 2 {
+		t.Fatalf("successful save did not replace the file (err=%v)", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("%d directory entries after a save, want 1", len(entries))
 	}
 }

@@ -11,7 +11,9 @@ import (
 // commits. After every commit the mutated handle is checked differentially
 // against a hypergraph rebuilt from scratch from the same live edge sets:
 // structural validity, bit-identical incidence, identical s-CC labels (the
-// incremental view and a direct recompute), and identical s-line pairs.
+// incremental view and a direct recompute), and identical s-line pairs from
+// an s-line handle carried across the commits through RefreshSLineGraphCtx
+// (current after a no-op commit, rebuilt after any other).
 func FuzzMutateCompact(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x02, 0x03, 0x04, 0x05, 0x06})
@@ -29,6 +31,7 @@ func FuzzMutateCompact(f *testing.F) {
 		if _, _, err := scc.Labels(ctx); err != nil {
 			t.Fatal(err)
 		}
+		lg := g.SLineGraph(2, true)
 		const maxOps = 40
 		ops := 0
 		m, err := g.BeginMutation()
@@ -37,6 +40,7 @@ func FuzzMutateCompact(f *testing.F) {
 		}
 		staged := 0
 		commit := func() {
+			noop := m.Inserts() == 0 && m.Deletes() == 0
 			if err := m.CommitCtx(ctx); err != nil {
 				t.Fatalf("commit: %v", err)
 			}
@@ -63,7 +67,20 @@ func FuzzMutateCompact(f *testing.F) {
 					t.Fatalf("incremental s-CC label %d: %d vs rebuild %d", i, incLabels[i], wantLabels[i])
 				}
 			}
-			gp := g.SLineGraph(2, true).Pairs()
+			wantHow := RefreshRebuilt
+			if noop {
+				wantHow = RefreshCurrent
+			}
+			refreshed, how, err := g.RefreshSLineGraphCtx(ctx, lg, ConstructOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if how != wantHow || (how == RefreshCurrent) != (refreshed == lg) || refreshed.Epoch() != g.Epoch() {
+				t.Fatalf("refresh: how=%v (want %v), same handle=%v, epoch %d vs %d",
+					how, wantHow, refreshed == lg, refreshed.Epoch(), g.Epoch())
+			}
+			lg = refreshed
+			gp := lg.Pairs()
 			wp := want.SLineGraph(2, true).Pairs()
 			if len(gp) != len(wp) {
 				t.Fatalf("s-line pairs: %d vs rebuild %d", len(gp), len(wp))

@@ -9,7 +9,6 @@ import (
 
 	"nwhy/internal/core"
 	"nwhy/internal/slinegraph"
-	"nwhy/internal/smetrics"
 	"nwhy/internal/unionfind"
 )
 
@@ -273,7 +272,7 @@ func (c *IncrementalSCC) Labels(ctx context.Context) (labels []uint32, increment
 		// Insert-only gap: absorb if the dirty log still reaches back.
 		if dirty, ok := dirtySince(snap, c.epoch); ok {
 			c.forest.Grow(snap.h.NumEdges())
-			delta, derr := slinegraph.ConstructDirty(eng, in, c.s, dirty, slinegraph.Options{})
+			delta, derr := slinegraph.ConstructDirty(eng, in, c.s, dirty)
 			if derr != nil {
 				return nil, false, derr
 			}
@@ -306,23 +305,15 @@ type Refresh int
 const (
 	// RefreshCurrent: the handle already matched the snapshot; returned as is.
 	RefreshCurrent Refresh = iota
-	// RefreshPatched: the cached pairs were patched with the dirty-edge
-	// delta only — no full construction ran.
-	RefreshPatched
-	// RefreshRebuilt: a full construction ran (deletions, truncated history,
-	// or a handle this maintenance path does not cover).
+	// RefreshRebuilt: a full construction ran.
 	RefreshRebuilt
 )
 
 func (r Refresh) String() string {
-	switch r {
-	case RefreshCurrent:
+	if r == RefreshCurrent {
 		return "current"
-	case RefreshPatched:
-		return "patched"
-	default:
-		return "rebuilt"
 	}
+	return "rebuilt"
 }
 
 // RefreshSLineGraph brings a previously constructed s-line graph up to the
@@ -331,46 +322,18 @@ func (g *NWHypergraph) RefreshSLineGraph(lg *SLineGraph, o ConstructOptions) (*S
 	return g.RefreshSLineGraphCtx(context.Background(), lg, o)
 }
 
-// RefreshSLineGraphCtx brings lg up to the current snapshot. A handle at
-// the current epoch is returned unchanged; after insert-only commits the
-// overlap kernel re-runs only for the inserted (dirty) hyperedges and the
-// cached pairs are patched with the delta (inserting a hyperedge cannot
-// change the overlap of existing pairs, so the patch is exact); deletions
-// or truncated history rebuild from scratch with the same options. Only
-// hyperedge-side (edges=true) unweighted handles are patchable — others
-// always rebuild.
+// RefreshSLineGraphCtx brings lg up to the current snapshot: a handle at the
+// current epoch is returned unchanged, any other is rebuilt under o with
+// lg's threshold and orientation — rebuilt, not patched with the dirty-edge
+// delta, which is slower at every s the benchmark serves (EXPERIMENTS.md
+// "Removed in PR 20").
 func (g *NWHypergraph) RefreshSLineGraphCtx(ctx context.Context, lg *SLineGraph, o ConstructOptions) (*SLineGraph, Refresh, error) {
 	if lg == nil {
 		return nil, RefreshRebuilt, fmt.Errorf("nwhy: RefreshSLineGraph of nil handle")
 	}
-	snap := g.snap()
-	s := lg.SLineGraph.S
-	if lg.epoch == snap.epoch {
+	if lg.epoch == g.snap().epoch {
 		return lg, RefreshCurrent, nil
 	}
-	if lg.overEdges && lg.del == snap.del {
-		if dirty, ok := dirtySince(snap, lg.epoch); ok {
-			eng := g.engine().WithContext(ctx)
-			in := slinegraph.FromHypergraph(snap.h)
-			delta, err := slinegraph.ConstructDirty(eng, in, s, dirty, o.internal())
-			if err != nil {
-				return nil, RefreshRebuilt, err
-			}
-			pairs := slinegraph.MergeCanonical(eng, lg.Pairs(), delta)
-			if err := eng.Err(); err != nil {
-				return nil, RefreshRebuilt, err
-			}
-			nl := smetrics.BuildWith(eng, snap.h, s, pairs)
-			if err := eng.Err(); err != nil {
-				return nil, RefreshRebuilt, err
-			}
-			return &SLineGraph{SLineGraph: nl.WithEngine(g.engine()), epoch: snap.epoch, del: snap.del, overEdges: true},
-				RefreshPatched, nil
-		}
-	}
-	nl, err := g.SLineGraphCtx(ctx, s, lg.overEdges, o)
-	if err != nil {
-		return nil, RefreshRebuilt, err
-	}
-	return nl, RefreshRebuilt, nil
+	nl, err := g.SLineGraphCtx(ctx, lg.SLineGraph.S, lg.overEdges, o)
+	return nl, RefreshRebuilt, err
 }

@@ -319,7 +319,7 @@ func TestRefreshSLineGraph(t *testing.T) {
 	if err != nil || how != RefreshCurrent || got != lg {
 		t.Fatalf("current handle: how=%v err=%v same=%v", how, err, got == lg)
 	}
-	// Insert-only: patched, and identical to a fresh construction.
+	// Insert-only: rebuilt, and identical to a fresh construction.
 	err = g.Mutate(func(m *Mutation) error {
 		_, err := m.AddEdge([]uint32{1, 2, 5})
 		return err
@@ -331,7 +331,7 @@ func TestRefreshSLineGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if how != RefreshPatched {
+	if how != RefreshRebuilt {
 		t.Fatalf("insert-only refresh: how=%v", how)
 	}
 	fresh := g.SLineGraph(2, true)

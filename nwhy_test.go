@@ -3,7 +3,12 @@ package nwhy
 import (
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
+
+	"nwhy/internal/gen"
+	"nwhy/internal/slinegraph"
+	"nwhy/internal/sparse"
 )
 
 // TestListing5Workflow reproduces the paper's Listing 5 Python session:
@@ -134,22 +139,49 @@ func TestAllCCVariantsAgree(t *testing.T) {
 	}
 }
 
+// TestAllConstructionAlgorithmsAgree is the one-route table: each of the
+// paper's four presets, on the bipartite and the adjoin input, under every
+// relabel order, for s in 0..4 at 1, 2 and 3 workers, yields a line-graph CSR
+// identical entry for entry to the zero-options route's and pairs equal to
+// the naive all-pairs oracle — the presets differ in the Strategy and
+// Schedule they pin and in nothing the result shows.
 func TestAllConstructionAlgorithmsAgree(t *testing.T) {
-	hg := paperExample()
-	want := hg.SLineGraphWith(1, true, ConstructOptions{Algorithm: AlgoNaive})
-	for _, algo := range []Algorithm{AlgoHashmap, AlgoIntersection, AlgoQueueHashmap, AlgoQueueIntersection} {
-		for _, cyclic := range []bool{false, true} {
-			got := hg.SLineGraphWith(1, true, ConstructOptions{Algorithm: algo, Cyclic: cyclic})
-			if !reflect.DeepEqual(got.Pairs(), want.Pairs()) {
-				t.Fatalf("%v cyclic=%v: %v want %v", algo, cyclic, got.Pairs(), want.Pairs())
-			}
-		}
+	h := gen.Community(gen.CommunityConfig{NumEdges: 90, NumNodes: 40, MeanEdgeSize: 4, SizeSkew: 1.6, MemberSkew: 0.5, Seed: 20})
+	presets := map[string]ConstructOptions{
+		"Hashmap": PresetHashmap, "Intersection": PresetIntersection,
+		"Algorithm1": PresetAlgorithm1, "Algorithm2": PresetAlgorithm2,
 	}
-	// Queue algorithms on the adjoin representation.
-	for _, algo := range []Algorithm{AlgoQueueHashmap, AlgoQueueIntersection} {
-		got := hg.SLineGraphWith(1, true, ConstructOptions{Algorithm: algo, UseAdjoin: true})
-		if !reflect.DeepEqual(got.Pairs(), want.Pairs()) {
-			t.Fatalf("%v on adjoin differs", algo)
+	for workers := 1; workers <= 3; workers++ {
+		eng := NewEngine(workers)
+		defer eng.Close()
+		g := Wrap(h).WithEngine(eng)
+		for s := 0; s <= 4; s++ {
+			// The kernel only ever meets hyperedges that share a hypernode,
+			// so its s = 0 is the oracle's s = 1 (whose s = 0 is every pair).
+			oracle, err := slinegraph.Naive(eng, h, max(s, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(oracle) == 0 {
+				t.Fatalf("s=%d: empty oracle, the table would compare nothing", s)
+			}
+			zero := g.SLineGraph(s, true)
+			if !slices.Equal(zero.Pairs(), oracle) {
+				t.Fatalf("workers=%d s=%d: zero options differ from the oracle", workers, s)
+			}
+			for name, o := range presets {
+				for _, o.UseAdjoin = range []bool{false, true} {
+					for _, o.Relabel = range []sparse.Order{sparse.NoOrder, sparse.Ascending, sparse.Descending} {
+						got := g.SLineGraphWith(s, true, o)
+						if !got.G.CSR().Equal(zero.G.CSR()) {
+							t.Fatalf("workers=%d s=%d %s %+v: CSR differs from the zero-options route", workers, s, name, o)
+						}
+						if !slices.Equal(got.Pairs(), oracle) {
+							t.Fatalf("workers=%d s=%d %s %+v: pairs differ from the oracle", workers, s, name, o)
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -179,7 +211,7 @@ func TestEnsembleFacade(t *testing.T) {
 	hg := FromSets([][]uint32{{0, 1, 2, 3}, {1, 2, 3, 4}, {2, 3, 4, 5}}, 6)
 	byS := hg.SLineGraphEnsemble([]int{1, 2, 3}, true)
 	for s, lg := range byS {
-		want := hg.SLineGraphWith(s, true, ConstructOptions{Algorithm: AlgoHashmap})
+		want := hg.SLineGraph(s, true)
 		if !reflect.DeepEqual(lg.Pairs(), want.Pairs()) {
 			t.Fatalf("ensemble s=%d differs", s)
 		}
@@ -236,20 +268,5 @@ func TestAdjoinCached(t *testing.T) {
 	}
 	if a1.NumVertices() != 13 {
 		t.Fatal("adjoin shape wrong")
-	}
-}
-
-func TestAlgorithmStrings(t *testing.T) {
-	names := map[Algorithm]string{
-		AlgoHashmap:           "hashmap",
-		AlgoIntersection:      "intersection",
-		AlgoNaive:             "naive",
-		AlgoQueueHashmap:      "queue-hashmap (Alg 1)",
-		AlgoQueueIntersection: "queue-intersection (Alg 2)",
-	}
-	for a, want := range names {
-		if a.String() != want {
-			t.Errorf("%d.String() = %q", a, a.String())
-		}
 	}
 }

@@ -8,44 +8,9 @@ import (
 	"nwhy/internal/sparse"
 )
 
-// Algorithm selects an s-line-graph construction algorithm.
-type Algorithm int
-
-const (
-	// AlgoHashmap is the hashmap-counting algorithm (IPDPS'22), the paper's
-	// best-performing non-queue construction and the default.
-	AlgoHashmap Algorithm = iota
-	// AlgoIntersection is the set-intersection heuristic (HiPC'21).
-	AlgoIntersection
-	// AlgoNaive is the all-pairs baseline.
-	AlgoNaive
-	// AlgoQueueHashmap is the paper's Algorithm 1: single-phase queue-based
-	// hashmap counting. Works on any hyperedge ID space.
-	AlgoQueueHashmap
-	// AlgoQueueIntersection is the paper's Algorithm 2: two-phase
-	// queue-based set intersection. Works on any hyperedge ID space.
-	AlgoQueueIntersection
-)
-
-func (a Algorithm) String() string {
-	switch a {
-	case AlgoIntersection:
-		return "intersection"
-	case AlgoNaive:
-		return "naive"
-	case AlgoQueueHashmap:
-		return "queue-hashmap (Alg 1)"
-	case AlgoQueueIntersection:
-		return "queue-intersection (Alg 2)"
-	default:
-		return "hashmap"
-	}
-}
-
-// Strategy selects the unified kernel's overlap-counting strategy — the
-// counter axis of the s-overlap construction kernel. It applies to the
-// default (kernel) construction path and to the weighted variants; the
-// legacy Algorithm values pin it instead.
+// Strategy selects the overlap-counting strategy — the counter axis of the
+// s-overlap construction kernel, for the unweighted and the weighted
+// constructions alike.
 type Strategy int
 
 const (
@@ -68,7 +33,7 @@ func (s Strategy) String() string { return slinegraph.Counter(s).String() }
 type Schedule int
 
 const (
-	// ScheduleDefault derives blocked or cyclic from the Cyclic option.
+	// ScheduleDefault is ScheduleBlocked for s-line constructions.
 	ScheduleDefault Schedule = iota
 	// ScheduleBlocked assigns contiguous chunks.
 	ScheduleBlocked
@@ -111,27 +76,19 @@ const (
 
 func (p Prune) String() string { return slinegraph.Prune(p).String() }
 
-// ConstructOptions configure s-line-graph construction. The one options
-// struct covers every variant — unweighted, weighted, queue or not: the
-// Strategy and Schedule axes select the kernel configuration, while the
-// legacy Algorithm values keep their historical meaning by pinning those
-// axes.
+// ConstructOptions configure s-line-graph construction, weighted or not.
+// Every value runs the one s-overlap kernel and yields the same graph; the
+// axes only change how the work is counted, distributed and pruned.
 type ConstructOptions struct {
-	Algorithm Algorithm
-	// Strategy selects the overlap-counting strategy for the kernel path
-	// (Algorithm == AlgoHashmap). Zero value: auto-resolve.
+	// Strategy selects the overlap-counting strategy. Zero value:
+	// auto-resolve.
 	Strategy Strategy
-	// Schedule selects the work distribution for the kernel path. Zero
-	// value: blocked or cyclic per the Cyclic option.
+	// Schedule selects the work distribution. Zero value: blocked.
 	Schedule Schedule
-	// Cyclic selects the cyclic range partition instead of blocked.
-	Cyclic bool
 	// Relabel applies relabel-by-degree before construction.
 	Relabel sparse.Order
-	// UseAdjoin feeds the kernel and queue-based algorithms the adjoin
-	// representation instead of the bipartite one (ignored by the legacy
-	// non-queue algorithms, which require the bipartite form's contiguous
-	// ID space).
+	// UseAdjoin feeds the kernel the adjoin representation (one shared
+	// index set) instead of the bipartite one. Hyperedge-side only.
 	UseAdjoin bool
 	// Prune selects the pruning heuristics (kernel axis 4). Zero value:
 	// auto-resolve from the query intent. Pair-list constructions clamp
@@ -140,31 +97,38 @@ type ConstructOptions struct {
 	Prune Prune
 }
 
+// The paper's four named constructions, as presets pinning the Strategy and
+// Schedule each name stands for (every other field stays settable on a
+// copy). Figure 9 compares exactly these; none is a separate code path.
+var (
+	// PresetHashmap is the hashmap-counting algorithm (IPDPS'22).
+	PresetHashmap = ConstructOptions{Strategy: StrategyHashmap, Schedule: ScheduleBlocked}
+	// PresetIntersection is the set-intersection heuristic (HiPC'21).
+	PresetIntersection = ConstructOptions{Strategy: StrategyIntersection, Schedule: ScheduleBlocked}
+	// PresetAlgorithm1 is the paper's Algorithm 1: queue-based hashmap
+	// counting.
+	PresetAlgorithm1 = ConstructOptions{Strategy: StrategyHashmap, Schedule: ScheduleQueue}
+	// PresetAlgorithm2 is the paper's Algorithm 2: queue-based set
+	// intersection.
+	PresetAlgorithm2 = ConstructOptions{Strategy: StrategyIntersection, Schedule: ScheduleQueue}
+)
+
 func (o ConstructOptions) internal() slinegraph.Options {
-	part := slinegraph.BlockedPartition
-	if o.Cyclic {
-		part = slinegraph.CyclicPartition
-	}
 	return slinegraph.Options{
-		Partition: part,
-		Relabel:   o.Relabel,
-		Counter:   slinegraph.Counter(o.Strategy),
-		Schedule:  slinegraph.Schedule(o.Schedule),
-		Prune:     slinegraph.Prune(o.Prune),
+		Relabel:  o.Relabel,
+		Counter:  slinegraph.Counter(o.Strategy),
+		Schedule: slinegraph.Schedule(o.Schedule),
+		Prune:    slinegraph.Prune(o.Prune),
 	}
 }
 
 // SLineGraph is a materialized s-line graph handle exposing the s-metric
-// queries of the Python API (Listing 5). It remembers the snapshot epoch it
-// was built from, so RefreshSLineGraph can patch it incrementally after
-// mutations instead of rebuilding.
+// queries of the Python API (Listing 5). It remembers the snapshot epoch and
+// orientation it was built with, so RefreshSLineGraph can tell whether it is
+// still current and rebuild the same graph if not.
 type SLineGraph struct {
 	*smetrics.SLineGraph
-	// epoch and del identify the snapshot the graph was built from.
-	epoch, del uint64
-	// overEdges records the edges=true orientation — the only one the
-	// incremental patch path covers (the dual's ID space shifts with node
-	// mutations).
+	epoch     uint64
 	overEdges bool
 }
 
@@ -172,16 +136,16 @@ type SLineGraph struct {
 func (l *SLineGraph) Epoch() uint64 { return l.epoch }
 
 // SLineGraph constructs the s-line graph of the hypergraph with the default
-// (hashmap) algorithm. With edges=true the line graph is over hyperedges
-// (s-line graph); with edges=false it is over hypernodes (the s-clique
-// graph of the dual), mirroring hg.s_linegraph(s, edges).
+// options. With edges=true the line graph is over hyperedges (s-line graph);
+// with edges=false it is over hypernodes (the s-clique graph of the dual),
+// mirroring hg.s_linegraph(s, edges).
 func (g *NWHypergraph) SLineGraph(s int, edges bool) *SLineGraph {
 	return g.SLineGraphWith(s, edges, ConstructOptions{})
 }
 
-// SLineGraphWith constructs the s-line graph with explicit algorithm and
-// partition options. If the bound engine's context is cancelled the result
-// is nil; use SLineGraphCtx to observe the error.
+// SLineGraphWith constructs the s-line graph with explicit options. If the
+// bound engine's context is cancelled the result is nil; use SLineGraphCtx
+// to observe the error.
 func (g *NWHypergraph) SLineGraphWith(s int, edges bool, o ConstructOptions) *SLineGraph {
 	l, _ := g.slgOn(g.engine(), s, edges, o)
 	return l
@@ -195,73 +159,41 @@ func (g *NWHypergraph) SLineGraphCtx(ctx context.Context, s int, edges bool, o C
 	return g.slgOn(g.engine().WithContext(ctx), s, edges, o)
 }
 
+// slgOn is the one route from ConstructOptions to an unweighted handle:
+// kernel → symmetric CSR → smetrics.BuildCSR, no pair list in between. It
+// runs on eng (possibly ctx-bound) and rebinds the handle to the handle's
+// engine, so later queries outlive the request deadline.
 func (g *NWHypergraph) slgOn(eng *Engine, s int, edges bool, o ConstructOptions) (*SLineGraph, error) {
 	snap := g.snap()
 	h := snap.h
-	if !edges {
-		h = snap.h.Dual()
-	}
-	stamp := func(l *smetrics.SLineGraph) *SLineGraph {
-		return &SLineGraph{SLineGraph: l, epoch: snap.epoch, del: snap.del, overEdges: edges}
-	}
-	var (
-		pairs []sparse.Edge
-		err   error
-	)
 	opts := o.internal()
 	if edges {
 		// The memoized degree statistics only describe the hyperedge side;
 		// dual (edges=false) constructions fall back to the kernel's scan.
 		opts.Stats = g.degreeStats(eng)
+	} else {
+		h = h.Dual()
 	}
-	switch o.Algorithm {
-	case AlgoNaive:
-		pairs, err = slinegraph.Naive(eng, h, s)
-	case AlgoIntersection:
-		pairs, err = slinegraph.Intersection(eng, h, s, opts)
-	case AlgoQueueHashmap, AlgoQueueIntersection:
-		var in slinegraph.Input
-		if o.UseAdjoin && edges {
-			in = slinegraph.FromAdjoin(g.Adjoin())
-		} else {
-			in = slinegraph.FromHypergraph(h)
-		}
-		if o.Algorithm == AlgoQueueHashmap {
-			pairs, err = slinegraph.QueueHashmap(eng, in, s, opts)
-		} else {
-			pairs, err = slinegraph.QueueIntersection(eng, in, s, opts)
-		}
-	default:
-		// Kernel path: Strategy and Schedule select the configuration and
-		// the adjacency CSR is assembled directly from the kernel's
-		// per-worker buffers — no global pair list is materialized. The
-		// adjoin form keeps the pair-list adapter because its ID space is
-		// wider than the line graph's vertex range.
-		if o.UseAdjoin && edges {
-			pairs, err = slinegraph.Construct(eng, slinegraph.FromAdjoin(g.Adjoin()), s, opts)
-			break
-		}
-		csr, cerr := slinegraph.ConstructCSR(eng, slinegraph.FromHypergraph(h), s, opts)
-		if cerr != nil {
-			return nil, cerr
-		}
-		// Assemble on the same (possibly ctx-bound) engine the kernel ran
-		// on, then rebind the handle to the handle's engine so later
-		// queries outlive the request deadline.
-		l, berr := smetrics.BuildCSR(eng, h, s, csr)
-		if berr != nil {
-			return nil, berr
-		}
-		return stamp(l.WithEngine(g.engine())), nil
+	in := slinegraph.FromHypergraph(h)
+	if o.UseAdjoin && edges {
+		in = slinegraph.FromAdjoin(g.Adjoin())
 	}
+	csr, err := slinegraph.ConstructCSR(eng, in, s, opts)
 	if err != nil {
 		return nil, err
 	}
-	nl := smetrics.BuildWith(eng, h, s, pairs)
-	if err := eng.Err(); err != nil {
+	if n := h.NumEdges(); csr.NumRows() > n {
+		// Adjoin IDs from nₑ up are hypernodes: their rows are empty by
+		// construction, and the line graph's vertices are the first nₑ.
+		if csr, err = sparse.AdoptSorted(n, n, csr.RowPtr[:n+1], csr.Col, nil); err != nil {
+			return nil, err
+		}
+	}
+	l, err := smetrics.BuildCSR(eng, h, s, csr)
+	if err != nil {
 		return nil, err
 	}
-	return stamp(nl.WithEngine(g.engine())), nil
+	return &SLineGraph{SLineGraph: l.WithEngine(g.engine()), epoch: snap.epoch, overEdges: edges}, nil
 }
 
 // WeightedSLineGraph is the strength-annotated s-line graph handle: every
@@ -278,16 +210,13 @@ func (g *NWHypergraph) SLineGraphWeighted(s int) *WeightedSLineGraph {
 }
 
 // SLineGraphWeightedWith is SLineGraphWeighted with explicit construction
-// options — the same ConstructOptions the unweighted variants take. The
-// Algorithm field is ignored: the weighted emit mode runs the one kernel
-// body under whatever Strategy and Schedule select.
+// options — the same ConstructOptions the unweighted variants take, the
+// weighted emit mode running the one kernel body under them. If the bound
+// engine's context is cancelled the result is nil; use SLineGraphWeightedCtx
+// to observe the error.
 func (g *NWHypergraph) SLineGraphWeightedWith(s int, o ConstructOptions) *WeightedSLineGraph {
-	eng := g.engine()
-	opts := o.internal()
-	opts.Intent = slinegraph.IntentExact
-	opts.Stats = g.degreeStats(eng)
-	l, _ := smetrics.BuildWeightedOptions(eng, g.hg(), s, opts)
-	return &WeightedSLineGraph{l}
+	l, _ := g.SLineGraphWeightedCtx(g.engine().Context(), s, o)
+	return l
 }
 
 // SLineGraphWeightedCtx is SLineGraphWeightedWith bounded by ctx: the
@@ -324,7 +253,7 @@ func (g *NWHypergraph) SLineGraphEnsembleQueue(ss []int, useAdjoin bool) map[int
 	for s, pairs := range byS {
 		out[s] = &SLineGraph{
 			SLineGraph: smetrics.BuildWith(g.engine(), snap.h, s, pairs),
-			epoch:      snap.epoch, del: snap.del, overEdges: true,
+			epoch:      snap.epoch, overEdges: true,
 		}
 	}
 	return out
@@ -393,7 +322,7 @@ func (g *NWHypergraph) SLineGraphEnsemble(ss []int, edges bool) map[int]*SLineGr
 	for s, pairs := range byS {
 		out[s] = &SLineGraph{
 			SLineGraph: smetrics.BuildWith(g.engine(), h, s, pairs),
-			epoch:      snap.epoch, del: snap.del, overEdges: edges,
+			epoch:      snap.epoch, overEdges: edges,
 		}
 	}
 	return out
