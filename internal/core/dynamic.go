@@ -149,9 +149,10 @@ func (d *DynamicHypergraph) NewNodeID() uint32 {
 
 // Snapshot compacts the pending mutations into a fresh frozen Hypergraph:
 // the overlay folds into a new hyperedge incidence (dead IDs become empty
-// rows, keeping the ID space stable), and the node incidence is derived by
-// the parallel radix transpose. The view stays usable afterwards, still
-// layered over its original base.
+// rows, keeping the ID space stable), and the node incidence is its counting
+// transpose (sparse.TransposeOn). A cancelled engine returns e.Err() and no
+// hypergraph. The view stays usable afterwards, still layered over its
+// original base.
 func (d *DynamicHypergraph) Snapshot(e *parallel.Engine) (*Hypergraph, error) {
 	edges, err := d.ov.Compact(e)
 	if err != nil {

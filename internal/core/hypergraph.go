@@ -8,7 +8,9 @@ package core
 import (
 	"fmt"
 	"iter"
+	"slices"
 
+	"nwhy/internal/parallel"
 	"nwhy/internal/sparse"
 )
 
@@ -23,17 +25,39 @@ type Hypergraph struct {
 }
 
 // FromBiEdgeList builds the two mutually indexed incidence structures from
-// a bipartite edge list.
+// a bipartite edge list on the shared engine. See FromBiEdgeListOn.
 func FromBiEdgeList(bel *sparse.BiEdgeList) *Hypergraph {
 	e, n := sparse.BiAdjacency(bel)
 	return &Hypergraph{Edges: e, Nodes: n}
 }
 
+// FromBiEdgeListOn is FromBiEdgeList on engine eng (sparse.BiAdjacencyOn):
+// repeated incidences collapse, the first weight of each kept. A cancelled
+// engine returns eng.Err() and no hypergraph.
+func FromBiEdgeListOn(eng *parallel.Engine, bel *sparse.BiEdgeList) (*Hypergraph, error) {
+	e, n, err := sparse.BiAdjacencyOn(eng, bel)
+	if err != nil {
+		return nil, err
+	}
+	return &Hypergraph{Edges: e, Nodes: n}, nil
+}
+
 // FromIncidenceCSR builds a hypergraph around a prebuilt hyperedge
-// incidence structure — the snapshot-load fast path, where the CSR comes off
-// disk already canonical — deriving the node incidence by transposition.
+// incidence structure on the shared engine. See FromIncidenceCSROn.
 func FromIncidenceCSR(edges *sparse.CSR) *Hypergraph {
 	return &Hypergraph{Edges: edges, Nodes: edges.Transpose()}
+}
+
+// FromIncidenceCSROn builds a hypergraph around a prebuilt hyperedge
+// incidence structure — the snapshot-load fast path, where the CSR comes off
+// disk already canonical — deriving the node incidence by one counting
+// transpose on eng. A cancelled engine returns eng.Err() and no hypergraph.
+func FromIncidenceCSROn(eng *parallel.Engine, edges *sparse.CSR) (*Hypergraph, error) {
+	nodes, err := sparse.TransposeOn(eng, edges)
+	if err != nil {
+		return nil, err
+	}
+	return &Hypergraph{Edges: edges, Nodes: nodes}, nil
 }
 
 // FromSets builds a hypergraph from explicit hyperedge vertex sets over
@@ -55,8 +79,7 @@ func FromSets(sets [][]uint32, numNodes int) *Hypergraph {
 			bel.Add(uint32(e), v)
 		}
 	}
-	bel.Dedup() // hyperedges are sets: repeated members collapse
-	return FromBiEdgeList(bel)
+	return FromBiEdgeList(bel) // hyperedges are sets: repeated members collapse in the build
 }
 
 // NumEdges reports the number of hyperedges |E|.
@@ -135,7 +158,7 @@ func (h *Hypergraph) EdgeNeighbors(e int) []uint32 {
 	for f := range seen {
 		out = append(out, f)
 	}
-	sortU32(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -184,41 +207,4 @@ func ComputeStats(h *Hypergraph) Stats {
 		MaxNodeDegree: h.Nodes.MaxDegree(),
 		MaxEdgeDegree: h.Edges.MaxDegree(),
 	}
-}
-
-func sortU32(s []uint32) {
-	// insertion sort is fine for small neighbor lists; fall back to a
-	// simple quicksort via sort.Slice for larger ones.
-	if len(s) < 32 {
-		for i := 1; i < len(s); i++ {
-			for j := i; j > 0 && s[j-1] > s[j]; j-- {
-				s[j-1], s[j] = s[j], s[j-1]
-			}
-		}
-		return
-	}
-	quickSortU32(s)
-}
-
-func quickSortU32(s []uint32) {
-	if len(s) < 2 {
-		return
-	}
-	pivot := s[len(s)/2]
-	i, j := 0, len(s)-1
-	for i <= j {
-		for s[i] < pivot {
-			i++
-		}
-		for s[j] > pivot {
-			j--
-		}
-		if i <= j {
-			s[i], s[j] = s[j], s[i]
-			i++
-			j--
-		}
-	}
-	quickSortU32(s[:j+1])
-	quickSortU32(s[i:])
 }

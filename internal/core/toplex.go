@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"nwhy/internal/parallel"
 )
 
@@ -28,7 +30,7 @@ func Toplexes(eng *parallel.Engine, h *Hypergraph) []uint32 {
 	})
 	var out []uint32
 	tls.All(func(v *[]uint32) { out = append(out, *v...) })
-	sortU32(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -60,7 +62,7 @@ func ToplexCover(eng *parallel.Engine, h *Hypergraph) (tops, cover []uint32) {
 	})
 	var out []uint32
 	tls.All(func(v *[]uint32) { out = append(out, *v...) })
-	sortU32(out)
+	slices.Sort(out)
 	return out, cover
 }
 

@@ -322,8 +322,7 @@ func FromDegreeSequences(edgeSizes, nodeDegrees []int, seed int64) *core.Hypergr
 	for i := 0; i < n; i++ {
 		bel.Add(edgeStubs[i], nodeStubs[i])
 	}
-	bel.Dedup()
-	return core.FromBiEdgeList(bel)
+	return core.FromBiEdgeList(bel) // the build drops the duplicate incidences
 }
 
 // Preset names one Table I dataset shape.

@@ -29,9 +29,13 @@ func ReadBiEdgeListParallel(eng *parallel.Engine, data []byte) (*sparse.BiEdgeLi
 	bounds := chunkBoundaries(body, eng.NumWorkers()*4)
 	nchunks := len(bounds) - 1
 	chunks := make([]parsedChunk, nchunks)
+	// The header's entries per byte size each chunk's slices up front. An
+	// entry line is at least 4 bytes ("1 1\n"): a lying header asks in vain.
+	perByte := float64(min(nnz, len(body)/4+1)) / float64(max(len(body), 1))
 	eng.For(parallel.BlockedGrain(0, nchunks, 1), func(_, lo, hi int) {
 		for c := lo; c < hi; c++ {
-			chunks[c] = parseChunk(body[bounds[c]:bounds[c+1]], weighted, rows, cols)
+			chunk := body[bounds[c]:bounds[c+1]]
+			chunks[c] = parseChunk(chunk, weighted, rows, cols, int(perByte*float64(len(chunk)))+16)
 		}
 	})
 	if err := eng.Err(); err != nil {
@@ -88,9 +92,13 @@ type parsedChunk struct {
 }
 
 // parseChunk scans one newline-aligned byte range with the same
-// line-by-line logic as the serial reader's entry loop.
-func parseChunk(chunk []byte, weighted bool, rows, cols int) parsedChunk {
-	var out parsedChunk
+// line-by-line logic as the serial reader's entry loop. hint is the expected
+// entry count, a capacity and not a limit.
+func parseChunk(chunk []byte, weighted bool, rows, cols, hint int) parsedChunk {
+	out := parsedChunk{edges: make([]sparse.Edge, 0, hint)}
+	if weighted {
+		out.weights = make([]float64, 0, hint)
+	}
 	for len(chunk) > 0 {
 		var line []byte
 		line, chunk = nextLine(chunk)

@@ -1,8 +1,6 @@
 package slinegraph
 
 import (
-	"sort"
-
 	"nwhy/internal/parallel"
 	"nwhy/internal/sparse"
 )
@@ -55,62 +53,21 @@ func (c *runCollector) upper(e int) []uint32 {
 	return c.bufs[r.w][r.off : r.off+int(r.n)]
 }
 
-// transpose writes r, for every row r < n ascending and every column c of
-// row(r), to the next free slot of column c in the slice seat returns, so
-// each column's slots come out sorted without a comparison. before(r), the
-// entry count of the rows below r, cuts the rows into nb blocks of equal
-// entry count that run in parallel on eng: a counting pass tells how often
-// each block meets each column, seat turns the counts into the blocks' own
-// write cursors (within a column, block b's slots follow block b-1's), and
-// the scatter pass writes through them — no cursor is shared.
-func transpose(eng *parallel.Engine, n, nb int, before func(r int) int64, row func(r int) []uint32, seat func(cur [][]int64) []uint32) error {
-	bounds := make([]int, nb+1)
-	for b := 1; b <= nb; b++ {
-		bounds[b] = sort.Search(n, func(r int) bool { return before(r)*int64(nb) >= before(n)*int64(b) })
-	}
-	cur := make([][]int64, nb)
-	eng.ForEach(nb, func(b int) {
-		cnt := make([]int64, n)
-		for r := bounds[b]; r < bounds[b+1]; r++ {
-			for _, c := range row(r) {
-				cnt[c]++
-			}
-		}
-		cur[b] = cnt
-	})
-	if err := eng.Err(); err != nil {
-		return err
-	}
-	dst := seat(cur)
-	eng.ForEach(nb, func(b int) {
-		at := cur[b]
-		for r := bounds[b]; r < bounds[b+1]; r++ {
-			for _, c := range row(r) {
-				dst[at[c]] = uint32(r)
-				at[c]++
-			}
-		}
-	})
-	return eng.Err()
-}
-
 // assemble builds the symmetric s-line adjacency from the collected runs.
 // Row e is its neighbours below e, [rowptr[e], mid[e]), then those above,
 // [mid[e], rowptr[e+1]). Transposing the (unsorted) upper runs fills every
 // lower part in ascending order, transposing the lower parts back fills
-// every upper part in ascending order: each row is sorted as laid out. On
-// an error the slices hold a partial layout.
+// every upper part in ascending order (sparse.TransposeRows, twice): each
+// row is sorted as laid out. On an error the slices hold a partial layout.
 func (c *runCollector) assemble(eng *parallel.Engine) (rowptr []int64, col []uint32, err error) {
 	n := len(c.runs)
 	above := make([]int64, n+1) // above[e]: upper neighbours of the rows below e
 	for e, r := range c.runs {
 		above[e+1] = above[e] + int64(r.n)
 	}
-	// A block's count array costs 8 B per ID: no more blocks than the pair
-	// volume pays for.
-	nb := min(eng.NumWorkers(), 1+int(above[n]/int64(max(n, 1))))
 	rowptr, mid := make([]int64, n+1), make([]int64, n)
-	err = transpose(eng, n, nb, func(e int) int64 { return above[e] }, c.upper, func(cur [][]int64) []uint32 {
+	upper := func(e int) ([]uint32, []float64) { return c.upper(e), nil }
+	err = sparse.TransposeRows(eng, n, n, func(e int) int64 { return above[e] }, upper, func(cur [][]int64) ([]uint32, []float64) {
 		at := int64(0)
 		for f := range mid {
 			rowptr[f] = at
@@ -122,19 +79,19 @@ func (c *runCollector) assemble(eng *parallel.Engine) (rowptr []int64, col []uin
 		}
 		rowptr[n] = at
 		col = make([]uint32, at)
-		return col
+		return col, nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	lower := func(f int) []uint32 { return col[rowptr[f]:mid[f]] }
-	err = transpose(eng, n, nb, func(f int) int64 { return rowptr[f] - above[f] }, lower, func(cur [][]int64) []uint32 {
+	lower := func(f int) ([]uint32, []float64) { return col[rowptr[f]:mid[f]], nil }
+	err = sparse.TransposeRows(eng, n, n, func(f int) int64 { return rowptr[f] - above[f] }, lower, func(cur [][]int64) ([]uint32, []float64) {
 		for e, at := range mid {
 			for _, cnt := range cur {
 				cnt[e], at = at, at+cnt[e]
 			}
 		}
-		return col
+		return col, nil
 	})
 	return rowptr, col, err
 }

@@ -3,7 +3,6 @@ package sparse
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"nwhy/internal/parallel"
 )
@@ -139,43 +138,34 @@ func (c *CSR) Validate() error {
 }
 
 // FromPairs builds a CSR with nrows x ncols dimensions from (row, col)
-// pairs, in parallel: count per-row degrees, exclusive-scan into RowPtr,
-// scatter with per-row atomic cursors, then sort each row. Duplicate pairs
-// are kept; call EdgeList/BiEdgeList Dedup first if needed.
+// pairs on the shared engine: a stable counting scatter groups the pairs by
+// column, one counting transpose turns that row-major — every row sorted,
+// equal pairs (and their weights) in input order. Duplicate pairs are kept;
+// BiAdjacency is the build that drops them.
 func FromPairs(nrows, ncols int, pairs []Edge, weights []float64) *CSR {
-	c := &CSR{nrows: nrows, ncols: ncols}
-	counts := make([]int64, nrows, nrows+1)
-	countInto(len(pairs), counts, func(i int) uint32 { return pairs[i].U })
-	total := parallel.ScanExclusive(counts)
-	c.RowPtr = append(counts, total)
-	c.Col = make([]uint32, len(pairs))
-	if weights != nil {
-		c.Val = make([]float64, len(pairs))
+	return must(fromPairsOn(shared(), nrows, ncols, pairs, weights))
+}
+
+func fromPairsOn(e *parallel.Engine, nrows, ncols int, pairs []Edge, weights []float64) (*CSR, error) {
+	g, err := groupByCol(e, nrows, ncols, pairs, weights)
+	if err != nil {
+		return nil, err
 	}
-	cursor := make([]int64, nrows)
-	copy(cursor, c.RowPtr[:nrows])
-	if len(pairs) < maxParallelThreshold {
-		for i, e := range pairs {
-			k := cursor[e.U]
-			cursor[e.U]++
-			c.Col[k] = e.V
-			if weights != nil {
-				c.Val[k] = weights[i]
-			}
-		}
-	} else {
-		parallel.For(len(pairs), func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				e := pairs[i]
-				k := parallel.AddI64(&cursor[e.U], 1) - 1
-				c.Col[k] = e.V
-				if weights != nil {
-					c.Val[k] = weights[i]
-				}
-			}
-		})
+	return TransposeOn(e, g)
+}
+
+// shared is the engine under the engine-less builders (FromPairs,
+// BiAdjacency, Transpose). It has no context, so it is never cancelled.
+func shared() *parallel.Engine {
+	return parallel.SharedEngine() //nwhy:nolint(engine-first) the engine-less builders are shims over the On forms
+}
+
+// must unwraps a build on the shared engine, where only malformed input —
+// an entry outside the declared dimensions — can fail.
+func must(c *CSR, err error) *CSR {
+	if err != nil {
+		panic(err)
 	}
-	c.sortRows()
 	return c
 }
 
@@ -198,58 +188,6 @@ func AdoptSorted(nrows, ncols int, rowptr []int64, col []uint32, val []float64) 
 	return c, nil
 }
 
-// sortRows sorts each row's columns ascending (carrying weights along) via
-// the stable radix path. Rows shorter than parallel.RadixSerialCutoff take
-// RadixSort64's serial branch inline — submitting parallel passes from a pool
-// worker would wait on the pool it occupies — while the rare heavier rows are
-// collected during the sweep and sorted afterwards with full parallel passes.
-func (c *CSR) sortRows() {
-	var mu sync.Mutex
-	var big []int
-	parallel.For(c.nrows, func(_, lo, hi int) {
-		var local []int
-		for i := lo; i < hi; i++ {
-			if c.Degree(i) >= parallel.RadixSerialCutoff {
-				local = append(local, i)
-				continue
-			}
-			c.sortRow(i)
-		}
-		if len(local) > 0 {
-			mu.Lock()
-			big = append(big, local...)
-			mu.Unlock()
-		}
-	})
-	for _, i := range big {
-		c.sortRow(i)
-	}
-}
-
-// sortRow sorts one row. Weighted rows zip (col, val) so the weight rides the
-// sort; stability keeps duplicate columns' weights in input order.
-func (c *CSR) sortRow(i int) {
-	s, e := c.RowPtr[i], c.RowPtr[i+1]
-	if c.Val == nil {
-		parallel.RadixSort64(c.Col[s:e], func(v uint32) uint64 { return uint64(v) })
-		return
-	}
-	row, val := c.Col[s:e], c.Val[s:e]
-	zip := make([]colVal, len(row))
-	for k := range row {
-		zip[k] = colVal{row[k], val[k]}
-	}
-	parallel.RadixSort64(zip, func(cv colVal) uint64 { return uint64(cv.col) })
-	for k, cv := range zip {
-		row[k], val[k] = cv.col, cv.val
-	}
-}
-
-type colVal struct {
-	col uint32
-	val float64
-}
-
 // FromEdgeList builds a square CSR adjacency from a single-index-space edge
 // list. Each listed edge is stored as a directed entry; callers wanting an
 // undirected graph should Symmetrize the list first.
@@ -259,31 +197,57 @@ func FromEdgeList(el *EdgeList) *CSR {
 
 // BiAdjacency builds the two mutually indexed incidence structures of a
 // hypergraph from a bipartite edge list (the paper's
-// biadjacency<0>/biadjacency<1> pair): edges maps each hyperedge to its
-// incident hypernodes, nodes maps each hypernode to its incident hyperedges.
+// biadjacency<0>/biadjacency<1> pair) on the shared engine: edges maps each
+// hyperedge to its incident hypernodes, nodes maps each hypernode to its
+// incident hyperedges. See BiAdjacencyOn.
 func BiAdjacency(bel *BiEdgeList) (edges, nodes *CSR) {
-	edges = FromPairs(bel.N0, bel.N1, bel.Edges, bel.Weights)
-	t := bel.Transpose()
-	nodes = FromPairs(t.N0, t.N1, t.Edges, t.Weights)
-	return edges, nodes
+	edges, nodes, err := BiAdjacencyOn(shared(), bel)
+	return must(edges, err), nodes
 }
 
-// Transpose returns the CSR of the transposed matrix: entry (i, j) becomes
-// (j, i). For a hypergraph incidence structure this is the dual.
-func (c *CSR) Transpose() *CSR {
-	pairs := make([]Edge, len(c.Col))
-	parallel.For(c.nrows, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for k := c.RowPtr[i]; k < c.RowPtr[i+1]; k++ {
-				pairs[k] = Edge{c.Col[k], uint32(i)}
-			}
-		}
-	})
-	var weights []float64
-	if c.Val != nil {
-		weights = c.Val
+// BiAdjacencyOn is BiAdjacency on engine e, by counting transposes instead
+// of a pair sort: the incidences are grouped by hypernode (groupByCol),
+// which is already the sorted node incidence when the list runs in
+// hyperedge order, as files and generators write it; any other order costs
+// one transpose to the hyperedge side first. Repeated incidences sit next to
+// each other in a sorted row and are dropped there (the first weight wins),
+// and the other side is the transpose of the deduplicated one. bel is not
+// modified. A cancelled engine returns e.Err().
+func BiAdjacencyOn(e *parallel.Engine, bel *BiEdgeList) (edges, nodes *CSR, err error) {
+	g, err := groupByCol(e, bel.N0, bel.N1, bel.Edges, bel.Weights)
+	if err != nil {
+		return nil, nil, err
 	}
-	return FromPairs(c.ncols, c.nrows, pairs, weights)
+	if inRowOrder(bel.Edges) {
+		g.dedupRows(e)
+		if nodes, err = AdoptSorted(g.nrows, g.ncols, g.RowPtr, g.Col, g.Val); err == nil {
+			edges, err = TransposeOn(e, nodes)
+		}
+	} else if edges, err = TransposeOn(e, g); err == nil {
+		edges.dedupRows(e)
+		nodes, err = TransposeOn(e, edges)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return edges, nodes, nil
+}
+
+// inRowOrder reports whether the pairs' U are non-decreasing.
+func inRowOrder(pairs []Edge) bool {
+	for i := 1; i < len(pairs); i++ {
+		if pairs[i-1].U > pairs[i].U {
+			return false
+		}
+	}
+	return true
+}
+
+// Transpose returns the CSR of the transposed matrix on the shared engine:
+// entry (i, j) becomes (j, i). For a hypergraph incidence structure this is
+// the dual.
+func (c *CSR) Transpose() *CSR {
+	return must(TransposeOn(shared(), c))
 }
 
 // Clone returns a deep copy.

@@ -48,7 +48,7 @@ func (el *EdgeList) Add(u, v uint32) {
 func (el *EdgeList) Len() int { return len(el.Edges) }
 
 // Sort orders edges by (U, V).
-func (el *EdgeList) Sort() { sortEdges(el.Edges) }
+func (el *EdgeList) Sort() { sortEdgesOn(nil, el.Edges) }
 
 // SortOn is Sort scheduled on engine e's pool. A cancelled engine leaves the
 // list a permutation of its input; callers detect the abort with e.Err().
@@ -143,20 +143,15 @@ func (bel *BiEdgeList) NumVertices(idx int) int {
 // Dedup removes duplicate incidences (keeping the first weight of each
 // group when weights are present). The list is sorted by (U, V).
 func (bel *BiEdgeList) Dedup() {
-	// Dedup cannot fail without an engine: the nil-engine radix path never
-	// cancels, so the error return of dedupOn is structurally nil here.
-	_ = bel.dedupOn(nil)
+	// Without an engine nothing can cancel the sort, so the error is nil.
+	_ = bel.DedupOn(nil)
 }
 
-// DedupOn is Dedup scheduled on engine e's pool, observing e's cancellation
-// between radix passes. On cancellation the list is left a (possibly
-// unsorted, weight-aligned) permutation of its input and e's error is
-// returned.
+// DedupOn is Dedup scheduled on engine e's pool (nil: the default pool),
+// observing e's cancellation between radix passes. On cancellation the list
+// is left a (possibly unsorted, weight-aligned) permutation of its input and
+// e's error is returned.
 func (bel *BiEdgeList) DedupOn(e *parallel.Engine) error {
-	return bel.dedupOn(e)
-}
-
-func (bel *BiEdgeList) dedupOn(e *parallel.Engine) error {
 	if len(bel.Edges) == 0 {
 		return nil
 	}
@@ -214,24 +209,9 @@ func (bel *BiEdgeList) Validate() error {
 	return nil
 }
 
-// Transpose returns the bipartite edge list of the dual hypergraph: every
-// incidence (e, v) becomes (v, e) and the partition cardinalities swap.
-func (bel *BiEdgeList) Transpose() *BiEdgeList {
-	out := &BiEdgeList{N0: bel.N1, N1: bel.N0, Edges: make([]Edge, len(bel.Edges))}
-	for i, e := range bel.Edges {
-		out.Edges[i] = Edge{e.V, e.U}
-	}
-	if bel.Weights != nil {
-		out.Weights = append([]float64(nil), bel.Weights...)
-	}
-	return out
-}
-
 // edgeKey packs an edge into the radix key ordering (U, V) pairs: U in the
 // high 32 bits, V in the low.
 func edgeKey(e Edge) uint64 { return uint64(e.U)<<32 | uint64(e.V) }
-
-func sortEdges(edges []Edge) { sortEdgesOn(nil, edges) }
 
 // sortEdgesOn orders edges by (U, V) with the parallel LSD radix sort, after
 // a cheap sortedness scan so already-canonical inputs (snapshot loads,
@@ -263,63 +243,4 @@ func dedupEdges(edges []Edge) []Edge {
 		out = append(out, e)
 	}
 	return out
-}
-
-// maxParallelThreshold is the size below which construction helpers run
-// sequentially; tiny inputs are not worth scheduling overhead.
-const maxParallelThreshold = 1 << 12
-
-// countInto bumps counts[key(i)] for i in [0, n), in parallel for large n.
-// The parallel path dispatches between per-worker count arrays merged at the
-// end (immune to the cache-line contention a skewed key distribution puts on
-// shared atomics) and a shared atomic scatter (cheaper when the count array
-// is too large to replicate per worker).
-func countInto(n int, counts []int64, key func(i int) uint32) {
-	if n < maxParallelThreshold {
-		for i := 0; i < n; i++ {
-			counts[key(i)]++
-		}
-		return
-	}
-	if len(counts)*parallel.Default().NumWorkers() <= 4*n {
-		countIntoPerWorker(n, counts, key)
-	} else {
-		countIntoAtomic(n, counts, key)
-	}
-}
-
-// countIntoPerWorker gives each worker a private count array and merges them
-// into counts afterwards. Replication costs workers x len(counts) memory and
-// a merge pass, which the countInto dispatcher bounds against n.
-func countIntoPerWorker(n int, counts []int64, key func(i int) uint32) {
-	locals := make([][]int64, parallel.Default().NumWorkers())
-	parallel.For(n, func(w, lo, hi int) {
-		local := locals[w]
-		if local == nil {
-			local = make([]int64, len(counts))
-			locals[w] = local
-		}
-		for i := lo; i < hi; i++ {
-			local[key(i)]++
-		}
-	})
-	parallel.For(len(counts), func(_, lo, hi int) {
-		for _, local := range locals {
-			if local == nil {
-				continue
-			}
-			for j := lo; j < hi; j++ {
-				counts[j] += local[j]
-			}
-		}
-	})
-}
-
-// countIntoAtomic scatters increments straight into the shared count array.
-func countIntoAtomic(n int, counts []int64, key func(i int) uint32) {
-	parallel.For(n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			parallel.AddI64(&counts[key(i)], 1)
-		}
-	})
 }

@@ -130,14 +130,6 @@ func TestBiEdgeListDedupWeightedKeepsFirst(t *testing.T) {
 	}
 }
 
-func TestBiEdgeListTransposeInvolution(t *testing.T) {
-	bel := paperBiEdgeList()
-	tt := bel.Transpose().Transpose()
-	if tt.N0 != bel.N0 || tt.N1 != bel.N1 || !reflect.DeepEqual(tt.Edges, bel.Edges) {
-		t.Fatal("Transpose . Transpose != identity")
-	}
-}
-
 func TestBiEdgeListValidateWeightMismatch(t *testing.T) {
 	bel := NewBiEdgeList(2, 2)
 	bel.Add(0, 0)

@@ -18,9 +18,8 @@ import (
 // An Overlay is a single-writer structure: one goroutine mutates it (the
 // facade serializes writers per handle), and it is never read concurrently
 // with mutation. Compact folds base plus deltas minus tombstones into a
-// fresh frozen CSR using the ingestion pipeline's assembly primitives
-// (parallel degree count, ScanExclusive, scatter, AdoptSorted revalidation),
-// which becomes the next immutable snapshot.
+// fresh frozen CSR (row-wise copies, AdoptSorted revalidation), which becomes
+// the next immutable snapshot.
 type Overlay struct {
 	base         *CSR
 	nrows, ncols int
@@ -170,10 +169,11 @@ func (o *Overlay) DeleteRow(id uint32) error {
 
 // Compact folds the overlay into a fresh frozen CSR: live base rows are
 // block-copied, live delta rows take their windows, dead rows become empty
-// rows (their IDs stay reserved for the free-list). The assembly is the
-// ingestion pipeline's: parallel per-row degree count, ScanExclusive into
-// row offsets, parallel scatter, then AdoptSorted revalidates the full
-// invariant set before adoption. A cancelled engine aborts with its error.
+// rows (their IDs stay reserved for the free-list). Rows keep their order, so
+// nothing is sorted or transposed: a parallel per-row degree count,
+// ScanExclusive into row offsets, a parallel row-wise copy, then AdoptSorted
+// revalidates the full invariant set before adoption. A cancelled engine
+// aborts with its error.
 func (o *Overlay) Compact(e *parallel.Engine) (*CSR, error) {
 	n := o.nrows
 	counts := make([]int64, n, n+1)
@@ -197,44 +197,4 @@ func (o *Overlay) Compact(e *parallel.Engine) (*CSR, error) {
 		return nil, err
 	}
 	return AdoptSorted(n, o.ncols, rowptr, col, nil)
-}
-
-// TransposeOn is Transpose scheduled on engine e with the radix pipeline:
-// scatter every entry as a (col, row) pair, stable parallel radix sort by
-// the transposed key, then adopt the already-sorted assembly via
-// AdoptSorted. Weighted structures fall back to the serial-keyed Transpose.
-func TransposeOn(e *parallel.Engine, c *CSR) (*CSR, error) {
-	if c.Val != nil {
-		return c.Transpose(), e.Err()
-	}
-	pairs := make([]Edge, len(c.Col))
-	e.For(e.Blocked(0, c.nrows), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for k := c.RowPtr[i]; k < c.RowPtr[i+1]; k++ {
-				pairs[k] = Edge{c.Col[k], uint32(i)}
-			}
-		}
-	})
-	if err := e.Err(); err != nil {
-		return nil, err
-	}
-	parallel.RadixSort64On(e, pairs, edgeKey)
-	if err := e.Err(); err != nil {
-		return nil, err
-	}
-	nrows := c.ncols
-	counts := make([]int64, nrows, nrows+1)
-	countInto(len(pairs), counts, func(i int) uint32 { return pairs[i].U })
-	total := parallel.ScanExclusive(counts)
-	rowptr := append(counts, total)
-	col := make([]uint32, len(pairs))
-	e.For(e.Blocked(0, len(pairs)), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			col[i] = pairs[i].V
-		}
-	})
-	if err := e.Err(); err != nil {
-		return nil, err
-	}
-	return AdoptSorted(nrows, c.nrows, rowptr, col, nil)
 }

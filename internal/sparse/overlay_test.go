@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"nwhy/internal/parallel"
@@ -269,7 +270,7 @@ func TestTransposeOnMatchesTranspose(t *testing.T) {
 	}
 }
 
-func TestTransposeOnWeightedFallback(t *testing.T) {
+func TestTransposeOnCarriesWeights(t *testing.T) {
 	eng := parallel.NewEngine(2)
 	c := FromPairs(2, 3, []Edge{{0, 1}, {1, 0}, {1, 2}}, []float64{1, 2, 3})
 	got, err := TransposeOn(eng, c)
@@ -277,6 +278,9 @@ func TestTransposeOnWeightedFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !got.Equal(c.Transpose()) {
-		t.Fatal("weighted fallback mismatch")
+		t.Fatal("TransposeOn != Transpose on a weighted CSR")
+	}
+	if want := []float64{2, 1, 3}; !reflect.DeepEqual(got.Val, want) {
+		t.Fatalf("transposed weights %v, want %v", got.Val, want)
 	}
 }

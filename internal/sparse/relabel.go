@@ -110,7 +110,8 @@ func (c *CSR) ApplyPerm(rowPerm, colInv []uint32) *CSR {
 		}
 	})
 	if colInv != nil {
-		out.sortRows()
+		// The map unsorted the rows: transposing there and back sorts them.
+		out = out.Transpose().Transpose()
 	}
 	return out
 }

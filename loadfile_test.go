@@ -1,6 +1,8 @@
 package nwhy
 
 import (
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -145,5 +147,40 @@ func TestLoadFileRejectsTruncatedSnapshot(t *testing.T) {
 	}
 	if _, err := LoadFile(snap, LoadOptions{}); err == nil {
 		t.Fatal("truncated snapshot accepted")
+	}
+}
+
+// TestLoadFileStaysOnEngine pins LoadOptions.Engine over the whole load,
+// the CSR build included: a load bound to a 1-worker engine hands the
+// process-wide default pool nothing, and a load bound to a cancelled engine
+// stops with its error, on the text path and on the snapshot path.
+func TestLoadFileStaysOnEngine(t *testing.T) {
+	dir := t.TempDir()
+	g := Wrap(gen.Uniform(3000, 2000, 8, 3))
+	mtx, snap := filepath.Join(dir, "u.mtx"), filepath.Join(dir, "u.nwhyb")
+	if err := g.Save(mtx); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SaveSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	eng := parallel.NewEngine(1)
+	defer eng.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	def := parallel.Default()
+	before := def.Submitted()
+	for _, path := range []string{mtx, snap} {
+		got, err := LoadFile(path, LoadOptions{Engine: eng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameHypergraph(t, g, got)
+		if got, err := LoadFile(path, LoadOptions{Engine: eng.WithContext(ctx)}); !errors.Is(err, context.Canceled) || got != nil {
+			t.Fatalf("%s on a cancelled engine: handle %v, error %v", filepath.Base(path), got != nil, err)
+		}
+	}
+	if n := def.Submitted() - before; n != 0 {
+		t.Fatalf("the default pool received %d tasks during loads bound to a 1-worker engine", n)
 	}
 }

@@ -161,8 +161,11 @@ func NewWithEngine(eng *Engine, edgeIDs, nodeIDs []uint32, weights []float64) (*
 			bel.Add(edgeIDs[k], nodeIDs[k])
 		}
 	}
-	bel.Dedup()
-	return newHandle(core.FromBiEdgeList(bel), eng), nil
+	h, err := core.FromBiEdgeListOn(eng, bel)
+	if err != nil {
+		return nil, err
+	}
+	return newHandle(h, eng), nil
 }
 
 // FromSets builds a hypergraph from explicit hyperedge member sets.
@@ -207,10 +210,12 @@ func Load(path string) (*NWHypergraph, error) {
 }
 
 // LoadFile reads a hypergraph from path under opts. Matrix Market text is
-// parsed by the chunked parallel reader (unless opts.Serial), deduplicated,
-// and converted to the bipartite CSR pair; .nwhyb snapshots holding a CSR
-// deserialize straight into the incidence structure, skipping parse and
-// dedup entirely.
+// parsed by the chunked parallel reader (unless opts.Serial) and built into
+// the bipartite CSR pair by counting transposes, which drop repeated
+// incidences on the way; .nwhyb snapshots holding a CSR deserialize straight
+// into the hyperedge incidence and pay one transpose for the hypernode side.
+// Parse and build run on opts.Engine and stop with its error once it is
+// cancelled.
 func LoadFile(path string, opts LoadOptions) (*NWHypergraph, error) {
 	eng := opts.Engine
 	if eng == nil {
@@ -224,24 +229,30 @@ func LoadFile(path string, opts LoadOptions) (*NWHypergraph, error) {
 			format = FormatMatrixMarket
 		}
 	}
-	if format == FormatSnapshot {
+	h, err := loadHypergraph(eng, path, format == FormatSnapshot, opts.Serial)
+	if err != nil {
+		return nil, err
+	}
+	return newHandle(h, opts.Engine), nil
+}
+
+// loadHypergraph decodes path and builds the CSR pair, all on eng.
+func loadHypergraph(eng *Engine, path string, snapshot, serial bool) (*core.Hypergraph, error) {
+	if snapshot {
 		snap, err := mmio.LoadSnapshot(eng, path)
 		if err != nil {
 			return nil, err
 		}
 		if snap.CSR != nil {
-			return newHandle(core.FromIncidenceCSR(snap.CSR), opts.Engine), nil
+			return core.FromIncidenceCSROn(eng, snap.CSR)
 		}
-		if err := snap.Bel.DedupOn(eng); err != nil {
-			return nil, err
-		}
-		return newHandle(core.FromBiEdgeList(snap.Bel), opts.Engine), nil
+		return core.FromBiEdgeListOn(eng, snap.Bel)
 	}
 	var (
 		bel *sparse.BiEdgeList
 		err error
 	)
-	if opts.Serial {
+	if serial {
 		bel, err = mmio.GraphReader(path)
 	} else {
 		bel, err = mmio.GraphReaderParallel(eng, path)
@@ -249,10 +260,7 @@ func LoadFile(path string, opts LoadOptions) (*NWHypergraph, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := bel.DedupOn(eng); err != nil {
-		return nil, err
-	}
-	return newHandle(core.FromBiEdgeList(bel), opts.Engine), nil
+	return core.FromBiEdgeListOn(eng, bel)
 }
 
 // Save writes the hypergraph to a Matrix Market incidence file.
@@ -268,9 +276,9 @@ func (g *NWHypergraph) Save(path string) error {
 }
 
 // SaveSnapshot writes the hypergraph's incidence CSR to path in the .nwhyb
-// binary snapshot format. Loading it back with LoadFile skips text parsing,
-// deduplication, and CSR construction entirely — the incidence structure
-// deserializes directly.
+// binary snapshot format. Loading it back with LoadFile skips text parsing
+// and the hyperedge-side build — that incidence structure deserializes
+// directly — and derives the hypernode side by one counting transpose.
 func (g *NWHypergraph) SaveSnapshot(path string) error {
 	return mmio.SaveSnapshot(path, &mmio.Snapshot{CSR: g.hg().Edges})
 }
