@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"nwhy/internal/parallel"
@@ -13,9 +14,9 @@ import (
 // cancelAtEveryPoll runs build under a context that starts reporting
 // context.Canceled at its k-th poll, for every k until a run finishes
 // without the countdown running out. Each run must return the engine's
-// error and no hypergraph, or a hypergraph equal to want — never a
-// half-filled one.
-func cancelAtEveryPoll(t *testing.T, base *parallel.Engine, want *Hypergraph, build func(eng *parallel.Engine) (*Hypergraph, error)) {
+// error and a zero result, or a result check accepts — never a half-filled
+// one.
+func cancelAtEveryPoll[T any](t *testing.T, base *parallel.Engine, build func(eng *parallel.Engine) (T, error), check func(T) error) {
 	t.Helper()
 	cancelled := 0
 	for k := int64(0); ; k++ {
@@ -23,19 +24,16 @@ func cancelAtEveryPoll(t *testing.T, base *parallel.Engine, want *Hypergraph, bu
 			t.Fatal("the build never stops polling")
 		}
 		ctx := newCountdownCtx(k)
-		h, err := build(base.WithContext(ctx))
+		got, err := build(base.WithContext(ctx))
 		if err != nil {
-			if !errors.Is(err, context.Canceled) || h != nil {
-				t.Fatalf("cancelled at poll %d: hypergraph %v, error %v; want nil and context.Canceled", k, h != nil, err)
+			if !errors.Is(err, context.Canceled) || !reflect.ValueOf(got).IsZero() {
+				t.Fatalf("cancelled at poll %d: result %v, error %v; want the zero result and context.Canceled", k, got, err)
 			}
 			cancelled++
 			continue
 		}
-		if err := h.Validate(); err != nil {
-			t.Fatalf("poll %d: build reported success with an invalid hypergraph: %v", k, err)
-		}
-		if !sameIncidence(h, want) {
-			t.Fatalf("poll %d: build reported success with a different hypergraph", k)
+		if err := check(got); err != nil {
+			t.Fatalf("poll %d: build reported success with a wrong result: %v", k, err)
 		}
 		if ctx.left.Load() >= 0 {
 			break // the build ran to the end inside its k polls: every poll has been the cancelling one
@@ -45,9 +43,25 @@ func cancelAtEveryPoll(t *testing.T, base *parallel.Engine, want *Hypergraph, bu
 		t.Fatal("the build never polled its engine")
 	}
 	t.Logf("%d runs cancelled, one per poll", cancelled)
-	h, err := build(base)
-	if err != nil || !sameIncidence(h, want) {
+	got, err := build(base)
+	if err == nil {
+		err = check(got)
+	}
+	if err != nil {
 		t.Fatalf("engine not reusable after the cancelled builds: %v", err)
+	}
+}
+
+// sameHypergraph is cancelAtEveryPoll's check for the incidence builds.
+func sameHypergraph(want *Hypergraph) func(*Hypergraph) error {
+	return func(h *Hypergraph) error {
+		if err := h.Validate(); err != nil {
+			return err
+		}
+		if !sameIncidence(h, want) {
+			return errors.New("a different hypergraph")
+		}
+		return nil
 	}
 }
 
@@ -76,9 +90,9 @@ func TestFromBiEdgeListOnCancelledAtEveryPoll(t *testing.T) {
 		eng := parallel.NewEngine(workers)
 		for _, inEdgeOrder := range []bool{true, false} {
 			bel := noisyBiEdgeList(int64(workers), inEdgeOrder)
-			cancelAtEveryPoll(t, eng, FromBiEdgeList(bel), func(e *parallel.Engine) (*Hypergraph, error) {
+			cancelAtEveryPoll(t, eng, func(e *parallel.Engine) (*Hypergraph, error) {
 				return FromBiEdgeListOn(e, bel)
-			})
+			}, sameHypergraph(FromBiEdgeList(bel)))
 		}
 		eng.Close()
 	}
@@ -88,9 +102,9 @@ func TestFromIncidenceCSROnCancelledAtEveryPoll(t *testing.T) {
 	eng := parallel.NewEngine(2)
 	defer eng.Close()
 	want := FromBiEdgeList(noisyBiEdgeList(5, true))
-	cancelAtEveryPoll(t, eng, want, func(e *parallel.Engine) (*Hypergraph, error) {
+	cancelAtEveryPoll(t, eng, func(e *parallel.Engine) (*Hypergraph, error) {
 		return FromIncidenceCSROn(e, want.Edges)
-	})
+	}, sameHypergraph(want))
 }
 
 func TestSnapshotCancelledAtEveryPoll(t *testing.T) {
@@ -112,7 +126,7 @@ func TestSnapshotCancelledAtEveryPoll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cancelAtEveryPoll(t, eng, want, d.Snapshot)
+		cancelAtEveryPoll(t, eng, d.Snapshot, sameHypergraph(want))
 		eng.Close()
 	}
 }

@@ -1,147 +1,88 @@
 package core
 
-import (
-	"slices"
-
-	"nwhy/internal/parallel"
-)
+import "nwhy/internal/parallel"
 
 // Toplexes computes the maximal hyperedges of a hypergraph (the paper's
 // Algorithm 3): hyperedge e is a toplex iff no other hyperedge f is a strict
-// superset of e. Duplicate hyperedges keep only the smallest ID.
-//
-// Unlike Algorithm 3's shared mutable set, this implementation decides each
-// hyperedge independently (embarrassingly parallel) with a counting
-// superset test: any f containing e appears exactly |e| times among the
-// incidence lists of e's vertices, so tallying those lists finds every
-// superset in O(Σ_{v∈e} d(v)) without pairwise subset checks.
+// superset of e. Duplicate hyperedges keep only the smallest ID. It is
+// ToplexCover's first return value.
 func Toplexes(eng *parallel.Engine, h *Hypergraph) []uint32 {
-	ne := h.NumEdges()
-	tls := parallel.NewTLSFor(eng, func() []uint32 { return nil })
-	counts := parallel.NewTLSFor(eng, func() map[uint32]int { return map[uint32]int{} })
-	eng.ForN(ne, func(w, lo, hi int) {
-		buf := tls.Get(w)
-		cnt := *counts.Get(w)
-		for e := lo; e < hi; e++ {
-			if isToplex(h, uint32(e), cnt) {
-				*buf = append(*buf, uint32(e))
-			}
-		}
-	})
-	var out []uint32
-	tls.All(func(v *[]uint32) { out = append(out, *v...) })
-	slices.Sort(out)
-	return out
+	tops, _ := ToplexCover(eng, h)
+	return tops
 }
 
-// ToplexCover computes the toplexes together with a containment map: for
-// every hyperedge e, cover[e] == e iff e is a toplex; otherwise cover[e] is
-// a deterministic witness that e is non-maximal — the smallest-ID hyperedge
-// whose member set strictly contains e's (or, for duplicate member sets,
-// the smallest duplicate ID). Since deg(cover[e]) > deg(e), or the degrees
-// are equal and cover[e] < e, the potential (deg, -ID) strictly increases
-// along cover chains, so following cover repeatedly terminates at a toplex.
-// This is the expansion map the toplex-only s-component construction uses
-// to label non-maximal hyperedges: e ⊆ cover[e] means |e ∩ cover[e]| =
-// deg(e), so any e clearing the degree filter is s-connected to its cover.
+// ToplexCover computes the toplexes (ascending) together with a containment
+// map: for every hyperedge e, cover[e] == e iff e is a toplex; otherwise
+// cover[e] is a deterministic witness that e is non-maximal — the
+// smallest-ID hyperedge whose member set strictly contains e's (or, for
+// duplicate member sets, the smallest duplicate ID). Since deg(cover[e]) >
+// deg(e), or the degrees are equal and cover[e] < e, the potential
+// (deg, -ID) strictly increases along cover chains, so following cover
+// repeatedly terminates at a toplex. This is the expansion map the
+// toplex-only s-component construction uses to label non-maximal
+// hyperedges: e ⊆ cover[e] means |e ∩ cover[e]| = deg(e), so any e clearing
+// the degree filter is s-connected to its cover.
+//
+// Unlike Algorithm 3's shared mutable set, each hyperedge is decided
+// independently (embarrassingly parallel) by a pivot scan: a superset of e
+// lies in the incidence list of every member of e, so the list of e's
+// lowest-degree member holds every candidate, and each one that survives
+// the degree filter takes one short-circuiting sorted-merge subset test —
+// O(d_min · |e|) per hyperedge at worst. On a cancelled engine the result
+// is partial; callers check eng.Err().
 func ToplexCover(eng *parallel.Engine, h *Hypergraph) (tops, cover []uint32) {
 	ne := h.NumEdges()
 	cover = make([]uint32, ne)
-	tls := parallel.NewTLSFor(eng, func() []uint32 { return nil })
-	counts := parallel.NewTLSFor(eng, func() map[uint32]int { return map[uint32]int{} })
-	eng.ForN(ne, func(w, lo, hi int) {
-		buf := tls.Get(w)
-		cnt := *counts.Get(w)
+	eng.ForN(ne, func(_, lo, hi int) {
 		for e := lo; e < hi; e++ {
-			c := coverOf(h, uint32(e), cnt)
-			cover[e] = c
-			if c == uint32(e) {
-				*buf = append(*buf, uint32(e))
-			}
+			cover[e] = coverOf(h, uint32(e))
 		}
 	})
-	var out []uint32
-	tls.All(func(v *[]uint32) { out = append(out, *v...) })
-	slices.Sort(out)
-	return out, cover
+	for e, c := range cover {
+		if c == uint32(e) {
+			tops = append(tops, c)
+		}
+	}
+	return tops, cover
 }
 
-// coverOf returns e's covering witness (e itself when maximal), using the
-// same counting superset test as isToplex but scanning every qualifying
-// superset to pick the deterministic minimum-ID one. cnt is reusable
-// scratch (cleared before use).
-func coverOf(h *Hypergraph, e uint32, cnt map[uint32]int) uint32 {
-	clear(cnt)
-	size := h.EdgeDegree(int(e))
+// coverOf returns e's covering witness, e itself when maximal. The pivot's
+// incidence list ascends, so the first hit is the minimum-ID witness.
+func coverOf(h *Hypergraph, e uint32) uint32 {
+	members := h.EdgeIncidence(int(e))
+	size := len(members)
 	if size == 0 {
-		// Mirrors isToplex's empty-edge rule; the returned witness (never
-		// unioned — an empty edge cannot clear any degree filter s ≥ 1) is
-		// the first disqualifying hyperedge.
-		for f := 0; f < h.NumEdges(); f++ {
-			if f != int(e) && (h.EdgeDegree(f) > 0 || f < int(e)) {
+		// Every hyperedge contains the empty one (dead rows after removals
+		// are empty too). Hyperedge 0 dominates any later empty hyperedge, by
+		// degree or as the smaller duplicate; an empty hyperedge 0 yields to
+		// the first non-empty one, a scan only that one hyperedge pays. The
+		// witness is never unioned: no degree filter s ≥ 1 admits e.
+		if e > 0 {
+			return 0
+		}
+		for f := 1; f < h.NumEdges(); f++ {
+			if h.EdgeDegree(f) > 0 {
 				return uint32(f)
 			}
 		}
 		return e
 	}
-	for _, v := range h.EdgeIncidence(int(e)) {
-		for _, f := range h.NodeIncidence(int(v)) {
-			if f != e {
-				cnt[f]++
-			}
+	pivot := members[0]
+	for _, v := range members[1:] {
+		if h.NodeDegree(int(v)) < h.NodeDegree(int(pivot)) {
+			pivot = v
 		}
 	}
-	best := e
-	for f, c := range cnt {
-		if c != size {
-			continue // f does not contain all of e
-		}
+	for _, f := range h.NodeIncidence(int(pivot)) {
 		df := h.EdgeDegree(int(f))
-		if df > size || (df == size && f < e) {
-			if best == e || f < best {
-				best = f
-			}
+		if f == e || df < size || (df == size && f > e) {
+			continue // not e, not smaller, and of equal sets the smaller ID wins
+		}
+		if subsetSorted(members, h.EdgeIncidence(int(f))) {
+			return f
 		}
 	}
-	return best
-}
-
-// isToplex decides whether e is maximal. cnt is reusable scratch (cleared
-// before use).
-func isToplex(h *Hypergraph, e uint32, cnt map[uint32]int) bool {
-	clear(cnt)
-	size := h.EdgeDegree(int(e))
-	if size == 0 {
-		// Empty hyperedges are contained in every hyperedge; an empty
-		// hyperedge is a toplex only if it is the smallest-ID empty edge and
-		// no non-empty edge exists.
-		for f := 0; f < h.NumEdges(); f++ {
-			if f != int(e) && (h.EdgeDegree(f) > 0 || f < int(e)) {
-				return false
-			}
-		}
-		return true
-	}
-	for _, v := range h.EdgeIncidence(int(e)) {
-		for _, f := range h.NodeIncidence(int(v)) {
-			if f != e {
-				cnt[f]++
-			}
-		}
-	}
-	for f, c := range cnt {
-		if c != size {
-			continue // f does not contain all of e
-		}
-		df := h.EdgeDegree(int(f))
-		if df > size {
-			return false // strict superset
-		}
-		if df == size && f < e {
-			return false // duplicate set; smaller ID wins
-		}
-	}
-	return true
+	return e
 }
 
 // ToplexesBruteForce is the O(|E|² · Δ) oracle used by tests: pairwise

@@ -2,7 +2,10 @@ package nwhy
 
 import (
 	"context"
+	"slices"
 	"testing"
+
+	"nwhy/internal/core"
 )
 
 // FuzzMutateCompact drives a random mutation script — decoded from the fuzz
@@ -11,7 +14,8 @@ import (
 // commits. After every commit the mutated handle is checked differentially
 // against a hypergraph rebuilt from scratch from the same live edge sets:
 // structural validity, bit-identical incidence, identical s-CC labels (the
-// incremental view and a direct recompute), and identical s-line pairs from
+// incremental view and a direct recompute), the memoised toplexes against
+// brute force on the new snapshot, and identical s-line pairs from
 // an s-line handle carried across the commits through RefreshSLineGraphCtx
 // (current after a no-op commit, rebuilt after any other).
 func FuzzMutateCompact(f *testing.F) {
@@ -66,6 +70,10 @@ func FuzzMutateCompact(f *testing.F) {
 				if incLabels[i] != wantLabels[i] {
 					t.Fatalf("incremental s-CC label %d: %d vs rebuild %d", i, incLabels[i], wantLabels[i])
 				}
+			}
+			// Dead rows are empty hyperedges, the toplex rule's corner case.
+			if tops, want := g.Toplexes(), core.ToplexesBruteForce(g.Hypergraph()); !slices.Equal(tops, want) {
+				t.Fatalf("toplexes after the commit: %v, brute force %v", tops, want)
 			}
 			wantHow := RefreshRebuilt
 			if noop {

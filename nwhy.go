@@ -349,13 +349,14 @@ func (g *NWHypergraph) Adjoin() *core.AdjoinGraph {
 	return lz.adjoin
 }
 
-// degreeStats returns the memoized hyperedge degree statistics of the
-// current snapshot, computing them engine-parallel on eng on first use. The
+// degreeStats returns the memoized hyperedge degree statistics of snap,
+// computing them engine-parallel on eng on first use. Like toplexCover and
+// toplexCacheWarmAt it takes the snapshot its caller already bound, so one
+// query never pairs a hypergraph with derived state of another epoch. The
 // cache follows the adjoin discipline: epoch-keyed, built under mu, never
 // populated from a cancelled engine (nil is returned instead and the kernel
 // falls back to its own scan).
-func (g *NWHypergraph) degreeStats(eng *Engine) *slinegraph.DegreeStats {
-	snap := g.snap()
+func (g *NWHypergraph) degreeStats(eng *Engine, snap *snapshot) *slinegraph.DegreeStats {
 	lz := g.lazy
 	if lz == nil {
 		// Zero-value handle (no constructor ran): compute uncached.
@@ -378,14 +379,12 @@ func (g *NWHypergraph) degreeStats(eng *Engine) *slinegraph.DegreeStats {
 	return lz.dstats
 }
 
-// toplexCover returns the memoized (toplexes, containment map) of the
-// current snapshot, computing core.ToplexCover on eng on first use. Same
-// cache discipline as Adjoin: epoch-keyed (a Commit invalidates it), built
-// under mu, never populated from a cancelled engine. The returned slices
-// alias the cache — internal consumers only read them; public accessors
-// copy.
-func (g *NWHypergraph) toplexCover(eng *Engine) (tops, cover []uint32, err error) {
-	snap := g.snap()
+// toplexCover returns the memoized (toplexes, containment map) of snap,
+// computing core.ToplexCover on eng on first use. Same cache discipline as
+// Adjoin: epoch-keyed (a Commit invalidates it), built under mu, never
+// populated from a cancelled engine. The returned slices alias the cache —
+// internal consumers only read them; public accessors copy.
+func (g *NWHypergraph) toplexCover(eng *Engine, snap *snapshot) (tops, cover []uint32, err error) {
 	lz := g.lazy
 	if lz == nil {
 		tops, cover = core.ToplexCover(eng, snap.h)
@@ -404,15 +403,14 @@ func (g *NWHypergraph) toplexCover(eng *Engine) (tops, cover []uint32, err error
 	return lz.tops, lz.cover, nil
 }
 
-// toplexCacheWarm reports whether the toplex cache already holds the
-// current snapshot's containment map — the signal PruneAuto uses to take
-// the toplex-only path only when it costs nothing extra.
-func (g *NWHypergraph) toplexCacheWarm() bool {
+// toplexCacheWarmAt reports whether the toplex cache already holds snap's
+// containment map — the signal PruneAuto uses to take the toplex-only path
+// only when it costs nothing extra.
+func (g *NWHypergraph) toplexCacheWarmAt(snap *snapshot) bool {
 	lz := g.lazy
 	if lz == nil {
 		return false
 	}
-	snap := g.snap()
 	lz.mu.Lock()
 	defer lz.mu.Unlock()
 	return lz.topsValid && lz.topsEpoch == snap.epoch
@@ -423,7 +421,7 @@ func (g *NWHypergraph) toplexCacheWarm() bool {
 // toplex-only s-component path; a committed mutation invalidates it like
 // the adjoin graph.
 func (g *NWHypergraph) Toplexes() []uint32 {
-	tops, _, err := g.toplexCover(g.engine())
+	tops, _, err := g.toplexCover(g.engine(), g.snap())
 	if err != nil {
 		return nil
 	}
@@ -433,7 +431,7 @@ func (g *NWHypergraph) Toplexes() []uint32 {
 // ToplexesCtx is Toplexes bounded by ctx: the scan aborts at the next grain
 // boundary once ctx is cancelled and returns ctx.Err().
 func (g *NWHypergraph) ToplexesCtx(ctx context.Context) ([]uint32, error) {
-	tops, _, err := g.toplexCover(g.engine().WithContext(ctx))
+	tops, _, err := g.toplexCover(g.engine().WithContext(ctx), g.snap())
 	if err != nil {
 		return nil, err
 	}
@@ -443,8 +441,9 @@ func (g *NWHypergraph) ToplexesCtx(ctx context.Context) ([]uint32, error) {
 // Toplexify returns the hypergraph restricted to its toplexes (IDs from the
 // shared epoch-keyed toplex cache).
 func (g *NWHypergraph) Toplexify() *NWHypergraph {
-	tops, _, _ := g.toplexCover(g.engine())
-	return Wrap(core.RestrictToEdges(g.hg(), tops)).WithEngine(g.engine())
+	snap := g.snap()
+	tops, _, _ := g.toplexCover(g.engine(), snap)
+	return Wrap(core.RestrictToEdges(snap.h, tops)).WithEngine(g.engine())
 }
 
 // CollapseEdges merges duplicate hyperedges into representatives, returning

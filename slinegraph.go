@@ -170,7 +170,7 @@ func (g *NWHypergraph) slgOn(eng *Engine, s int, edges bool, o ConstructOptions)
 	if edges {
 		// The memoized degree statistics only describe the hyperedge side;
 		// dual (edges=false) constructions fall back to the kernel's scan.
-		opts.Stats = g.degreeStats(eng)
+		opts.Stats = g.degreeStats(eng, snap)
 	} else {
 		h = h.Dual()
 	}
@@ -228,8 +228,9 @@ func (g *NWHypergraph) SLineGraphWeightedCtx(ctx context.Context, s int, o Const
 	eng := g.engine().WithContext(ctx)
 	opts := o.internal()
 	opts.Intent = slinegraph.IntentExact
-	opts.Stats = g.degreeStats(eng)
-	l, err := smetrics.BuildWeightedOptions(eng, g.hg(), s, opts)
+	snap := g.snap()
+	opts.Stats = g.degreeStats(eng, snap)
+	l, err := smetrics.BuildWeightedOptions(eng, snap.h, s, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -276,22 +277,26 @@ func (g *NWHypergraph) SConnectedComponents(s int) []uint32 {
 // bit-identical at every level — the differential tests pin this — only the
 // work done differs. PruneAuto runs the connectivity arsenal (degree
 // prefilter + connected short-circuit) and upgrades to the toplex-only path
-// when the handle's toplex cache is already warm for this snapshot —
-// computing the containment map from cold costs about one kernel pass, so
-// Auto never pays for it speculatively. PruneToplex forces the toplex path,
-// computing and caching the cover if needed (profitable when many component
-// queries hit one snapshot, the serving tier's pattern). The axis resolution
-// reads the handle's memoized degree statistics.
+// when the handle's toplex cache is already warm for this snapshot. A cold
+// cover costs 0.2–0.4 of a connectivity pass on the community-shaped serve
+// input and under 0.1 on the containment-rich one (EXPERIMENTS.md, "Toplex
+// cover by pivot scan"), but the toplex route repays it only where
+// containment is common: there cover plus route is a quarter of a pass,
+// while on the community shape the route saves less than the cover costs —
+// so Auto still never pays for it speculatively. PruneToplex forces the
+// toplex path, computing and caching the cover if needed (profitable when
+// many component queries hit one snapshot, the serving tier's pattern). The
+// axis resolution reads the handle's memoized degree statistics.
 func (g *NWHypergraph) SConnectedComponentsCtx(ctx context.Context, s int, prune Prune) ([]uint32, error) {
-	h := g.hg()
+	snap := g.snap()
 	eng := g.engine().WithContext(ctx)
-	in := slinegraph.FromHypergraph(h)
-	if prune == PruneAuto && g.toplexCacheWarm() {
+	in := slinegraph.FromHypergraph(snap.h)
+	if prune == PruneAuto && g.toplexCacheWarmAt(snap) {
 		prune = PruneToplex
 	}
-	opts := slinegraph.Options{Stats: g.degreeStats(eng)}
+	opts := slinegraph.Options{Stats: g.degreeStats(eng, snap)}
 	if prune == PruneToplex {
-		tops, cover, err := g.toplexCover(eng)
+		tops, cover, err := g.toplexCover(eng, snap)
 		if err != nil {
 			return nil, err
 		}
@@ -299,14 +304,14 @@ func (g *NWHypergraph) SConnectedComponentsCtx(ctx context.Context, s int, prune
 		if err != nil {
 			return nil, err
 		}
-		return labels[:h.NumEdges()], nil
+		return labels[:snap.h.NumEdges()], nil
 	}
 	opts.Prune = slinegraph.Prune(prune)
 	labels, err := slinegraph.SComponentsDirect(eng, in, s, opts)
 	if err != nil {
 		return nil, err
 	}
-	return labels[:h.NumEdges()], nil
+	return labels[:snap.h.NumEdges()], nil
 }
 
 // SLineGraphEnsemble constructs the s-line graphs for several values of s

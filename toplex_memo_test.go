@@ -1,0 +1,145 @@
+package nwhy
+
+import (
+	"context"
+	"errors"
+	"slices"
+	"sync"
+	"testing"
+
+	"nwhy/internal/core"
+	"nwhy/internal/gen"
+)
+
+// toplexCacheWarm is the tests' probe of the toplex memo at the handle's
+// current snapshot.
+func (g *NWHypergraph) toplexCacheWarm() bool { return g.toplexCacheWarmAt(g.snap()) }
+
+// TestSCCAndToplexesNeverCrossAnEpoch runs pruned s-CC and toplex queries
+// beside a writer committing insert batches. Each query must answer from
+// one snapshot: a hypergraph paired with the next epoch's cover used to
+// index past the end of its labels. Every batch grows the hyperedge count,
+// so a reply's length names the epoch whose unpruned labels, or brute-force
+// toplexes, it must equal.
+func TestSCCAndToplexesNeverCrossAnEpoch(t *testing.T) {
+	const commits, s = 60, 2
+	// One generated instance under both handles: gen.Containment does not
+	// repeat, and a commit never writes to the snapshot it replaces.
+	h := gen.Containment(gen.ContainmentConfig{
+		NumBase: 40, NumNodes: 120, BaseSize: 8, SubsPerBase: 4, MemberSkew: 0.4, Seed: 5,
+	})
+	batch := func(m *Mutation, c int) error {
+		// A new toplex bridging two earlier hyperedges, and a subset of it.
+		a, b := m.g.Incidence(c%40), m.g.Incidence((c*7+3)%40)
+		top := append(append([]uint32(nil), a[:3]...), b[:3]...)
+		if _, err := m.AddEdge(top); err != nil {
+			return err
+		}
+		_, err := m.AddEdge(top[1:4])
+		return err
+	}
+
+	ctx := context.Background()
+	ref := Wrap(h)
+	wantLabels, wantTops := map[int][]uint32{}, map[int][]uint32{}
+	record := func() {
+		labels, err := ref.SConnectedComponentsCtx(ctx, s, PruneNone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantLabels[ref.NumEdges()] = labels
+		wantTops[ref.NumEdges()] = core.ToplexesBruteForce(ref.Hypergraph())
+	}
+	record()
+	for c := 0; c < commits; c++ {
+		if err := ref.Mutate(func(m *Mutation) error { return batch(m, c) }); err != nil {
+			t.Fatal(err)
+		}
+		record()
+	}
+
+	g := Wrap(h)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("a query panicked: %v", p)
+				}
+			}()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				ne := g.NumEdges()
+				tops, err := g.ToplexesCtx(ctx) // warms the memo PruneAuto upgrades on
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				labels, err := g.SConnectedComponentsCtx(ctx, s, PruneAuto)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if want, ok := wantLabels[len(labels)]; !ok || len(labels) < ne || !slices.Equal(labels, want) {
+					t.Errorf("%d labels are the PruneNone labels of no epoch from %d hyperedges on", len(labels), ne)
+					return
+				}
+				found := false
+				for n, want := range wantTops {
+					found = found || (n >= ne && slices.Equal(tops, want))
+				}
+				if !found {
+					t.Errorf("%d toplexes are the toplexes of no epoch from %d hyperedges on", len(tops), ne)
+					return
+				}
+			}
+		}()
+	}
+	for c := 0; c < commits; c++ {
+		if err := g.Mutate(func(m *Mutation) error { return batch(m, c) }); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+}
+
+// TestToplexesCtxCancelledAtEveryPollMemoisesNothing cancels ToplexesCtx at
+// each of the scan's polls in turn: a cancelled call returns the context's
+// error and leaves the memo cold, so no later query is served a partial
+// cover; the first call that outlives its polls answers whole and warms it.
+func TestToplexesCtxCancelledAtEveryPollMemoisesNothing(t *testing.T) {
+	g := Wrap(gen.Community(gen.CommunityConfig{
+		NumEdges: 400, NumNodes: 90, MeanEdgeSize: 5, SizeSkew: 1.5, MemberSkew: 0.6, Seed: 23,
+	})).WithEngine(NewEngine(2))
+	defer g.Engine().Close()
+	want := core.ToplexesBruteForce(g.Hypergraph())
+	for polls := int64(0); ; polls++ {
+		if polls > 1<<12 {
+			t.Fatal("ToplexesCtx never stops polling")
+		}
+		ctx := &pollsCtx{Context: context.Background()}
+		ctx.left.Store(polls)
+		tops, err := g.ToplexesCtx(ctx)
+		if err == nil {
+			if polls == 0 {
+				t.Fatal("ToplexesCtx never polled its context")
+			}
+			if !slices.Equal(tops, want) || !g.toplexCacheWarm() {
+				t.Fatalf("after %d polls: %d toplexes, want %d; memo warm = %v", polls, len(tops), len(want), g.toplexCacheWarm())
+			}
+			return
+		}
+		if !errors.Is(err, context.Canceled) || tops != nil || g.toplexCacheWarm() {
+			t.Fatalf("cancelled at poll %d: %d toplexes, error %v, memo warm = %v; want none, Canceled, cold", polls, len(tops), err, g.toplexCacheWarm())
+		}
+	}
+}
