@@ -6,8 +6,8 @@
 // on SIGTERM. Datasets are mutable in place: POST /mutate stages hyperedge
 // insertions and removals through the delta overlay (committed per the
 // -compact-every policy), POST /compact flushes staged operations into a
-// fresh snapshot on demand, and /scc?incremental=true serves connectivity
-// from the maintained union-find view across insert-only commits.
+// fresh snapshot on demand, and every /scc is answered by a maintained
+// union-find view: once per epoch, absorbing insert-only commits.
 //
 // Usage:
 //

@@ -60,6 +60,10 @@ func (s *Server) metricsVar() http.Handler {
 			"evictions": s.cache.Evictions(),
 		}
 	})
+	gauge("scc", func() any {
+		views, incremental, full := s.sccCounts()
+		return map[string]int{"views": views, "incremental": incremental, "full": full}
+	})
 	gauge("endpoints", func() any { return s.met.snapshot() })
 	gauge("engine_workers", func() any { return s.eng.NumWorkers() })
 	gauge("datasets", func() any {
@@ -245,15 +249,7 @@ func (s *Server) handleSCC(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	if req.Incremental, err = qBool(r, "incremental", false); err != nil {
-		writeErr(w, err)
-		return
-	}
 	if req.WithLabels, err = qBool(r, "labels", false); err != nil {
-		writeErr(w, err)
-		return
-	}
-	if req.Prune, err = qPrune(r); err != nil {
 		writeErr(w, err)
 		return
 	}

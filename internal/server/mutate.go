@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"nwhy"
@@ -30,32 +31,118 @@ func (s *Server) mutStateFor(name string) *mutState {
 	return ms
 }
 
+// maxSCCViews caps the maintained s-CC views a server keeps resident. The
+// key's s comes from the request, so the map is bounded here, not by the
+// clients' good behaviour; a view holds two uint32 per hyperedge.
+const maxSCCViews = 32
+
 // sccKey identifies one maintained s-CC view.
 type sccKey struct {
 	dataset string
 	s       int
 }
 
-// sccEntry binds a maintained view to the exact facade handle it tracks, so
-// a registry swap (same name, different handle) is detected and the view
-// rebuilt instead of serving components of a dataset that no longer exists.
+// sccEntry is one maintained view, bound to the exact facade handle it
+// tracks (so a registry swap — same name, different handle — replaces it
+// instead of serving components of a dataset that no longer exists), plus
+// the answer it gave at the newest epoch it was asked at.
 type sccEntry struct {
 	g    *nwhy.NWHypergraph
 	view *nwhy.IncrementalSCC
+	used uint64 // Server.sccTick at the last request; guarded by Server.sccMu
+
+	// mu serializes requests on the view and guards memo and hits: identical
+	// requests at a new epoch queue here and all but the first find memo
+	// current.
+	mu   sync.Mutex
+	memo *sccAnswer // nil until the first answer
+	hits int
 }
 
-// incrementalSCC returns the maintained s-CC view for (dataset, s) on g,
-// creating or replacing it when none exists or the registry handle changed.
-func (s *Server) incrementalSCC(dataset string, sThresh int, g *nwhy.NWHypergraph) *nwhy.IncrementalSCC {
+// sccAnswer is the s-component structure at one epoch. The label vector is
+// written once and then only read, by every reply of that epoch.
+type sccAnswer struct {
+	epoch               uint64
+	labels              []uint32
+	components, largest int
+}
+
+// sccView returns the maintained view for (dataset, s) on g, creating it
+// when none is resident or the registry handle changed, and evicting the
+// least recently used view to stay within maxSCCViews.
+func (s *Server) sccView(dataset string, sThresh int, g *nwhy.NWHypergraph) *sccEntry {
 	key := sccKey{dataset: dataset, s: sThresh}
 	s.sccMu.Lock()
 	defer s.sccMu.Unlock()
 	e, ok := s.sccs[key]
+	if !ok && len(s.sccs) >= maxSCCViews {
+		var lru sccKey
+		oldest := uint64(math.MaxUint64)
+		for k, v := range s.sccs {
+			if v.used < oldest {
+				lru, oldest = k, v.used
+			}
+		}
+		delete(s.sccs, lru)
+	}
 	if !ok || e.g != g {
 		e = &sccEntry{g: g, view: g.IncrementalSCC(sThresh)}
 		s.sccs[key] = e
 	}
-	return e.view
+	s.sccTick++
+	e.used = s.sccTick
+	return e
+}
+
+// answer returns the s-components at the dataset's current epoch and whether
+// that took no full recompute. At the memoized epoch it is a read; otherwise
+// the view brings its forest forward (absorbing an insert-only gap, else
+// recomputing) and the labels it hands over are counted once and kept. A
+// build that fails or panics leaves memo as it was.
+func (e *sccEntry) answer(ctx context.Context) (*sccAnswer, bool, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.memo != nil && e.memo.epoch == e.g.Epoch() {
+		e.hits++
+		return e.memo, true, nil
+	}
+	// e.mu is this view's single-flight: holding it across the build is what
+	// makes the second identical request a hit.
+	labels, inc, err := e.view.Labels(ctx) //nwhy:nolint(locks-balanced) per-view single-flight lock held across the build by design
+	if err != nil {
+		return nil, false, err
+	}
+	a := &sccAnswer{epoch: e.view.Epoch(), labels: labels}
+	// A label is its component's minimum member ID, so it indexes labels.
+	sizes := make([]int32, len(labels))
+	for _, l := range labels {
+		if sizes[l] == 0 {
+			a.components++
+		}
+		sizes[l]++
+		a.largest = max(a.largest, int(sizes[l]))
+	}
+	e.memo = a
+	return a, inc, nil
+}
+
+// sccCounts sums over the resident views: how many there are, and how many
+// /scc replies they gave without and with a full recompute.
+func (s *Server) sccCounts() (views, incremental, full int) {
+	s.sccMu.Lock()
+	entries := make([]*sccEntry, 0, len(s.sccs))
+	for _, e := range s.sccs {
+		entries = append(entries, e)
+	}
+	s.sccMu.Unlock()
+	for _, e := range entries {
+		inc, f := e.view.Counts()
+		e.mu.Lock()
+		inc += e.hits
+		e.mu.Unlock()
+		incremental, full = incremental+inc, full+f
+	}
+	return len(entries), incremental, full
 }
 
 // EdgeOp is one staged mutation operation.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -195,10 +196,12 @@ func TestSLineCacheEpochKeyedInvalidation(t *testing.T) {
 	}
 }
 
+// TestSCCIncrementalEndpoint: the default /scc computes once, repeats from
+// memory, and absorbs an insert-only commit, all with the facade's labels.
 func TestSCCIncrementalEndpoint(t *testing.T) {
 	s, _ := testServer(t, Config{})
 	ctx := context.Background()
-	req := SCCRequest{Dataset: "tiny", S: 1, Incremental: true, WithLabels: true}
+	req := SCCRequest{Dataset: "tiny", S: 1, WithLabels: true}
 
 	first, err := s.SComponents(ctx, req)
 	if err != nil {
@@ -211,8 +214,8 @@ func TestSCCIncrementalEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SComponents (repeat): %v", err)
 	}
-	if !second.Incremental {
-		t.Fatal("repeat at the same epoch must serve the cached forest")
+	if !second.Incremental || !slices.Equal(second.Labels, first.Labels) {
+		t.Fatalf("repeat at the same epoch = %+v, want the first answer from memory", second)
 	}
 
 	// An insert-only commit is absorbed without a recompute, and the labels
@@ -224,24 +227,19 @@ func TestSCCIncrementalEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SComponents after insert: %v", err)
 	}
-	if !third.Incremental || third.NumComponents != 1 {
-		t.Fatalf("post-insert = %+v, want incremental absorption into 1 component", third)
+	if !third.Incremental || third.NumComponents != 1 || third.Epoch != 1 {
+		t.Fatalf("post-insert = %+v, want incremental absorption into 1 component at epoch 1", third)
 	}
-	oneShot, err := s.SComponents(ctx, SCCRequest{Dataset: "tiny", S: 1, WithLabels: true})
-	if err != nil {
-		t.Fatalf("SComponents one-shot: %v", err)
-	}
-	for i := range third.Labels {
-		if third.Labels[i] != oneShot.Labels[i] {
-			t.Fatalf("label %d: incremental %d vs one-shot %d", i, third.Labels[i], oneShot.Labels[i])
-		}
+	checkSCCReply(t, s, third)
+	if len(first.Labels) != 5 || first.Epoch != 0 {
+		t.Fatalf("the epoch-0 reply changed under its reader: %+v", first)
 	}
 }
 
 func TestSCCIncrementalSurvivesRegistrySwap(t *testing.T) {
 	s, _ := testServer(t, Config{})
 	ctx := context.Background()
-	req := SCCRequest{Dataset: "tiny", S: 1, Incremental: true}
+	req := SCCRequest{Dataset: "tiny", S: 1, WithLabels: true}
 	if _, err := s.SComponents(ctx, req); err != nil {
 		t.Fatalf("SComponents: %v", err)
 	}
@@ -255,6 +253,7 @@ func TestSCCIncrementalSurvivesRegistrySwap(t *testing.T) {
 	if out.Incremental || out.NumComponents != 2 {
 		t.Fatalf("post-swap = %+v, want full recompute finding 2 components", out)
 	}
+	checkSCCReply(t, s, out)
 }
 
 func TestMetricsSeparateQueueWait(t *testing.T) {
@@ -336,23 +335,25 @@ func TestHTTPMutateCompactAndGauges(t *testing.T) {
 	post(t, "/mutate", mutateBody{Dataset: "tiny", Ops: []EdgeOp{{Op: "bogus"}}}, 400, nil)
 	post(t, "/compact?dataset=nope", nil, 404, nil)
 
-	// The incremental SCC view over the wire.
-	resp, err := srv.Client().Get(srv.URL + "/scc?dataset=tiny&s=1&incremental=true")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The s-CC view over the wire: computed, then twice from memory.
 	var scc SCCResult
-	if err := json.NewDecoder(resp.Body).Decode(&scc); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if scc.NumComponents < 1 {
-		t.Fatalf("scc = %+v", scc)
+	for _, path := range []string{"/scc?dataset=tiny&s=1", "/scc?dataset=tiny&s=1&incremental=true", "/scc?dataset=tiny&s=1"} {
+		resp, err := srv.Client().Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&scc); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if scc.NumComponents < 1 || scc.Epoch != 2 {
+			t.Fatalf("GET %s = %+v", path, scc)
+		}
 	}
 
-	// /metrics gains the per-dataset epoch gauge, cache evictions, and the
-	// queue-wait columns.
-	resp, err = srv.Client().Get(srv.URL + "/metrics")
+	// /metrics gains the per-dataset epoch gauge, the s-CC view counters,
+	// cache evictions, and the queue-wait columns.
+	resp, err := srv.Client().Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,6 +371,13 @@ func TestHTTPMutateCompactAndGauges(t *testing.T) {
 	}
 	if ds["tiny"].Epoch != 2 || ds["tiny"].PendingOps != 0 {
 		t.Fatalf("datasets gauge = %+v, want tiny at epoch 2 with no pending ops", ds)
+	}
+	var views map[string]int
+	if err := json.Unmarshal(met["scc"], &views); err != nil {
+		t.Fatalf("scc gauge: %v", err)
+	}
+	if views["views"] != 1 || views["full"] != 1 || views["incremental"] != 2 {
+		t.Fatalf("scc gauge = %v, want one view that recomputed once and answered twice from memory", views)
 	}
 	var cache map[string]int64
 	if err := json.Unmarshal(met["cache"], &cache); err != nil {

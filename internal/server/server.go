@@ -1,6 +1,6 @@
 // Package server is NWHy-Go's serving core: the concurrency-safe layer that
 // turns the batch facade into a long-lived multi-tenant query service. It
-// owns three pieces of shared state the batch CLIs never needed:
+// owns four pieces of shared state the batch CLIs never needed:
 //
 //   - a Registry of loaded hypergraphs, warm-started from .nwhyb snapshots
 //     and bound to one shared serving engine (LoadOptions.Engine);
@@ -9,7 +9,10 @@
 //     reaching every kernel;
 //   - an SLineCache memoizing constructed s-line graphs keyed on
 //     (dataset, s, edges, weighted, strategy), with single-flight dedup of
-//     concurrent identical constructions.
+//     concurrent identical constructions;
+//   - the maintained s-component views every /scc is answered from, one per
+//     (dataset, s): a union-find forest carried across insert-only commits
+//     plus the answer of the newest epoch asked at.
 //
 // The Server type glues them together behind request-shaped methods (one
 // per query kind, each taking a context.Context first) and exposes the same
@@ -97,10 +100,13 @@ type Server struct {
 	mutMu sync.Mutex
 	muts  map[string]*mutState
 
-	// sccMu guards sccs: the server-held incremental s-CC views, one per
-	// (dataset, s), invalidated when the registry swaps the handle.
-	sccMu sync.Mutex
-	sccs  map[sccKey]*sccEntry
+	// sccMu guards sccs and sccTick: the maintained s-CC views every /scc is
+	// answered from, one per (dataset, s), replaced when the registry swaps
+	// the handle and capped at maxSCCViews by least-recent use (sccTick is
+	// the use clock).
+	sccMu   sync.Mutex
+	sccs    map[sccKey]*sccEntry
+	sccTick uint64
 
 	// latestMu guards latest: per request shape, the newest successfully
 	// built unweighted s-line handle. It outlives LRU eviction, so a shape
@@ -410,40 +416,32 @@ func (s *Server) SLine(ctx context.Context, req SLineRequest) (SLineResult, erro
 type SCCRequest struct {
 	Dataset string
 	S       int
-	// Incremental serves from the server-held maintained s-CC view: the
-	// first call computes from scratch and keeps the union-find forest, and
-	// insert-only mutation epochs are absorbed by growing it — the right
-	// call for repeated connectivity on a mutating dataset.
+	// Incremental is accepted and has no effect: every request is answered
+	// by the maintained view.
 	Incremental bool
 	// WithLabels includes the full per-hyperedge label vector in the
-	// result (the summary is always computed).
+	// result (the summary is always present).
 	WithLabels bool
-	// Prune selects the pruning level for the default path (PruneAuto: the
-	// connectivity arsenal, upgrading to toplex-only once the dataset's
-	// toplex cache is warm; PruneNone: the unpruned baseline). Labels are
-	// identical at every level.
-	Prune nwhy.Prune
 }
 
-// SCCResult summarizes the s-component structure.
+// SCCResult summarizes the s-component structure at one epoch.
 type SCCResult struct {
-	Dataset       string `json:"dataset"`
-	S             int    `json:"s"`
+	Dataset string `json:"dataset"`
+	S       int    `json:"s"`
+	// Epoch is the mutation epoch the labels and the summary belong to.
+	Epoch         uint64 `json:"epoch"`
 	NumComponents int    `json:"num_components"`
 	LargestSize   int    `json:"largest_size"`
-	// CacheHit is always false: no s-CC route reads the s-line cache. The
-	// field stays so responses keep their shape.
-	CacheHit bool `json:"cache_hit"`
-	// Incremental reports that the maintained view answered without a full
-	// recompute (only meaningful on SCCRequest.Incremental).
-	Incremental bool     `json:"incremental,omitempty"`
-	Labels      []uint32 `json:"labels,omitempty"`
+	// Incremental reports that the answer took no full recompute: it came
+	// from memory, or by absorbing insert-only commits into the view.
+	Incremental bool `json:"incremental,omitempty"`
+	// Labels is shared with every other reply of its epoch; read only.
+	Labels []uint32 `json:"labels,omitempty"`
 }
 
-// SComponents computes s-connected components. The default path is the
-// intent-aware pruned union-find kernel (no s-line graph is ever
-// materialized; the prune level comes from req.Prune); Incremental serves
-// from the maintained view instead. Labels agree between the two.
+// SComponents answers s-connected components from the server-held view of
+// (dataset, s): labels are a function of (dataset, epoch, s), so they are
+// computed once per epoch and no s-line graph is ever materialized.
 func (s *Server) SComponents(ctx context.Context, req SCCRequest) (SCCResult, error) {
 	var out SCCResult
 	err := s.do(ctx, "scc", func(ctx context.Context) error {
@@ -454,35 +452,16 @@ func (s *Server) SComponents(ctx context.Context, req SCCRequest) (SCCResult, er
 		if err != nil {
 			return err
 		}
-		var (
-			labels []uint32
-			inc    bool
-		)
-		if req.Incremental {
-			labels, inc, err = s.incrementalSCC(req.Dataset, req.S, g).Labels(ctx)
-		} else {
-			// Never materializes the s-line graph: unions s-incident pairs
-			// under the full pruning arsenal (degree prefilter, connected
-			// short-circuit, and — once the dataset's toplex cache is warm —
-			// toplex-only construction).
-			labels, err = g.SConnectedComponentsCtx(ctx, req.S, req.Prune)
-		}
+		a, inc, err := s.sccView(req.Dataset, req.S, g).answer(ctx)
 		if err != nil {
 			return err
 		}
-		// A label is its component's minimum member ID, so it indexes labels.
-		sizes := make([]int32, len(labels))
-		components, largest := 0, int32(0)
-		for _, l := range labels {
-			if sizes[l] == 0 {
-				components++
-			}
-			sizes[l]++
-			largest = max(largest, sizes[l])
+		out = SCCResult{
+			Dataset: req.Dataset, S: req.S, Epoch: a.epoch,
+			NumComponents: a.components, LargestSize: a.largest, Incremental: inc,
 		}
-		out = SCCResult{Dataset: req.Dataset, S: req.S, NumComponents: components, LargestSize: int(largest), Incremental: inc}
 		if req.WithLabels {
-			out.Labels = labels
+			out.Labels = a.labels
 		}
 		return nil
 	})

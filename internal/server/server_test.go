@@ -91,73 +91,23 @@ func TestSLineValidation(t *testing.T) {
 	}
 }
 
-// TestSCCPruneLevels: every prune level yields identical component labels
-// through the serving layer, and the HTTP prune parameter round-trips
-// (bogus values map to 400).
-func TestSCCPruneLevels(t *testing.T) {
-	s, _ := testServer(t, Config{})
-	ctx := context.Background()
-
-	base, err := s.SComponents(ctx, SCCRequest{Dataset: "tiny", S: 1, Prune: nwhy.PruneNone, WithLabels: true})
-	if err != nil {
-		t.Fatalf("unpruned: %v", err)
-	}
-	for _, p := range []nwhy.Prune{nwhy.PruneAuto, nwhy.PruneNone, nwhy.PruneDegree, nwhy.PruneConnectivity, nwhy.PruneToplex} {
-		r, err := s.SComponents(ctx, SCCRequest{Dataset: "tiny", S: 1, Prune: p, WithLabels: true})
-		if err != nil {
-			t.Fatalf("prune=%v: %v", p, err)
-		}
-		if r.NumComponents != base.NumComponents {
-			t.Fatalf("prune=%v: %d components, want %d", p, r.NumComponents, base.NumComponents)
-		}
-		for i := range base.Labels {
-			if r.Labels[i] != base.Labels[i] {
-				t.Fatalf("prune=%v: label[%d] = %d, want %d", p, i, r.Labels[i], base.Labels[i])
-			}
-		}
-	}
-
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	for path, want := range map[string]int{
-		"/scc?dataset=tiny&s=1&prune=toplex":        200,
-		"/scc?dataset=tiny&s=1&prune=none":          200,
-		"/scc?dataset=tiny&s=1&prune=bogus":         400,
-		"/slinegraph?dataset=tiny&s=1&prune=degree": 200,
-		"/slinegraph?dataset=tiny&s=1&prune=nope":   400,
-	} {
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != want {
-			t.Fatalf("GET %s status = %d, want %d", path, resp.StatusCode, want)
-		}
-	}
-}
-
-// TestSComponentsCachedMatchesDirect: the default /scc route labels like the
-// unpruned kernel and like the facade called directly.
+// TestSComponentsCachedMatchesDirect: /scc labels, computed and repeated from
+// memory, are the facade's unpruned one-shot labels.
 func TestSComponentsCachedMatchesDirect(t *testing.T) {
 	s, eng := testServer(t, Config{})
 	ctx := context.Background()
-
-	unpruned, err := s.SComponents(ctx, SCCRequest{Dataset: "tiny", S: 1, Prune: nwhy.PruneNone, WithLabels: true})
+	want, err := nwhy.FromSets(twoIslands(), 8).WithEngine(eng).SConnectedComponentsCtx(ctx, 1, nwhy.PruneNone)
 	if err != nil {
-		t.Fatalf("unpruned: %v", err)
+		t.Fatal(err)
 	}
-	def, err := s.SComponents(ctx, SCCRequest{Dataset: "tiny", S: 1, WithLabels: true})
-	if err != nil {
-		t.Fatalf("default: %v", err)
-	}
-	if unpruned.NumComponents != 2 || def.NumComponents != 2 {
-		t.Fatalf("components = %d (unpruned) / %d (default), want 2", unpruned.NumComponents, def.NumComponents)
-	}
-	// Serial ground truth straight off the facade.
-	want := nwhy.FromSets(twoIslands(), 8).WithEngine(eng).SConnectedComponents(1)
-	if !slices.Equal(unpruned.Labels, want) || !slices.Equal(def.Labels, want) {
-		t.Fatalf("labels = %v (unpruned) / %v (default), want %v", unpruned.Labels, def.Labels, want)
+	for _, when := range []string{"computed", "repeated"} {
+		got, err := s.SComponents(ctx, SCCRequest{Dataset: "tiny", S: 1, WithLabels: true})
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if got.NumComponents != 2 || got.LargestSize != 3 || !slices.Equal(got.Labels, want) {
+			t.Fatalf("%s = %+v, want 2 components, largest 3, labels %v", when, got, want)
+		}
 	}
 }
 

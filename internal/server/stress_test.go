@@ -86,8 +86,8 @@ func closeF64(name string, a, b []float64, tol float64) error {
 
 // TestConcurrentReadersMatchSerial hammers one registry dataset from many
 // goroutines with the full mixed query surface — s-line construction (with
-// a cache small enough to force constant eviction and rebuild), direct and
-// line-graph s-CC, deterministic and float-merged centralities, and raw
+// a cache small enough to force constant eviction and rebuild), s-CC from
+// the maintained views, deterministic and float-merged centralities, and raw
 // Pairs() reads on a shared cached handle — and asserts every deterministic
 // result is bit-identical to a serial single-worker run. Run it under
 // -race: the assertions catch value races, the detector catches the rest.
@@ -101,9 +101,13 @@ func TestConcurrentReadersMatchSerial(t *testing.T) {
 	base := map[int]*baseline{}
 	for _, s := range sValues {
 		lg := serial.SLineGraph(s, true)
+		labels, err := serial.SConnectedComponentsCtx(context.Background(), s, nwhy.PruneNone)
+		if err != nil {
+			t.Fatal(err)
+		}
 		base[s] = &baseline{
 			pairs:       lg.Pairs(),
-			labels:      serial.SConnectedComponents(s),
+			labels:      labels,
 			closeness:   lg.SClosenessCentrality(),
 			harmonic:    lg.SHarmonicClosenessCentrality(),
 			ecc:         lg.SEccentricity(),
@@ -153,20 +157,13 @@ func TestConcurrentReadersMatchSerial(t *testing.T) {
 						break
 					}
 					err = equalPairs(b.pairs, lg.Pairs())
-				case 1:
-					res, gerr := srv.SComponents(ctx, SCCRequest{Dataset: "stress", S: s, Prune: nwhy.PruneConnectivity, WithLabels: true})
-					if gerr != nil {
-						err = gerr
-						break
-					}
-					err = equalU32("connectivity-pruned labels", b.labels, res.Labels)
-				case 2:
+				case 1, 2:
 					res, gerr := srv.SComponents(ctx, SCCRequest{Dataset: "stress", S: s, WithLabels: true})
 					if gerr != nil {
 						err = gerr
 						break
 					}
-					err = equalU32("default labels", b.labels, res.Labels)
+					err = equalU32("s-component labels", b.labels, res.Labels)
 				case 3:
 					res, gerr := srv.Centrality(ctx, CentralityRequest{Dataset: "stress", S: s, Kind: CentralityHarmonic})
 					if gerr != nil {

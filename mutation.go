@@ -221,7 +221,11 @@ func (g *NWHypergraph) Mutate(fn func(m *Mutation) error) error {
 // the forest and absorb only the pairs incident to the inserted hyperedges
 // (inserting a hyperedge never changes the overlap between existing ones);
 // a deletion moves the tombstone epoch and forces a full recompute. Safe
-// for concurrent Labels calls (internally serialized).
+// for concurrent Labels calls (internally serialized). A Labels call that
+// fails changes nothing a later call can observe: a full recompute is
+// installed only when complete, and the unions an interrupted absorb did
+// apply are of pairs the retry (always at that epoch or a later one) absorbs
+// again or discards with the forest.
 type IncrementalSCC struct {
 	g *NWHypergraph
 	s int
@@ -244,6 +248,14 @@ func (g *NWHypergraph) IncrementalSCC(s int) *IncrementalSCC {
 // S reports the overlap threshold the view maintains.
 func (c *IncrementalSCC) S() int { return c.s }
 
+// Epoch reports the mutation epoch the last successful Labels call answered
+// at (0 before the first).
+func (c *IncrementalSCC) Epoch() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.epoch
+}
+
 // Counts reports how many Labels calls resolved incrementally (cache hits
 // included) versus by full recompute — the observable the mutate benchmark
 // and the differential tests key on.
@@ -258,9 +270,12 @@ func (c *IncrementalSCC) Counts() (incrementals, fulls int) {
 // singletons. incremental reports whether the result was served without a
 // full recompute. The returned slice is the caller's to keep.
 func (c *IncrementalSCC) Labels(ctx context.Context) (labels []uint32, incremental bool, err error) {
-	snap := c.g.snap()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// Loaded under the lock: a caller that waited behind a build spanning a
+	// commit answers at the handle's epoch now, never at one older than the
+	// forest's, so the view only moves forward.
+	snap := c.g.snap()
 	eng := c.g.engine().WithContext(ctx)
 	in := slinegraph.FromHypergraph(snap.h)
 	switch {

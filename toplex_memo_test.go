@@ -15,6 +15,95 @@ import (
 // current snapshot.
 func (g *NWHypergraph) toplexCacheWarm() bool { return g.toplexCacheWarmAt(g.snap()) }
 
+// epochInput generates the input of the epoch tests. One instance goes under
+// both the reference and the served handle: gen.Containment does not repeat,
+// and a commit never writes to the snapshot it replaces.
+func epochInput() *core.Hypergraph {
+	return gen.Containment(gen.ContainmentConfig{
+		NumBase: 40, NumNodes: 120, BaseSize: 8, SubsPerBase: 4, MemberSkew: 0.4, Seed: 5,
+	})
+}
+
+// insertBatch stages the c-th insert-only batch on an epochInput handle: a
+// new toplex bridging two earlier hyperedges, and a subset of it.
+func insertBatch(m *Mutation, c int) error {
+	a, b := m.g.Incidence(c%40), m.g.Incidence((c*7+3)%40)
+	top := append(append([]uint32(nil), a[:3]...), b[:3]...)
+	if _, err := m.AddEdge(top); err != nil {
+		return err
+	}
+	_, err := m.AddEdge(top[1:4])
+	return err
+}
+
+// TestIncrementalSCCOnlyMovesForward runs Labels readers on one maintained
+// view beside sixty insert-only commits. A reader that waited behind a build
+// spanning a commit must answer at the handle's epoch then, not at the older
+// one it arrived in: going back costs a full recompute under the lock and
+// makes the next reader absorb the same delta again. So the view recomputes
+// once, and every label vector is the unpruned one of the epoch its length
+// names.
+func TestIncrementalSCCOnlyMovesForward(t *testing.T) {
+	const commits, s = 60, 2
+	h := epochInput()
+	ctx := context.Background()
+	ref := Wrap(h)
+	want := map[int][]uint32{}
+	record := func() {
+		labels, err := ref.SConnectedComponentsCtx(ctx, s, PruneNone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[len(labels)] = labels
+	}
+	record()
+	for c := 0; c < commits; c++ {
+		if err := ref.Mutate(func(m *Mutation) error { return insertBatch(m, c) }); err != nil {
+			t.Fatal(err)
+		}
+		record()
+	}
+
+	g := Wrap(h)
+	view := g.IncrementalSCC(s)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				ne := g.NumEdges()
+				labels, _, err := view.Labels(ctx)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(labels) < ne || !slices.Equal(labels, want[len(labels)]) {
+					t.Errorf("%d labels are the PruneNone labels of no epoch from %d hyperedges on", len(labels), ne)
+					return
+				}
+			}
+		}()
+	}
+	for c := 0; c < commits; c++ {
+		if err := g.Mutate(func(m *Mutation) error { return insertBatch(m, c) }); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+	if _, fulls := view.Counts(); fulls != 1 {
+		t.Errorf("the view recomputed %d times beside insert-only commits, want once", fulls)
+	}
+}
+
 // TestSCCAndToplexesNeverCrossAnEpoch runs pruned s-CC and toplex queries
 // beside a writer committing insert batches. Each query must answer from
 // one snapshot: a hypergraph paired with the next epoch's cover used to
@@ -23,22 +112,7 @@ func (g *NWHypergraph) toplexCacheWarm() bool { return g.toplexCacheWarmAt(g.sna
 // toplexes, it must equal.
 func TestSCCAndToplexesNeverCrossAnEpoch(t *testing.T) {
 	const commits, s = 60, 2
-	// One generated instance under both handles: gen.Containment does not
-	// repeat, and a commit never writes to the snapshot it replaces.
-	h := gen.Containment(gen.ContainmentConfig{
-		NumBase: 40, NumNodes: 120, BaseSize: 8, SubsPerBase: 4, MemberSkew: 0.4, Seed: 5,
-	})
-	batch := func(m *Mutation, c int) error {
-		// A new toplex bridging two earlier hyperedges, and a subset of it.
-		a, b := m.g.Incidence(c%40), m.g.Incidence((c*7+3)%40)
-		top := append(append([]uint32(nil), a[:3]...), b[:3]...)
-		if _, err := m.AddEdge(top); err != nil {
-			return err
-		}
-		_, err := m.AddEdge(top[1:4])
-		return err
-	}
-
+	h := epochInput()
 	ctx := context.Background()
 	ref := Wrap(h)
 	wantLabels, wantTops := map[int][]uint32{}, map[int][]uint32{}
@@ -52,7 +126,7 @@ func TestSCCAndToplexesNeverCrossAnEpoch(t *testing.T) {
 	}
 	record()
 	for c := 0; c < commits; c++ {
-		if err := ref.Mutate(func(m *Mutation) error { return batch(m, c) }); err != nil {
+		if err := ref.Mutate(func(m *Mutation) error { return insertBatch(m, c) }); err != nil {
 			t.Fatal(err)
 		}
 		record()
@@ -103,7 +177,7 @@ func TestSCCAndToplexesNeverCrossAnEpoch(t *testing.T) {
 		}()
 	}
 	for c := 0; c < commits; c++ {
-		if err := g.Mutate(func(m *Mutation) error { return batch(m, c) }); err != nil {
+		if err := g.Mutate(func(m *Mutation) error { return insertBatch(m, c) }); err != nil {
 			t.Error(err)
 			break
 		}
