@@ -283,3 +283,22 @@ func BenchmarkEnsemble(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSLineGraphWeighted pairs the weighted handle with the plain
+// handle of the same graph (s = 1): what the value column and the weighted
+// view cost on top of the one route.
+func BenchmarkSLineGraphWeighted(b *testing.B) {
+	for _, preset := range []string{"livejournal-mini", "com-orkut-mini", "web-mini"} {
+		g := benchHypergraph(b, preset)
+		b.Run(preset+"/weighted", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = g.SLineGraphWeighted(1)
+			}
+		})
+		b.Run(preset+"/plain", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = g.SLineGraph(1, true)
+			}
+		})
+	}
+}

@@ -118,13 +118,6 @@ func parseInts(s string) ([]int, error) {
 	return out, nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // build materializes one preset with the facade handle.
 func build(p gen.Preset, scale float64) *nwhy.NWHypergraph {
 	return nwhy.Wrap(p.Build(scale))

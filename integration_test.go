@@ -179,8 +179,8 @@ func TestPipelineWeightedAgainstPlain(t *testing.T) {
 	for _, s := range ss {
 		plain := hg.SLineGraph(s, true)
 		weighted := hg.SLineGraphWeighted(s)
-		if plain.NumEdges() != weighted.NumEdges() {
-			t.Fatalf("s=%d: weighted pair count differs", s)
+		if !reflect.DeepEqual(weighted.Pairs(), plain.Pairs()) {
+			t.Fatalf("s=%d: weighted pairs differ", s)
 		}
 		if !reflect.DeepEqual(ens[s].Pairs(), plain.Pairs()) {
 			t.Fatalf("s=%d: ensemble differs", s)
@@ -195,9 +195,9 @@ func TestPipelineWeightedAgainstPlain(t *testing.T) {
 			t.Fatalf("s=%d: component paths disagree", s)
 		}
 		// Every weighted strength is >= s.
-		for _, p := range weighted.Strengths {
-			if p.Overlap < s {
-				t.Fatalf("s=%d: strength %d below threshold", s, p.Overlap)
+		for _, p := range weighted.Pairs() {
+			if got := weighted.Strength(int(p.U), int(p.V)); got < s {
+				t.Fatalf("s=%d: strength %d of (%d, %d) below threshold", s, got, p.U, p.V)
 			}
 		}
 	}

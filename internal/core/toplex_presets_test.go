@@ -79,7 +79,7 @@ func tallyCoverOf(h *core.Hypergraph, e uint32, cnt map[uint32]int) uint32 {
 // internal/gen preset and both serve shapes, at one, two and three workers,
 // to what the tally routine this package shipped before produces. The
 // expectation is recomputed in process and compared whole, not stored as a
-// digest, because gen.Containment does not repeat across processes.
+// digest.
 func TestToplexCoverMatchesTallyOnPresets(t *testing.T) {
 	var engs []*parallel.Engine
 	for workers := 1; workers <= 3; workers++ {

@@ -64,9 +64,6 @@ func All(eng *parallel.Engine, n int) *Frontier {
 	return &Frontier{n: n, list: ids}
 }
 
-// Space reports the size of the ID space the frontier is drawn from.
-func (f *Frontier) Space() int { return f.n }
-
 // Len reports the number of active entities.
 func (f *Frontier) Len() int { return len(f.list) }
 
@@ -76,12 +73,6 @@ func (f *Frontier) Empty() bool { return len(f.list) == 0 }
 // Members returns the sparse member list. The slice is owned by the
 // frontier; it is recycled when the frontier is consumed.
 func (f *Frontier) Members() []uint32 { return f.list }
-
-// Contains reports whether id is active. It requires the dense form;
-// callers on hot paths should hoist Dense out of their loops.
-func (f *Frontier) Contains(eng *parallel.Engine, id int) bool {
-	return f.Dense(eng).Get(id)
-}
 
 // denseCutoff is the member count above which Dense builds the bitmap with
 // a parallel loop instead of serially.

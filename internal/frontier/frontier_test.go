@@ -134,8 +134,8 @@ func TestEdgeMapDedup(t *testing.T) {
 
 func TestFrontierRepresentations(t *testing.T) {
 	f := FromList(100, []uint32{3, 97, 41})
-	if f.Space() != 100 || f.Len() != 3 || f.Empty() {
-		t.Fatalf("bad frontier shape: space=%d len=%d", f.Space(), f.Len())
+	if f.Len() != 3 || f.Empty() {
+		t.Fatalf("bad frontier shape: len=%d", f.Len())
 	}
 	b := f.Dense(teng)
 	for i := 0; i < 100; i++ {
@@ -143,9 +143,6 @@ func TestFrontierRepresentations(t *testing.T) {
 		if b.Get(i) != want {
 			t.Fatalf("dense bit %d = %v", i, b.Get(i))
 		}
-	}
-	if !f.Contains(teng, 41) || f.Contains(teng, 40) {
-		t.Fatal("Contains disagrees with members")
 	}
 	f.Release(teng)
 

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"nwhy/internal/core"
@@ -204,6 +205,7 @@ func Containment(cfg ContainmentConfig) *core.Hypergraph {
 		for v := range scratch {
 			members = append(members, v)
 		}
+		slices.Sort(members) // map order must not reach the shuffles below
 		bases[b] = members
 		for _, v := range members {
 			bel.Edges = append(bel.Edges, sparse.Edge{U: uint32(b), V: v})

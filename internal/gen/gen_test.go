@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"nwhy/internal/core"
@@ -241,5 +243,35 @@ func TestPresetsDeterministic(t *testing.T) {
 	b := p.Build(0.1)
 	if !a.Edges.Equal(b.Edges) {
 		t.Fatal("preset not deterministic")
+	}
+}
+
+// TestPresetsGoldenDigests pins every preset's incidence CSR across
+// processes: a generator that lets map iteration order (or anything else a
+// process does not repeat) reach its output passes the in-process
+// determinism tests above and still hands two binaries two inputs. The
+// constants are the FNV-1a digests of Edges.RowPtr and Edges.Col at scale
+// 0.05; a deliberate generator change re-records them.
+func TestPresetsGoldenDigests(t *testing.T) {
+	golden := map[string]uint64{
+		"com-orkut-mini":   0xc56e968d1977de4f,
+		"friendster-mini":  0xa37cbd59b22d2d63,
+		"orkut-group-mini": 0x31245a463f6ce962,
+		"livejournal-mini": 0xf0b6673db5d73df7,
+		"web-mini":         0xd2e9017ce079bad3,
+		"containment-mini": 0xdd544c1f301deb5c,
+		"rand1-mini":       0xc9df1013a8a5ac5,
+	}
+	for _, p := range Presets() {
+		h := p.Build(0.05)
+		d := fnv.New64a()
+		binary.Write(d, binary.LittleEndian, h.Edges.RowPtr)
+		binary.Write(d, binary.LittleEndian, h.Edges.Col)
+		want, ok := golden[p.Name]
+		if !ok {
+			t.Errorf("%s: no golden digest; this build gives %#x", p.Name, d.Sum64())
+		} else if got := d.Sum64(); got != want {
+			t.Errorf("%s: incidence digest %#x, want %#x", p.Name, got, want)
+		}
 	}
 }

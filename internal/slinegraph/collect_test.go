@@ -32,7 +32,10 @@ func lineRows(idSpace int, pairs []sparse.Edge) [][]uint32 {
 // the line graph empty — ConstructCSR's rows and Construct's pairs must equal
 // the Naive oracle's for every counter x schedule x relabel order at 1, 2
 // and 3 workers, on the bipartite input, the adjoin input (ID space wider
-// than the hyperedge range) and a Renamed input (non-contiguous IDs).
+// than the hyperedge range) and a Renamed input (non-contiguous IDs). The
+// value column rides along: ConstructWeightedCSR has the same RowPtr and Col,
+// every Val is the brute-force overlap, symmetric, and KeepAtLeast(s') is
+// ConstructCSR(s') for every s' from s up.
 func FuzzConstructCSR(f *testing.F) {
 	engines := []*parallel.Engine{parallel.NewEngine(1), parallel.NewEngine(2), parallel.NewEngine(3)}
 	f.Cleanup(func() {
@@ -88,6 +91,15 @@ func FuzzConstructCSR(f *testing.F) {
 			{"renamed", Renamed(FromHypergraph(h), rename, space), renamed},
 		} {
 			wantRows := lineRows(tc.in.IDSpace(), tc.want)
+			const sMax = 7 // above every overlap: nothing but the hub has more than 5 members
+			members := map[int]*sparse.CSR{}
+			for s2 := s; s2 <= sMax; s2++ {
+				member, err := ConstructCSR(teng, tc.in, s2, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				members[s2] = member
+			}
 			for _, eng := range engines {
 				for _, ctr := range []Counter{AutoCounter, HashmapCounter, DenseCounter, IntersectionCounter} {
 					for _, sched := range []Schedule{BlockedSchedule, CyclicSchedule, QueueSchedule} {
@@ -123,6 +135,30 @@ func FuzzConstructCSR(f *testing.F) {
 							if !slices.Equal(pairs, tc.want) || (len(tc.want) == 0 && pairs != nil) {
 								fail("Construct = %v, want %v", pairs, tc.want)
 							}
+							weighted, err := ConstructWeightedCSR(eng, tc.in, s, o)
+							if err != nil {
+								fail("ConstructWeightedCSR: %v", err)
+							}
+							if !slices.Equal(weighted.RowPtr, csr.RowPtr) || !slices.Equal(weighted.Col, csr.Col) || csr.Val != nil {
+								fail("the weighted CSR's RowPtr/Col differ from ConstructCSR's")
+							}
+							for e := range wantRows {
+								for k, f := range weighted.Row(e) {
+									got := weighted.RowVal(e)[k]
+									if want := exactOverlap(tc.in.Incidence(uint32(e)), tc.in.Incidence(f)); got != float64(want) || strengthOf(weighted, f, uint32(e)) != want {
+										fail("overlap of (%d, %d) = %v, of (%d, %d) = %d, want %d both ways", e, f, got, f, e, strengthOf(weighted, f, uint32(e)), want)
+									}
+								}
+							}
+							for s2, member := range members {
+								kept, err := weighted.KeepAtLeast(eng, float64(s2))
+								if err != nil {
+									fail("KeepAtLeast(%d): %v", s2, err)
+								}
+								if !slices.Equal(kept.RowPtr, member.RowPtr) || !slices.Equal(kept.Col, member.Col) || kept.Val != nil {
+									fail("KeepAtLeast(%d) differs from ConstructCSR at that s", s2)
+								}
+							}
 						}
 					}
 				}
@@ -154,6 +190,13 @@ func TestConstructStaysOnEngine(t *testing.T) {
 		if len(pairs) == 0 || csr.NumEdges() != 2*len(pairs) {
 			t.Fatalf("%+v: %d CSR entries for %d pairs", o, csr.NumEdges(), len(pairs))
 		}
+		weighted, err := ConstructWeightedCSR(eng, in, 1, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kept, err := weighted.KeepAtLeast(eng, 1); err != nil || !kept.Equal(csr) {
+			t.Fatalf("%+v: KeepAtLeast(1) of the weighted CSR is not ConstructCSR's: err = %v", o, err)
+		}
 	}
 	if got := def.Submitted() - before; got != 0 {
 		t.Fatalf("the default pool received %d tasks during constructions bound to a 1-worker engine", got)
@@ -162,21 +205,38 @@ func TestConstructStaysOnEngine(t *testing.T) {
 
 // TestAssembleSurfacesCancellation cancels between the kernel pass and the
 // assembly: the collected runs are complete, yet ConstructCSR's second half
-// must give the error back from its first phase on.
+// must give the error back from its first phase on. Either way release hands
+// every buffer — the value buffers of an exact run too — back to the arena
+// of the worker that filled it.
 func TestAssembleSurfacesCancellation(t *testing.T) {
 	eng := parallel.NewEngine(2)
 	defer eng.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	bound := eng.WithContext(ctx)
-	c, err := collect(bound, FromHypergraph(gen.Uniform(400, 200, 5, 11)), 1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	if _, _, err := c.assemble(bound); !errors.Is(err, context.Canceled) {
-		t.Fatalf("assemble on a cancelled engine: err = %v, want Canceled", err)
-	}
-	if _, col, err := c.assemble(eng); err != nil || len(col) == 0 {
-		t.Fatalf("assemble of the same runs on the live engine: %d entries, err = %v", len(col), err)
+	for _, exact := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		bound := eng.WithContext(ctx)
+		c, err := collect(bound, FromHypergraph(gen.Uniform(400, 200, 5, 11)), 1, Options{}, exact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		if _, _, _, err := c.assemble(bound); !errors.Is(err, context.Canceled) {
+			t.Fatalf("exact=%v: assemble on a cancelled engine: err = %v, want Canceled", exact, err)
+		}
+		_, col, val, err := c.assemble(eng)
+		if err != nil || len(col) == 0 || (exact && len(val) != len(col)) || (!exact && val != nil) {
+			t.Fatalf("exact=%v: assemble of the same runs on the live engine: %d entries, %d values, err = %v", exact, len(col), len(val), err)
+		}
+		c.release(eng)
+		for w, out := range c.out {
+			if len(out.ids) == 0 {
+				continue
+			}
+			if got := eng.GrabU32(w); cap(got) < len(out.ids) {
+				t.Errorf("exact=%v: worker %d's run buffer did not come back", exact, w)
+			}
+			if _, ok := eng.Grab(w, valsKey); ok != exact {
+				t.Errorf("exact=%v: worker %d's arena holds a value buffer: %v", exact, w, ok)
+			}
+		}
 	}
 }

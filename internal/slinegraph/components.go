@@ -43,7 +43,6 @@ func SComponentsToplex(eng *parallel.Engine, in Input, s int, tops, cover []uint
 	if o.Schedule == DefaultSchedule {
 		o.Schedule = QueueSchedule
 	}
-	o.Intent = IntentConnectivity
 	o.Prune = ToplexPrune
 	o.Subset = tops
 	o.forest = forest

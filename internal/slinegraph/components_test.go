@@ -10,7 +10,8 @@ import (
 
 // componentsViaMaterialize is the reference: build the s-line graph, run CC.
 func componentsViaMaterialize(h *core.Hypergraph, s int) []uint32 {
-	lg := ToLineGraph(h.NumEdges(), tHashmap(h, s, Options{}))
+	csr, _ := ConstructCSR(teng, FromHypergraph(h), s, Options{Counter: HashmapCounter})
+	lg, _ := graph.FromCSR(csr)
 	return graph.CanonicalizeComponents(graph.CCAfforest(teng, lg))
 }
 

@@ -1,6 +1,8 @@
 package slinegraph
 
 import (
+	"slices"
+
 	"nwhy/internal/core"
 	"nwhy/internal/parallel"
 	"nwhy/internal/sparse"
@@ -32,14 +34,16 @@ func tHashmap(h *core.Hypergraph, s int, o Options) []sparse.Edge {
 	return tPinned(FromHypergraph(h), s, o, HashmapCounter, BlockedSchedule)
 }
 
-func tEnsemble(h *core.Hypergraph, ss []int, o Options) map[int][]sparse.Edge {
-	r, _ := Ensemble(teng, h, ss, o)
-	return r
-}
-
-func tEnsembleQueue(in Input, ss []int, o Options) map[int][]sparse.Edge {
-	r, _ := EnsembleQueue(teng, in, ss, o)
-	return r
+// tEnsemble is what the facade's ensembles are made of: the exact base at
+// min(ss) under sched, then one KeepAtLeast per s, read off as pair lists.
+func tEnsemble(in Input, ss []int, sched Schedule) map[int][]sparse.Edge {
+	base := tWeighted(in, slices.Min(ss), HashmapCounter, sched)
+	out := map[int][]sparse.Edge{}
+	for _, s := range ss {
+		member, _ := base.KeepAtLeast(teng, float64(s))
+		out[s] = member.UpperTriangle()
+	}
+	return out
 }
 
 func tCliqueExpansion(h *core.Hypergraph, o Options) []sparse.Edge {
@@ -60,14 +64,7 @@ func tSComponentsDirect(in Input, s int, o Options) []uint32 {
 	return r
 }
 
-func tHashmapWeighted(h *core.Hypergraph, s int, o Options) []WeightedPair {
-	o.Counter, o.Schedule = HashmapCounter, BlockedSchedule
-	r, _ := ConstructWeighted(teng, FromHypergraph(h), s, o)
-	return r
-}
-
-func tQueueHashmapWeighted(in Input, s int, o Options) []WeightedPair {
-	o.Counter, o.Schedule = HashmapCounter, QueueSchedule
-	r, _ := ConstructWeighted(teng, in, s, o)
+func tWeighted(in Input, s int, c Counter, sched Schedule) *sparse.CSR {
+	r, _ := ConstructWeightedCSR(teng, in, s, Options{Counter: c, Schedule: sched})
 	return r
 }

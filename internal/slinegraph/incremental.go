@@ -73,18 +73,16 @@ func ConstructDirty(eng *parallel.Engine, in Input, s int, dirty []uint32) ([]sp
 // deltas without recomputing from scratch. The forest is compressed on
 // return.
 //
-// The run declares IntentConnectivity and feeds the forest back into the
-// kernel, arming the connected short-circuit: once two hyperedges land in
-// one s-component, later candidate pairs between that component's members
-// skip counting entirely (their union would be a no-op). Pass
-// Options.Prune = NoPrune to disable every heuristic (the benchmark
-// baseline); labels are identical either way.
+// The run feeds the forest back into the kernel, arming the connected
+// short-circuit: once two hyperedges land in one s-component, later
+// candidate pairs between that component's members skip counting entirely
+// (their union would be a no-op). Pass Options.Prune = NoPrune to disable
+// every heuristic (the benchmark baseline); labels are identical either way.
 func SComponentsForest(eng *parallel.Engine, in Input, s int, o Options) (*unionfind.Forest, error) {
 	forest := unionfind.New(in.IDSpace())
 	if o.Schedule == DefaultSchedule {
 		o.Schedule = QueueSchedule
 	}
-	o.Intent = IntentConnectivity
 	o.forest = forest
 	if err := construct(eng, in, s, o, false, func(_ int, e, f uint32, _ int32) {
 		forest.Union(e, f)

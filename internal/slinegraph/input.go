@@ -1,10 +1,11 @@
 // Package slinegraph implements NWHy's s-line-graph construction: one
 // s-overlap kernel (kernel.go) parameterized by counter strategy, work
-// schedule, emit mode and pruning level, plus the naive all-pairs oracle the
-// tests compare it against. The set-intersection heuristic (HiPC'21), the
-// hashmap-counting algorithm (IPDPS'22) and the paper's queue-based
-// Algorithms 1 and 2 are Counter × Schedule values of that kernel. Clique
-// expansion is provided as the 1-line graph of the dual hypergraph.
+// schedule and pruning level, one output stage (collect.go), plus the naive
+// all-pairs oracle the tests compare it against. The set-intersection
+// heuristic (HiPC'21), the hashmap-counting algorithm (IPDPS'22) and the
+// paper's queue-based Algorithms 1 and 2 are Counter × Schedule values of
+// that kernel. Clique expansion is provided as the 1-line graph of the dual
+// hypergraph.
 //
 // The kernel consumes the Input interface, so every configuration works
 // with any hyperedge ID set — bipartite, adjoin (shared index space), or
@@ -14,7 +15,6 @@ package slinegraph
 
 import (
 	"nwhy/internal/core"
-	"nwhy/internal/graph"
 	"nwhy/internal/parallel"
 	"nwhy/internal/sparse"
 )
@@ -141,14 +141,6 @@ func canonPairs(eng *parallel.Engine, pairs []sparse.Edge) []sparse.Edge {
 		out = append(out, e)
 	}
 	return out
-}
-
-// ToLineGraph materializes an s-line edge list over idSpace hyperedge IDs
-// as an undirected graph, ready for the graph algorithm library (s-connected
-// components, s-distance, s-betweenness, ...).
-func ToLineGraph(idSpace int, pairs []sparse.Edge) *graph.Graph {
-	el := &sparse.EdgeList{NumVertices: idSpace, Edges: append([]sparse.Edge(nil), pairs...)}
-	return graph.FromEdgeList(el, true)
 }
 
 // countCommonGE counts |a ∩ b| of two sorted slices, short-circuiting as

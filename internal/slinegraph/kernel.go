@@ -9,11 +9,11 @@ import (
 )
 
 // This file is the unified s-overlap construction kernel: one generic
-// count/filter/emit cycle parameterized along three orthogonal axes —
-// counter strategy (Counter), work schedule (Schedule), and emit mode
-// (threshold pairs vs exact overlaps, chosen by the entry point). Every
-// entry point of this package — Construct[CSR], the weighted variants, the
-// ensembles and the components builders — runs it; the paper's four named
+// count/filter/emit cycle parameterized along two orthogonal axes — counter
+// strategy (Counter) and work schedule (Schedule) — plus the exact flag
+// (true overlaps or any count ≥ s, chosen by the entry point). Every entry
+// point of this package — Construct[Weighted][CSR] through collect, and the
+// components builders — runs it; the paper's four named
 // algorithms are Counter × Schedule values, not code: Hashmap and
 // Intersection are those counters under BlockedSchedule, Algorithms 1 and 2
 // the same two under QueueSchedule (Algorithm 2's enqueue-pairs and
@@ -89,8 +89,8 @@ func (s Schedule) String() string {
 
 // overlapCounter is the per-worker strategy object of the kernel: process
 // yields every neighbor f > e with |e ∩ f| ≥ s. When exact is set the
-// yielded count is the true overlap size |e ∩ f| (needed by the weighted
-// and ensemble emit modes); otherwise it may be any value ≥ s reached after
+// yielded count is the true overlap size |e ∩ f| (ConstructWeightedCSR's
+// value column); otherwise it may be any value ≥ s reached after
 // short-circuiting. Counters are arena-recycled across runs via reset.
 type overlapCounter interface {
 	// reset prepares the counter for in's ID space. Called once per run when
@@ -105,7 +105,7 @@ type overlapCounter interface {
 
 // tallyCounter counts overlaps through the two-level incidence walk into a
 // pluggable countmap.Counter (hashmap or dense). Tallies are always exact —
-// every shared hypernode increments — so it serves both emit modes.
+// every shared hypernode increments — so the exact flag costs it nothing.
 type tallyCounter struct {
 	c countmap.Counter
 }
@@ -305,9 +305,8 @@ func sortByDegree(ids []uint32, in Input, ord sparse.Order) []uint32 {
 // the hyperedge IDs, distribute them per the schedule, and run the counter
 // strategy on each, yielding (worker, e, f, count) for every s-overlapping
 // pair with f > e. Each surviving pair is emitted exactly once. When exact
-// is set the count is the true |e ∩ f| (the weighted/ensemble emit modes);
-// otherwise counters may short-circuit at s. Returns eng.Err() so callers
-// surface mid-run cancellation.
+// is set the count is the true |e ∩ f|; otherwise counters may short-circuit
+// at s. Returns eng.Err() so callers surface mid-run cancellation.
 func construct(eng *parallel.Engine, in Input, s int, o Options, exact bool, emit func(w int, e, f uint32, c int32)) error {
 	ids := in.EdgeIDs()
 	// Axis 4 first: the prefiltered work span feeds the schedule.
@@ -343,19 +342,6 @@ func construct(eng *parallel.Engine, in Input, s int, o Options, exact bool, emi
 	}
 	release()
 	return eng.Err()
-}
-
-// ConstructWeighted runs the kernel in exact-count mode and collects the
-// canonical weighted s-line edge list (each pair with its |e ∩ f|).
-func ConstructWeighted(eng *parallel.Engine, in Input, s int, o Options) ([]WeightedPair, error) {
-	tls := parallel.NewTLSFor(eng, func() []WeightedPair { return nil })
-	if err := construct(eng, in, s, o, true, func(w int, e, f uint32, c int32) {
-		buf := tls.Get(w)
-		*buf = append(*buf, WeightedPair{U: e, V: f, Overlap: int(c)})
-	}); err != nil {
-		return nil, err
-	}
-	return canonWeighted(eng, parallel.FlattenTLS(nil, tls, nil)), nil
 }
 
 // countCommonExact counts |a ∩ b| of two sorted slices exactly, pruning only

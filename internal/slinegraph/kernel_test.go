@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"nwhy/internal/core"
@@ -54,8 +55,8 @@ func TestCrossStrategyDifferential(t *testing.T) {
 }
 
 // TestWeightedParityAcrossOptions is the weighted/unweighted parity test:
-// weighted output stripped of overlaps equals unweighted output for the
-// same options, across every axis combination.
+// the weighted CSR's structure is the unweighted CSR's for the same options
+// and every value is the exact overlap, across every axis combination.
 func TestWeightedParityAcrossOptions(t *testing.T) {
 	in := FromHypergraph(gen.Uniform(50, 30, 5, 7))
 	for _, ctr := range []Counter{HashmapCounter, DenseCounter, IntersectionCounter} {
@@ -63,17 +64,22 @@ func TestWeightedParityAcrossOptions(t *testing.T) {
 			for _, rel := range []sparse.Order{sparse.NoOrder, sparse.Descending} {
 				o := Options{Counter: ctr, Schedule: sched, Relabel: rel}
 				for s := 1; s <= 3; s++ {
-					plain := tConstruct(t, in, s, o)
-					wp, err := ConstructWeighted(teng, in, s, o)
+					plain, err := ConstructCSR(teng, in, s, o)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(Unweight(wp), plain) {
-						t.Fatalf("counter=%v schedule=%v relabel=%v s=%d: weighted pairs differ from unweighted", ctr, sched, rel, s)
+					weighted, err := ConstructWeightedCSR(teng, in, s, o)
+					if err != nil {
+						t.Fatal(err)
 					}
-					for _, p := range wp {
-						if exactOverlap(in.Incidence(p.U), in.Incidence(p.V)) != p.Overlap {
-							t.Fatalf("counter=%v s=%d: pair (%d,%d) overlap %d not exact", ctr, s, p.U, p.V, p.Overlap)
+					if !weighted.Equal(plain) || plain.Val != nil {
+						t.Fatalf("counter=%v schedule=%v relabel=%v s=%d: weighted structure differs from unweighted", ctr, sched, rel, s)
+					}
+					for e := 0; e < weighted.NumRows(); e++ {
+						for k, f := range weighted.Row(e) {
+							if got := weighted.RowVal(e)[k]; got != float64(exactOverlap(in.Incidence(uint32(e)), in.Incidence(f))) {
+								t.Fatalf("counter=%v s=%d: pair (%d,%d) overlap %v not exact", ctr, s, e, f, got)
+							}
 						}
 					}
 				}
@@ -83,11 +89,13 @@ func TestWeightedParityAcrossOptions(t *testing.T) {
 }
 
 // TestConstructCSRMatchesPairsPath: the direct-CSR assembly must produce
-// exactly the adjacency the pairs-then-FromEdgeList path produces.
+// exactly the adjacency the naive oracle's pair list lays out.
 func TestConstructCSRMatchesPairsPath(t *testing.T) {
 	for _, seed := range []int64{3, 9, 27} {
-		in := FromHypergraph(gen.Uniform(45, 30, 5, seed))
+		h := gen.Uniform(45, 30, 5, seed)
+		in := FromHypergraph(h)
 		for s := 1; s <= 3; s++ {
+			want := lineRows(in.IDSpace(), tNaive(h, s))
 			for _, o := range []Options{
 				{},
 				{Counter: DenseCounter, Schedule: QueueSchedule},
@@ -100,9 +108,10 @@ func TestConstructCSRMatchesPairsPath(t *testing.T) {
 				if err := csr.Validate(); err != nil {
 					t.Fatalf("seed=%d s=%d: %v", seed, s, err)
 				}
-				want := ToLineGraph(in.IDSpace(), tConstruct(t, in, s, o)).CSR()
-				if !csr.Equal(want) {
-					t.Fatalf("seed=%d s=%d %+v: direct CSR differs from pairs path", seed, s, o)
+				for e, row := range want {
+					if !slices.Equal(csr.Row(e), row) {
+						t.Fatalf("seed=%d s=%d %+v: row %d = %v, the pair list gives %v", seed, s, o, e, csr.Row(e), row)
+					}
 				}
 			}
 		}
@@ -196,22 +205,24 @@ func TestConstructSurfacesCancellation(t *testing.T) {
 	}
 
 	// Cancelled once the kernel pass is running: the error comes back, no
-	// partial CSR does, and the engine serves the next run.
+	// partial CSR does, the run buffers do (to their arenas), and the engine
+	// serves the next run.
 	eng := parallel.NewEngine(2)
 	defer eng.Close()
 	big := FromHypergraph(gen.Uniform(400, 200, 5, 11))
-	ctx, cancel = context.WithCancel(context.Background())
-	defer cancel()
-	csr, err := ConstructCSR(eng.WithContext(ctx), cancelInKernel{big, cancel}, 1, Options{})
-	if !errors.Is(err, context.Canceled) || csr != nil {
-		t.Fatalf("ConstructCSR cancelled mid-run: csr=%v err=%v, want nil and Canceled", csr, err)
-	}
-	got, err := ConstructCSR(eng, big, 1, Options{})
-	if err != nil {
-		t.Fatalf("engine not reusable after a cancelled run: %v", err)
-	}
-	if want := ToLineGraph(big.IDSpace(), tNaive(gen.Uniform(400, 200, 5, 11), 1)).CSR(); !got.Equal(want) {
-		t.Fatal("run after a cancelled one differs from the oracle")
+	for _, construct := range []func(*parallel.Engine, Input, int, Options) (*sparse.CSR, error){ConstructCSR, ConstructWeightedCSR} {
+		ctx, cancel = context.WithCancel(context.Background())
+		csr, err := construct(eng.WithContext(ctx), cancelInKernel{big, cancel}, 1, Options{})
+		if !errors.Is(err, context.Canceled) || csr != nil {
+			t.Fatalf("construction cancelled mid-run: csr=%v err=%v, want nil and Canceled", csr, err)
+		}
+		got, err := construct(eng, big, 1, Options{})
+		if err != nil {
+			t.Fatalf("engine not reusable after a cancelled run: %v", err)
+		}
+		if !slices.Equal(got.UpperTriangle(), tNaive(gen.Uniform(400, 200, 5, 11), 1)) {
+			t.Fatal("run after a cancelled one differs from the oracle")
+		}
 	}
 }
 

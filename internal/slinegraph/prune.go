@@ -8,8 +8,8 @@ import (
 // This file is the kernel's fourth axis — Prune — the companion paper's
 // algorithmic cuts (Liu et al., arXiv:2010.11448): the degree prefilter,
 // the union-find connected short-circuit, and the toplex-only restriction.
-// The axis resolves from the caller's declared Intent so heuristics that
-// drop pairs never leak into runs that consume the pair list.
+// The axis resolves from whether the run feeds a forest, so heuristics that
+// drop pairs never leak into runs that consume the pairs.
 
 // DegreeStats summarizes the hyperedge degree distribution of an input. It
 // feeds the resolveAxes heuristics; the facade memoizes one per snapshot
@@ -51,25 +51,17 @@ func ComputeDegreeStats(eng *parallel.Engine, in Input) DegreeStats {
 	return st
 }
 
-// resolvePrune turns AutoPrune into a concrete heuristic from the declared
-// intent and clamps explicit choices to what is sound: the connected
-// short-circuit and the toplex restriction change which pairs are emitted,
-// so they require a connectivity-intent run feeding an in-package forest;
-// anywhere else they degrade to the result-identical degree prefilter.
+// resolvePrune turns AutoPrune into a concrete heuristic and clamps explicit
+// choices to what is sound: the connected short-circuit and the toplex
+// restriction change which pairs are emitted, so they require a run feeding
+// an in-package forest; anywhere else they degrade to the result-identical
+// degree prefilter.
 func resolvePrune(o Options) Prune {
 	p := o.Prune
 	if p == AutoPrune {
-		if o.Intent == IntentConnectivity {
-			if o.Subset != nil {
-				p = ToplexPrune
-			} else {
-				p = ConnectivityPrune
-			}
-		} else {
-			p = DegreePrune
-		}
+		p = ToplexPrune // every cut the two clamps below leave standing
 	}
-	if p >= ConnectivityPrune && (o.Intent != IntentConnectivity || o.forest == nil) {
+	if p >= ConnectivityPrune && o.forest == nil {
 		p = DegreePrune
 	}
 	if p == ToplexPrune && o.Subset == nil {

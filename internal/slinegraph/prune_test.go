@@ -144,14 +144,14 @@ func TestResolvePruneClamps(t *testing.T) {
 		o    Options
 		want Prune
 	}{
-		{"auto threshold", Options{}, DegreePrune},
-		{"auto exact", Options{Intent: IntentExact}, DegreePrune},
-		{"auto connectivity+forest", Options{Intent: IntentConnectivity, forest: forest}, ConnectivityPrune},
-		{"auto connectivity+subset", Options{Intent: IntentConnectivity, forest: forest, Subset: []uint32{0}}, ToplexPrune},
+		{"auto, no forest", Options{}, DegreePrune},
+		{"auto, subset but no forest", Options{Subset: []uint32{0}}, DegreePrune},
+		{"auto, forest", Options{forest: forest}, ConnectivityPrune},
+		{"auto, forest+subset", Options{forest: forest, Subset: []uint32{0}}, ToplexPrune},
 		{"connectivity without forest clamps", Options{Prune: ConnectivityPrune}, DegreePrune},
 		{"toplex without forest clamps", Options{Prune: ToplexPrune}, DegreePrune},
-		{"toplex without subset clamps", Options{Prune: ToplexPrune, Intent: IntentConnectivity, forest: forest}, ConnectivityPrune},
-		{"none stays none", Options{Prune: NoPrune, Intent: IntentConnectivity, forest: forest}, NoPrune},
+		{"toplex without subset clamps", Options{Prune: ToplexPrune, forest: forest}, ConnectivityPrune},
+		{"none stays none", Options{Prune: NoPrune, forest: forest}, NoPrune},
 	}
 	for _, c := range cases {
 		if got := resolvePrune(c.o); got != c.want {

@@ -247,7 +247,7 @@ func TestQueueAlgorithmsRenamedInvariance(t *testing.T) {
 func TestEnsembleMatchesIndividualRuns(t *testing.T) {
 	h := randomHypergraph(40, 25, 6, 9)
 	ss := []int{1, 2, 3, 5}
-	got := tEnsemble(h, ss, Options{})
+	got := tEnsemble(FromHypergraph(h), ss, BlockedSchedule)
 	for _, s := range ss {
 		want := tHashmap(h, s, Options{})
 		if !reflect.DeepEqual(got[s], want) {
@@ -259,15 +259,15 @@ func TestEnsembleMatchesIndividualRuns(t *testing.T) {
 func TestEnsembleQueueMatchesEnsemble(t *testing.T) {
 	h := randomHypergraph(40, 25, 6, 17)
 	ss := []int{1, 2, 4}
-	want := tEnsemble(h, ss, Options{})
-	got := tEnsembleQueue(FromHypergraph(h), ss, Options{})
+	want := tEnsemble(FromHypergraph(h), ss, BlockedSchedule)
+	got := tEnsemble(FromHypergraph(h), ss, QueueSchedule)
 	for _, s := range ss {
 		if !reflect.DeepEqual(got[s], want[s]) {
 			t.Errorf("queue ensemble s=%d differs", s)
 		}
 	}
 	// And on the adjoin representation.
-	gotAdj := tEnsembleQueue(FromAdjoin(core.Adjoin(teng, h)), ss, Options{})
+	gotAdj := tEnsemble(FromAdjoin(core.Adjoin(teng, h)), ss, QueueSchedule)
 	for _, s := range ss {
 		if !reflect.DeepEqual(gotAdj[s], want[s]) {
 			t.Errorf("adjoin queue ensemble s=%d differs", s)
@@ -275,16 +275,27 @@ func TestEnsembleQueueMatchesEnsemble(t *testing.T) {
 	}
 }
 
-func TestEnsembleQueueEmpty(t *testing.T) {
-	if tEnsembleQueue(FromHypergraph(paperHypergraph()), nil, Options{}) != nil {
-		t.Fatal("EnsembleQueue(nil) should be nil")
+// A member whose threshold no overlap reaches is an empty line graph over
+// the whole ID space, not a missing one: the handle built from it must still
+// have every hyperedge as a vertex.
+func emptyMember(t *testing.T, in Input, sched Schedule) {
+	t.Helper()
+	base := tWeighted(in, 1, HashmapCounter, sched)
+	member, err := base.KeepAtLeast(teng, 2) // the running example's overlaps are all 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.NumEdges() != 8 || member.NumRows() != in.IDSpace() || member.NumEdges() != 0 || member.UpperTriangle() != nil {
+		t.Fatalf("base has %d entries; member above every overlap: %d rows, %d entries", base.NumEdges(), member.NumRows(), member.NumEdges())
 	}
 }
 
+func TestEnsembleQueueEmpty(t *testing.T) {
+	emptyMember(t, FromAdjoin(core.Adjoin(teng, paperHypergraph())), QueueSchedule)
+}
+
 func TestEnsembleEmptyThresholds(t *testing.T) {
-	if got := tEnsemble(paperHypergraph(), nil, Options{}); got != nil {
-		t.Fatalf("Ensemble(nil) = %v", got)
-	}
+	emptyMember(t, FromHypergraph(paperHypergraph()), BlockedSchedule)
 }
 
 func TestCliqueExpansionPaperExample(t *testing.T) {
@@ -319,20 +330,6 @@ func TestCliqueExpansionIsDualOneLine(t *testing.T) {
 	b := tNaive(h.Dual(), 1)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("clique expansion != 1-line graph of dual")
-	}
-}
-
-func TestToLineGraph(t *testing.T) {
-	h := paperHypergraph()
-	lg := ToLineGraph(h.NumEdges(), tHashmap(h, 1, Options{}))
-	if lg.NumVertices() != 4 {
-		t.Fatalf("line graph vertices = %d", lg.NumVertices())
-	}
-	// 4-cycle: every vertex degree 2.
-	for v := 0; v < 4; v++ {
-		if lg.Degree(v) != 2 {
-			t.Fatalf("line graph degree(%d) = %d", v, lg.Degree(v))
-		}
 	}
 }
 

@@ -2,23 +2,33 @@ package slinegraph
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"nwhy/internal/core"
-	"nwhy/internal/parallel"
+	"nwhy/internal/sparse"
 )
+
+// strengthOf reads |e ∩ f| off an overlap-weighted s-line CSR, 0 when the
+// pair is not s-incident.
+func strengthOf(csr *sparse.CSR, e, f uint32) int {
+	if k, ok := slices.BinarySearch(csr.Row(int(e)), f); ok {
+		return int(csr.RowVal(int(e))[k])
+	}
+	return 0
+}
 
 func TestHashmapWeightedStrengths(t *testing.T) {
 	h := overlapHypergraph() // |e0∩e1|=3, |e0∩e2|=2, |e1∩e2|=3
-	wp := tHashmapWeighted(h, 1, Options{})
+	csr := tWeighted(FromHypergraph(h), 1, HashmapCounter, BlockedSchedule)
 	want := map[[2]uint32]int{{0, 1}: 3, {0, 2}: 2, {1, 2}: 3}
-	if len(wp) != len(want) {
-		t.Fatalf("got %v", wp)
+	if csr.NumEdges() != 2*len(want) {
+		t.Fatalf("got %v", csr.UpperTriangle())
 	}
-	for _, p := range wp {
-		if want[[2]uint32{p.U, p.V}] != p.Overlap {
-			t.Fatalf("pair (%d,%d) overlap %d, want %d", p.U, p.V, p.Overlap, want[[2]uint32{p.U, p.V}])
+	for p, overlap := range want {
+		if strengthOf(csr, p[0], p[1]) != overlap || strengthOf(csr, p[1], p[0]) != overlap {
+			t.Fatalf("pair %v overlap %d / %d, want %d", p, strengthOf(csr, p[0], p[1]), strengthOf(csr, p[1], p[0]), overlap)
 		}
 	}
 }
@@ -28,13 +38,10 @@ func TestWeightedMatchesUnweightedPairs(t *testing.T) {
 		h := randomHypergraph(30, 20, 5, seed)
 		for s := 1; s <= 3; s++ {
 			plain := tHashmap(h, s, Options{})
-			weighted := Unweight(tHashmapWeighted(h, s, Options{}))
-			if !reflect.DeepEqual(plain, weighted) {
-				return false
-			}
-			qw := Unweight(tQueueHashmapWeighted(FromHypergraph(h), s, Options{}))
-			if !reflect.DeepEqual(plain, qw) {
-				return false
+			for _, sched := range []Schedule{BlockedSchedule, QueueSchedule} {
+				if !reflect.DeepEqual(plain, tWeighted(FromHypergraph(h), s, HashmapCounter, sched).UpperTriangle()) {
+					return false
+				}
 			}
 		}
 		return true
@@ -47,9 +54,12 @@ func TestWeightedMatchesUnweightedPairs(t *testing.T) {
 func TestWeightedOverlapsAreExact(t *testing.T) {
 	f := func(seed int64) bool {
 		h := randomHypergraph(25, 15, 5, seed)
-		for _, p := range tHashmapWeighted(h, 1, Options{}) {
-			if exactOverlap(h.EdgeIncidence(int(p.U)), h.EdgeIncidence(int(p.V))) != p.Overlap {
-				return false
+		csr := tWeighted(FromHypergraph(h), 1, HashmapCounter, BlockedSchedule)
+		for e := 0; e < csr.NumRows(); e++ {
+			for k, f := range csr.Row(e) {
+				if float64(exactOverlap(h.EdgeIncidence(e), h.EdgeIncidence(int(f)))) != csr.RowVal(e)[k] {
+					return false
+				}
 			}
 		}
 		return true
@@ -62,9 +72,9 @@ func TestWeightedOverlapsAreExact(t *testing.T) {
 func TestWeightedOverlapAtLeastS(t *testing.T) {
 	h := randomHypergraph(40, 20, 6, 11)
 	for s := 2; s <= 4; s++ {
-		for _, p := range tHashmapWeighted(h, s, Options{}) {
-			if p.Overlap < s {
-				t.Fatalf("s=%d pair with overlap %d", s, p.Overlap)
+		for _, overlap := range tWeighted(FromHypergraph(h), s, HashmapCounter, BlockedSchedule).Val {
+			if overlap < float64(s) {
+				t.Fatalf("s=%d pair with overlap %v", s, overlap)
 			}
 		}
 	}
@@ -91,48 +101,10 @@ func exactOverlap(a, b []uint32) int {
 
 func TestQueueHashmapWeightedOnAdjoin(t *testing.T) {
 	h := randomHypergraph(30, 20, 5, 5)
-	a := core.Adjoin(teng, h)
-	want := tHashmapWeighted(h, 2, Options{})
-	got := tQueueHashmapWeighted(FromAdjoin(a), 2, Options{})
-	if !reflect.DeepEqual(got, want) {
+	want := tWeighted(FromHypergraph(h), 2, HashmapCounter, BlockedSchedule)
+	got := tWeighted(FromAdjoin(core.Adjoin(teng, h)), 2, HashmapCounter, QueueSchedule)
+	ne := h.NumEdges()
+	if !slices.Equal(got.RowPtr[:ne+1], want.RowPtr) || !slices.Equal(got.Col, want.Col) || !slices.Equal(got.Val, want.Val) {
 		t.Fatal("weighted queue construction on adjoin differs")
-	}
-}
-
-func TestToWeightedLineGraph(t *testing.T) {
-	h := overlapHypergraph()
-	wp := tHashmapWeighted(h, 1, Options{})
-	g := ToWeightedLineGraph(h.NumEdges(), wp)
-	if !g.Weighted() {
-		t.Fatal("line graph not weighted")
-	}
-	if g.NumVertices() != 4 {
-		t.Fatalf("vertices = %d", g.NumVertices())
-	}
-	// Edge (0,1) has overlap 3 -> weight 1/3 in both directions.
-	row := g.Row(0)
-	ws := g.Weights(0)
-	found := false
-	for k, v := range row {
-		if v == 1 {
-			found = true
-			if ws[k] != 1.0/3.0 {
-				t.Fatalf("weight = %v, want 1/3", ws[k])
-			}
-		}
-	}
-	if !found {
-		t.Fatal("edge (0,1) missing")
-	}
-	if !g.IsSymmetric() {
-		t.Fatal("weighted line graph not symmetric")
-	}
-}
-
-func TestCanonWeightedNormalizes(t *testing.T) {
-	in := []WeightedPair{{U: 5, V: 2, Overlap: 1}, {U: 2, V: 5, Overlap: 1}, {U: 1, V: 3, Overlap: 2}}
-	out := canonWeighted(parallel.SharedEngine(), in)
-	if len(out) != 2 || out[0].U != 1 || out[1].U != 2 || out[1].V != 5 {
-		t.Fatalf("canonWeighted = %v", out)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"nwhy/internal/core"
 	"nwhy/internal/parallel"
 	"nwhy/internal/slinegraph"
-	"nwhy/internal/sparse"
 )
 
 // teng is the engine the package tests run on; wrapper funcs restore the
@@ -17,17 +16,8 @@ func tBuild(h *core.Hypergraph, s int) *SLineGraph {
 	return l
 }
 
-func tBuildWith(h *core.Hypergraph, s int, pairs []sparse.Edge) *SLineGraph {
-	return BuildWith(teng, h, s, pairs)
-}
-
 func tBuildWeighted(h *core.Hypergraph, s int) *WeightedSLineGraph {
-	l, _ := BuildWeighted(teng, h, s)
+	csr, _ := slinegraph.ConstructWeightedCSR(teng, slinegraph.FromHypergraph(h), s, slinegraph.Options{})
+	l, _ := BuildWeightedCSR(teng, h, s, csr)
 	return l
-}
-
-func tQueueIntersection(in slinegraph.Input, s int, o slinegraph.Options) []sparse.Edge {
-	o.Counter, o.Schedule = slinegraph.IntersectionCounter, slinegraph.QueueSchedule
-	r, _ := slinegraph.Construct(teng, in, s, o)
-	return r
 }

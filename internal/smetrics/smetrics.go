@@ -77,26 +77,9 @@ func BuildCSR(eng *parallel.Engine, h *core.Hypergraph, s int, csr *sparse.CSR) 
 	}, nil
 }
 
-// BuildWith wraps an already-constructed canonical s-line edge list, binding
-// eng for the s-metric queries: the entry for the constructions that start
-// from pair lists, the weighted and the ensemble ones. Everything else
-// arrives as a CSR through BuildCSR.
-func BuildWith(eng *parallel.Engine, h *core.Hypergraph, s int, pairs []sparse.Edge) *SLineGraph {
-	box := &pairsBox{list: pairs}
-	box.once.Do(func() {}) // already populated
-	return &SLineGraph{
-		S:     s,
-		G:     slinegraph.ToLineGraph(h.NumEdges(), pairs),
-		pairs: box,
-		h:     h,
-		eng:   eng,
-	}
-}
-
-// Pairs returns the canonical s-line edge list (U < V, sorted). Handles on
-// the direct-CSR path extract it from the adjacency on first call (rows are
-// sorted, so walking the upper triangle yields canonical order directly);
-// handles built from a pair list return that list.
+// Pairs returns the canonical s-line edge list (U < V, sorted), extracted
+// from the adjacency on first call: rows are sorted, so walking the upper
+// triangle yields canonical order directly.
 func (l *SLineGraph) Pairs() []sparse.Edge {
 	l.pairs.once.Do(func() { l.pairs.list = l.G.CSR().UpperTriangle() })
 	return l.pairs.list

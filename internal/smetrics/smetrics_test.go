@@ -207,12 +207,22 @@ func TestSEccentricityChain(t *testing.T) {
 	}
 }
 
+// TestBuildWithMatchesBuild: a handle built with explicit options (the
+// paper's Algorithm 2) is Build's handle, its lazily extracted pair list the
+// kernel's.
 func TestBuildWithMatchesBuild(t *testing.T) {
 	h := chainHypergraph()
-	viaQueue := tBuildWith(h, 2, tQueueIntersection(slinegraph.FromHypergraph(h), 2, slinegraph.Options{}))
+	queue2 := slinegraph.Options{Counter: slinegraph.IntersectionCounter, Schedule: slinegraph.QueueSchedule}
+	viaQueue, err := BuildOptions(teng, h, 2, queue2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	direct := tBuild(h, 2)
-	if viaQueue.NumEdges() != direct.NumEdges() {
-		t.Fatal("tBuildWith(queue2) differs from Build")
+	if !viaQueue.G.CSR().Equal(direct.G.CSR()) {
+		t.Fatal("BuildOptions(queue2) differs from Build")
+	}
+	if pairs, _ := slinegraph.Construct(teng, slinegraph.FromHypergraph(h), 2, queue2); !reflect.DeepEqual(viaQueue.Pairs(), pairs) {
+		t.Fatalf("Pairs() = %v, the kernel's pair list is %v", viaQueue.Pairs(), pairs)
 	}
 	if !reflect.DeepEqual(viaQueue.SConnectedComponents(), direct.SConnectedComponents()) {
 		t.Fatal("components differ")

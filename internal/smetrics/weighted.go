@@ -1,41 +1,50 @@
 package smetrics
 
 import (
+	"slices"
+
 	"nwhy/internal/core"
 	"nwhy/internal/graph"
 	"nwhy/internal/parallel"
-	"nwhy/internal/slinegraph"
+	"nwhy/internal/sparse"
 )
 
 // WeightedSLineGraph extends SLineGraph with the overlap strengths of
 // Figure 5: each s-line edge knows |e ∩ f|, and a strength-weighted view
 // (arc weight 1/overlap) supports distances that prefer strong overlaps.
+// The embedded handle's G, WG and the strengths are three views of one
+// RowPtr/Col pair.
 type WeightedSLineGraph struct {
 	*SLineGraph
-	// Strengths holds the canonical weighted pair list.
-	Strengths []slinegraph.WeightedPair
 	// WG is the weighted line graph (arc weight = 1/overlap).
 	WG *graph.Graph
+
+	overlap *sparse.CSR // the adjacency with Val = |e ∩ f|
 }
 
-// BuildWeighted constructs the strength-annotated s-line graph of h on eng,
-// binding eng for the weighted s-metric queries.
-func BuildWeighted(eng *parallel.Engine, h *core.Hypergraph, s int) (*WeightedSLineGraph, error) {
-	return BuildWeightedOptions(eng, h, s, slinegraph.Options{})
-}
-
-// BuildWeightedOptions is BuildWeighted with explicit construction options,
-// running the kernel's exact-count emit mode under any counter/schedule.
-func BuildWeightedOptions(eng *parallel.Engine, h *core.Hypergraph, s int, o slinegraph.Options) (*WeightedSLineGraph, error) {
-	wp, err := slinegraph.ConstructWeighted(eng, slinegraph.FromHypergraph(h), s, o)
+// BuildWeightedCSR wraps an already-assembled overlap-weighted symmetric
+// s-line adjacency (from slinegraph.ConstructWeightedCSR), binding eng for
+// the s-metric queries, weighted and not.
+func BuildWeightedCSR(eng *parallel.Engine, h *core.Hypergraph, s int, csr *sparse.CSR) (*WeightedSLineGraph, error) {
+	plain, inverse := *csr, *csr
+	plain.Val, inverse.Val = nil, make([]float64, len(csr.Val))
+	eng.ForN(len(csr.Val), func(_, lo, hi int) {
+		for k := lo; k < hi; k++ {
+			inverse.Val[k] = 1 / csr.Val[k]
+		}
+	})
+	if err := eng.Err(); err != nil {
+		return nil, err
+	}
+	l, err := BuildCSR(eng, h, s, &plain)
 	if err != nil {
 		return nil, err
 	}
-	return &WeightedSLineGraph{
-		SLineGraph: BuildWith(eng, h, s, slinegraph.Unweight(wp)),
-		Strengths:  wp,
-		WG:         slinegraph.ToWeightedLineGraph(h.NumEdges(), wp),
-	}, nil
+	wg, err := graph.FromCSR(&inverse)
+	if err != nil {
+		return nil, err
+	}
+	return &WeightedSLineGraph{SLineGraph: l, WG: wg, overlap: csr}, nil
 }
 
 // WithEngine returns a shallow copy of the handle (weighted view included)
@@ -48,25 +57,13 @@ func (l *WeightedSLineGraph) WithEngine(eng *parallel.Engine) *WeightedSLineGrap
 }
 
 // Strength reports |e ∩ f| for an s-line edge, or 0 if the pair is not
-// s-incident.
+// s-incident: a binary search in row e.
 func (l *WeightedSLineGraph) Strength(e, f int) int {
-	u, v := uint32(e), uint32(f)
-	if u > v {
-		u, v = v, u
+	if e < 0 || e >= l.NumVertices() {
+		return 0
 	}
-	// Binary search over the canonical pair list.
-	lo, hi := 0, len(l.Strengths)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		p := l.Strengths[mid]
-		if p.U < u || (p.U == u && p.V < v) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(l.Strengths) && l.Strengths[lo].U == u && l.Strengths[lo].V == v {
-		return l.Strengths[lo].Overlap
+	if k, ok := slices.BinarySearch(l.overlap.Row(e), uint32(f)); ok {
+		return int(l.overlap.RowVal(e)[k])
 	}
 	return 0
 }

@@ -2,6 +2,7 @@ package smetrics
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"nwhy/internal/core"
@@ -30,6 +31,9 @@ func TestWeightedStrengthLookup(t *testing.T) {
 	}
 	if got := l.Strength(0, 2); got != 0 {
 		t.Fatalf("Strength(0,2) = %d, want 0 (not s-incident)", got)
+	}
+	if l.Strength(0, 7) != 0 || l.Strength(7, 0) != 0 || l.Strength(-1, 0) != 0 {
+		t.Fatal("Strength of an ID outside the graph is not 0")
 	}
 }
 
@@ -126,5 +130,23 @@ func TestWeightedEmbedsPlainSLineGraph(t *testing.T) {
 	}
 	if l.SDistance(0, 2) != plain.SDistance(0, 2) {
 		t.Fatal("hop distances differ")
+	}
+	// One adjacency, three views: the plain graph carries no weights, the
+	// weighted one 1/overlap on the same columns, both directions.
+	if l.G.Weighted() || !l.G.CSR().Equal(plain.G.CSR()) || !reflect.DeepEqual(l.Pairs(), plain.Pairs()) {
+		t.Fatal("the embedded handle is not the plain s-line graph")
+	}
+	if !l.WG.Weighted() || !l.WG.IsSymmetric() || &l.WG.CSR().Col[0] != &l.G.CSR().Col[0] {
+		t.Fatal("the weighted view is not a symmetric weighted graph over the same columns")
+	}
+	for e := 0; e < l.NumVertices(); e++ {
+		for k, f := range l.WG.Row(e) {
+			if w := l.WG.Weights(e)[k]; w != 1/float64(l.Strength(e, int(f))) || w != 1/float64(l.Strength(int(f), e)) {
+				t.Fatalf("arc (%d, %d) weighs %v, strength is %d", e, f, w, l.Strength(e, int(f)))
+			}
+		}
+	}
+	if w := l.WG.Weights(0)[0]; l.WG.Row(0)[0] != 1 || w != 1.0/3.0 {
+		t.Fatalf("arc (0, %d) weighs %v, want (0, 1) at 1/3", l.WG.Row(0)[0], w)
 	}
 }

@@ -1,6 +1,14 @@
 package sparse
 
-import "testing"
+import (
+	"context"
+	"errors"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"nwhy/internal/parallel"
+)
 
 func TestAdoptSortedAccepts(t *testing.T) {
 	c, err := AdoptSorted(3, 4,
@@ -67,5 +75,49 @@ func TestUpperTriangle(t *testing.T) {
 	}
 	if got := empty.UpperTriangle(); got != nil {
 		t.Fatalf("UpperTriangle of an empty CSR = %v, want nil", got)
+	}
+}
+
+// TestKeepAtLeast: at one, two and three workers the filtered CSR holds, row
+// by row and in order, exactly the columns whose value reaches the threshold,
+// carries no values, and leaves its source as it was; a cancelled engine
+// gives its error and no CSR.
+func TestKeepAtLeast(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 40; trial++ {
+		c := randomCSR(rng, true)
+		before := c.Clone()
+		for workers := 1; workers <= 3; workers++ {
+			eng := parallel.NewEngine(workers)
+			for _, least := range []float64{0, 0.3, 0.7, 2} {
+				kept, err := c.KeepAtLeast(eng, least)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if kept.NumRows() != c.NumRows() || kept.NumCols() != c.NumCols() || kept.Val != nil {
+					t.Fatalf("KeepAtLeast(%v): %dx%d, values %v", least, kept.NumRows(), kept.NumCols(), kept.Val)
+				}
+				for r := 0; r < c.NumRows(); r++ {
+					var want []uint32
+					for k, col := range c.Row(r) {
+						if c.RowVal(r)[k] >= least {
+							want = append(want, col)
+						}
+					}
+					if !slices.Equal(kept.Row(r), want) {
+						t.Fatalf("KeepAtLeast(%v) at %d workers: row %d = %v, want %v", least, workers, r, kept.Row(r), want)
+					}
+				}
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if kept, err := c.KeepAtLeast(eng.WithContext(ctx), 0.5); !errors.Is(err, context.Canceled) || kept != nil {
+				t.Fatalf("KeepAtLeast on a cancelled engine: %v, err = %v", kept, err)
+			}
+			eng.Close()
+		}
+		if !csrIdentical(c, before) {
+			t.Fatal("KeepAtLeast wrote to its source")
+		}
 	}
 }

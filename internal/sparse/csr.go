@@ -111,6 +111,46 @@ func (c *CSR) UpperTriangle() []Edge {
 	return out
 }
 
+// KeepAtLeast returns the unweighted CSR of c's entries whose value is at
+// least t, each row in c's order (sorted when c's are): count per row,
+// prefix sum, copy, both row passes on eng. Over the overlap-weighted s-line
+// base this is the s-line graph at every larger s. c must carry values. A
+// cancelled engine returns eng.Err().
+func (c *CSR) KeepAtLeast(eng *parallel.Engine, t float64) (*CSR, error) {
+	rowptr := make([]int64, c.nrows+1)
+	eng.ForN(c.nrows, func(_, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			for _, v := range c.RowVal(r) {
+				if v >= t {
+					rowptr[r+1]++
+				}
+			}
+		}
+	})
+	if err := eng.Err(); err != nil {
+		return nil, err // the counts are partial: nothing to copy by
+	}
+	for r := 0; r < c.nrows; r++ {
+		rowptr[r+1] += rowptr[r]
+	}
+	col := make([]uint32, rowptr[c.nrows])
+	eng.ForN(c.nrows, func(_, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			at, vals := rowptr[r], c.RowVal(r)
+			for k, f := range c.Row(r) {
+				if vals[k] >= t {
+					col[at] = f
+					at++
+				}
+			}
+		}
+	})
+	if err := eng.Err(); err != nil {
+		return nil, err
+	}
+	return AdoptSorted(c.nrows, c.ncols, rowptr, col, nil)
+}
+
 // Validate checks structural invariants: monotone RowPtr, in-range columns,
 // sorted rows.
 func (c *CSR) Validate() error {

@@ -326,8 +326,12 @@ func (g *NWHypergraph) Stats() core.Stats { return core.ComputeStats(g.hg()) }
 // builders are serialized and at most one adjoin graph is ever cached. A
 // build aborted by a cancelled engine context is returned to its caller but
 // not cached, so a later call retries with a live context.
-func (g *NWHypergraph) Adjoin() *core.AdjoinGraph {
-	snap := g.snap()
+func (g *NWHypergraph) Adjoin() *core.AdjoinGraph { return g.adjoinAt(g.snap()) }
+
+// adjoinAt is Adjoin for the snapshot its caller already bound — like
+// degreeStats and toplexCover, so one query never pairs a hypergraph with
+// the adjoin graph of another epoch.
+func (g *NWHypergraph) adjoinAt(snap *snapshot) *core.AdjoinGraph {
 	lz := g.lazy
 	if lz == nil {
 		// Zero-value handle (no constructor ran): build uncached.

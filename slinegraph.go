@@ -2,7 +2,9 @@ package nwhy
 
 import (
 	"context"
+	"slices"
 
+	"nwhy/internal/core"
 	"nwhy/internal/slinegraph"
 	"nwhy/internal/smetrics"
 	"nwhy/internal/sparse"
@@ -159,12 +161,12 @@ func (g *NWHypergraph) SLineGraphCtx(ctx context.Context, s int, edges bool, o C
 	return g.slgOn(g.engine().WithContext(ctx), s, edges, o)
 }
 
-// slgOn is the one route from ConstructOptions to an unweighted handle:
-// kernel → symmetric CSR → smetrics.BuildCSR, no pair list in between. It
-// runs on eng (possibly ctx-bound) and rebinds the handle to the handle's
-// engine, so later queries outlive the request deadline.
-func (g *NWHypergraph) slgOn(eng *Engine, s int, edges bool, o ConstructOptions) (*SLineGraph, error) {
-	snap := g.snap()
+// lineCSR is the one route from ConstructOptions to the symmetric s-line
+// adjacency over the first nₑ IDs of h, which it picks with the kernel's
+// input: the snapshot's hypergraph, its dual for edges=false, the adjoin
+// graph of the same snapshot under UseAdjoin. With exact set the CSR carries
+// Val = |e ∩ f|. It runs on eng (possibly ctx-bound).
+func (g *NWHypergraph) lineCSR(eng *Engine, snap *snapshot, s int, edges, exact bool, o ConstructOptions) (*core.Hypergraph, *sparse.CSR, error) {
 	h := snap.h
 	opts := o.internal()
 	if edges {
@@ -176,18 +178,32 @@ func (g *NWHypergraph) slgOn(eng *Engine, s int, edges bool, o ConstructOptions)
 	}
 	in := slinegraph.FromHypergraph(h)
 	if o.UseAdjoin && edges {
-		in = slinegraph.FromAdjoin(g.Adjoin())
+		in = slinegraph.FromAdjoin(g.adjoinAt(snap))
 	}
-	csr, err := slinegraph.ConstructCSR(eng, in, s, opts)
+	construct := slinegraph.ConstructCSR
+	if exact {
+		construct = slinegraph.ConstructWeightedCSR
+	}
+	csr, err := construct(eng, in, s, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if n := h.NumEdges(); csr.NumRows() > n {
 		// Adjoin IDs from nₑ up are hypernodes: their rows are empty by
 		// construction, and the line graph's vertices are the first nₑ.
-		if csr, err = sparse.AdoptSorted(n, n, csr.RowPtr[:n+1], csr.Col, nil); err != nil {
-			return nil, err
-		}
+		csr, err = sparse.AdoptSorted(n, n, csr.RowPtr[:n+1], csr.Col, csr.Val)
+	}
+	return h, csr, err
+}
+
+// slgOn builds an unweighted handle: lineCSR → smetrics.BuildCSR, no pair
+// list in between. The handle is rebound to the handle's engine, so later
+// queries outlive the request deadline.
+func (g *NWHypergraph) slgOn(eng *Engine, s int, edges bool, o ConstructOptions) (*SLineGraph, error) {
+	snap := g.snap()
+	h, csr, err := g.lineCSR(eng, snap, s, edges, false, o)
+	if err != nil {
+		return nil, err
 	}
 	l, err := smetrics.BuildCSR(eng, h, s, csr)
 	if err != nil {
@@ -210,10 +226,10 @@ func (g *NWHypergraph) SLineGraphWeighted(s int) *WeightedSLineGraph {
 }
 
 // SLineGraphWeightedWith is SLineGraphWeighted with explicit construction
-// options — the same ConstructOptions the unweighted variants take, the
-// weighted emit mode running the one kernel body under them. If the bound
-// engine's context is cancelled the result is nil; use SLineGraphWeightedCtx
-// to observe the error.
+// options — the same ConstructOptions the unweighted variants take, on the
+// same route with the value column kept. If the bound engine's context is
+// cancelled the result is nil; use SLineGraphWeightedCtx to observe the
+// error.
 func (g *NWHypergraph) SLineGraphWeightedWith(s int, o ConstructOptions) *WeightedSLineGraph {
 	l, _ := g.SLineGraphWeightedCtx(g.engine().Context(), s, o)
 	return l
@@ -226,11 +242,11 @@ func (g *NWHypergraph) SLineGraphWeightedWith(s int, o ConstructOptions) *Weight
 // deadline.
 func (g *NWHypergraph) SLineGraphWeightedCtx(ctx context.Context, s int, o ConstructOptions) (*WeightedSLineGraph, error) {
 	eng := g.engine().WithContext(ctx)
-	opts := o.internal()
-	opts.Intent = slinegraph.IntentExact
-	snap := g.snap()
-	opts.Stats = g.degreeStats(eng, snap)
-	l, err := smetrics.BuildWeightedOptions(eng, snap.h, s, opts)
+	h, csr, err := g.lineCSR(eng, g.snap(), s, true, true, o)
+	if err != nil {
+		return nil, err
+	}
+	l, err := smetrics.BuildWeightedCSR(eng, h, s, csr)
 	if err != nil {
 		return nil, err
 	}
@@ -238,24 +254,46 @@ func (g *NWHypergraph) SLineGraphWeightedCtx(ctx context.Context, s int, o Const
 	return &WeightedSLineGraph{l}, nil
 }
 
-// SLineGraphEnsembleQueue computes the s-line graphs for several values of
-// s in one queue-driven pass; with useAdjoin it runs directly on the
-// adjoin representation.
+// SLineGraphEnsemble constructs the s-line graphs for several values of s
+// from one counting pass (Liu et al., IPDPS'22): the overlap-weighted graph
+// at the smallest s, then one linear filter per s.
+func (g *NWHypergraph) SLineGraphEnsemble(ss []int, edges bool) map[int]*SLineGraph {
+	return g.ensemble(ss, edges, ConstructOptions{})
+}
+
+// SLineGraphEnsembleQueue is SLineGraphEnsemble over hyperedges with the
+// counting pass on the dynamic work queue; with useAdjoin it runs directly
+// on the adjoin representation.
 func (g *NWHypergraph) SLineGraphEnsembleQueue(ss []int, useAdjoin bool) map[int]*SLineGraph {
-	snap := g.snap()
-	var in slinegraph.Input
-	if useAdjoin {
-		in = slinegraph.FromAdjoin(g.Adjoin())
-	} else {
-		in = slinegraph.FromHypergraph(snap.h)
-	}
-	byS, _ := slinegraph.EnsembleQueue(g.engine(), in, ss, slinegraph.Options{})
+	return g.ensemble(ss, true, ConstructOptions{Schedule: ScheduleQueue, UseAdjoin: useAdjoin})
+}
+
+// ensemble builds one handle per distinct s in ss: lineCSR once, exact, at
+// min(ss), then KeepAtLeast(s) → smetrics.BuildCSR for each. Empty when ss
+// is, or when the bound engine's context is cancelled.
+func (g *NWHypergraph) ensemble(ss []int, edges bool, o ConstructOptions) map[int]*SLineGraph {
 	out := make(map[int]*SLineGraph, len(ss))
-	for s, pairs := range byS {
-		out[s] = &SLineGraph{
-			SLineGraph: smetrics.BuildWith(g.engine(), snap.h, s, pairs),
-			epoch:      snap.epoch, overEdges: true,
+	if len(ss) == 0 {
+		return out
+	}
+	snap, eng := g.snap(), g.engine()
+	h, base, err := g.lineCSR(eng, snap, slices.Min(ss), edges, true, o)
+	if err != nil {
+		return out
+	}
+	for _, s := range ss {
+		if out[s] != nil {
+			continue
 		}
+		csr, err := base.KeepAtLeast(eng, float64(s))
+		if err != nil {
+			return map[int]*SLineGraph{}
+		}
+		l, err := smetrics.BuildCSR(eng, h, s, csr)
+		if err != nil {
+			return map[int]*SLineGraph{}
+		}
+		out[s] = &SLineGraph{SLineGraph: l, epoch: snap.epoch, overEdges: edges}
 	}
 	return out
 }
@@ -312,23 +350,4 @@ func (g *NWHypergraph) SConnectedComponentsCtx(ctx context.Context, s int, prune
 		return nil, err
 	}
 	return labels[:snap.h.NumEdges()], nil
-}
-
-// SLineGraphEnsemble constructs the s-line graphs for several values of s
-// in one counting pass.
-func (g *NWHypergraph) SLineGraphEnsemble(ss []int, edges bool) map[int]*SLineGraph {
-	snap := g.snap()
-	h := snap.h
-	if !edges {
-		h = snap.h.Dual()
-	}
-	byS, _ := slinegraph.Ensemble(g.engine(), h, ss, slinegraph.Options{})
-	out := make(map[int]*SLineGraph, len(ss))
-	for s, pairs := range byS {
-		out[s] = &SLineGraph{
-			SLineGraph: smetrics.BuildWith(g.engine(), h, s, pairs),
-			epoch:      snap.epoch, overEdges: edges,
-		}
-	}
-	return out
 }

@@ -9,6 +9,7 @@ import (
 
 	"nwhy/internal/core"
 	"nwhy/internal/gen"
+	"nwhy/internal/sparse"
 )
 
 // toplexCacheWarm is the tests' probe of the toplex memo at the handle's
@@ -16,8 +17,8 @@ import (
 func (g *NWHypergraph) toplexCacheWarm() bool { return g.toplexCacheWarmAt(g.snap()) }
 
 // epochInput generates the input of the epoch tests. One instance goes under
-// both the reference and the served handle: gen.Containment does not repeat,
-// and a commit never writes to the snapshot it replaces.
+// both the reference and the served handle: a commit never writes to the
+// snapshot it replaces.
 func epochInput() *core.Hypergraph {
 	return gen.Containment(gen.ContainmentConfig{
 		NumBase: 40, NumNodes: 120, BaseSize: 8, SubsPerBase: 4, MemberSkew: 0.4, Seed: 5,
@@ -172,6 +173,81 @@ func TestSCCAndToplexesNeverCrossAnEpoch(t *testing.T) {
 				if !found {
 					t.Errorf("%d toplexes are the toplexes of no epoch from %d hyperedges on", len(tops), ne)
 					return
+				}
+			}
+		}()
+	}
+	for c := 0; c < commits; c++ {
+		if err := g.Mutate(func(m *Mutation) error { return insertBatch(m, c) }); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+}
+
+// TestAdjoinConstructionsNeverCrossAnEpoch runs UseAdjoin constructions and
+// adjoin ensembles beside a writer committing insert batches. A construction
+// binds one snapshot and must take the adjoin graph of that snapshot: paired
+// with the next epoch's, whose hyperedge range is longer, the rows past the
+// older nₑ are not empty and the trim to nₑ fails or stamps a wrong graph
+// with the older epoch. Every handle's pairs must be the plain construction's
+// at the epoch the handle reports.
+func TestAdjoinConstructionsNeverCrossAnEpoch(t *testing.T) {
+	const commits = 60
+	ss := []int{1, 2, 3}
+	h := epochInput()
+	ctx := context.Background()
+	ref := Wrap(h)
+	want := map[uint64]map[int][]sparse.Edge{}
+	record := func() {
+		at := map[int][]sparse.Edge{}
+		for _, s := range ss {
+			at[s] = ref.SLineGraph(s, true).Pairs()
+		}
+		want[ref.Epoch()] = at
+	}
+	record()
+	for c := 0; c < commits; c++ {
+		if err := ref.Mutate(func(m *Mutation) error { return insertBatch(m, c) }); err != nil {
+			t.Fatal(err)
+		}
+		record()
+	}
+
+	g := Wrap(h)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				lg, err := g.SLineGraphCtx(ctx, 2, true, ConstructOptions{UseAdjoin: true})
+				if err != nil {
+					t.Errorf("UseAdjoin construction beside a commit: %v", err)
+					return
+				}
+				byS := g.SLineGraphEnsembleQueue(ss, true)
+				if len(byS) != len(ss) {
+					t.Errorf("adjoin ensemble has %d members, want %d", len(byS), len(ss))
+					return
+				}
+				handles := []*SLineGraph{lg}
+				for _, s := range ss {
+					handles = append(handles, byS[s])
+				}
+				for _, l := range handles {
+					if !slices.Equal(l.Pairs(), want[l.Epoch()][l.S]) {
+						t.Errorf("s=%d: %d pairs stamped epoch %d are not that epoch's s-line graph", l.S, len(l.Pairs()), l.Epoch())
+						return
+					}
 				}
 			}
 		}()
