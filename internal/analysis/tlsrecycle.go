@@ -37,12 +37,12 @@ var (
 // Two package-local wrapper patterns are understood so the check pairs at
 // the right altitude: a function that returns arena-grabbed scratch to its
 // caller (an ownership-transferring grab wrapper, e.g. slinegraph's
-// grabCounter) is exempt itself and counts as a grab at its call sites, and
-// a function that contains a recycle (e.g. stashCounter, or counterTLS
-// returning a release closure) counts as a recycle at its call sites. The
-// frontier substrate is outside the kernel scope entirely: its
-// constructors transfer buffer ownership into the Frontier, recycled by
-// EdgeMap or Release at the consumer.
+// grabWorker) is exempt itself and counts as a grab at its call sites, and
+// a function that contains a recycle (e.g. stashWorkers or stashView)
+// counts as a recycle at its call sites. The frontier substrate is
+// outside the kernel scope entirely: its constructors transfer buffer
+// ownership into the Frontier, recycled by EdgeMap or Release at the
+// consumer.
 func runTLSRecycle(p *Pass) {
 	if !isKernelPkg(p.Pkg.Path) {
 		return

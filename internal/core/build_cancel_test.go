@@ -1,58 +1,16 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"nwhy/internal/parallel"
+	"nwhy/internal/parallel/paralleltest"
 	"nwhy/internal/sparse"
 )
 
-// cancelAtEveryPoll runs build under a context that starts reporting
-// context.Canceled at its k-th poll, for every k until a run finishes
-// without the countdown running out. Each run must return the engine's
-// error and a zero result, or a result check accepts — never a half-filled
-// one.
-func cancelAtEveryPoll[T any](t *testing.T, base *parallel.Engine, build func(eng *parallel.Engine) (T, error), check func(T) error) {
-	t.Helper()
-	cancelled := 0
-	for k := int64(0); ; k++ {
-		if k > 1<<16 {
-			t.Fatal("the build never stops polling")
-		}
-		ctx := newCountdownCtx(k)
-		got, err := build(base.WithContext(ctx))
-		if err != nil {
-			if !errors.Is(err, context.Canceled) || !reflect.ValueOf(got).IsZero() {
-				t.Fatalf("cancelled at poll %d: result %v, error %v; want the zero result and context.Canceled", k, got, err)
-			}
-			cancelled++
-			continue
-		}
-		if err := check(got); err != nil {
-			t.Fatalf("poll %d: build reported success with a wrong result: %v", k, err)
-		}
-		if ctx.left.Load() >= 0 {
-			break // the build ran to the end inside its k polls: every poll has been the cancelling one
-		}
-	}
-	if cancelled == 0 {
-		t.Fatal("the build never polled its engine")
-	}
-	t.Logf("%d runs cancelled, one per poll", cancelled)
-	got, err := build(base)
-	if err == nil {
-		err = check(got)
-	}
-	if err != nil {
-		t.Fatalf("engine not reusable after the cancelled builds: %v", err)
-	}
-}
-
-// sameHypergraph is cancelAtEveryPoll's check for the incidence builds.
+// sameHypergraph is CancelAtEveryPoll's check for the incidence builds.
 func sameHypergraph(want *Hypergraph) func(*Hypergraph) error {
 	return func(h *Hypergraph) error {
 		if err := h.Validate(); err != nil {
@@ -90,7 +48,7 @@ func TestFromBiEdgeListOnCancelledAtEveryPoll(t *testing.T) {
 		eng := parallel.NewEngine(workers)
 		for _, inEdgeOrder := range []bool{true, false} {
 			bel := noisyBiEdgeList(int64(workers), inEdgeOrder)
-			cancelAtEveryPoll(t, eng, func(e *parallel.Engine) (*Hypergraph, error) {
+			paralleltest.CancelAtEveryPoll(t, eng, func(e *parallel.Engine) (*Hypergraph, error) {
 				return FromBiEdgeListOn(e, bel)
 			}, sameHypergraph(FromBiEdgeList(bel)))
 		}
@@ -102,7 +60,7 @@ func TestFromIncidenceCSROnCancelledAtEveryPoll(t *testing.T) {
 	eng := parallel.NewEngine(2)
 	defer eng.Close()
 	want := FromBiEdgeList(noisyBiEdgeList(5, true))
-	cancelAtEveryPoll(t, eng, func(e *parallel.Engine) (*Hypergraph, error) {
+	paralleltest.CancelAtEveryPoll(t, eng, func(e *parallel.Engine) (*Hypergraph, error) {
 		return FromIncidenceCSROn(e, want.Edges)
 	}, sameHypergraph(want))
 }
@@ -126,7 +84,7 @@ func TestSnapshotCancelledAtEveryPoll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cancelAtEveryPoll(t, eng, d.Snapshot, sameHypergraph(want))
+		paralleltest.CancelAtEveryPoll(t, eng, d.Snapshot, sameHypergraph(want))
 		eng.Close()
 	}
 }

@@ -2,32 +2,11 @@ package core
 
 import (
 	"context"
-	"sync/atomic"
 	"testing"
 
 	"nwhy/internal/parallel"
+	"nwhy/internal/parallel/paralleltest"
 )
-
-// countdownCtx is a context.Context whose Err starts reporting
-// context.Canceled after the first n calls — a deterministic way to cancel
-// an engine partway through a multi-round traversal without timing races.
-type countdownCtx struct {
-	context.Context
-	left atomic.Int64
-}
-
-func newCountdownCtx(n int64) *countdownCtx {
-	c := &countdownCtx{Context: context.Background()}
-	c.left.Store(n)
-	return c
-}
-
-func (c *countdownCtx) Err() error {
-	if c.left.Add(-1) < 0 {
-		return context.Canceled
-	}
-	return nil
-}
 
 // pathHypergraph chains k hyperedges e_i = {v_i, v_{i+1}}, giving a
 // traversal of ~2k rounds from e_0.
@@ -53,7 +32,7 @@ func TestHyperBFSCancelledBetweenRounds(t *testing.T) {
 	for name, fn := range variants {
 		// Let a handful of cancellation checks pass, then trip: the
 		// ~400-round traversal cannot have finished by then.
-		eng := teng.WithContext(newCountdownCtx(20))
+		eng := teng.WithContext(paralleltest.NewCountdownCtx(20))
 		r, err := fn(eng, h, 0)
 		if err == nil {
 			t.Fatalf("%s: expected cancellation error, got nil (result %v)", name, r != nil)

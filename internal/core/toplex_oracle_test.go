@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nwhy/internal/parallel"
+	"nwhy/internal/parallel/paralleltest"
 )
 
 // bruteCover is the documented (deg, −ID) rule by pairwise subset checks:
@@ -97,7 +98,7 @@ func TestToplexCoverCancelledAtEveryPoll(t *testing.T) {
 	wantTops, wantCover := ToplexesBruteForce(h), bruteCover(h)
 	for workers := 1; workers <= 3; workers++ {
 		eng := parallel.NewEngine(workers)
-		cancelAtEveryPoll(t, eng, func(e *parallel.Engine) (result, error) {
+		paralleltest.CancelAtEveryPoll(t, eng, func(e *parallel.Engine) (result, error) {
 			tops, cover := ToplexCover(e, h)
 			if err := e.Err(); err != nil {
 				return result{}, err

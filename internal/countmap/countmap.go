@@ -36,8 +36,9 @@ func New(capHint int) *Map {
 // hash mixes the key (Fibonacci hashing).
 func hash(k uint32) uint32 { return k * 2654435761 }
 
-// Inc adds delta to key's count (creating it at delta).
-func (m *Map) Inc(key uint32, delta int32) {
+// Inc adds delta to key's count (creating it at delta) and returns the new
+// count.
+func (m *Map) Inc(key uint32, delta int32) int32 {
 	if m.n*3 >= len(m.keys)*2 {
 		m.grow()
 	}
@@ -49,11 +50,11 @@ func (m *Map) Inc(key uint32, delta int32) {
 			m.vals[i] = delta
 			m.touched = append(m.touched, i)
 			m.n++
-			return
+			return delta
 		}
 		if m.keys[i] == key {
 			m.vals[i] += delta
-			return
+			return m.vals[i]
 		}
 		i = (i + 1) & m.mask
 	}

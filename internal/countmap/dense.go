@@ -1,110 +1,54 @@
 package countmap
 
-// Counter is the tallying interface shared by the hashmap (Map) and dense
-// (Dense) counters, so the s-overlap kernel can swap counting strategies
-// without touching its walk: Inc during the two-level incidence walk, Range
-// to emit, Clear between hyperedges, Reset when the key space changes.
-type Counter interface {
-	// Inc adds delta to key's count (creating it at delta).
-	Inc(key uint32, delta int32)
-	// Get returns key's count (0 if absent).
-	Get(key uint32) int32
-	// Len reports the number of distinct keys since the last Clear.
-	Len() int
-	// Clear forgets all counts in O(1) (or O(touched)).
-	Clear()
-	// Reset prepares the counter for keys in [0, n), clearing it and growing
-	// storage if needed. Must be called before the first Inc of a run whose
-	// key space may exceed earlier runs'.
-	Reset(n int)
-	// Range calls fn for every (key, count) tallied since the last Clear, in
-	// insertion order of first occurrence.
-	Range(fn func(key uint32, count int32))
-}
-
-var (
-	_ Counter = (*Map)(nil)
-	_ Counter = (*Dense)(nil)
-)
-
-// Reset implements Counter for Map: the hash table grows on demand, so only
-// a Clear is needed regardless of the key space.
-func (m *Map) Reset(int) { m.Clear() }
+import "math"
 
 // Dense counts occurrences of uint32 keys in a flat array indexed by key —
-// the stamp/counter-array alternative to the hash map. Inc and Get are a
-// single indexed access with no probing, which wins when a hyperedge
-// overlaps a large fraction of the ID space (dense overlap); the cost is
-// O(key space) memory per worker. Clearing is O(1) via the same epoch
-// stamping as Map. Not safe for concurrent use.
+// the counter-array alternative to the hash map. Inc and Get are a single
+// indexed access with no probing, which wins when a hyperedge overlaps a
+// large fraction of the ID space (dense overlap); the cost is O(key space)
+// memory per worker, one 4-byte cell a key. Clearing is O(1): a cell holds
+// its count above a floor, and Clear raises the floor to the highest value
+// any cell has reached. It keeps no list of the keys it holds: the
+// s-overlap kernel acts on the count Inc returns. Not safe for concurrent
+// use.
 type Dense struct {
-	vals    []int32
-	stamps  []uint32
-	epoch   uint32
-	touched []uint32 // keys tallied this epoch, for Range
-	n       int
+	cells      []int32
+	floor, top int32 // every cell ≤ top; a cell ≤ floor counts 0
 }
 
 // NewDense creates a dense counter for keys in [0, n).
-func NewDense(n int) *Dense {
-	return &Dense{
-		vals:   make([]int32, n),
-		stamps: make([]uint32, n),
-		epoch:  1,
-	}
-}
+func NewDense(n int) *Dense { return &Dense{cells: make([]int32, n)} }
 
-// Reset clears the counter and grows its arrays to cover keys in [0, n).
+// Reset clears the counter and grows its array to cover keys in [0, n).
 func (d *Dense) Reset(n int) {
-	if n > len(d.vals) {
-		d.vals = make([]int32, n)
-		d.stamps = make([]uint32, n)
-		d.epoch = 0 // Clear below bumps to 1 with fresh zero stamps
+	if n > len(d.cells) {
+		*d = Dense{cells: make([]int32, n)}
 	}
 	d.Clear()
 }
 
-// Inc adds delta to key's count (creating it at delta). key must be within
-// the range given to NewDense/Reset.
-func (d *Dense) Inc(key uint32, delta int32) {
-	if d.stamps[key] != d.epoch {
-		d.stamps[key] = d.epoch
-		d.vals[key] = delta
-		d.touched = append(d.touched, key)
-		d.n++
-		return
-	}
-	d.vals[key] += delta
+// Inc adds delta > 0 to key's count (creating it at delta) and returns the
+// new count. key must be within the range given to NewDense/Reset.
+func (d *Dense) Inc(key uint32, delta int32) int32 {
+	c := max(d.cells[key], d.floor) + delta
+	d.cells[key] = c
+	d.top = max(d.top, c)
+	return c - d.floor
 }
 
 // Get returns key's count (0 if absent or out of range).
 func (d *Dense) Get(key uint32) int32 {
-	if int(key) >= len(d.vals) || d.stamps[key] != d.epoch {
+	if int(key) >= len(d.cells) {
 		return 0
 	}
-	return d.vals[key]
+	return max(d.cells[key], d.floor) - d.floor
 }
 
-// Len reports the number of distinct keys this epoch.
-func (d *Dense) Len() int { return d.n }
-
-// Clear resets the counter in O(1) by advancing the epoch.
+// Clear resets the counter in O(1) by raising the floor.
 func (d *Dense) Clear() {
-	d.epoch++
-	d.touched = d.touched[:0]
-	d.n = 0
-	if d.epoch == 0 { // stamp wraparound: hard reset
-		for i := range d.stamps {
-			d.stamps[i] = 0
-		}
-		d.epoch = 1
-	}
-}
-
-// Range calls fn for every (key, count) of the current epoch, in insertion
-// order of first occurrence.
-func (d *Dense) Range(fn func(key uint32, count int32)) {
-	for _, k := range d.touched {
-		fn(k, d.vals[k])
+	d.floor = d.top
+	if d.floor > math.MaxInt32/2 { // no headroom left for counts: hard reset
+		clear(d.cells)
+		d.floor, d.top = 0, 0
 	}
 }

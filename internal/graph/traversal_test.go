@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -12,6 +11,7 @@ import (
 	"testing"
 
 	"nwhy/internal/parallel"
+	"nwhy/internal/parallel/paralleltest"
 	"nwhy/internal/sparse"
 )
 
@@ -113,20 +113,6 @@ func TestLevelHistogramsMatchPerSourceBFS(t *testing.T) {
 		}
 		checkArenaScratchClean(t, eng)
 	}
-}
-
-// countdownCtx reports cancellation from its (left+1)-th Err call on: a
-// deterministic way to cancel a kernel between two of its polls.
-type countdownCtx struct {
-	context.Context
-	left atomic.Int64
-}
-
-func (c *countdownCtx) Err() error {
-	if c.left.Add(-1) < 0 {
-		return context.Canceled
-	}
-	return nil
 }
 
 // checkArenaScratchClean pops every traversal scratch stashed in eng's
@@ -232,9 +218,7 @@ func TestCancelledTraversalsLeaveEngineReusable(t *testing.T) {
 	for name, kernel := range kernels {
 		cancelled := 0
 		for polls := int64(0); polls < 60; polls++ {
-			ctx := &countdownCtx{Context: context.Background()}
-			ctx.left.Store(polls)
-			ceng := eng.WithContext(ctx)
+			ceng := eng.WithContext(paralleltest.NewCountdownCtx(polls))
 			err := kernel(ceng)
 			if ceng.Err() != nil {
 				cancelled++

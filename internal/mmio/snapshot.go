@@ -373,7 +373,7 @@ func readSnapshotCSR(eng *parallel.Engine, payload []byte, weighted bool, d0, d1
 	if err := eng.Err(); err != nil {
 		return nil, err
 	}
-	c, err := sparse.AdoptSorted(int(d0), int(d1), rowptr, col, val)
+	c, err := sparse.AdoptSorted(eng, int(d0), int(d1), rowptr, col, val)
 	if err != nil {
 		return nil, fmt.Errorf("mmio: snapshot CSR invalid: %w", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestPoolInvokeRunsAll(t *testing.T) {
@@ -321,6 +322,24 @@ func TestTLSInit(t *testing.T) {
 	tls.All(func(v *int) { count++ })
 	if count != 1 {
 		t.Fatalf("All visited %d slots, want 1 (only slot 0 touched)", count)
+	}
+}
+
+// TestTLSSlotsApartByACacheLinePair pins the slot layout: bodies append
+// through Get(w) once per item, so two workers' slice headers (or small
+// accumulators) must never share a cache line or an adjacent-line pair.
+func TestTLSSlotsApartByACacheLinePair(t *testing.T) {
+	p := New(2)
+	defer p.Close()
+	apart := func(a, b unsafe.Pointer) uintptr { return uintptr(b) - uintptr(a) }
+	bufs := NewTLS(p, func() []uint32 { return nil })
+	if d := apart(unsafe.Pointer(bufs.Get(0)), unsafe.Pointer(bufs.Get(1))); d < 128 {
+		t.Fatalf("[]uint32 slots are %d bytes apart, want at least 128", d)
+	}
+	type acc struct{ total, max int }
+	accs := NewTLS(p, func() acc { return acc{} })
+	if d := apart(unsafe.Pointer(accs.Get(0)), unsafe.Pointer(accs.Get(1))); d < 128 {
+		t.Fatalf("small struct slots are %d bytes apart, want at least 128", d)
 	}
 }
 

@@ -212,43 +212,53 @@ func Reduce[T any](n int, identity T, mapFn func(lo, hi int, acc T) T, join func
 // tbb::enumerable_thread_specific, used for per-thread edge-list buffers and
 // work queues in the s-line-graph algorithms.
 type TLS[T any] struct {
-	slots []T
-	used  []bool
+	slots []tlsSlot[T]
 	init  func() T
+}
+
+// CacheLinePad is the padding, in bytes, that keeps what one worker writes
+// in its loop out of the cache line — and out of the pair of lines the
+// adjacent-line prefetcher moves together — that another worker's state
+// lives in.
+const CacheLinePad = 128
+
+// tlsSlot is padded because loop bodies write through Get(w) —
+// `*buf = append(*buf, x)` — once per item.
+type tlsSlot[T any] struct {
+	v    T
+	used bool
+	_    [CacheLinePad]byte
 }
 
 // NewTLS creates per-worker storage for pool p. init, if non-nil, lazily
 // initializes a slot on first Get.
 func NewTLS[T any](p *Pool, init func() T) *TLS[T] {
-	return &TLS[T]{slots: make([]T, p.NumWorkers()), used: make([]bool, p.NumWorkers()), init: init}
+	return &TLS[T]{slots: make([]tlsSlot[T], p.NumWorkers()), init: init}
 }
 
 // Get returns a pointer to worker w's slot, initializing it on first use.
 func (t *TLS[T]) Get(w int) *T {
-	if !t.used[w] {
-		t.used[w] = true
+	s := &t.slots[w]
+	if !s.used {
+		s.used = true
 		if t.init != nil {
-			t.slots[w] = t.init()
+			s.v = t.init()
 		}
 	}
-	return &t.slots[w]
+	return &s.v
 }
 
 // All invokes fn for each slot that was touched.
 func (t *TLS[T]) All(fn func(v *T)) {
-	for w := range t.slots {
-		if t.used[w] {
-			fn(&t.slots[w])
-		}
-	}
+	t.Each(func(_ int, v *T) { fn(v) })
 }
 
 // Each invokes fn for each touched slot along with its worker id, so callers
 // can return per-worker scratch to the matching engine arena.
 func (t *TLS[T]) Each(fn func(w int, v *T)) {
 	for w := range t.slots {
-		if t.used[w] {
-			fn(w, &t.slots[w])
+		if s := &t.slots[w]; s.used {
+			fn(w, &s.v)
 		}
 	}
 }

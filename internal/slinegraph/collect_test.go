@@ -11,6 +11,7 @@ import (
 	"nwhy/internal/core"
 	"nwhy/internal/gen"
 	"nwhy/internal/parallel"
+	"nwhy/internal/parallel/paralleltest"
 	"nwhy/internal/sparse"
 )
 
@@ -27,7 +28,7 @@ func lineRows(idSpace int, pairs []sparse.Edge) [][]uint32 {
 }
 
 // FuzzConstructCSR is the differential pin of the run collector and the
-// two-transpose assembly: on random small hypergraphs — with or without a
+// assembly: on random small hypergraphs — with or without a
 // hub hyperedge adjacent to everything, at thresholds up to one that leaves
 // the line graph empty — ConstructCSR's rows and Construct's pairs must equal
 // the Naive oracle's for every counter x schedule x relabel order at 1, 2
@@ -35,7 +36,9 @@ func lineRows(idSpace int, pairs []sparse.Edge) [][]uint32 {
 // than the hyperedge range) and a Renamed input (non-contiguous IDs). The
 // value column rides along: ConstructWeightedCSR has the same RowPtr and Col,
 // every Val is the brute-force overlap, symmetric, and KeepAtLeast(s') is
-// ConstructCSR(s') for every s' from s up.
+// ConstructCSR(s') for every s' from s up. And for every pruning level too,
+// RowPtr, Col and Val are byte for byte those of the routine this kernel
+// replaced (parent_test.go).
 func FuzzConstructCSR(f *testing.F) {
 	engines := []*parallel.Engine{parallel.NewEngine(1), parallel.NewEngine(2), parallel.NewEngine(3)}
 	f.Cleanup(func() {
@@ -91,6 +94,13 @@ func FuzzConstructCSR(f *testing.F) {
 			{"renamed", Renamed(FromHypergraph(h), rename, space), renamed},
 		} {
 			wantRows := lineRows(tc.in.IDSpace(), tc.want)
+			parent := map[bool]*sparse.CSR{}
+			for _, exact := range []bool{false, true} {
+				var err error
+				if parent[exact], err = parentConstructCSR(teng, tc.in, s, exact); err != nil {
+					t.Fatal(err)
+				}
+			}
 			const sMax = 7 // above every overlap: nothing but the hub has more than 5 members
 			members := map[int]*sparse.CSR{}
 			for s2 := s; s2 <= sMax; s2++ {
@@ -141,6 +151,18 @@ func FuzzConstructCSR(f *testing.F) {
 							}
 							if !slices.Equal(weighted.RowPtr, csr.RowPtr) || !slices.Equal(weighted.Col, csr.Col) || csr.Val != nil {
 								fail("the weighted CSR's RowPtr/Col differ from ConstructCSR's")
+							}
+							for _, p := range allPrunes {
+								o.Prune = p
+								for exact, build := range map[bool]func(*parallel.Engine, Input, int, Options) (*sparse.CSR, error){false: ConstructCSR, true: ConstructWeightedCSR} {
+									got, err := build(eng, tc.in, s, o)
+									if err == nil {
+										err = sameBytes(got, parent[exact])
+									}
+									if err != nil {
+										fail("prune=%v exact=%v: %v", p, exact, err)
+									}
+								}
 							}
 							for e := range wantRows {
 								for k, f := range weighted.Row(e) {
@@ -206,8 +228,8 @@ func TestConstructStaysOnEngine(t *testing.T) {
 // TestAssembleSurfacesCancellation cancels between the kernel pass and the
 // assembly: the collected runs are complete, yet ConstructCSR's second half
 // must give the error back from its first phase on. Either way release hands
-// every buffer — the value buffers of an exact run too — back to the arena
-// of the worker that filled it.
+// the view and every worker's state — run buffer, value buffer, bitmap
+// scratch — back to the arena it came from.
 func TestAssembleSurfacesCancellation(t *testing.T) {
 	eng := parallel.NewEngine(2)
 	defer eng.Close()
@@ -226,17 +248,72 @@ func TestAssembleSurfacesCancellation(t *testing.T) {
 		if err != nil || len(col) == 0 || (exact && len(val) != len(col)) || (!exact && val != nil) {
 			t.Fatalf("exact=%v: assemble of the same runs on the live engine: %d entries, %d values, err = %v", exact, len(col), len(val), err)
 		}
-		c.release(eng)
-		for w, out := range c.out {
-			if len(out.ids) == 0 {
-				continue
+		stashWorkers(eng, c.workers)
+		if bound := checkArenaScratchClean(t, eng); bound == 0 {
+			t.Fatalf("exact=%v: no worker state came back to the arenas", exact)
+		}
+	}
+}
+
+// checkArenaScratchClean pops every view and worker state stashed in eng's
+// arenas, checks the state each must be in between runs (the bitmap scratch
+// all zero), puts them back and returns how many worker states it saw.
+func checkArenaScratchClean(t *testing.T, eng *parallel.Engine) int {
+	t.Helper()
+	found := 0
+	for w := 0; w < eng.NumWorkers(); w++ {
+		for _, key := range []string{viewKey, workerKey} {
+			var held []any
+			for v, ok := eng.Grab(w, key); ok; v, ok = eng.Grab(w, key) {
+				held = append(held, v)
 			}
-			if got := eng.GrabU32(w); cap(got) < len(out.ids) {
-				t.Errorf("exact=%v: worker %d's run buffer did not come back", exact, w)
-			}
-			if _, ok := eng.Grab(w, valsKey); ok != exact {
-				t.Errorf("exact=%v: worker %d's arena holds a value buffer: %v", exact, w, ok)
+			for _, v := range held {
+				if st, ok := v.(*worker); ok {
+					found++
+					for i, word := range st.bits {
+						if word != 0 {
+							t.Fatalf("worker %d's stashed bitmap scratch has word %d = %#x", w, i, word)
+						}
+					}
+				}
+				eng.Stash(w, key, v)
 			}
 		}
+	}
+	return found
+}
+
+// TestConstructCancelledAtEveryPoll cancels ConstructCSR and
+// ConstructWeightedCSR at each poll of their engine in turn — in the view's
+// two transposes, in the count loop under every schedule, in the assembly's
+// transpose and copy, in the validation: a cancelled run returns the error
+// and no CSR, a run that finishes returns the oracle's, and either way the
+// view, the run and value buffers and the bitmap scratch are back in the
+// arenas, the scratch zeroed.
+func TestConstructCancelledAtEveryPoll(t *testing.T) {
+	h := gen.Uniform(300, 60, 5, 11)
+	in := FromHypergraph(h)
+	for workers := 1; workers <= 3; workers++ {
+		eng := parallel.NewEngine(workers)
+		for _, exact := range []bool{false, true} {
+			want, err := parentConstructCSR(teng, in, 2, exact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			build := ConstructCSR
+			if exact {
+				build = ConstructWeightedCSR
+			}
+			for _, sched := range allSchedules {
+				paralleltest.CancelAtEveryPoll(t, eng, func(e *parallel.Engine) (*sparse.CSR, error) {
+					csr, err := build(e, in, 2, Options{Schedule: sched})
+					if checkArenaScratchClean(t, eng) == 0 && err == nil {
+						t.Fatal("a finished run stashed no worker state")
+					}
+					return csr, err
+				}, func(got *sparse.CSR) error { return sameBytes(got, want) })
+			}
+		}
+		eng.Close()
 	}
 }

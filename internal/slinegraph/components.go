@@ -46,9 +46,7 @@ func SComponentsToplex(eng *parallel.Engine, in Input, s int, tops, cover []uint
 	o.Prune = ToplexPrune
 	o.Subset = tops
 	o.forest = forest
-	if err := construct(eng, in, s, o, false, func(_ int, e, f uint32, _ int32) {
-		forest.Union(e, f)
-	}); err != nil {
+	if err := unionInto(eng, in, s, o); err != nil {
 		return nil, err
 	}
 	// Expand: attach eligible non-maximal hyperedges to their covers. The

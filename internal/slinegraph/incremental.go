@@ -84,13 +84,19 @@ func SComponentsForest(eng *parallel.Engine, in Input, s int, o Options) (*union
 		o.Schedule = QueueSchedule
 	}
 	o.forest = forest
-	if err := construct(eng, in, s, o, false, func(_ int, e, f uint32, _ int32) {
-		forest.Union(e, f)
-	}); err != nil {
+	if err := unionInto(eng, in, s, o); err != nil {
 		return nil, err
 	}
 	forest.Compress()
 	return forest, nil
+}
+
+// unionInto runs the kernel with o.forest armed: every s-overlapping pair is
+// unioned into it, none is collected.
+func unionInto(eng *parallel.Engine, in Input, s int, o Options) error {
+	c := &runCollector{workers: make([]*worker, eng.NumWorkers())}
+	defer stashWorkers(eng, c.workers)
+	return construct(eng, in, s, o, c)
 }
 
 // AbsorbPairs unions a batch of s-line pairs into an existing forest — the

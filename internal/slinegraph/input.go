@@ -1,7 +1,8 @@
 // Package slinegraph implements NWHy's s-line-graph construction: one
 // s-overlap kernel (kernel.go) parameterized by counter strategy, work
-// schedule and pruning level, one output stage (collect.go), plus the naive
-// all-pairs oracle the tests compare it against. The set-intersection
+// schedule and pruning level, reading a compacted view of its input
+// (view.go), one output stage (collect.go), plus the naive all-pairs oracle
+// the tests compare it against. The set-intersection
 // heuristic (HiPC'21), the hashmap-counting algorithm (IPDPS'22) and the
 // paper's queue-based Algorithms 1 and 2 are Counter × Schedule values of
 // that kernel. Clique expansion is provided as the 1-line graph of the dual
@@ -21,16 +22,26 @@ import (
 
 // Input is the representation-independent view the kernel operates on.
 // Hyperedge IDs may be any subset of [0, IDSpace()); hypernode handles are
-// whatever Incidence returns and are only ever passed back to EdgesOf.
+// whatever Incidence returns, below NodeSpace().
+//
+// The kernel relies on no order an Input lists anything in: it reads
+// EdgeIDs and every Incidence row once, into its own view (view.go), whose
+// rows are sorted by construction — the intersection counter's merges run on
+// those — and never calls EdgesOf, which only ConstructDirty's tally reads.
+// Incidence rows are sorted all the same (both representations store them
+// so); EdgesOf rows need not be, and Renamed's are not.
 type Input interface {
-	// EdgeIDs returns the hyperedge work-queue contents. Callers may reorder
-	// the returned slice (it is a fresh copy).
+	// EdgeIDs returns the hyperedge work-queue contents, in any order.
+	// Callers may reorder the returned slice (it is a fresh copy).
 	EdgeIDs() []uint32
 	// IDSpace bounds every hyperedge ID (for stamp/result arrays).
 	IDSpace() int
+	// NodeSpace bounds every hypernode handle.
+	NodeSpace() int
 	// Incidence returns the hypernode handles of hyperedge e, sorted.
 	Incidence(e uint32) []uint32
-	// EdgesOf returns the hyperedge IDs incident to hypernode handle v.
+	// EdgesOf returns the hyperedge IDs incident to hypernode handle v, in
+	// any order.
 	EdgesOf(v uint32) []uint32
 	// EdgeDegree reports |e| for hyperedge e.
 	EdgeDegree(e uint32) int
@@ -53,6 +64,7 @@ func (b bipartiteInput) EdgeIDs() []uint32 {
 	return ids
 }
 func (b bipartiteInput) IDSpace() int                { return b.h.NumEdges() }
+func (b bipartiteInput) NodeSpace() int              { return b.h.NumNodes() }
 func (b bipartiteInput) Incidence(e uint32) []uint32 { return b.h.Edges.Row(int(e)) }
 func (b bipartiteInput) EdgesOf(v uint32) []uint32   { return b.h.Nodes.Row(int(v)) }
 func (b bipartiteInput) EdgeDegree(e uint32) int     { return b.h.Edges.Degree(int(e)) }
@@ -77,6 +89,7 @@ func (ai adjoinInput) EdgeIDs() []uint32 {
 	return ids
 }
 func (ai adjoinInput) IDSpace() int                { return ai.a.NumVertices() }
+func (ai adjoinInput) NodeSpace() int              { return ai.a.NumVertices() }
 func (ai adjoinInput) Incidence(e uint32) []uint32 { return ai.a.G.Row(int(e)) }
 func (ai adjoinInput) EdgesOf(v uint32) []uint32   { return ai.a.G.Row(int(v)) }
 func (ai adjoinInput) EdgeDegree(e uint32) int     { return ai.a.G.Degree(int(e)) }
@@ -110,6 +123,7 @@ func (r renamedInput) EdgeIDs() []uint32 {
 	return out
 }
 func (r renamedInput) IDSpace() int                { return r.idSpace }
+func (r renamedInput) NodeSpace() int              { return r.base.NodeSpace() }
 func (r renamedInput) Incidence(e uint32) []uint32 { return r.base.Incidence(r.toOld[e]) }
 func (r renamedInput) EdgesOf(v uint32) []uint32 {
 	base := r.base.EdgesOf(v)

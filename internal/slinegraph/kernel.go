@@ -1,17 +1,21 @@
 package slinegraph
 
 import (
+	"math"
+	"slices"
 	"sort"
 
 	"nwhy/internal/countmap"
 	"nwhy/internal/parallel"
 	"nwhy/internal/sparse"
+	"nwhy/internal/unionfind"
 )
 
-// This file is the unified s-overlap construction kernel: one generic
-// count/filter/emit cycle parameterized along two orthogonal axes — counter
-// strategy (Counter) and work schedule (Schedule) — plus the exact flag
-// (true overlaps or any count ≥ s, chosen by the entry point). Every entry
+// This file is the unified s-overlap construction kernel: one
+// count/yield cycle over the run's view (view.go), parameterized along two
+// orthogonal axes — counter strategy (Counter) and work schedule (Schedule)
+// — with the exact flag (overlaps kept beside the pairs or not) left to the
+// output stage. Every entry
 // point of this package — Construct[Weighted][CSR] through collect, and the
 // components builders — runs it; the paper's four named
 // algorithms are Counter × Schedule values, not code: Hashmap and
@@ -30,13 +34,14 @@ const (
 	// HashmapCounter tallies overlaps in a per-worker open-addressing hash
 	// map (countmap.Map): O(distinct neighbors) memory, the IPDPS'22 default.
 	HashmapCounter
-	// DenseCounter tallies overlaps in a per-worker stamp/counter array
-	// indexed by hyperedge ID: O(1) access with no probing, O(ID space)
-	// memory, the winner when hyperedges overlap much of the ID space.
+	// DenseCounter tallies overlaps in a per-worker counter array indexed
+	// by hyperedge ID (countmap.Dense): O(1) access with no probing, O(ID
+	// space) memory, the winner when hyperedges overlap much of the ID space.
 	DenseCounter
-	// IntersectionCounter skips tallying: candidates are deduplicated with a
-	// stamp array and each candidate pair is sorted-merge intersected with
-	// short-circuiting at s (the HiPC'21 heuristic).
+	// IntersectionCounter decides by merging: candidates are deduplicated
+	// (first touches in the dense array) and each candidate pair is
+	// sorted-merge intersected with short-circuiting at s (the HiPC'21
+	// heuristic).
 	IntersectionCounter
 )
 
@@ -87,166 +92,151 @@ func (s Schedule) String() string {
 	}
 }
 
-// overlapCounter is the per-worker strategy object of the kernel: process
-// yields every neighbor f > e with |e ∩ f| ≥ s. When exact is set the
-// yielded count is the true overlap size |e ∩ f| (ConstructWeightedCSR's
-// value column); otherwise it may be any value ≥ s reached after
-// short-circuiting. Counters are arena-recycled across runs via reset.
-type overlapCounter interface {
-	// reset prepares the counter for in's ID space. Called once per run when
-	// the counter is bound to a worker.
-	reset(in Input)
-	// process visits hyperedge e, yielding each (f, count) with f > e,
-	// deg(f) ≥ s and |e ∩ f| ≥ s. pr supplies the run's pruning state:
-	// candidate eligibility (degree prefilter / toplex restriction) and the
-	// connected short-circuit.
-	process(in Input, e uint32, s int, exact bool, pr *pruneState, yield func(f uint32, c int32))
+// worker is one worker's kernel state, bound on first use and recycled
+// through its arena on eng: the counter of the run's kind, the run buffers
+// the collector reads, and sortDistinct's bitmap.
+type worker struct {
+	dense countmap.Dense // DenseCounter's tally; IntersectionCounter's visited set
+	hash  *countmap.Map  // HashmapCounter's tally
+	cand  []uint32       // IntersectionCounter's candidates of one hyperedge
+	ids   []uint32       // the emitted runs, back to back
+	vals  []float64      // |e ∩ f| beside ids, after an exact run
+	bits  []uint64       // sortDistinct's scratch, all zero between calls
+	// The walk writes dense's high-water mark on every visit and ids once a
+	// hyperedge: no other worker's state may share their cache lines.
+	_ [parallel.CacheLinePad]byte
 }
 
-// tallyCounter counts overlaps through the two-level incidence walk into a
-// pluggable countmap.Counter (hashmap or dense). Tallies are always exact —
-// every shared hypernode increments — so the exact flag costs it nothing.
-type tallyCounter struct {
-	c countmap.Counter
+// workerKey is the arena key worker states are recycled under.
+const workerKey = "slinegraph.worker"
+
+// kernel is one run of the count loop: the view it reads, the threshold,
+// the resolved counter, and where a pair that reaches the threshold goes.
+type kernel struct {
+	*view
+	s   int32
+	ctr Counter
+	// forest, when armed, takes every pair as a union and nothing is
+	// appended; known is the same forest under ConnectivityPrune and up,
+	// where pairs it already connects are skipped, nil below.
+	forest, known *unionfind.Forest
+	workers       []*worker // by worker, nil until bound
 }
 
-func (t *tallyCounter) reset(in Input) { t.c.Reset(in.IDSpace()) }
+// grabWorker pops a recycled worker state from worker w's arena on eng,
+// falling back to a fresh one, so repeated constructions on one engine stop
+// allocating their counters and run buffers.
+func grabWorker(eng *parallel.Engine, w int) *worker {
+	if v, ok := eng.Grab(w, workerKey); ok {
+		return v.(*worker)
+	}
+	return &worker{}
+}
 
-func (t *tallyCounter) process(in Input, e uint32, s int, _ bool, pr *pruneState, yield func(f uint32, c int32)) {
-	t.c.Clear()
-	for _, v := range in.Incidence(e) { // Alg 1, line 9
-		for _, f := range in.EdgesOf(v) { // line 10: (i < j)
-			if f > e && pr.ok(in, f, s) {
-				t.c.Inc(f, 1) // line 11
+// workerOf returns worker w's state in k, binding it from the arena (its
+// counter reset for the view's ID space, its buffers empty) on first use. Each slot
+// is written once, by its own worker.
+func workerOf(eng *parallel.Engine, k *kernel, w int) *worker {
+	st := k.workers[w]
+	if st == nil {
+		st = grabWorker(eng, w)
+		if k.ctr != HashmapCounter {
+			st.dense.Reset(len(k.eptr) - 1)
+		} else if st.hash == nil {
+			st.hash = countmap.New(64)
+		}
+		st.ids, st.vals = st.ids[:0], st.vals[:0]
+		k.workers[w] = st
+	}
+	return st
+}
+
+// stashWorkers returns every bound worker state to its arena, once nothing
+// reads its runs any more.
+func stashWorkers(eng *parallel.Engine, workers []*worker) {
+	for w, st := range workers {
+		if st != nil {
+			eng.Stash(w, workerKey, st)
+		}
+	}
+}
+
+// connected reports whether (e, f) is already known s-connected, in which
+// case the pair proves nothing new. A false negative costs one redundant
+// union; a false positive cannot happen (SameSet only affirms established
+// connectivity), so no component merge is ever lost.
+func (k *kernel) connected(e, f uint32) bool {
+	return k.known != nil && k.known.SameSet(e, f)
+}
+
+// emit takes the pair (e, f), which has reached the threshold.
+func (k *kernel) emit(e, f uint32, out []uint32) []uint32 {
+	if k.forest != nil {
+		k.forest.Union(e, f)
+		return out
+	}
+	return append(out, f)
+}
+
+// walk is Algorithm 1, lines 9–14, for hyperedge e: it appends to out every
+// f > e with |e ∩ f| ≥ s, each once, unsorted. The tallies yield f at the
+// increment that brings its count to s — there is no second pass — and go
+// on counting, so after the walk count(f) is the true overlap. The
+// intersection strategy (HiPC'21) dedups the candidates, then merges each
+// one's row with e's, short-circuiting at s.
+func (k *kernel) walk(st *worker, e uint32, out []uint32) []uint32 {
+	switch k.ctr {
+	case DenseCounter:
+		st.dense.Clear()
+		for _, u := range k.nodes(e) { // line 9
+			for _, f := range k.above(u, e) { // line 10: (i < j)
+				if st.dense.Inc(f, 1) == k.s && !k.connected(e, f) { // lines 11-14
+					out = k.emit(e, f, out)
+				}
+			}
+		}
+	case HashmapCounter:
+		st.hash.Clear()
+		for _, u := range k.nodes(e) {
+			for _, f := range k.above(u, e) {
+				if st.hash.Inc(f, 1) == k.s && !k.connected(e, f) {
+					out = k.emit(e, f, out)
+				}
+			}
+		}
+	default:
+		st.dense.Clear()
+		st.cand = st.cand[:0]
+		for _, u := range k.nodes(e) {
+			for _, f := range k.above(u, e) {
+				if st.dense.Inc(f, 1) == 1 {
+					st.cand = append(st.cand, f)
+				}
+			}
+		}
+		re := k.nodes(e)
+		for _, f := range st.cand {
+			if k.connected(e, f) {
+				continue // already one s-component; the merge would be a no-op
+			}
+			if _, ok := countCommonGE(re, k.nodes(f), int(k.s)); ok {
+				out = k.emit(e, f, out)
 			}
 		}
 	}
-	t.c.Range(func(f uint32, c int32) { // lines 12-14
-		if int(c) >= s && !pr.connected(e, f) {
-			yield(f, c)
-		}
-	})
+	return out
 }
 
-// intersectionCounter implements the set-intersection strategy: collect the
-// candidate neighbors once (deduplicated with an epoch-stamped array, so no
-// per-call clearing), then sorted-merge intersect each candidate's incidence
-// list with e's, short-circuiting at s unless an exact count is required.
-type intersectionCounter struct {
-	stamp []uint32
-	cand  []uint32
-	epoch uint32
-}
-
-func (ic *intersectionCounter) reset(in Input) {
-	if n := in.IDSpace(); n > len(ic.stamp) {
-		ic.stamp = make([]uint32, n)
-		ic.epoch = 0
+// count is |e ∩ f| for an f the last walk of st emitted.
+func (k *kernel) count(st *worker, f uint32) int32 {
+	if k.ctr == HashmapCounter {
+		return st.hash.Get(f)
 	}
-}
-
-func (ic *intersectionCounter) process(in Input, e uint32, s int, exact bool, pr *pruneState, yield func(f uint32, c int32)) {
-	ic.epoch++
-	if ic.epoch == 0 { // stamp wraparound: hard reset
-		for i := range ic.stamp {
-			ic.stamp[i] = 0
-		}
-		ic.epoch = 1
-	}
-	ic.cand = ic.cand[:0]
-	re := in.Incidence(e)
-	for _, v := range re {
-		for _, f := range in.EdgesOf(v) {
-			if f <= e || ic.stamp[f] == ic.epoch || !pr.ok(in, f, s) {
-				continue
-			}
-			ic.stamp[f] = ic.epoch
-			ic.cand = append(ic.cand, f)
-		}
-	}
-	for _, f := range ic.cand {
-		if pr.connected(e, f) {
-			continue // already one s-component; the merge would be a no-op
-		}
-		var c int
-		var ok bool
-		if exact {
-			c, ok = countCommonExact(re, in.Incidence(f), s)
-		} else {
-			c, ok = countCommonGE(re, in.Incidence(f), s)
-		}
-		if ok {
-			yield(f, int32(c))
-		}
-	}
-}
-
-// newCounter constructs a fresh counter of the resolved (non-Auto) kind.
-func newCounter(kind Counter) overlapCounter {
-	switch kind {
-	case DenseCounter:
-		return &tallyCounter{c: countmap.NewDense(0)}
-	case IntersectionCounter:
-		return &intersectionCounter{}
-	default:
-		return &tallyCounter{c: countmap.New(64)}
-	}
-}
-
-// counterKey is the arena key a counter kind's scratch is recycled under.
-func counterKey(kind Counter) string {
-	switch kind {
-	case DenseCounter:
-		return "slinegraph.counter.dense"
-	case IntersectionCounter:
-		return "slinegraph.counter.isect"
-	default:
-		return "slinegraph.counter.hashmap"
-	}
-}
-
-// grabCounter fetches a reusable counter of the given kind from worker w's
-// arena on eng, falling back to a fresh one. Runs stash counters back with
-// stashCounter so repeated constructions on one engine stop allocating
-// their hash tables and stamp arrays.
-func grabCounter(eng *parallel.Engine, w int, kind Counter) overlapCounter {
-	if v, ok := eng.Grab(w, counterKey(kind)); ok {
-		return v.(overlapCounter)
-	}
-	return newCounter(kind)
-}
-
-// stashCounter returns a counter to worker w's arena for reuse.
-func stashCounter(eng *parallel.Engine, w int, kind Counter, c overlapCounter) {
-	if c == nil {
-		return
-	}
-	eng.Stash(w, counterKey(kind), c)
-}
-
-// counterTLS lazily binds one arena counter per worker; release returns every
-// bound counter to the arenas once the construction's loops are done.
-func counterTLS(eng *parallel.Engine, kind Counter) (tls *parallel.TLS[overlapCounter], release func()) {
-	tls = parallel.NewTLSFor(eng, func() overlapCounter { return nil })
-	release = func() {
-		tls.Each(func(w int, v *overlapCounter) { stashCounter(eng, w, kind, *v) })
-	}
-	return tls, release
-}
-
-// getCounter returns worker w's counter from tls, binding one from the arena
-// (reset for in's ID space) on first use.
-func getCounter(eng *parallel.Engine, tls *parallel.TLS[overlapCounter], w int, kind Counter, in Input) overlapCounter {
-	cp := tls.Get(w)
-	if *cp == nil {
-		*cp = grabCounter(eng, w, kind)
-		(*cp).reset(in)
-	}
-	return *cp
+	return st.dense.Get(f)
 }
 
 // denseIDSpaceMax is the largest ID space AutoCounter gives the dense counter,
-// whose arrays cost 8 B per ID per worker: 32 MiB a worker at the bound.
+// whose array costs 4 B per ID per worker: 16 MiB a worker at the bound.
 const denseIDSpaceMax = 4 << 20
 
 // resolveAxes turns Auto/Default axis values into concrete ones:
@@ -301,29 +291,9 @@ func sortByDegree(ids []uint32, in Input, ord sparse.Order) []uint32 {
 	return ids
 }
 
-// construct is the kernel body shared by every construction algorithm: order
-// the hyperedge IDs, distribute them per the schedule, and run the counter
-// strategy on each, yielding (worker, e, f, count) for every s-overlapping
-// pair with f > e. Each surviving pair is emitted exactly once. When exact
-// is set the count is the true |e ∩ f|; otherwise counters may short-circuit
-// at s. Returns eng.Err() so callers surface mid-run cancellation.
-func construct(eng *parallel.Engine, in Input, s int, o Options, exact bool, emit func(w int, e, f uint32, c int32)) error {
-	ids := in.EdgeIDs()
-	// Axis 4 first: the prefiltered work span feeds the schedule.
-	pr, ids := buildPrune(eng, in, s, o, ids)
-	if err := eng.Err(); err != nil {
-		return err
-	}
-	ctr, sched := resolveAxes(eng, in, o)
-	ids = sortByDegree(ids, in, o.Relabel)
-	tls, release := counterTLS(eng, ctr)
-	body := func(w int, e uint32) {
-		if !pr.ok(in, e, s) { // Alg 1, line 6 (pre-checked under the prefilter)
-			return
-		}
-		cnt := getCounter(eng, tls, w, ctr, in)
-		cnt.process(in, e, s, exact, pr, func(f uint32, c int32) { emit(w, e, f, c) })
-	}
+// run distributes ids over eng's workers per sched and calls body once for
+// each, with the worker that got it.
+func run(eng *parallel.Engine, ids []uint32, sched Schedule, body func(w int, e uint32)) {
 	switch sched {
 	case QueueSchedule:
 		parallel.Drain(eng, parallel.NewWorkQueueFor(eng, ids), body)
@@ -340,29 +310,42 @@ func construct(eng *parallel.Engine, in Input, s int, o Options, exact bool, emi
 			}
 		})
 	}
-	release()
-	return eng.Err()
 }
 
-// countCommonExact counts |a ∩ b| of two sorted slices exactly, pruning only
-// when the remaining elements cannot reach s. Returns (count, count >= s) —
-// the exact-mode sibling of countCommonGE.
-func countCommonExact(a, b []uint32, s int) (int, bool) {
-	i, j, c := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if c < s && c+min(len(a)-i, len(b)-j) < s {
-			return c, false
-		}
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			c++
-			i++
-			j++
-		}
+// construct is the kernel body shared by every construction algorithm:
+// resolve the pruning level, build the view of what survives it, order the
+// hyperedge IDs, distribute them per the schedule and walk each. Every
+// s-overlapping pair (e, f), f > e, goes exactly once to o.forest when a
+// components builder armed it, to c otherwise: e's neighbours as one sorted
+// run in the buffer of the worker that walked e (c.workers, which the
+// caller stashes back once it has read the runs). s = 0 means what s = 1
+// does: a pair must share a hypernode to be counted at all. Returns
+// eng.Err() so callers surface mid-run cancellation.
+func construct(eng *parallel.Engine, in Input, s int, o Options, c *runCollector) error {
+	s = min(max(s, 1), math.MaxInt32)
+	p := resolvePrune(o)
+	ids := in.EdgeIDs()
+	if p == ToplexPrune {
+		ids = slices.Clone(o.Subset)
 	}
-	return c, c >= s
+	v, ids, err := buildView(eng, in, s, p, ids)
+	defer stashView(eng, v)
+	if err != nil {
+		return err
+	}
+	k := &kernel{view: v, s: int32(s), forest: o.forest, workers: c.workers}
+	if p >= ConnectivityPrune {
+		k.known = o.forest
+	}
+	var sched Schedule
+	k.ctr, sched = resolveAxes(eng, in, o)
+	run(eng, sortByDegree(ids, in, o.Relabel), sched, func(w int, e uint32) {
+		st := workerOf(eng, k, w)
+		start := len(st.ids)
+		st.ids = k.walk(st, e, st.ids)
+		if len(st.ids) > start {
+			c.record(k, st, w, e, start)
+		}
+	})
+	return eng.Err()
 }

@@ -178,17 +178,18 @@ func TestResolveAxes(t *testing.T) {
 }
 
 // cancelInKernel is an input that cancels its run's context at the first
-// neighbour lookup: the kernel pass is then under way, so a construction
+// incidence lookup: the view build is then under way, so a construction
 // that returns the error stopped in or after it, not before it began.
-// (TestAssembleSurfacesCancellation cancels after the pass.)
+// (TestAssembleSurfacesCancellation cancels after the kernel pass,
+// TestConstructCancelledAtEveryPoll at every poll there is.)
 type cancelInKernel struct {
 	Input
 	cancel context.CancelFunc
 }
 
-func (c cancelInKernel) EdgesOf(v uint32) []uint32 {
+func (c cancelInKernel) Incidence(e uint32) []uint32 {
 	c.cancel()
-	return c.Input.EdgesOf(v)
+	return c.Input.Incidence(e)
 }
 
 func TestConstructSurfacesCancellation(t *testing.T) {
@@ -240,19 +241,5 @@ func TestAxisStrings(t *testing.T) {
 		if got.String() != want {
 			t.Fatalf("String() = %q, want %q", got.String(), want)
 		}
-	}
-}
-
-func TestCountCommonExact(t *testing.T) {
-	a := []uint32{1, 3, 5, 7}
-	b := []uint32{3, 4, 5, 6, 7}
-	if c, ok := countCommonExact(a, b, 2); !ok || c != 3 {
-		t.Fatalf("countCommonExact = %d,%v want exact 3", c, ok)
-	}
-	if c, ok := countCommonExact(a, b, 3); !ok || c != 3 {
-		t.Fatalf("countCommonExact at threshold = %d,%v", c, ok)
-	}
-	if _, ok := countCommonExact(a, b, 4); ok {
-		t.Fatal("countCommonExact reported 4 common, only 3 exist")
 	}
 }

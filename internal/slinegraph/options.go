@@ -15,18 +15,19 @@ const (
 	// degree prefilter for runs that keep every pair, the full connectivity
 	// arsenal when a components builder arms its forest (see resolvePrune).
 	AutoPrune Prune = iota
-	// NoPrune keeps the legacy behaviour: every hyperedge enters the work
-	// list and candidates are degree-checked one at a time. The benchmark
-	// baseline.
+	// NoPrune applies no cut: every hyperedge is in the run's view and on
+	// the work list (one below degree s simply never reaches s). The
+	// benchmark baseline.
 	NoPrune
-	// DegreePrune builds the eligibility set {e : deg(e) ≥ s} once up front
-	// (engine-parallel) as a bitset plus a filtered work span, so schedules,
-	// counters, and the two-level incidence walk skip sub-s hyperedges
-	// entirely. Result-invariant: sound for every run.
+	// DegreePrune keeps only the hyperedges {e : deg(e) ≥ s} in the run's
+	// view (view.go), built once up front, so schedules, counters and the
+	// two-level incidence walk never see a sub-s hyperedge.
+	// Result-invariant: sound for every run.
 	DegreePrune
-	// ConnectivityPrune adds the connected short-circuit: candidate pairs
-	// already in one s-component (per the run's concurrent union-find) skip
-	// counting. Drops pairs, so it degrades to DegreePrune unless the run
+	// ConnectivityPrune adds the connected short-circuit: pairs already in
+	// one s-component (per the run's concurrent union-find) are dropped —
+	// by the tallies when they reach s, by the intersection counter before
+	// its merge. Drops pairs, so it degrades to DegreePrune unless the run
 	// feeds a forest.
 	ConnectivityPrune
 	// ToplexPrune additionally restricts construction to the toplex Subset;

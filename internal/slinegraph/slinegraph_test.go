@@ -3,6 +3,7 @@ package slinegraph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -201,6 +202,33 @@ func TestQueueAlgorithmsOnRenamedIDs(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got2, want) {
 		t.Errorf("QueueIntersection renamed: %v, want %v", got2, want)
+	}
+
+	// An order-reversing rename (new ID = idSpace − 1 − old): EdgeIDs and
+	// every EdgesOf row now come back descending, so a kernel that leaned on
+	// the order its Input lists hyperedges in — a binary search for the
+	// first f > e on an Input row, say — fails here.
+	big := randomHypergraph(40, 20, 5, 3)
+	const space = 64
+	reverse := map[uint32]uint32{}
+	for e := 0; e < big.NumEdges(); e++ {
+		reverse[uint32(e)] = uint32(space - 1 - e)
+	}
+	rin := Renamed(FromHypergraph(big), reverse, space)
+	for s := 1; s <= 3; s++ {
+		var want []sparse.Edge
+		for _, p := range tNaive(big, s) {
+			want = append(want, sparse.Edge{U: reverse[p.V], V: reverse[p.U]})
+		}
+		want = canonPairs(teng, want)
+		for _, ctr := range allCounters {
+			for _, sched := range allSchedules {
+				if got := tPinned(rin, s, Options{}, ctr, sched); !slices.Equal(got, want) {
+					t.Errorf("reversed IDs, s=%d counter=%v schedule=%v: %d pairs, want %d", s, ctr, sched, len(got), len(want))
+				}
+			}
+		}
+		checkAgainstParent(t, teng, rin, s, "reversed IDs")
 	}
 }
 

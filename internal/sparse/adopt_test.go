@@ -11,7 +11,7 @@ import (
 )
 
 func TestAdoptSortedAccepts(t *testing.T) {
-	c, err := AdoptSorted(3, 4,
+	c, err := AdoptSorted(parallel.SharedEngine(), 3, 4,
 		[]int64{0, 2, 2, 3},
 		[]uint32{1, 3, 0},
 		nil)
@@ -42,14 +42,47 @@ func TestAdoptSortedRejects(t *testing.T) {
 		{"val misaligned", 1, []int64{0, 2}, []uint32{0, 1}, []float64{1}},
 	}
 	for _, tc := range cases {
-		if _, err := AdoptSorted(tc.nrows, 4, tc.rowptr, tc.col, tc.val); err == nil {
+		if _, err := AdoptSorted(parallel.SharedEngine(), tc.nrows, 4, tc.rowptr, tc.col, tc.val); err == nil {
 			t.Fatalf("%s: AdoptSorted accepted invalid storage", tc.name)
 		}
 	}
 }
 
+// TestAdoptSortedChecksRowsInParallel: at one, two and three workers a
+// storage with several bad rows is refused with the error of the lowest one
+// — what the serial Validate reports — and a cancelled engine adopts
+// nothing, checked or not.
+func TestAdoptSortedChecksRowsInParallel(t *testing.T) {
+	const n = 5000
+	rowptr, col := make([]int64, n+1), make([]uint32, 2*n)
+	for r := 0; r < n; r++ {
+		rowptr[r+1] = int64(2 * (r + 1))
+		col[2*r], col[2*r+1] = uint32(r), uint32(r)+1
+	}
+	for _, r := range []int{4100, 977, 3050} {
+		col[2*r], col[2*r+1] = col[2*r+1], col[2*r] // unsorted
+	}
+	bad := &CSR{nrows: n, ncols: n + 1, RowPtr: rowptr, Col: col}
+	want := bad.Validate()
+	if want == nil {
+		t.Fatal("the serial Validate accepts the storage")
+	}
+	for workers := 1; workers <= 3; workers++ {
+		eng := parallel.NewEngine(workers)
+		if _, err := AdoptSorted(eng, n, n+1, rowptr, col, nil); err == nil || err.Error() != want.Error() {
+			t.Fatalf("%d workers: err = %v, want %v", workers, err, want)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if c, err := AdoptSorted(eng.WithContext(ctx), n, n+1, rowptr, col, nil); !errors.Is(err, context.Canceled) || c != nil {
+			t.Fatalf("%d workers, cancelled: %v, err = %v", workers, c, err)
+		}
+		eng.Close()
+	}
+}
+
 func TestAdoptSortedMatchesFromPairs(t *testing.T) {
-	a, err := AdoptSorted(2, 3, []int64{0, 2, 3}, []uint32{0, 2, 1}, []float64{1, 2, 3})
+	a, err := AdoptSorted(parallel.SharedEngine(), 2, 3, []int64{0, 2, 3}, []uint32{0, 2, 1}, []float64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +94,7 @@ func TestAdoptSortedMatchesFromPairs(t *testing.T) {
 
 func TestUpperTriangle(t *testing.T) {
 	// Path 0-1-2 plus edge 0-2, stored symmetrically with sorted rows.
-	c, err := AdoptSorted(4, 4, []int64{0, 2, 4, 6, 6}, []uint32{1, 2, 0, 2, 0, 1}, nil)
+	c, err := AdoptSorted(parallel.SharedEngine(), 4, 4, []int64{0, 2, 4, 6, 6}, []uint32{1, 2, 0, 2, 0, 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +102,7 @@ func TestUpperTriangle(t *testing.T) {
 	if got := c.UpperTriangle(); len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
 		t.Fatalf("UpperTriangle = %v, want %v", got, want)
 	}
-	empty, err := AdoptSorted(2, 2, []int64{0, 0, 0}, nil, nil)
+	empty, err := AdoptSorted(parallel.SharedEngine(), 2, 2, []int64{0, 0, 0}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

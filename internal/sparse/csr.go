@@ -148,30 +148,44 @@ func (c *CSR) KeepAtLeast(eng *parallel.Engine, t float64) (*CSR, error) {
 	if err := eng.Err(); err != nil {
 		return nil, err
 	}
-	return AdoptSorted(c.nrows, c.ncols, rowptr, col, nil)
+	return AdoptSorted(eng, c.nrows, c.ncols, rowptr, col, nil)
 }
 
 // Validate checks structural invariants: monotone RowPtr, in-range columns,
 // sorted rows.
 func (c *CSR) Validate() error {
+	if err := c.validateShape(); err != nil {
+		return err
+	}
+	for i := 0; i < c.nrows; i++ {
+		if err := c.validateRow(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (c *CSR) validateShape() error {
 	if len(c.RowPtr) != c.nrows+1 {
 		return fmt.Errorf("sparse: RowPtr length %d for %d rows", len(c.RowPtr), c.nrows)
 	}
 	if c.RowPtr[0] != 0 || c.RowPtr[c.nrows] != int64(len(c.Col)) {
 		return fmt.Errorf("sparse: RowPtr endpoints %d..%d for %d entries", c.RowPtr[0], c.RowPtr[c.nrows], len(c.Col))
 	}
-	for i := 0; i < c.nrows; i++ {
-		if c.RowPtr[i] > c.RowPtr[i+1] {
-			return fmt.Errorf("sparse: RowPtr decreases at row %d", i)
+	return nil
+}
+
+func (c *CSR) validateRow(i int) error {
+	if c.RowPtr[i] > c.RowPtr[i+1] || c.RowPtr[i] < 0 || c.RowPtr[i+1] > int64(len(c.Col)) {
+		return fmt.Errorf("sparse: RowPtr out of order at row %d", i)
+	}
+	row := c.Row(i)
+	for k, v := range row {
+		if int(v) >= c.ncols {
+			return fmt.Errorf("sparse: row %d entry %d out of range [0,%d)", i, v, c.ncols)
 		}
-		row := c.Row(i)
-		for k, v := range row {
-			if int(v) >= c.ncols {
-				return fmt.Errorf("sparse: row %d entry %d out of range [0,%d)", i, v, c.ncols)
-			}
-			if k > 0 && row[k-1] > v {
-				return fmt.Errorf("sparse: row %d not sorted", i)
-			}
+		if k > 0 && row[k-1] > v {
+			return fmt.Errorf("sparse: row %d not sorted", i)
 		}
 	}
 	return nil
@@ -215,15 +229,31 @@ func must(c *CSR, err error) *CSR {
 // structural invariant set is checked before adoption (including val/col
 // alignment, which Validate does not see), so a corrupted or hand-forged
 // payload is rejected instead of producing a CSR that violates the
-// sorted-rows contract HasEntry and the merge kernels rely on. The caller
-// must not reuse the slices afterwards.
-func AdoptSorted(nrows, ncols int, rowptr []int64, col []uint32, val []float64) (*CSR, error) {
+// sorted-rows contract HasEntry and the merge kernels rely on. The rows are
+// checked in parallel on e — the error reported is the lowest bad row's, as
+// Validate's would be — and a cancelled engine returns e.Err(), never an
+// unchecked CSR. The caller must not reuse the slices afterwards.
+func AdoptSorted(e *parallel.Engine, nrows, ncols int, rowptr []int64, col []uint32, val []float64) (*CSR, error) {
 	if val != nil && len(val) != len(col) {
 		return nil, fmt.Errorf("sparse: %d values for %d columns", len(val), len(col))
 	}
 	c := &CSR{nrows: nrows, ncols: ncols, RowPtr: rowptr, Col: col, Val: val}
-	if err := c.Validate(); err != nil {
+	if err := c.validateShape(); err != nil {
 		return nil, err
+	}
+	bad := parallel.ReduceWith(e, nrows, nrows, func(lo, hi, bad int) int {
+		for i := lo; i < hi && i < bad; i++ {
+			if c.validateRow(i) != nil {
+				return i
+			}
+		}
+		return bad
+	}, func(a, b int) int { return min(a, b) })
+	if err := e.Err(); err != nil {
+		return nil, err
+	}
+	if bad < nrows {
+		return nil, c.validateRow(bad)
 	}
 	return c, nil
 }
@@ -260,7 +290,7 @@ func BiAdjacencyOn(e *parallel.Engine, bel *BiEdgeList) (edges, nodes *CSR, err 
 	}
 	if inRowOrder(bel.Edges) {
 		g.dedupRows(e)
-		if nodes, err = AdoptSorted(g.nrows, g.ncols, g.RowPtr, g.Col, g.Val); err == nil {
+		if nodes, err = AdoptSorted(e, g.nrows, g.ncols, g.RowPtr, g.Col, g.Val); err == nil {
 			edges, err = TransposeOn(e, nodes)
 		}
 	} else if edges, err = TransposeOn(e, g); err == nil {

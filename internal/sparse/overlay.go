@@ -196,5 +196,5 @@ func (o *Overlay) Compact(e *parallel.Engine) (*CSR, error) {
 	if err := e.Err(); err != nil {
 		return nil, err
 	}
-	return AdoptSorted(n, o.ncols, rowptr, col, nil)
+	return AdoptSorted(e, n, o.ncols, rowptr, col, nil)
 }

@@ -110,7 +110,7 @@ func TransposeOn(eng *parallel.Engine, c *CSR) (*CSR, error) {
 	if err != nil {
 		return nil, err
 	}
-	return AdoptSorted(t.nrows, t.ncols, t.RowPtr, t.Col, t.Val)
+	return AdoptSorted(eng, t.nrows, t.ncols, t.RowPtr, t.Col, t.Val)
 }
 
 // groupByCol is the stable counting scatter that turns a pair list into

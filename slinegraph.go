@@ -191,7 +191,7 @@ func (g *NWHypergraph) lineCSR(eng *Engine, snap *snapshot, s int, edges, exact 
 	if n := h.NumEdges(); csr.NumRows() > n {
 		// Adjoin IDs from nₑ up are hypernodes: their rows are empty by
 		// construction, and the line graph's vertices are the first nₑ.
-		csr, err = sparse.AdoptSorted(n, n, csr.RowPtr[:n+1], csr.Col, csr.Val)
+		csr, err = sparse.AdoptSorted(eng, n, n, csr.RowPtr[:n+1], csr.Col, csr.Val)
 	}
 	return h, csr, err
 }
