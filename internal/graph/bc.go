@@ -1,7 +1,7 @@
 package graph
 
 import (
-	"math/rand"
+	"slices"
 
 	"nwhy/internal/parallel"
 )
@@ -9,54 +9,63 @@ import (
 // BetweennessCentrality computes exact betweenness centrality with Brandes'
 // algorithm, parallelized over sources: every worker runs independent
 // single-source dependency accumulations into a private score array and the
-// partials are summed. For undirected graphs each pair is counted twice by
-// the textbook formulation, so scores are halved; with normalized=true they
-// are further scaled by 1/((n-1)(n-2)).
+// partials are summed. A source only reaches its own connected component,
+// and a component dense enough for matrixPays is walked on its adjacency
+// bit matrix (bitBrandesState) instead of its CSR rows (brandesState); the
+// two give the same scores. The adjacency must be symmetric. For undirected
+// graphs each pair is counted twice by the textbook formulation, so scores
+// are halved; with normalized=true they are further scaled by
+// 1/((n-1)(n-2)).
 func BetweennessCentrality(eng *parallel.Engine, g *Graph, normalized bool) []float64 {
-	n := g.NumVertices()
-	sources := make([]int, n)
-	for i := range sources {
-		sources[i] = i
-	}
-	return betweenness(eng, g, sources, normalized, float64(n))
+	return betweenness(eng, g, normalized, matrixPays)
 }
 
-// ApproxBetweennessCentrality estimates betweenness from k sampled sources
-// (Brandes–Pich style), scaling contributions by n/k.
-func ApproxBetweennessCentrality(eng *parallel.Engine, g *Graph, k int, seed int64, normalized bool) []float64 {
-	n := g.NumVertices()
-	if k >= n {
-		return BetweennessCentrality(eng, g, normalized)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(n)
-	return betweenness(eng, g, perm[:k], normalized, float64(n))
+// matrixPays is the rule that picks the kernel of a component with nc
+// vertices and arcs stored arcs: the bit matrix when its nc x ceil(nc/64)
+// words are at most half the arcs, so the matrix never outweighs the
+// component's CSR column array and a source's word operations stay below
+// the arc visits they replace. The constant is read off the crossover table
+// of BenchmarkBetweenness (EXPERIMENTS.md, "s-betweenness on a bit
+// matrix"): the kernels break even near words = arcs.
+func matrixPays(nc, arcs int) bool {
+	return nc*((nc+63)/64) <= arcs/2
 }
 
-// betweenness sums the Brandes dependencies of the given sources, each
-// scaled by n/len(sources). Sources without a neighbor are skipped (their
-// dependencies are all exactly zero) but still count in the scale. Grains
-// borrow their worker's brandesState from the engine arena, so a call
-// allocates the score partials and nothing per source.
-func betweenness(eng *parallel.Engine, g *Graph, sources []int, normalized bool, n float64) []float64 {
-	partials := parallel.NewTLSFor(eng, func() []float64 { return make([]float64, g.NumVertices()) })
-	scale := n / float64(len(sources))
+// betweenness sums the Brandes dependencies of every source. Vertices
+// without a neighbor are skipped (their dependencies are all exactly zero).
+// Grains borrow their worker's kernel state from the engine arena, so a
+// call allocates the component plan and the score partials and nothing per
+// source. dense is matrixPays everywhere but in the tests and benchmarks
+// that pin one kernel.
+func betweenness(eng *parallel.Engine, g *Graph, normalized bool, dense func(nc, arcs int) bool) []float64 {
+	n := g.NumVertices()
+	plan := planBrandes(g, dense)
+	partials := parallel.NewTLSFor(eng, func() []float64 { return make([]float64, n) })
 
 	// Grain 1: each source is one grain, so cancellation is observed between
-	// single-source Brandes accumulations.
-	eng.For(parallel.BlockedGrain(0, len(sources), 1), func(w, lo, hi int) {
+	// single-source Brandes accumulations, whatever component they are in.
+	eng.For(parallel.BlockedGrain(0, n, 1), func(w, lo, hi int) {
 		score := *partials.Get(w)
-		st := grabScratch[brandesState](eng, w, brandesStateKey)
-		st.ensure(g.NumVertices())
-		for _, src := range sources[lo:hi] {
-			if g.Degree(src) > 0 {
-				st.accumulate(g, src, score, scale)
+		for src := lo; src < hi; src++ {
+			c := plan.comp[src]
+			if c == noComponent {
+				continue
+			}
+			if m := plan.matrix[c]; m != nil {
+				st := grabScratch[bitBrandesState](eng, w, bitBrandesStateKey)
+				st.ensure(len(m.ids), m.words)
+				st.accumulate(m, int(plan.local[src]), score)
+				eng.Stash(w, bitBrandesStateKey, st)
+			} else {
+				st := grabScratch[brandesState](eng, w, brandesStateKey)
+				st.ensure(n)
+				st.accumulate(g, src, score)
+				eng.Stash(w, brandesStateKey, st)
 			}
 		}
-		eng.Stash(w, brandesStateKey, st)
 	})
 
-	out := make([]float64, g.NumVertices())
+	out := make([]float64, n)
 	partials.All(func(s *[]float64) {
 		for i, v := range *s {
 			out[i] += v
@@ -67,7 +76,7 @@ func betweenness(eng *parallel.Engine, g *Graph, sources []int, normalized bool,
 		out[i] /= 2
 	}
 	if normalized && n > 2 {
-		norm := 1 / ((n - 1) * (n - 2))
+		norm := 1 / (float64(n-1) * float64(n-2))
 		for i := range out {
 			out[i] *= norm
 		}
@@ -75,9 +84,88 @@ func betweenness(eng *parallel.Engine, g *Graph, sources []int, normalized bool,
 	return out
 }
 
-// brandesState is one worker's scratch, reused across sources and calls.
-// dist is all -1 between sources; sigma and coef are written before they
-// are read.
+// noComponent labels a vertex without a neighbor.
+const noComponent = ^uint32(0)
+
+// brandesPlan assigns every source its component and, where the component
+// is dense, its bit matrix and its ID in it.
+type brandesPlan struct {
+	comp   []uint32     // vertex -> component, numbered by least vertex; noComponent if isolated
+	local  []uint32     // vertex -> compact ID, set for vertices of matrix components only
+	matrix []*bitMatrix // component -> its bit matrix, nil for the CSR walk
+}
+
+// planBrandes labels the components with one serial sweep, O(n + arcs) —
+// what a single source costs — and builds the matrix of every component
+// dense admits.
+func planBrandes(g *Graph, dense func(nc, arcs int) bool) *brandesPlan {
+	n := g.NumVertices()
+	p := &brandesPlan{comp: make([]uint32, n), local: make([]uint32, n)}
+	for i := range p.comp {
+		p.comp[i] = noComponent
+	}
+	var queue []uint32
+	for root := 0; root < n; root++ {
+		if p.comp[root] != noComponent || g.Degree(root) == 0 {
+			continue
+		}
+		c := uint32(len(p.matrix))
+		p.comp[root] = c
+		queue = append(queue[:0], uint32(root))
+		arcs := 0
+		for head := 0; head < len(queue); head++ {
+			row := g.Row(int(queue[head]))
+			arcs += len(row)
+			for _, v := range row {
+				if p.comp[v] == noComponent {
+					p.comp[v] = c
+					queue = append(queue, v)
+				}
+			}
+		}
+		var m *bitMatrix
+		if dense(len(queue), arcs) {
+			m = newBitMatrix(g, queue, p.local)
+		}
+		p.matrix = append(p.matrix, m)
+	}
+	return p
+}
+
+// bitMatrix is the adjacency of one connected component over compact IDs
+// 0..nc-1 that keep the order of the vertex IDs, so a set-bit walk over a
+// row meets the neighbors in the order the CSR row lists them.
+type bitMatrix struct {
+	ids   []uint32 // compact ID -> vertex, ascending
+	words int      // per row: ceil(nc/64)
+	rows  []uint64 // row v at [v*words, (v+1)*words)
+}
+
+// newBitMatrix builds the matrix of the component whose vertices are
+// members (any order; copied), recording their compact IDs in local.
+func newBitMatrix(g *Graph, members, local []uint32) *bitMatrix {
+	ids := slices.Clone(members)
+	slices.Sort(ids)
+	for i, v := range ids {
+		local[v] = uint32(i)
+	}
+	m := &bitMatrix{ids: ids, words: (len(ids) + 63) / 64}
+	m.rows = make([]uint64, len(ids)*m.words)
+	for i, v := range ids {
+		row := m.row(i)
+		for _, u := range g.Row(int(v)) {
+			l := local[u]
+			row[l>>6] |= 1 << (l & 63)
+		}
+	}
+	return m
+}
+
+func (m *bitMatrix) row(v int) []uint64 { return m.rows[v*m.words : (v+1)*m.words] }
+
+// brandesState is one worker's scratch for the CSR walk, reused across
+// sources and calls. dist is all -1 between sources; sigma and coef are
+// written before they are read.
 type brandesState struct {
 	sigma []float64 // number of shortest paths from the source
 	coef  []float64 // (1 + dependency) / sigma, set in reverse BFS order
@@ -95,10 +183,10 @@ func (st *brandesState) ensure(n int) {
 }
 
 // accumulate runs one sequential Brandes pass from src, adding each
-// vertex's dependency times scale into score. The backward pass gathers: a
-// vertex sums coef over its BFS successors (one level deeper, final in
-// reverse BFS order) — one division per vertex, writes to its own slots only.
-func (st *brandesState) accumulate(g *Graph, src int, score []float64, scale float64) {
+// vertex's dependency into score. The backward pass gathers: a vertex sums
+// coef over its BFS successors (one level deeper, final in reverse BFS
+// order) — one division per vertex, writes to its own slots only.
+func (st *brandesState) accumulate(g *Graph, src int, score []float64) {
 	sigma, coef, dist := st.sigma, st.coef, st.dist
 	sigma[src], dist[src] = 1, 0
 	order := append(st.order[:0], uint32(src))
@@ -128,7 +216,7 @@ func (st *brandesState) accumulate(g *Graph, src int, score []float64, scale flo
 		}
 		delta := sigma[v] * sum
 		coef[v] = (1 + delta) / sigma[v]
-		score[v] += delta * scale
+		score[v] += delta
 	}
 	for _, v := range order {
 		dist[v] = unreachable

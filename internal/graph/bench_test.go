@@ -48,15 +48,6 @@ func BenchmarkDeltaStepping(b *testing.B) {
 	})
 }
 
-func BenchmarkBetweennessApprox(b *testing.B) {
-	g := randomGraph(2000, 12000, 3)
-	b.Run("k=32", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = ApproxBetweennessCentrality(teng, g, 32, 1, true)
-		}
-	})
-}
-
 func BenchmarkPageRank(b *testing.B) {
 	g := benchGraph(b)
 	for i := 0; i < b.N; i++ {

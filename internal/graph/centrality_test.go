@@ -296,32 +296,6 @@ func TestBetweennessMatchesOracle(t *testing.T) {
 	}
 }
 
-func TestApproxBetweennessAllSourcesIsExact(t *testing.T) {
-	g := randomGraph(25, 60, 3)
-	exact := BetweennessCentrality(teng, g, false)
-	approx := ApproxBetweennessCentrality(teng, g, 25, 1, false)
-	for i := range exact {
-		if math.Abs(exact[i]-approx[i]) > 1e-9 {
-			t.Fatal("k = n approximation should equal exact")
-		}
-	}
-}
-
-func TestApproxBetweennessReasonable(t *testing.T) {
-	// On the star, any sampled subset still ranks the hub far above leaves.
-	var pairs [][2]uint32
-	for i := 1; i <= 40; i++ {
-		pairs = append(pairs, [2]uint32{0, uint32(i)})
-	}
-	g := buildGraph(41, pairs)
-	got := ApproxBetweennessCentrality(teng, g, 10, 2, false)
-	for i := 1; i <= 40; i++ {
-		if got[0] <= got[i] {
-			t.Fatalf("hub score %v not above leaf %v", got[0], got[i])
-		}
-	}
-}
-
 // --- Closeness, harmonic, eccentricity ---
 
 func TestClosenessPathEndpoints(t *testing.T) {

@@ -6,9 +6,10 @@
 // Algorithms provided: breadth-first search (top-down, bottom-up, and
 // direction-optimizing), connected components (label propagation,
 // Shiloach–Vishkin, and Afforest), single-source shortest paths
-// (delta-stepping), betweenness centrality (Brandes), closeness / harmonic
-// closeness / eccentricity, PageRank, k-core decomposition, and triangle
-// counting.
+// (delta-stepping), betweenness centrality (Brandes per connected component,
+// over an adjacency bit matrix where the component is dense and over the CSR
+// rows elsewhere), closeness / harmonic closeness / eccentricity, PageRank,
+// k-core decomposition, and triangle counting.
 package graph
 
 import (

@@ -19,6 +19,7 @@ const (
 	pathScratchKey          = "graph.shortestpath"
 	sweepScratchKey         = "graph.sweep"
 	brandesStateKey         = "graph.brandes"
+	bitBrandesStateKey      = "graph.brandes.bits"
 	weightedBrandesStateKey = "graph.brandes.weighted"
 )
 

@@ -118,7 +118,8 @@ func TestLevelHistogramsMatchPerSourceBFS(t *testing.T) {
 // checkArenaScratchClean pops every traversal scratch stashed in eng's
 // arenas, checks the state each must be in between calls (ShortestPath marks
 // and sweep words all zero, Brandes distances all unreachable, no list
-// left non-empty), puts them back and returns how many it saw.
+// left non-empty; the bit-matrix Brandes state has no such invariant beyond
+// the sizes ensure compares), puts them back and returns how many it saw.
 func checkArenaScratchClean(t *testing.T, eng *parallel.Engine) int {
 	t.Helper()
 	allZero := func(what string, words []uint64) {
@@ -129,43 +130,64 @@ func checkArenaScratchClean(t *testing.T, eng *parallel.Engine) int {
 		}
 	}
 	found := 0
-	for w := 0; w < eng.NumWorkers(); w++ {
-		for _, key := range []string{pathScratchKey, sweepScratchKey, brandesStateKey} {
-			var held []any
-			for v, ok := eng.Grab(w, key); ok; v, ok = eng.Grab(w, key) {
-				held = append(held, v)
-			}
-			for _, v := range held {
-				switch sc := v.(type) {
-				case *pathScratch:
-					for v, m := range sc.mark {
-						if m != 0 {
-							t.Fatalf("stashed path scratch has mark[%d] = %d", v, m)
-						}
-					}
-					if len(sc.visited) != 0 {
-						t.Fatalf("stashed path scratch lists %d visited vertices", len(sc.visited))
-					}
-				case *sweepScratch:
-					allZero("seen", sc.seen)
-					allZero("front", sc.front)
-					allZero("next", sc.next)
-					if len(sc.cur)+len(sc.nxt)+len(sc.visited) != 0 {
-						t.Fatalf("stashed sweep scratch has non-empty lists")
-					}
-				case *brandesState:
-					for v, d := range sc.dist {
-						if d != unreachable {
-							t.Fatalf("stashed Brandes state has dist[%d] = %d", v, d)
-						}
+	for _, key := range []string{pathScratchKey, sweepScratchKey, brandesStateKey, bitBrandesStateKey} {
+		forEachStashed(eng, key, func(v any) {
+			found++
+			switch sc := v.(type) {
+			case *pathScratch:
+				for v, m := range sc.mark {
+					if m != 0 {
+						t.Fatalf("stashed path scratch has mark[%d] = %d", v, m)
 					}
 				}
-				eng.Stash(w, key, v)
+				if len(sc.visited) != 0 {
+					t.Fatalf("stashed path scratch lists %d visited vertices", len(sc.visited))
+				}
+			case *sweepScratch:
+				allZero("seen", sc.seen)
+				allZero("front", sc.front)
+				allZero("next", sc.next)
+				if len(sc.cur)+len(sc.nxt)+len(sc.visited) != 0 {
+					t.Fatalf("stashed sweep scratch has non-empty lists")
+				}
+			case *brandesState:
+				for v, d := range sc.dist {
+					if d != unreachable {
+						t.Fatalf("stashed Brandes state has dist[%d] = %d", v, d)
+					}
+				}
+			case *bitBrandesState:
+				if len(sc.sigma) != len(sc.coef) {
+					t.Fatalf("stashed bit-matrix Brandes state has %d sigma and %d coef slots", len(sc.sigma), len(sc.coef))
+				}
 			}
-			found += len(held)
-		}
+		})
 	}
 	return found
+}
+
+// forEachStashed pops every object stashed under key in eng's arenas, calls
+// fn on each and puts them back.
+func forEachStashed(eng *parallel.Engine, key string, fn func(v any)) {
+	for w := 0; w < eng.NumWorkers(); w++ {
+		var held []any
+		for v, ok := eng.Grab(w, key); ok; v, ok = eng.Grab(w, key) {
+			held = append(held, v)
+		}
+		for _, v := range held {
+			fn(v)
+			eng.Stash(w, key, v)
+		}
+	}
+}
+
+// allocatedBytes reports what the process allocated while fn ran.
+func allocatedBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // TestCancelledTraversalsLeaveEngineReusable cancels each of the three
@@ -240,17 +262,85 @@ func TestCancelledTraversalsLeaveEngineReusable(t *testing.T) {
 }
 
 // TestBetweennessAllocatesPerWorkerNotPerSource pins the allocation shape
-// of Brandes: score partials and traversal state per worker, nothing per
-// source. One state per source is 28 KB x 1000 sources here.
+// of Brandes under both kernels: the plan, score partials and traversal
+// state per worker, nothing per source. On the CSR walk one state per source
+// is 28 KB x 1000 sources; on the bit matrix (128 KB here) one level bitset
+// per source is 128 B x 1000 sources, as much again as the matrix. What the
+// engine allocates to schedule n grains is measured and set aside.
 func TestBetweennessAllocatesPerWorkerNotPerSource(t *testing.T) {
 	eng := parallel.NewEngine(2)
 	defer eng.Close()
-	g := randomGraph(1000, 4000, 11)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	BetweennessCentrality(eng, g, false)
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
-		t.Fatalf("BetweennessCentrality on 1000 vertices allocated %d bytes, want < 1 MiB", got)
+	const n = 1000
+	grains := allocatedBytes(func() { eng.For(parallel.BlockedGrain(0, n, 1), func(int, int, int) {}) })
+	dense := blobWithTail(n, 0, 0.1, 11)
+	matrix := planBrandes(dense, matrixPays).matrix
+	if len(matrix) != 1 || matrix[0] == nil {
+		t.Fatal("the dense graph is not one matrix component")
+	}
+	for name, c := range map[string]struct {
+		g     *Graph
+		bound uint64
+	}{
+		"CSR walk":   {randomGraph(n, 4000, 11), 1 << 20},
+		"bit matrix": {dense, uint64(8*len(matrix[0].rows) + 96*n + 16<<10)},
+	} {
+		if got := allocatedBytes(func() { BetweennessCentrality(eng, c.g, false) }); got >= grains+c.bound {
+			t.Fatalf("%s: BetweennessCentrality on %d vertices allocated %d bytes, want < %d beside the %d of scheduling", name, n, got, c.bound, grains)
+		}
+	}
+}
+
+// TestBetweennessSparseGiantAllocatesLinear holds the rule to its memory
+// promise: a matrix is never larger than the CSR column array of its
+// component, so a 100 000-vertex sparse graph (whose giant component as a
+// matrix would be 1.2 GB) gets none, and a call — cancelled after a few
+// sources, a full run is hours — allocates the O(n) plan, partials and CSR
+// walk states only.
+func TestBetweennessSparseGiantAllocatesLinear(t *testing.T) {
+	const n = 100000
+	g := randomGraph(n, 4*n, 5)
+	p := planBrandes(g, matrixPays)
+	for c, m := range p.matrix {
+		if m == nil {
+			continue
+		}
+		arcs := 0
+		for _, v := range m.ids {
+			arcs += g.Degree(int(v))
+		}
+		if len(m.ids) > 64 || 8*len(m.rows) > 4*arcs {
+			t.Fatalf("component %d: %d vertices, %d arcs, a matrix of %d words", c, len(m.ids), arcs, len(m.rows))
+		}
+	}
+	eng := parallel.NewEngine(2)
+	defer eng.Close()
+	ceng := eng.WithContext(paralleltest.NewCountdownCtx(64))
+	got := allocatedBytes(func() { BetweennessCentrality(ceng, g, false) })
+	if ceng.Err() == nil {
+		t.Fatal("the run was not cancelled")
+	}
+	if got >= 192*n {
+		t.Fatalf("BetweennessCentrality on a sparse %d-vertex graph allocated %d bytes, want < %d", n, got, 192*n)
+	}
+}
+
+// TestBetweennessAsymmetricAdjacencyTerminates: FromCSR accepts an
+// adjacency that is not symmetric. Its scores are not defined, but a source
+// whose levels never reach a vertex labelled into its component must not
+// spin, under either kernel.
+func TestBetweennessAsymmetricAdjacencyTerminates(t *testing.T) {
+	// 0 -> 1 -> 2 -> 0 and 3 -> 0: from 0, 1 or 2 vertex 3 stays unreached.
+	c := sparse.FromPairs(4, 4, []sparse.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 3, V: 0}}, nil)
+	g, err := FromCSR(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.IsSymmetric() {
+		t.Fatal("the adjacency is symmetric")
+	}
+	for name, dense := range brandesKernels {
+		if got := betweenness(teng, g, false, dense); len(got) != 4 {
+			t.Fatalf("%s kernel: %d scores", name, len(got))
+		}
 	}
 }
