@@ -41,3 +41,25 @@ func FuzzReadBiEdgeList(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseMatchesParent holds the fast path and the count-then-write
+// assembly to the parser they replaced (parent_test.go): on any bytes, every
+// reader returns the parent's list or the parent's error string. Worker
+// counts 1 to 3 move the chunk cuts across the input.
+func FuzzParseMatchesParent(f *testing.F) {
+	f.Add([]byte(paperMM), uint8(0))
+	f.Add(mtx("pattern", 50, 60, 41, append(plain(40), "007 0012\n")...), uint8(1))
+	f.Add(mtx("pattern", 50, 60, 40, append(plain(20), append([]string{"% gap\n", "\n", "1 2 \r\n"}, plain(19)...)...)...), uint8(2))
+	f.Add(mtx("pattern", 50, 60, 3, "1 18446744073709551618\n", "999999999999999999 1\n", "51 1"), uint8(2))
+	f.Add(mtx("real", 2, 3, 2, "1 3 2.5\n", "% c\n", "2 1 -1\n"), uint8(1))
+	f.Add(mtx("integer", 1, 1, 1<<40, "1 1 7\n"), uint8(0))
+	engines := [3]*parallel.Engine{parallel.NewEngine(1), parallel.NewEngine(2), parallel.NewEngine(3)}
+	f.Cleanup(func() {
+		for _, eng := range engines {
+			eng.Close()
+		}
+	})
+	f.Fuzz(func(t *testing.T, data []byte, workers uint8) {
+		sameAsParent(t, engines[workers%3], "fuzz input", data)
+	})
+}

@@ -7,6 +7,7 @@ package mmio
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -47,70 +48,26 @@ func parseHeader(line string) (Header, error) {
 // an unweighted list. Symmetric files are rejected (incidence matrices are
 // rectangular and general). Entry lines must have exactly the declared field
 // count — two indices, plus a value for non-pattern files; extra columns are
-// an error, not ignored. It shares its byte-level scanners (scan.go) with
-// ReadBiEdgeListParallel, so the two readers accept the same language.
+// an error, not ignored. It reads the stream to its end first: the parse is
+// readSerial's.
 func ReadBiEdgeList(r io.Reader) (*sparse.BiEdgeList, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	header, rows, cols, nnz, err := readPreamble(sc)
-	if err != nil {
-		return nil, err
-	}
-	if header.Symmetry != "general" {
-		return nil, fmt.Errorf("mmio: hypergraph incidence must be general, got %s", header.Symmetry)
-	}
-	bel := sparse.NewBiEdgeList(rows, cols)
-	bel.Edges = make([]sparse.Edge, 0, initialEdgeCap(nnz))
-	weighted := header.Field != "pattern"
-	if weighted {
-		bel.Weights = make([]float64, 0, initialEdgeCap(nnz))
-	}
-	for sc.Scan() {
-		line := trimASCII(sc.Bytes())
-		if len(line) == 0 || line[0] == '%' {
-			continue
-		}
-		i, j, w, ok := parseEntryBytes(line, weighted)
-		if !ok {
-			return nil, fmt.Errorf("mmio: bad entry %q", line)
-		}
-		if i < 1 || i > int64(rows) || j < 1 || j > int64(cols) {
-			return nil, fmt.Errorf("mmio: entry (%d,%d) outside %dx%d", i, j, rows, cols)
-		}
-		bel.Edges = append(bel.Edges, sparse.Edge{U: uint32(i - 1), V: uint32(j - 1)})
-		if weighted {
-			bel.Weights = append(bel.Weights, w)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("mmio: %w", err)
 	}
-	if len(bel.Edges) != nnz {
-		return nil, fmt.Errorf("mmio: header declared %d entries, found %d", nnz, len(bel.Edges))
-	}
-	return bel, nil
+	return readSerial(buf.Bytes())
 }
 
-func readPreamble(sc *bufio.Scanner) (Header, int, int, int, error) {
-	if !sc.Scan() {
-		return Header{}, 0, 0, 0, fmt.Errorf("mmio: empty input")
-	}
-	header, err := parseHeader(sc.Text())
-	if err != nil {
-		return Header{}, 0, 0, 0, err
-	}
-	for sc.Scan() {
-		line := trimASCII(sc.Bytes())
-		if len(line) == 0 || line[0] == '%' {
-			continue
+// readSerial parses a whole file in memory as one chunk on the calling
+// goroutine: the loop, the language and the errors are
+// ReadBiEdgeListParallel's (readChunks).
+func readSerial(data []byte) (*sparse.BiEdgeList, error) {
+	return readChunks(data, 1, func(n int, each func(c int)) error {
+		for c := 0; c < n; c++ {
+			each(c)
 		}
-		rows, cols, nnz, ok := parseSizeLine(line)
-		if !ok {
-			return Header{}, 0, 0, 0, fmt.Errorf("mmio: bad size line %q", line)
-		}
-		return header, rows, cols, nnz, nil
-	}
-	return Header{}, 0, 0, 0, fmt.Errorf("mmio: missing size line")
+		return nil
+	})
 }
 
 // WriteBiEdgeList writes bel as a Matrix Market pattern (or real, when
@@ -137,12 +94,11 @@ func WriteBiEdgeList(w io.Writer, bel *sparse.BiEdgeList) error {
 // GraphReader opens path and reads the bipartite edge list of a hypergraph,
 // mirroring the paper's graph_reader(mm_file).
 func GraphReader(path string) (*sparse.BiEdgeList, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadBiEdgeList(f)
+	return readSerial(data)
 }
 
 // ReadAdjoin parses a Matrix Market incidence stream directly into an
@@ -151,11 +107,16 @@ func GraphReader(path string) (*sparse.BiEdgeList, error) {
 // incidence are materialized. It returns the edge list plus the partition
 // sizes (the paper's nrealedges / nrealnodes out-parameters).
 func ReadAdjoin(r io.Reader) (el *sparse.EdgeList, nrealedges, nrealnodes int, err error) {
-	bel, err := ReadBiEdgeList(r)
+	return adjoin(ReadBiEdgeList(r))
+}
+
+// adjoin is the second half of ReadAdjoin: the shared-index-space form of a
+// list some reader returned, or that reader's error.
+func adjoin(bel *sparse.BiEdgeList, err error) (*sparse.EdgeList, int, int, error) {
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	el = sparse.NewEdgeList(bel.N0 + bel.N1)
+	el := sparse.NewEdgeList(bel.N0 + bel.N1)
 	el.Edges = make([]sparse.Edge, 0, 2*len(bel.Edges))
 	for _, e := range bel.Edges {
 		shared := uint32(bel.N0) + e.V
@@ -169,12 +130,7 @@ func ReadAdjoin(r io.Reader) (el *sparse.EdgeList, nrealedges, nrealnodes int, e
 // GraphReaderAdjoin opens path and reads it in adjoin form, mirroring the
 // paper's graph_reader_adjoin(mm_file, nrealedges, nrealnodes).
 func GraphReaderAdjoin(path string) (*sparse.EdgeList, int, int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	defer f.Close()
-	return ReadAdjoin(f)
+	return adjoin(GraphReader(path))
 }
 
 // WriteHypergraphFile writes a bipartite edge list to path.

@@ -1,6 +1,7 @@
 package mmio
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 
@@ -9,68 +10,14 @@ import (
 )
 
 // ReadBiEdgeListParallel parses data — a whole Matrix Market file in memory
-// — with engine-parallel chunked scanning: the entry body is split into
-// newline-aligned byte ranges, each worker scans its range with the shared
-// byte-level scanners into a private edge chunk, and the chunks are
-// assembled into the final list by an exclusive scan over chunk sizes plus a
-// parallel scatter copy. It produces exactly the BiEdgeList ReadBiEdgeList
-// produces, or exactly its error for malformed input (the earliest bad line
-// wins, matching the serial reader's first-error semantics). Cancellation is
-// observed at chunk boundaries; an aborted parse returns eng.Err().
+// — with engine-parallel chunked scanning (readChunks): the same list, or for
+// malformed input the same error, as ReadBiEdgeList. Cancellation is observed
+// at chunk boundaries; an aborted parse returns eng.Err() and no list.
 func ReadBiEdgeListParallel(eng *parallel.Engine, data []byte) (*sparse.BiEdgeList, error) {
-	header, rows, cols, nnz, body, err := readPreambleBytes(data)
-	if err != nil {
-		return nil, err
-	}
-	if header.Symmetry != "general" {
-		return nil, fmt.Errorf("mmio: hypergraph incidence must be general, got %s", header.Symmetry)
-	}
-	weighted := header.Field != "pattern"
-	bounds := chunkBoundaries(body, eng.NumWorkers()*4)
-	nchunks := len(bounds) - 1
-	chunks := make([]parsedChunk, nchunks)
-	// The header's entries per byte size each chunk's slices up front. An
-	// entry line is at least 4 bytes ("1 1\n"): a lying header asks in vain.
-	perByte := float64(min(nnz, len(body)/4+1)) / float64(max(len(body), 1))
-	eng.For(parallel.BlockedGrain(0, nchunks, 1), func(_, lo, hi int) {
-		for c := lo; c < hi; c++ {
-			chunk := body[bounds[c]:bounds[c+1]]
-			chunks[c] = parseChunk(chunk, weighted, rows, cols, int(perByte*float64(len(chunk)))+16)
-		}
+	return readChunks(data, eng.NumWorkers()*4, func(n int, each func(c int)) error {
+		eng.ForEach(n, each) // n is at most four chunks a worker: the automatic grain is one chunk
+		return eng.Err()
 	})
-	if err := eng.Err(); err != nil {
-		return nil, err
-	}
-	for c := range chunks {
-		if chunks[c].err != nil {
-			return nil, chunks[c].err
-		}
-	}
-	offsets := make([]int64, nchunks)
-	for c := range chunks {
-		offsets[c] = int64(len(chunks[c].edges))
-	}
-	total := parallel.ScanExclusive(offsets)
-	if total != int64(nnz) {
-		return nil, fmt.Errorf("mmio: header declared %d entries, found %d", nnz, total)
-	}
-	bel := sparse.NewBiEdgeList(rows, cols)
-	bel.Edges = make([]sparse.Edge, total)
-	if weighted {
-		bel.Weights = make([]float64, total)
-	}
-	eng.For(parallel.BlockedGrain(0, nchunks, 1), func(_, lo, hi int) {
-		for c := lo; c < hi; c++ {
-			copy(bel.Edges[offsets[c]:], chunks[c].edges)
-			if weighted {
-				copy(bel.Weights[offsets[c]:], chunks[c].weights)
-			}
-		}
-	})
-	if err := eng.Err(); err != nil {
-		return nil, err
-	}
-	return bel, nil
 }
 
 // GraphReaderParallel reads path into memory and parses it with
@@ -83,48 +30,83 @@ func GraphReaderParallel(eng *parallel.Engine, path string) (*sparse.BiEdgeList,
 	return ReadBiEdgeListParallel(eng, data)
 }
 
-// parsedChunk is one worker's output for one byte range: the edges (and
-// weights, for non-pattern files) of its lines, or the first parse error.
-type parsedChunk struct {
-	edges   []sparse.Edge
-	weights []float64
-	err     error
-}
-
-// parseChunk scans one newline-aligned byte range with the same
-// line-by-line logic as the serial reader's entry loop. hint is the expected
-// entry count, a capacity and not a limit.
-func parseChunk(chunk []byte, weighted bool, rows, cols, hint int) parsedChunk {
-	out := parsedChunk{edges: make([]sparse.Edge, 0, hint)}
+// readChunks is the one assembly under both readers. The entry body is cut
+// into up to target newline-aligned chunks and phase runs twice over them —
+// serially for ReadBiEdgeList, on an engine for ReadBiEdgeListParallel, its
+// error ending the read. The first pass counts each chunk's lines: an upper
+// bound on its entries that the size line has no say in, so the pair array
+// (and the weights) are allocated once, from what the body can hold, and
+// every chunk owns a window of them. The second pass scans each chunk
+// straight into its window (scanEntries). Only where comment or blank lines
+// left a window short are the later entries moved down, in place; the usual
+// file pays no copy. The earliest bad line wins, and a bad line is reported
+// before a count mismatch.
+func readChunks(data []byte, target int, phase func(n int, each func(c int)) error) (*sparse.BiEdgeList, error) {
+	header, rows, cols, nnz, body, err := readPreambleBytes(data)
+	if err != nil {
+		return nil, err
+	}
+	if header.Symmetry != "general" {
+		return nil, fmt.Errorf("mmio: hypergraph incidence must be general, got %s", header.Symmetry)
+	}
+	weighted := header.Field != "pattern"
+	bounds := chunkBoundaries(body, target)
+	nchunks := len(bounds) - 1
+	win := make([]int, nchunks+1) // chunk c's window is [win[c], win[c+1])
+	err = phase(nchunks, func(c int) {
+		chunk := body[bounds[c]:bounds[c+1]]
+		win[c+1] = bytes.Count(chunk, []byte{'\n'})
+		if n := len(chunk); n > 0 && chunk[n-1] != '\n' {
+			win[c+1]++ // the file's last line, unterminated
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	for c := 0; c < nchunks; c++ {
+		win[c+1] += win[c]
+	}
+	bel := sparse.NewBiEdgeList(rows, cols)
+	bel.Edges = make([]sparse.Edge, win[nchunks])
 	if weighted {
-		out.weights = make([]float64, 0, hint)
+		bel.Weights = make([]float64, win[nchunks])
 	}
-	for len(chunk) > 0 {
-		var line []byte
-		line, chunk = nextLine(chunk)
-		line = trimASCII(line)
-		if len(line) == 0 || line[0] == '%' {
-			continue
-		}
-		i, j, w, ok := parseEntryBytes(line, weighted)
-		if !ok {
-			out.err = fmt.Errorf("mmio: bad entry %q", line)
-			return out
-		}
-		if i < 1 || i > int64(rows) || j < 1 || j > int64(cols) {
-			out.err = fmt.Errorf("mmio: entry (%d,%d) outside %dx%d", i, j, rows, cols)
-			return out
-		}
-		out.edges = append(out.edges, sparse.Edge{U: uint32(i - 1), V: uint32(j - 1)})
+	found, bad := make([]int, nchunks), make([]error, nchunks)
+	err = phase(nchunks, func(c int) {
+		var weights []float64
 		if weighted {
-			out.weights = append(out.weights, w)
+			weights = bel.Weights[win[c]:win[c+1]]
 		}
+		found[c], bad[c] = scanEntries(body[bounds[c]:bounds[c+1]], weighted, rows, cols, bel.Edges[win[c]:win[c+1]], weights)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out
+	total := 0
+	for c, n := range found {
+		if bad[c] != nil {
+			return nil, bad[c]
+		}
+		if total < win[c] {
+			copy(bel.Edges[total:], bel.Edges[win[c]:win[c]+n])
+			if weighted {
+				copy(bel.Weights[total:], bel.Weights[win[c]:win[c]+n])
+			}
+		}
+		total += n
+	}
+	if total != nnz {
+		return nil, fmt.Errorf("mmio: header declared %d entries, found %d", nnz, total)
+	}
+	bel.Edges = bel.Edges[:total]
+	if weighted {
+		bel.Weights = bel.Weights[:total]
+	}
+	return bel, nil
 }
 
-// readPreambleBytes is readPreamble over an in-memory file: it consumes the
-// banner, comments, and size line and returns the remaining entry body.
+// readPreambleBytes consumes the banner, comments, and size line of an
+// in-memory file and returns the remaining entry body.
 func readPreambleBytes(data []byte) (Header, int, int, int, []byte, error) {
 	if len(data) == 0 {
 		return Header{}, 0, 0, 0, nil, fmt.Errorf("mmio: empty input")

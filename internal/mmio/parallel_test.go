@@ -5,13 +5,15 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"nwhy/internal/core"
 	"nwhy/internal/gen"
 	"nwhy/internal/parallel"
+	"nwhy/internal/parallel/paralleltest"
 	"nwhy/internal/sparse"
 )
 
@@ -35,7 +37,8 @@ func belFromHypergraph(h *core.Hypergraph, weighted bool, seed int64) *sparse.Bi
 
 func belEqual(a, b *sparse.BiEdgeList) bool {
 	return a.N0 == b.N0 && a.N1 == b.N1 &&
-		reflect.DeepEqual(a.Edges, b.Edges) && reflect.DeepEqual(a.Weights, b.Weights)
+		(a.Edges == nil) == (b.Edges == nil) && (a.Weights == nil) == (b.Weights == nil) &&
+		slices.Equal(a.Edges, b.Edges) && slices.Equal(a.Weights, b.Weights)
 }
 
 // The tentpole parity property: on round-tripped internal/gen hypergraphs,
@@ -141,6 +144,88 @@ func TestParallelReaderCancellation(t *testing.T) {
 	}
 }
 
+// commentEvery returns file with a comment line before every n-th line of
+// its entry body: every chunk of a parse comes up short of its window.
+func commentEvery(file []byte, n int) []byte {
+	var out []byte
+	for k, line := range bytes.SplitAfter(file, []byte{'\n'}) {
+		if k > 2 && k%n == 0 {
+			out = append(out, "% a gap to close\n"...)
+		}
+		out = append(out, line...)
+	}
+	return out
+}
+
+// A parse cancelled at any poll of its count phase, its scan phase or the
+// checks between and after them returns the engine's error and no list:
+// never a list with a window left open. Pattern and real, with and without
+// gaps to close.
+func TestParseCancelledAtEveryPoll(t *testing.T) {
+	eng := parallel.NewEngine(3)
+	defer eng.Close()
+	h := gen.BipartitePowerLaw(500, 300, 3000, 1.6, 9)
+	for _, weighted := range []bool{false, true} {
+		var buf bytes.Buffer
+		if err := WriteBiEdgeList(&buf, belFromHypergraph(h, weighted, 1)); err != nil {
+			t.Fatal(err)
+		}
+		for _, data := range [][]byte{buf.Bytes(), commentEvery(buf.Bytes(), 50)} {
+			want, err := parentReadBiEdgeListParallel(eng, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			paralleltest.CancelAtEveryPoll(t, eng, func(e *parallel.Engine) (*sparse.BiEdgeList, error) {
+				return ReadBiEdgeListParallel(e, data)
+			}, func(got *sparse.BiEdgeList) error {
+				if !belEqual(got, want) {
+					return fmt.Errorf("list differs from the parent's")
+				}
+				return nil
+			})
+		}
+	}
+}
+
+// The serial reader went through a bufio.Scanner with a 16 MiB token limit
+// and rejected what the parallel one accepted: a longer line. One loop, one
+// answer.
+func TestLineBeyondTheOldScannerLimit(t *testing.T) {
+	eng := parallel.NewEngine(2)
+	defer eng.Close()
+	data := mtx("pattern", 2, 2, 2, "1 1\n", "%"+strings.Repeat("x", 17<<20)+"\n", "2 2\n")
+	if _, err := parentReadBiEdgeListParallel(eng, data); err != nil {
+		t.Fatal(err)
+	}
+	sameAsParent(t, eng, "17 MiB comment", data)
+}
+
+// A size line cannot make the readers allocate: the pair array is sized
+// from the lines the body holds, so 10^18 declared entries over a 40-byte
+// body cost a few hundred bytes and the count-mismatch error.
+func TestLyingSizeLineAllocatesByBody(t *testing.T) {
+	eng := parallel.NewEngine(2)
+	defer eng.Close()
+	body := strings.Repeat("1 1\n", 10)
+	data := mtx("pattern", 5, 5, 1e18, body)
+	want := "mmio: header declared 1000000000000000000 entries, found 10"
+	for name, read := range readers(eng) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := read(data)
+		runtime.ReadMemStats(&after)
+		if err == nil || err.Error() != want {
+			t.Fatalf("%s reader: error %v, want %s", name, err, want)
+		}
+		// 8 B a line for its pair; the rest is the error, the chunk tables and
+		// the stream reader's buffer.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*len(body)+8<<10); got > limit {
+			t.Fatalf("%s reader allocated %d B over a %d-byte body (limit %d)", name, got, len(body), limit)
+		}
+	}
+	sameAsParent(t, eng, "10^18 declared", data)
+}
+
 func TestGraphReaderParallelFile(t *testing.T) {
 	eng := parallel.NewEngine(2)
 	defer eng.Close()
@@ -226,26 +311,46 @@ func TestParseFloatBytesMatchesStrconv(t *testing.T) {
 func BenchmarkReadSerial(b *testing.B)   { benchRead(b, false) }
 func BenchmarkReadParallel(b *testing.B) { benchRead(b, true) }
 
+// benchRead parses four files: the power-law one, the ingest-traverse
+// shape of the end-to-end benchmark (1 M incidences in hyperedge order), that
+// file with a comment every 1 000 lines (the gap-closing path), and it as a
+// real file (the general path on every line). Run at -cpu 1,2.
 func benchRead(b *testing.B, par bool) {
 	eng := parallel.NewEngine(0)
 	defer eng.Close()
-	bel := belFromHypergraph(gen.BipartitePowerLaw(20000, 15000, 120000, 1.6, 42), false, 0)
-	var buf bytes.Buffer
-	if err := WriteBiEdgeList(&buf, bel); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		if par {
-			_, err = ReadBiEdgeListParallel(eng, data)
-		} else {
-			_, err = ReadBiEdgeList(bytes.NewReader(data))
-		}
-		if err != nil {
+	text := func(bel *sparse.BiEdgeList) []byte {
+		var buf bytes.Buffer
+		if err := WriteBiEdgeList(&buf, bel); err != nil {
 			b.Fatal(err)
 		}
+		return buf.Bytes()
+	}
+	uniform := gen.Uniform(100000, 100000, 10, 1)
+	plain := text(belFromHypergraph(uniform, false, 0))
+	files := []struct {
+		name string
+		data []byte
+	}{
+		{"power-law", text(belFromHypergraph(gen.BipartitePowerLaw(20000, 15000, 120000, 1.6, 42), false, 0))},
+		{"uniform", plain},
+		{"uniform-comments", commentEvery(plain, 1000)},
+		{"uniform-real", text(belFromHypergraph(uniform, true, 0))},
+	}
+	for _, f := range files {
+		b.Run(f.name, func(b *testing.B) {
+			b.SetBytes(int64(len(f.data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if par {
+					_, err = ReadBiEdgeListParallel(eng, f.data)
+				} else {
+					_, err = readSerial(f.data) // what GraphReader runs once the file is read
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

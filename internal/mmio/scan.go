@@ -1,16 +1,76 @@
 package mmio
 
 import (
+	"fmt"
 	"math"
 	"strconv"
+
+	"nwhy/internal/sparse"
 )
 
-// This file is the byte-level scanning core shared by the serial and
-// parallel Matrix Market readers. Both parse the exact same helper set, so
-// the parsers agree by construction: any line one accepts, the other accepts
-// with the same value. The helpers are ASCII-only (Matrix Market is an ASCII
-// format) and allocation-free on the fast paths — a worker scanning its
-// chunk of a large file touches the heap only to append parsed edges.
+// This file is the byte-level scanning core of the Matrix Market readers:
+// one entry loop (scanEntries) under both, so any line one accepts the other
+// accepts with the same value. The helpers are ASCII-only (Matrix Market is
+// an ASCII format) and allocation-free — a worker scanning its chunk of a
+// large file touches the heap only to report an error.
+
+// scanEntries parses the entry lines of chunk, a newline-aligned byte range
+// of a file declared rows x cols, into edges (and weights, when weighted),
+// which must hold a slot for every line of chunk. It returns how many it
+// wrote, or the error of the first bad line.
+//
+// The line every generator and every paper input writes — digits, one
+// space, digits, '\n' on a pattern file — is parsed where it lies: two
+// multiply-add loops and the range check. Anything else (a sign, a tab, a
+// blank before or after, "\r\n", a third field, a comment, an empty or an
+// unterminated line, an index of more than 18 digits or outside the declared
+// shape, a weighted file) takes the general path for that line, which alone
+// decides what is accepted, with which value, and what every error says.
+func scanEntries(chunk []byte, weighted bool, rows, cols int, edges []sparse.Edge, weights []float64) (int, error) {
+	n := 0
+	for len(chunk) > 0 {
+		if !weighted {
+			var i, j uint64 // 18 digits cannot overflow; more are turned away below
+			p := 0
+			for ; p < len(chunk) && chunk[p]-'0' <= 9; p++ {
+				i = i*10 + uint64(chunk[p]-'0')
+			}
+			sep := p
+			if p < len(chunk) && chunk[p] == ' ' {
+				for p++; p < len(chunk) && chunk[p]-'0' <= 9; p++ {
+					j = j*10 + uint64(chunk[p]-'0')
+				}
+			}
+			// No digits leave an index 0: i-1 and j-1 wrap out of range.
+			if p < len(chunk) && chunk[p] == '\n' && sep <= 18 && p-sep <= 19 &&
+				i-1 < uint64(rows) && j-1 < uint64(cols) {
+				edges[n] = sparse.Edge{U: uint32(i - 1), V: uint32(j - 1)}
+				n++
+				chunk = chunk[p+1:]
+				continue
+			}
+		}
+		var line []byte
+		line, chunk = nextLine(chunk)
+		line = trimASCII(line)
+		if len(line) == 0 || line[0] == '%' {
+			continue
+		}
+		i, j, w, ok := parseEntryBytes(line, weighted)
+		if !ok {
+			return n, fmt.Errorf("mmio: bad entry %q", line)
+		}
+		if i < 1 || i > int64(rows) || j < 1 || j > int64(cols) {
+			return n, fmt.Errorf("mmio: entry (%d,%d) outside %dx%d", i, j, rows, cols)
+		}
+		edges[n] = sparse.Edge{U: uint32(i - 1), V: uint32(j - 1)}
+		if weighted {
+			weights[n] = w
+		}
+		n++
+	}
+	return n, nil
+}
 
 // isSpaceASCII reports whether c is ASCII whitespace.
 func isSpaceASCII(c byte) bool {
@@ -247,15 +307,4 @@ func parseSizeLine(line []byte) (rows, cols, nnz int, ok bool) {
 		return 0, 0, 0, false
 	}
 	return int(r), int(c), int(z), true
-}
-
-// initialEdgeCap bounds the capacity pre-allocated from a header's declared
-// entry count, so a lying size line on a tiny file cannot force a huge
-// allocation before a single entry is parsed.
-func initialEdgeCap(nnz int) int {
-	const maxPrealloc = 1 << 20
-	if nnz > maxPrealloc {
-		return maxPrealloc
-	}
-	return nnz
 }

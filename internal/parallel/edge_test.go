@@ -5,28 +5,6 @@ import (
 	"testing"
 )
 
-func TestScanExclusiveSingleElement(t *testing.T) {
-	s := []int64{7}
-	if total := ScanExclusive(s); total != 7 {
-		t.Fatalf("total = %d, want 7", total)
-	}
-	if s[0] != 0 {
-		t.Fatalf("s[0] = %d, want 0", s[0])
-	}
-}
-
-func TestScanExclusiveAllZeros(t *testing.T) {
-	s := make([]int64, 100)
-	if total := ScanExclusive(s); total != 0 {
-		t.Fatalf("total = %d, want 0", total)
-	}
-	for i, v := range s {
-		if v != 0 {
-			t.Fatalf("s[%d] = %d, want 0", i, v)
-		}
-	}
-}
-
 func TestFlattenTLSZeroContribution(t *testing.T) {
 	p := New(4)
 	defer p.Close()

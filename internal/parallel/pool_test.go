@@ -396,3 +396,38 @@ func TestEngineDetach(t *testing.T) {
 		t.Fatalf("ForEach on detached engine ran %d/8 grains", n.Load())
 	}
 }
+
+func BenchmarkParallelFor(b *testing.B) {
+	p := New(4)
+	defer p.Close()
+	data := make([]int64, 1<<20)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.For(Blocked(0, len(data)), func(_, lo, hi int) {
+			for k := lo; k < hi; k++ {
+				data[k]++
+			}
+		})
+	}
+}
+
+func BenchmarkWorkStealingSkewed(b *testing.B) {
+	p := New(4)
+	defer p.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.For(BlockedGrain(0, 1024, 1), func(_, lo, hi int) {
+			for k := lo; k < hi; k++ {
+				work := 10
+				if k%128 == 0 {
+					work = 10000
+				}
+				s := 0
+				for w := 0; w < work; w++ {
+					s += w
+				}
+				_ = s
+			}
+		})
+	}
+}

@@ -125,3 +125,17 @@ func TestMergeInto(t *testing.T) {
 		t.Fatalf("merge with empty a = %v", out2)
 	}
 }
+
+func BenchmarkParallelSort(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	orig := make([]uint32, 1<<18)
+	for i := range orig {
+		orig[i] = rng.Uint32()
+	}
+	buf := make([]uint32, len(orig))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(buf, orig)
+		SortU32(buf)
+	}
+}

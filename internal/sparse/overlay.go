@@ -170,24 +170,25 @@ func (o *Overlay) DeleteRow(id uint32) error {
 // Compact folds the overlay into a fresh frozen CSR: live base rows are
 // block-copied, live delta rows take their windows, dead rows become empty
 // rows (their IDs stay reserved for the free-list). Rows keep their order, so
-// nothing is sorted or transposed: a parallel per-row degree count,
-// ScanExclusive into row offsets, a parallel row-wise copy, then AdoptSorted
-// revalidates the full invariant set before adoption. A cancelled engine
-// aborts with its error.
+// nothing is sorted or transposed: a parallel per-row degree count, a serial
+// prefix sum into row offsets, a parallel row-wise copy — every task on e —
+// then AdoptSorted revalidates the full invariant set before adoption. A
+// cancelled engine aborts with its error.
 func (o *Overlay) Compact(e *parallel.Engine) (*CSR, error) {
 	n := o.nrows
-	counts := make([]int64, n, n+1)
+	rowptr := make([]int64, n+1)
 	e.For(e.Blocked(0, n), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			counts[i] = int64(o.Degree(uint32(i)))
+			rowptr[i+1] = int64(o.Degree(uint32(i)))
 		}
 	})
 	if err := e.Err(); err != nil {
 		return nil, err
 	}
-	total := parallel.ScanExclusive(counts)
-	rowptr := append(counts, total)
-	col := make([]uint32, total)
+	for i := 0; i < n; i++ {
+		rowptr[i+1] += rowptr[i]
+	}
+	col := make([]uint32, rowptr[n])
 	e.For(e.Blocked(0, n), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			copy(col[rowptr[i]:rowptr[i+1]], o.Row(uint32(i)))

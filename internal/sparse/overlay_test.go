@@ -3,6 +3,7 @@ package sparse
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"nwhy/internal/parallel"
@@ -158,6 +159,45 @@ func TestOverlayCompactDeadRowsEmpty(t *testing.T) {
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOverlayCompactStaysOnEngine pins the engine over a whole Compact, the
+// prefix sum over its row counts included: above 16 Ki rows that step used
+// to run on the process-wide default pool whatever engine the caller held.
+func TestOverlayCompactStaysOnEngine(t *testing.T) {
+	const nrows = 20000
+	pairs := make([]Edge, 0, 2*nrows)
+	for r := uint32(0); r < nrows; r++ {
+		pairs = append(pairs, Edge{r, r % 97}, Edge{r, 97 + r%3})
+	}
+	ov, err := NewOverlay(FromPairs(nrows, 100, pairs, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ov.DeleteRow(5); err != nil {
+		t.Fatal(err)
+	}
+	ov.InsertRow([]uint32{9, 3})
+	ov.InsertRow([]uint32{1})
+	eng := parallel.NewEngine(1)
+	defer eng.Close()
+	def := parallel.Default()
+	before := def.Submitted()
+	c, err := ov.Compact(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := def.Submitted() - before; n != 0 {
+		t.Fatalf("the default pool received %d tasks during a Compact bound to a 1-worker engine", n)
+	}
+	if c.NumRows() != ov.NumRows() {
+		t.Fatalf("%d rows, overlay has %d", c.NumRows(), ov.NumRows())
+	}
+	for i := 0; i < c.NumRows(); i++ {
+		if !slices.Equal(c.Row(i), ov.Row(uint32(i))) {
+			t.Fatalf("row %d: %v, overlay has %v", i, c.Row(i), ov.Row(uint32(i)))
+		}
 	}
 }
 

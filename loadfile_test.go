@@ -1,6 +1,7 @@
 package nwhy
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -9,6 +10,7 @@ import (
 
 	"nwhy/internal/gen"
 	"nwhy/internal/parallel"
+	"nwhy/internal/parallel/paralleltest"
 )
 
 func sameHypergraph(t *testing.T, a, b *NWHypergraph) {
@@ -182,5 +184,37 @@ func TestLoadFileStaysOnEngine(t *testing.T) {
 	}
 	if n := def.Submitted() - before; n != 0 {
 		t.Fatalf("the default pool received %d tasks during loads bound to a 1-worker engine", n)
+	}
+}
+
+// A text load cancelled at any poll — the parser's count and scan phases,
+// the gap closing behind a commented file, the build's transposes — returns
+// the engine's error and no handle.
+func TestLoadFileCancelledAtEveryPoll(t *testing.T) {
+	dir := t.TempDir()
+	g, mtx := writeSample(t, dir)
+	data, err := os.ReadFile(mtx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commented := filepath.Join(dir, "commented.mtx")
+	lines := bytes.SplitAfter(data, []byte{'\n'})
+	for k := 3; k < len(lines); k += 40 {
+		lines[k] = append([]byte("% a gap to close\n"), lines[k]...)
+	}
+	if err := os.WriteFile(commented, bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	eng := parallel.NewEngine(3)
+	defer eng.Close()
+	for _, path := range []string{mtx, commented} {
+		paralleltest.CancelAtEveryPoll(t, eng, func(e *parallel.Engine) (*NWHypergraph, error) {
+			return LoadFile(path, LoadOptions{Engine: e})
+		}, func(got *NWHypergraph) error {
+			if !got.hg().Edges.Equal(g.hg().Edges) || !got.hg().Nodes.Equal(g.hg().Nodes) {
+				return errors.New("a different hypergraph")
+			}
+			return nil
+		})
 	}
 }
