@@ -47,8 +47,7 @@ func run(args []string, stdout io.Writer) error {
 		m          = fs.Int("incidences", 100000, "bipartite: incidence count")
 		skew       = fs.Float64("skew", 1.7, "bipartite: Zipf exponent")
 		seed       = fs.Int64("seed", 42, "random seed")
-		out        = fs.String("o", "", "output .mtx path (default stdout)")
-		tsv        = fs.Bool("tsv", false, "write SNAP-style TSV instead of Matrix Market")
+		out        = fs.String("o", "", "output .mtx or .nwhyb path (default stdout, Matrix Market)")
 		list       = fs.Bool("list", false, "list presets and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -85,23 +84,19 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("unknown generator %q", *generator)
 	}
 
-	bel := sparse.NewBiEdgeList(h.NumEdges(), h.NumNodes())
-	for e, nbrs := range h.EdgeRange() {
-		for _, v := range nbrs {
-			bel.Add(uint32(e), v)
-		}
-	}
 	write := func(w io.Writer) error {
-		switch {
-		case *tsv:
-			return mmio.WriteTSV(w, bel)
-		case strings.HasSuffix(*out, mmio.SnapshotExt):
+		if strings.HasSuffix(*out, mmio.SnapshotExt) {
 			// Binary snapshot of the incidence CSR: Load skips text
 			// parsing, dedup, and CSR construction on the way back in.
 			return mmio.WriteSnapshot(w, &mmio.Snapshot{CSR: h.Edges})
-		default:
-			return mmio.WriteBiEdgeList(w, bel)
 		}
+		bel := sparse.NewBiEdgeList(h.NumEdges(), h.NumNodes())
+		for e, nbrs := range h.EdgeRange() {
+			for _, v := range nbrs {
+				bel.Add(uint32(e), v)
+			}
+		}
+		return mmio.WriteBiEdgeList(w, bel)
 	}
 	if *out == "" {
 		return write(stdout)

@@ -67,16 +67,6 @@ func TestHygenStdout(t *testing.T) {
 	}
 }
 
-func TestHygenTSV(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-gen", "uniform", "-edges", "3", "-nodes", "5", "-size", "2", "-tsv"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(out.String(), "# hypergraph incidence") {
-		t.Fatalf("tsv output wrong: %q", out.String()[:40])
-	}
-}
-
 func TestHygenPreset(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "p.mtx")
 	if err := run([]string{"-preset", "rand1-mini", "-scale", "0.01", "-o", path}, &bytes.Buffer{}); err != nil {

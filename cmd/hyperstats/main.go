@@ -34,7 +34,6 @@ func run(args []string, stdout io.Writer) error {
 		toplexes   = fs.Bool("toplexes", false, "also count toplexes")
 		scc        = fs.Int("scc", 0, "also compute s-connected components at this s (0 = off)")
 		dists      = fs.Bool("dists", false, "also print degree distribution tails")
-		serial     = fs.Bool("serial-parse", false, "parse Matrix Market input single-threaded")
 		snapOut    = fs.String("save-snapshot", "", "also write the loaded hypergraph as a .nwhyb snapshot")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -53,7 +52,7 @@ func run(args []string, stdout io.Writer) error {
 		name = *presetName
 	case fs.NArg() == 1:
 		var err error
-		g, err = nwhy.LoadFile(fs.Arg(0), nwhy.LoadOptions{Serial: *serial})
+		g, err = nwhy.Load(fs.Arg(0))
 		if err != nil {
 			return err
 		}

@@ -48,7 +48,6 @@ func run(args []string, stdout io.Writer) error {
 		reps       = fs.Int("reps", 3, "repetitions (min time reported)")
 		components = fs.Bool("components", false, "also report s-connected components (pruned union-find)")
 		pruneName  = fs.String("prune", "auto", "pruning heuristics: auto | none | degree | connectivity | toplex")
-		serial     = fs.Bool("serial-parse", false, "parse Matrix Market input single-threaded")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -102,7 +101,7 @@ func run(args []string, stdout io.Writer) error {
 		g = nwhy.Wrap(p.Build(*scale))
 	case *in != "":
 		var err error
-		g, err = nwhy.LoadFile(*in, nwhy.LoadOptions{Serial: *serial})
+		g, err = nwhy.Load(*in)
 		if err != nil {
 			return err
 		}

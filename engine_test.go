@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"nwhy/internal/parallel"
 )
 
 // engineTestHypergraph builds a hypergraph big enough that its kernels
@@ -160,5 +162,83 @@ func TestWithEngineSharesStructure(t *testing.T) {
 	}
 	if eng.NumWorkers() != 3 {
 		t.Fatalf("NumWorkers = %d, want 3", eng.NumWorkers())
+	}
+}
+
+// TestDerivedHandlesKeepEngine: every handle derived from g — Dual,
+// Toplexify, the three collapses, the two restrictions — is bound to g's
+// engine, so a query on one derived from a one-worker-engine handle hands
+// the process-wide default pool nothing.
+func TestDerivedHandlesKeepEngine(t *testing.T) {
+	eng := NewEngine(1)
+	defer eng.Close()
+	g := engineTestHypergraph(t).WithEngine(eng)
+	ids := make([]uint32, 300)
+	for i := range ids {
+		ids[i] = uint32(i)
+	}
+	derived := map[string]*NWHypergraph{
+		"Dual":            g.Dual(),
+		"Toplexify":       g.Toplexify(),
+		"RestrictToEdges": g.RestrictToEdges(ids),
+		"RestrictToNodes": g.RestrictToNodes(ids),
+	}
+	derived["CollapseEdges"], _ = g.CollapseEdges()
+	derived["CollapseNodes"], _ = g.CollapseNodes()
+	derived["CollapseNodesAndEdges"], _ = g.CollapseNodesAndEdges()
+	def := parallel.Default()
+	for name, d := range derived {
+		if d.Engine() != g.Engine() {
+			t.Errorf("%s: derived handle not bound to g's engine", name)
+		}
+		before := def.Submitted()
+		d.ConnectedComponents(CCHyper)
+		if n := def.Submitted() - before; n != 0 {
+			t.Errorf("%s: a query on the derived handle gave the default pool %d tasks", name, n)
+		}
+	}
+}
+
+// TestNonCtxTwinsObserveBoundContext: SConnectedComponents,
+// RefreshSLineGraph and Mutation.Commit run with the context the handle's
+// engine is bound to, like BFS and SLineGraphWith: on an already cancelled
+// one each returns nothing (Commit: the context's error) and schedules no
+// kernel.
+func TestNonCtxTwinsObserveBoundContext(t *testing.T) {
+	g := engineTestHypergraph(t)
+	lg := g.SLineGraph(2, true)
+	if err := g.Mutate(func(m *Mutation) error {
+		_, err := m.AddEdge([]uint32{1, 2, 5})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	bound := g.WithEngine(g.Engine().WithContext(ctx))
+	m, err := bound.BeginMutation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.AddEdge([]uint32{0, 3, 6}); err != nil {
+		t.Fatal(err)
+	}
+	epoch := g.Epoch()
+	def := parallel.Default()
+	before := def.Submitted()
+	if labels := bound.SConnectedComponents(2); labels != nil {
+		t.Error("SConnectedComponents on a cancelled engine returned labels")
+	}
+	if nl, _, err := bound.RefreshSLineGraph(lg, ConstructOptions{}); nl != nil || !errors.Is(err, context.Canceled) {
+		t.Errorf("RefreshSLineGraph on a cancelled engine: handle %v, error %v", nl != nil, err)
+	}
+	if err := m.Commit(); !errors.Is(err, context.Canceled) {
+		t.Errorf("Commit on a cancelled engine: error %v, want Canceled", err)
+	}
+	if g.Epoch() != epoch {
+		t.Error("a cancelled commit published a snapshot")
+	}
+	if n := def.Submitted() - before; n != 0 {
+		t.Errorf("the default pool received %d tasks on a cancelled engine", n)
 	}
 }

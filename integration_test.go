@@ -5,16 +5,13 @@ package nwhy
 // exercising the package boundaries the unit tests cover in isolation.
 
 import (
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"nwhy/internal/core"
 	"nwhy/internal/gen"
-	"nwhy/internal/mmio"
 	"nwhy/internal/slinegraph"
-	"nwhy/internal/sparse"
 )
 
 // TestPipelineGenerateSaveLoadAnalyze: generator -> Matrix Market file ->
@@ -61,68 +58,34 @@ func TestPipelineGenerateSaveLoadAnalyze(t *testing.T) {
 	}
 }
 
-// TestPipelineAdjoinFileFlow: write MM, read it in adjoin form directly
-// (graph_reader_adjoin), and verify algorithms on the adjoin graph match
-// the bipartite path.
+// TestPipelineAdjoinFileFlow: write MM, load it, derive the adjoin form from
+// the bipartite one (the one adjoin constructor, g.Adjoin()), and verify
+// algorithms on the adjoin graph match the bipartite path.
 func TestPipelineAdjoinFileFlow(t *testing.T) {
 	orig := Wrap(gen.Uniform(200, 200, 5, 7))
 	path := filepath.Join(t.TempDir(), "adjoin.mtx")
 	if err := orig.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	el, ne, nv, err := mmio.GraphReaderAdjoin(path)
+	loaded, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := core.FromAdjoinEdgeList(el, ne, nv)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := loaded.Adjoin()
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := core.AdjoinCC(SharedEngine(), a, core.AdjoinAfforest)
 	want := orig.ConnectedComponents(CCHyper)
 	if !reflect.DeepEqual(got.EdgeComp, want.EdgeComp) || !reflect.DeepEqual(got.NodeComp, want.NodeComp) {
-		t.Fatal("adjoin-file CC differs from bipartite CC")
+		t.Fatal("adjoin CC of the loaded file differs from bipartite CC")
 	}
-	// Queue construction on the file-loaded adjoin graph.
+	// Algorithm 1 on the loaded file's adjoin graph.
 	alg1 := slinegraph.Options{Counter: slinegraph.HashmapCounter, Schedule: slinegraph.QueueSchedule}
 	pairs, _ := slinegraph.Construct(SharedEngine(), slinegraph.FromAdjoin(a), 2, alg1)
 	wantPairs := orig.SLineGraph(2, true).Pairs()
 	if !reflect.DeepEqual(pairs, wantPairs) {
-		t.Fatal("adjoin-file s-line graph differs")
-	}
-}
-
-// TestPipelineTSVInterop: TSV write -> TSV read -> same hypergraph.
-func TestPipelineTSVInterop(t *testing.T) {
-	orig := Wrap(gen.BipartitePowerLaw(150, 200, 1200, 1.8, 3))
-	bel := sparse.NewBiEdgeList(orig.NumEdges(), orig.NumNodes())
-	for e := 0; e < orig.NumEdges(); e++ {
-		for _, v := range orig.Incidence(e) {
-			bel.Add(uint32(e), v)
-		}
-	}
-	path := filepath.Join(t.TempDir(), "h.tsv")
-	f, err := createFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mmio.WriteTSV(f, bel); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	back, err := mmio.ReadTSVFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back.Dedup()
-	bel.Dedup()
-	if !reflect.DeepEqual(back.Edges, bel.Edges) {
-		t.Fatal("TSV interop changed the incidence set")
+		t.Fatal("s-line graph on the loaded file's adjoin graph differs")
 	}
 }
 
@@ -242,6 +205,3 @@ func TestPipelineEverythingOnPreset(t *testing.T) {
 	_ = wl.SClosenessCentralityWeighted()
 	_ = wl.SEccentricityWeighted()
 }
-
-// createFile is a tiny wrapper so the TSV test reads naturally.
-func createFile(path string) (*os.File, error) { return os.Create(path) }

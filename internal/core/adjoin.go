@@ -28,6 +28,7 @@ type AdjoinGraph struct {
 // Adjoin converts the bipartite representation into an adjoin graph: the
 // vertex set is the direct sum of the hyperedge and hypernode index sets,
 // and each incidence (e, v) becomes the undirected pair {e, NumRealEdges+v}.
+// It is the one constructor of the adjoin form: files are read bipartite.
 func Adjoin(eng *parallel.Engine, h *Hypergraph) *AdjoinGraph {
 	ne, nv := h.NumEdges(), h.NumNodes()
 	m := h.NumIncidences()
@@ -50,18 +51,6 @@ func Adjoin(eng *parallel.Engine, h *Hypergraph) *AdjoinGraph {
 	return &AdjoinGraph{G: g, NumRealEdges: ne, NumRealNodes: nv}
 }
 
-// FromAdjoinEdgeList wraps an already-adjoined edge list (e.g. read by
-// mmio.GraphReaderAdjoin) whose vertex IDs are in the shared index space.
-// The list must already contain both directions of every incidence.
-func FromAdjoinEdgeList(el *sparse.EdgeList, numRealEdges, numRealNodes int) (*AdjoinGraph, error) {
-	if numRealEdges+numRealNodes != el.NumVertices {
-		return nil, fmt.Errorf("core: adjoin vertex count %d != %d edges + %d nodes",
-			el.NumVertices, numRealEdges, numRealNodes)
-	}
-	g := graph.FromEdgeList(el, false)
-	return &AdjoinGraph{G: g, NumRealEdges: numRealEdges, NumRealNodes: numRealNodes}, nil
-}
-
 // NumVertices reports the size of the shared index space.
 func (a *AdjoinGraph) NumVertices() int { return a.NumRealEdges + a.NumRealNodes }
 
@@ -78,20 +67,6 @@ func (a *AdjoinGraph) NodeID(v int) int { return a.NumRealEdges + v }
 // back into the hyperedge part and the hypernode part.
 func SplitResult[T any](a *AdjoinGraph, result []T) (edges, nodes []T) {
 	return result[:a.NumRealEdges], result[a.NumRealEdges:]
-}
-
-// ToHypergraph converts the adjoin graph back to the bipartite
-// representation (the inverse of Adjoin).
-func (a *AdjoinGraph) ToHypergraph() *Hypergraph {
-	bel := sparse.NewBiEdgeList(a.NumRealEdges, a.NumRealNodes)
-	for e := 0; e < a.NumRealEdges; e++ {
-		for _, x := range a.G.Row(e) {
-			if int(x) >= a.NumRealEdges {
-				bel.Add(uint32(e), x-uint32(a.NumRealEdges))
-			}
-		}
-	}
-	return FromBiEdgeList(bel)
 }
 
 // Validate checks the structural invariants of the adjoin form: the

@@ -2,10 +2,9 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
-
-	"nwhy/internal/sparse"
 )
 
 func TestAdjoinPaperExample(t *testing.T) {
@@ -69,43 +68,32 @@ func TestSplitResult(t *testing.T) {
 	}
 }
 
+// Adjoin loses nothing: row e of the adjoin graph is hyperedge e's members
+// shifted by NumRealEdges, and row NumRealEdges+v is hypernode v's
+// hyperedges.
 func TestAdjoinRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		h := randomHypergraph(15, 25, 5, seed)
-		back := tAdjoin(h).ToHypergraph()
-		return back.Edges.Equal(h.Edges) && back.Nodes.Equal(h.Nodes)
+		a := tAdjoin(h)
+		ne := uint32(a.NumRealEdges)
+		for e := 0; e < h.NumEdges(); e++ {
+			back := slices.Clone(a.G.Row(e))
+			for k := range back {
+				back[k] -= ne
+			}
+			if !slices.Equal(back, h.EdgeIncidence(e)) {
+				return false
+			}
+		}
+		for v := 0; v < h.NumNodes(); v++ {
+			if !slices.Equal(a.G.Row(int(ne)+v), h.NodeIncidence(v)) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFromAdjoinEdgeList(t *testing.T) {
-	// Manually adjoin the paper example: incidence (e, v) -> {e, 4+v}.
-	h := paperHypergraph()
-	el := sparse.NewEdgeList(13)
-	for e, nbrs := range h.EdgeRange() {
-		for _, v := range nbrs {
-			el.Add(uint32(e), 4+v)
-			el.Add(4+v, uint32(e))
-		}
-	}
-	a, err := FromAdjoinEdgeList(el, 4, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if !a.ToHypergraph().Edges.Equal(h.Edges) {
-		t.Fatal("FromAdjoinEdgeList round trip failed")
-	}
-}
-
-func TestFromAdjoinEdgeListRejectsBadCounts(t *testing.T) {
-	el := sparse.NewEdgeList(5)
-	if _, err := FromAdjoinEdgeList(el, 2, 2); err == nil {
-		t.Fatal("accepted mismatched vertex count")
 	}
 }
 

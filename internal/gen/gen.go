@@ -294,39 +294,6 @@ func ceilLog2(n int) int {
 	return l
 }
 
-// FromDegreeSequences generates a hypergraph with (approximately) the
-// requested hyperedge sizes and hypernode degrees via the bipartite
-// configuration model: each hyperedge gets size[e] incidence stubs, each
-// hypernode degree[v] stubs, stubs are matched uniformly at random, and
-// duplicate incidences are dropped. The stub totals need not match exactly;
-// the smaller side truncates. This is the precision tool for mimicking a
-// measured Table I row when the moment-level presets are not close enough.
-func FromDegreeSequences(edgeSizes, nodeDegrees []int, seed int64) *core.Hypergraph {
-	rng := rand.New(rand.NewSource(seed))
-	var edgeStubs, nodeStubs []uint32
-	for e, s := range edgeSizes {
-		for i := 0; i < s; i++ {
-			edgeStubs = append(edgeStubs, uint32(e))
-		}
-	}
-	for v, d := range nodeDegrees {
-		for i := 0; i < d; i++ {
-			nodeStubs = append(nodeStubs, uint32(v))
-		}
-	}
-	rng.Shuffle(len(edgeStubs), func(i, j int) { edgeStubs[i], edgeStubs[j] = edgeStubs[j], edgeStubs[i] })
-	rng.Shuffle(len(nodeStubs), func(i, j int) { nodeStubs[i], nodeStubs[j] = nodeStubs[j], nodeStubs[i] })
-	n := len(edgeStubs)
-	if len(nodeStubs) < n {
-		n = len(nodeStubs)
-	}
-	bel := sparse.NewBiEdgeList(len(edgeSizes), len(nodeDegrees))
-	for i := 0; i < n; i++ {
-		bel.Add(edgeStubs[i], nodeStubs[i])
-	}
-	return core.FromBiEdgeList(bel) // the build drops the duplicate incidences
-}
-
 // Preset names one Table I dataset shape.
 type Preset struct {
 	Name string

@@ -183,54 +183,6 @@ func TestRMATNonPowerOfTwoDims(t *testing.T) {
 	}
 }
 
-func TestFromDegreeSequences(t *testing.T) {
-	edgeSizes := []int{3, 3, 3, 3}
-	nodeDegrees := []int{2, 2, 2, 2, 2, 2}
-	h := FromDegreeSequences(edgeSizes, nodeDegrees, 1)
-	if err := h.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if h.NumEdges() != 4 || h.NumNodes() != 6 {
-		t.Fatalf("shape %d/%d", h.NumEdges(), h.NumNodes())
-	}
-	// Stub totals match (12 = 12); after dedup incidences are <= 12.
-	if h.NumIncidences() > 12 {
-		t.Fatalf("incidences = %d", h.NumIncidences())
-	}
-	// Degrees cannot exceed the requested stubs.
-	for e := 0; e < 4; e++ {
-		if h.EdgeDegree(e) > 3 {
-			t.Fatalf("edge %d degree %d > 3", e, h.EdgeDegree(e))
-		}
-	}
-	for v := 0; v < 6; v++ {
-		if h.NodeDegree(v) > 2 {
-			t.Fatalf("node %d degree %d > 2", v, h.NodeDegree(v))
-		}
-	}
-}
-
-func TestFromDegreeSequencesSkewed(t *testing.T) {
-	// One giant hyperedge, many small: sizes preserved approximately.
-	edgeSizes := []int{100, 2, 2, 2}
-	nodeDegrees := make([]int, 200)
-	for i := range nodeDegrees {
-		nodeDegrees[i] = 1
-	}
-	h := FromDegreeSequences(edgeSizes, nodeDegrees, 3)
-	if h.EdgeDegree(0) < 80 {
-		t.Fatalf("giant edge degree %d, want near 100", h.EdgeDegree(0))
-	}
-}
-
-func TestFromDegreeSequencesMismatchedStubs(t *testing.T) {
-	// Edge stubs (10) exceed node stubs (4): truncation, no panic.
-	h := FromDegreeSequences([]int{10}, []int{2, 2}, 5)
-	if h.NumIncidences() > 4 {
-		t.Fatalf("incidences = %d, want <= 4", h.NumIncidences())
-	}
-}
-
 func TestByNameUnknown(t *testing.T) {
 	if _, err := ByName("nope"); err == nil {
 		t.Fatal("unknown preset accepted")

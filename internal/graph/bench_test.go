@@ -28,7 +28,6 @@ func BenchmarkCCVariants(b *testing.B) {
 	g := benchGraph(b)
 	for name, fn := range map[string]func(*Graph) []uint32{
 		"labelprop": tCCLabelPropagation,
-		"sv":        tCCShiloachVishkin,
 		"afforest":  tCCAfforest,
 	} {
 		b.Run(name, func(b *testing.B) {
@@ -52,12 +51,5 @@ func BenchmarkPageRank(b *testing.B) {
 	g := benchGraph(b)
 	for i := 0; i < b.N; i++ {
 		_ = PageRank(teng, g, 0.85, 1e-8, 100)
-	}
-}
-
-func BenchmarkTriangleCount(b *testing.B) {
-	g := randomGraph(10000, 100000, 4)
-	for i := 0; i < b.N; i++ {
-		_ = TriangleCount(teng, g)
 	}
 }

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math/rand"
-	"sync/atomic"
 
 	"nwhy/internal/frontier"
 	"nwhy/internal/parallel"
@@ -32,65 +31,6 @@ func CCLabelPropagation(eng *parallel.Engine, g *Graph) []uint32 {
 			}, nil)
 	}
 	f.Release(eng)
-	return comp
-}
-
-// CCShiloachVishkin computes connected components with the classic
-// Shiloach–Vishkin PRAM algorithm: alternating hook (attach a tree root to a
-// smaller-labelled neighbor's tree) and shortcut (pointer-jump every label to
-// its grandparent) phases until no hook fires.
-func CCShiloachVishkin(eng *parallel.Engine, g *Graph) []uint32 {
-	n := g.NumVertices()
-	comp := make([]uint32, n)
-	for i := range comp {
-		comp[i] = uint32(i)
-	}
-	for {
-		var changed atomic.Bool
-		// Hook phase: for every arc (u, v), if comp[u] < comp[v] and comp[v]
-		// is a root, hook it.
-		eng.ForN(n, func(_, lo, hi int) {
-			c := false
-			for u := lo; u < hi; u++ {
-				for _, v := range g.Row(u) {
-					cu := parallel.LoadU32(&comp[u])
-					cv := parallel.LoadU32(&comp[v])
-					if cu < cv && cv == parallel.LoadU32(&comp[cv]) {
-						if parallel.CASU32(&comp[cv], cv, cu) {
-							c = true
-						}
-					}
-				}
-			}
-			if c {
-				changed.Store(true)
-			}
-		})
-		// Shortcut phase: pointer jumping until every label points at a root.
-		for {
-			var jumped atomic.Bool
-			eng.ForN(n, func(_, lo, hi int) {
-				j := false
-				for u := lo; u < hi; u++ {
-					cu := parallel.LoadU32(&comp[u])
-					ccu := parallel.LoadU32(&comp[cu])
-					if cu != ccu {
-						parallel.StoreU32(&comp[u], ccu)
-						j = true
-					}
-				}
-				if j {
-					jumped.Store(true)
-				}
-			})
-			if !jumped.Load() || eng.Cancelled() {
-				break
-			}
-		}
-		if !changed.Load() || eng.Cancelled() {
-			break
-		}
-	}
 	return comp
 }
 

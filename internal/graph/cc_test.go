@@ -42,7 +42,6 @@ func ccOracle(g *Graph) []uint32 {
 
 var ccAlgorithms = map[string]func(*Graph) []uint32{
 	"labelprop": tCCLabelPropagation,
-	"sv":        tCCShiloachVishkin,
 	"afforest":  tCCAfforest,
 }
 

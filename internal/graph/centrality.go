@@ -316,47 +316,3 @@ func Coreness(g *Graph) []int {
 	}
 	return core
 }
-
-// TriangleCount counts undirected triangles: for every edge (u, v) with
-// u < v, intersect the neighbor sets above v. Requires a symmetric graph
-// with sorted rows (as built by FromEdgeList).
-func TriangleCount(eng *parallel.Engine, g *Graph) int64 {
-	n := g.NumVertices()
-	return parallel.ReduceWith(eng, n, int64(0),
-		func(lo, hi int, acc int64) int64 {
-			for u := lo; u < hi; u++ {
-				row := g.Row(u)
-				for _, v := range row {
-					if int(v) <= u {
-						continue
-					}
-					acc += countCommonAbove(row, g.Row(int(v)), v)
-				}
-			}
-			return acc
-		},
-		func(a, b int64) int64 { return a + b })
-}
-
-// countCommonAbove counts values > floor present in both sorted slices.
-func countCommonAbove(a, b []uint32, floor uint32) int64 {
-	i, j := 0, 0
-	var c int64
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] <= floor:
-			i++
-		case b[j] <= floor:
-			j++
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			c++
-			i++
-			j++
-		}
-	}
-	return c
-}

@@ -485,41 +485,3 @@ func TestCorenessInvariantDegreeBound(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// --- Triangles ---
-
-func TestTriangleCountK4(t *testing.T) {
-	if got := TriangleCount(teng, completeGraph(4)); got != 4 {
-		t.Fatalf("K4 triangles = %d, want 4", got)
-	}
-}
-
-func TestTriangleCountPathZero(t *testing.T) {
-	if got := TriangleCount(teng, pathGraph(10)); got != 0 {
-		t.Fatalf("path triangles = %d", got)
-	}
-}
-
-func TestTriangleCountMatchesBruteForce(t *testing.T) {
-	f := func(seed int64) bool {
-		g := randomGraph(30, 90, seed)
-		var want int64
-		n := g.NumVertices()
-		for a := 0; a < n; a++ {
-			for b := a + 1; b < n; b++ {
-				if !g.HasEdge(a, uint32(b)) {
-					continue
-				}
-				for c := b + 1; c < n; c++ {
-					if g.HasEdge(b, uint32(c)) && g.HasEdge(a, uint32(c)) {
-						want++
-					}
-				}
-			}
-		}
-		return TriangleCount(teng, g) == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -13,5 +13,4 @@ func tBFSDirectionOptimizing(g *Graph, src int) *BFSResult {
 }
 
 func tCCLabelPropagation(g *Graph) []uint32 { return CCLabelPropagation(teng, g) }
-func tCCShiloachVishkin(g *Graph) []uint32  { return CCShiloachVishkin(teng, g) }
 func tCCAfforest(g *Graph) []uint32         { return CCAfforest(teng, g) }

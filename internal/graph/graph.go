@@ -4,12 +4,12 @@
 // graph, clique expansion, or adjoin graph.
 //
 // Algorithms provided: breadth-first search (top-down, bottom-up, and
-// direction-optimizing), connected components (label propagation,
-// Shiloach–Vishkin, and Afforest), single-source shortest paths
-// (delta-stepping), betweenness centrality (Brandes per connected component,
-// over an adjacency bit matrix where the component is dense and over the CSR
-// rows elsewhere), closeness / harmonic closeness / eccentricity, PageRank,
-// k-core decomposition, and triangle counting.
+// direction-optimizing), connected components (label propagation and
+// Afforest), single-source shortest paths (delta-stepping), betweenness
+// centrality (Brandes per connected component, over an adjacency bit matrix
+// where the component is dense and over the CSR rows elsewhere), closeness /
+// harmonic closeness / eccentricity, PageRank, k-core decomposition and
+// maximal independent sets.
 package graph
 
 import (

@@ -1,8 +1,10 @@
-// Package mmio reads and writes hypergraphs in Matrix Market coordinate
-// format, the interchange format the paper's graph_reader /
-// graph_reader_adjoin APIs consume. A hypergraph's incidence matrix is a
+// Package mmio reads and writes hypergraphs in the two formats programs use:
+// Matrix Market coordinate text, the interchange format the paper's
+// graph_reader consumes, and the .nwhyb binary snapshot of the hyperedge
+// incidence CSR (snapshot.go). A hypergraph's incidence matrix is a
 // rectangular pattern (or real/integer) matrix: rows are hyperedges, columns
-// are hypernodes, and each stored entry is one incidence.
+// are hypernodes, and each stored entry is one incidence. The adjoin form is
+// derived from the bipartite one in memory (core.Adjoin), never read.
 package mmio
 
 import (
@@ -48,21 +50,16 @@ func parseHeader(line string) (Header, error) {
 // an unweighted list. Symmetric files are rejected (incidence matrices are
 // rectangular and general). Entry lines must have exactly the declared field
 // count — two indices, plus a value for non-pattern files; extra columns are
-// an error, not ignored. It reads the stream to its end first: the parse is
-// readSerial's.
+// an error, not ignored. It reads the stream to its end first, then parses it
+// as one chunk on the calling goroutine: the loop, the language and the
+// errors are ReadBiEdgeListParallel's (readChunks). No program path calls
+// it; it is the fuzz targets' serial reference.
 func ReadBiEdgeList(r io.Reader) (*sparse.BiEdgeList, error) {
 	var buf bytes.Buffer
 	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("mmio: %w", err)
 	}
-	return readSerial(buf.Bytes())
-}
-
-// readSerial parses a whole file in memory as one chunk on the calling
-// goroutine: the loop, the language and the errors are
-// ReadBiEdgeListParallel's (readChunks).
-func readSerial(data []byte) (*sparse.BiEdgeList, error) {
-	return readChunks(data, 1, func(n int, each func(c int)) error {
+	return readChunks(buf.Bytes(), 1, func(n int, each func(c int)) error {
 		for c := 0; c < n; c++ {
 			each(c)
 		}
@@ -89,48 +86,6 @@ func WriteBiEdgeList(w io.Writer, bel *sparse.BiEdgeList) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// GraphReader opens path and reads the bipartite edge list of a hypergraph,
-// mirroring the paper's graph_reader(mm_file).
-func GraphReader(path string) (*sparse.BiEdgeList, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return readSerial(data)
-}
-
-// ReadAdjoin parses a Matrix Market incidence stream directly into an
-// adjoined edge list over the single shared index space: hyperedge i keeps
-// ID i, hypernode j becomes ID rows+j, and both directions of every
-// incidence are materialized. It returns the edge list plus the partition
-// sizes (the paper's nrealedges / nrealnodes out-parameters).
-func ReadAdjoin(r io.Reader) (el *sparse.EdgeList, nrealedges, nrealnodes int, err error) {
-	return adjoin(ReadBiEdgeList(r))
-}
-
-// adjoin is the second half of ReadAdjoin: the shared-index-space form of a
-// list some reader returned, or that reader's error.
-func adjoin(bel *sparse.BiEdgeList, err error) (*sparse.EdgeList, int, int, error) {
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	el := sparse.NewEdgeList(bel.N0 + bel.N1)
-	el.Edges = make([]sparse.Edge, 0, 2*len(bel.Edges))
-	for _, e := range bel.Edges {
-		shared := uint32(bel.N0) + e.V
-		el.Edges = append(el.Edges,
-			sparse.Edge{U: e.U, V: shared},
-			sparse.Edge{U: shared, V: e.U})
-	}
-	return el, bel.N0, bel.N1, nil
-}
-
-// GraphReaderAdjoin opens path and reads it in adjoin form, mirroring the
-// paper's graph_reader_adjoin(mm_file, nrealedges, nrealnodes).
-func GraphReaderAdjoin(path string) (*sparse.EdgeList, int, int, error) {
-	return adjoin(GraphReader(path))
 }
 
 // WriteHypergraphFile writes a bipartite edge list to path.

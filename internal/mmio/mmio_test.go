@@ -11,6 +11,7 @@ import (
 	"math/rand"
 
 	"nwhy/internal/core"
+	"nwhy/internal/parallel"
 	"nwhy/internal/sparse"
 )
 
@@ -156,62 +157,33 @@ func TestWriteReadWeightedRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadAdjoin(t *testing.T) {
-	el, ne, nv, err := ReadAdjoin(strings.NewReader(paperMM))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ne != 4 || nv != 9 || el.NumVertices != 13 {
-		t.Fatalf("adjoin shape %d/%d/%d", ne, nv, el.NumVertices)
-	}
-	if el.Len() != 26 {
-		t.Fatalf("adjoin edges = %d, want 26 (both directions)", el.Len())
-	}
-	a, err := core.FromAdjoinEdgeList(el, ne, nv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Same hypergraph as the bipartite read.
-	bel, _ := ReadBiEdgeList(strings.NewReader(paperMM))
-	h := core.FromBiEdgeList(bel)
-	if !a.ToHypergraph().Edges.Equal(h.Edges) {
-		t.Fatal("adjoin read disagrees with bipartite read")
-	}
-}
-
 func TestFileRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "h.mtx")
+	eng := parallel.NewEngine(2)
+	defer eng.Close()
+	path := filepath.Join(t.TempDir(), "h.mtx")
 	bel := sparse.NewBiEdgeList(3, 3)
 	bel.Add(0, 2)
 	bel.Add(2, 0)
 	if err := WriteHypergraphFile(path, bel); err != nil {
 		t.Fatal(err)
 	}
-	back, err := GraphReader(path)
+	back, err := GraphReaderParallel(eng, path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(back.Edges, bel.Edges) {
 		t.Fatal("file round trip failed")
 	}
-	el, ne, nv, err := GraphReaderAdjoin(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ne != 3 || nv != 3 || el.Len() != 4 {
-		t.Fatalf("adjoin file read: %d/%d/%d", ne, nv, el.Len())
-	}
 }
 
+// Both file readers report a missing file.
 func TestGraphReaderMissingFile(t *testing.T) {
-	if _, err := GraphReader("/nonexistent/x.mtx"); err == nil {
+	eng := parallel.NewEngine(1)
+	defer eng.Close()
+	if _, err := GraphReaderParallel(eng, "/nonexistent/x.mtx"); err == nil {
 		t.Fatal("missing file accepted")
 	}
-	if _, _, _, err := GraphReaderAdjoin("/nonexistent/x.mtx"); err == nil {
+	if _, err := LoadSnapshot(eng, "/nonexistent/x.nwhyb"); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }

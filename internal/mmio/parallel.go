@@ -21,7 +21,8 @@ func ReadBiEdgeListParallel(eng *parallel.Engine, data []byte) (*sparse.BiEdgeLi
 }
 
 // GraphReaderParallel reads path into memory and parses it with
-// ReadBiEdgeListParallel — the parallel counterpart of GraphReader.
+// ReadBiEdgeListParallel: the paper's graph_reader(mm_file) on an engine (a
+// one-worker engine parses single-threaded).
 func GraphReaderParallel(eng *parallel.Engine, path string) (*sparse.BiEdgeList, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
 	"slices"
 	"strings"
@@ -239,7 +240,11 @@ func TestGraphReaderParallelFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := GraphReader(path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ReadBiEdgeList(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,15 +313,16 @@ func TestParseFloatBytesMatchesStrconv(t *testing.T) {
 	}
 }
 
-func BenchmarkReadSerial(b *testing.B)   { benchRead(b, false) }
-func BenchmarkReadParallel(b *testing.B) { benchRead(b, true) }
+func BenchmarkReadSerial(b *testing.B)   { benchRead(b, 1) }
+func BenchmarkReadParallel(b *testing.B) { benchRead(b, 0) }
 
 // benchRead parses four files: the power-law one, the ingest-traverse
 // shape of the end-to-end benchmark (1 M incidences in hyperedge order), that
 // file with a comment every 1 000 lines (the gap-closing path), and it as a
-// real file (the general path on every line). Run at -cpu 1,2.
-func benchRead(b *testing.B, par bool) {
-	eng := parallel.NewEngine(0)
+// real file (the general path on every line), on an engine of the given
+// workers (0: GOMAXPROCS; 1 is the single-threaded parse). Run at -cpu 1,2.
+func benchRead(b *testing.B, workers int) {
+	eng := parallel.NewEngine(workers)
 	defer eng.Close()
 	text := func(bel *sparse.BiEdgeList) []byte {
 		var buf bytes.Buffer
@@ -341,13 +347,7 @@ func benchRead(b *testing.B, par bool) {
 			b.SetBytes(int64(len(f.data)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				var err error
-				if par {
-					_, err = ReadBiEdgeListParallel(eng, f.data)
-				} else {
-					_, err = readSerial(f.data) // what GraphReader runs once the file is read
-				}
-				if err != nil {
+				if _, err := ReadBiEdgeListParallel(eng, f.data); err != nil {
 					b.Fatal(err)
 				}
 			}

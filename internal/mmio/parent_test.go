@@ -114,12 +114,11 @@ func parentParseChunk(chunk []byte, weighted bool, rows, cols, hint int) parentP
 	return out
 }
 
-// readers are the three routes into the one entry loop, each held to the
+// readers are the two routes into the one entry loop, each held to the
 // parent's result.
 func readers(eng *parallel.Engine) map[string]func([]byte) (*sparse.BiEdgeList, error) {
 	return map[string]func([]byte) (*sparse.BiEdgeList, error){
 		"parallel": func(data []byte) (*sparse.BiEdgeList, error) { return ReadBiEdgeListParallel(eng, data) },
-		"serial":   readSerial,
 		"stream":   func(data []byte) (*sparse.BiEdgeList, error) { return ReadBiEdgeList(bytes.NewReader(data)) },
 	}
 }
@@ -308,7 +307,7 @@ func TestSameBytesAsParentOnInputs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for variant, data := range files {
-			sameAsParent(t, engines[0], name+" "+variant, data) // the serial and stream readers too
+			sameAsParent(t, engines[0], name+" "+variant, data) // the stream reader too
 			want, err := parentReadBiEdgeListParallel(engines[0], data)
 			if err != nil {
 				t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 
 	"nwhy/internal/parallel"
 	"nwhy/internal/sparse"
@@ -18,20 +19,19 @@ import (
 //	offset  size  field
 //	0       8     magic "NWHYBSN1"
 //	8       2     version (uint16, currently 1)
-//	10      1     kind (1 = BiEdgeList, 2 = CSR)
+//	10      1     kind (2 = CSR; any other value is rejected)
 //	11      1     flags (bit 0: weighted)
-//	12      24    three int64 dims — BiEdgeList: N0, N1, nnz;
-//	              CSR: nrows, ncols, nnz
+//	12      24    three int64 dims: nrows, ncols, nnz
 //	36      4     CRC32 (IEEE) of bytes [0, 36)
 //	40      ...   payload (bulk little-endian slices)
 //	end-4   4     CRC32 (IEEE) of the payload
 //
-// BiEdgeList payload: nnz edges as (uint32 U, uint32 V) pairs, then nnz
-// float64 weights when the weighted flag is set. CSR payload: nrows+1
-// int64 row offsets, nnz uint32 columns, then nnz float64 values when
-// weighted. Both checksums must verify before any field is trusted, and
-// every structural invariant is re-checked on load — a corrupted or forged
-// snapshot is an error, never an invalid in-memory structure.
+// Payload: nrows+1 int64 row offsets, nnz uint32 columns, then nnz float64
+// values when weighted. Each checksum verifies before a field it covers is
+// trusted, and every structural invariant is re-checked on load — a
+// corrupted or forged snapshot is an error, never an invalid in-memory
+// structure.
+
 // SnapshotExt is the conventional file extension for snapshot files.
 const SnapshotExt = ".nwhyb"
 
@@ -39,18 +39,15 @@ const (
 	snapshotMagic   = "NWHYBSN1"
 	snapshotVersion = 1
 
-	snapKindBiEdgeList = 1
-	snapKindCSR        = 2
-
+	snapKindCSR      = 2
 	snapFlagWeighted = 1
 
 	snapHeaderSize = 40
 )
 
-// Snapshot is the decoded content of a .nwhyb file: exactly one of Bel and
-// CSR is non-nil, matching the kind byte.
+// Snapshot is the content of a .nwhyb file: a hypergraph's hyperedge
+// incidence CSR.
 type Snapshot struct {
-	Bel *sparse.BiEdgeList
 	CSR *sparse.CSR
 }
 
@@ -74,11 +71,11 @@ func IsSnapshotFile(path string) bool {
 	return IsSnapshotData(head[:])
 }
 
-func snapHeader(kind, flags byte, d0, d1, d2 int64) [snapHeaderSize]byte {
+func snapHeader(flags byte, d0, d1, d2 int64) [snapHeaderSize]byte {
 	var h [snapHeaderSize]byte
 	copy(h[:8], snapshotMagic)
 	binary.LittleEndian.PutUint16(h[8:10], snapshotVersion)
-	h[10], h[11] = kind, flags
+	h[10], h[11] = snapKindCSR, flags
 	binary.LittleEndian.PutUint64(h[12:20], uint64(d0))
 	binary.LittleEndian.PutUint64(h[20:28], uint64(d1))
 	binary.LittleEndian.PutUint64(h[28:36], uint64(d2))
@@ -101,22 +98,6 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 // stageBuf is the staging-buffer size for bulk slice encoding: big enough
 // to amortize Write calls, small enough to stay cache-resident.
 const stageBuf = 1 << 16
-
-func writeEdges(w io.Writer, edges []sparse.Edge) error {
-	var buf [stageBuf]byte
-	for len(edges) > 0 {
-		n := min(len(edges), stageBuf/8)
-		for i, e := range edges[:n] {
-			binary.LittleEndian.PutUint32(buf[i*8:], e.U)
-			binary.LittleEndian.PutUint32(buf[i*8+4:], e.V)
-		}
-		if _, err := w.Write(buf[:n*8]); err != nil {
-			return err
-		}
-		edges = edges[n:]
-	}
-	return nil
-}
 
 func writeU32s(w io.Writer, vals []uint32) error {
 	var buf [stageBuf]byte
@@ -163,47 +144,12 @@ func writeF64s(w io.Writer, vals []float64) error {
 	return nil
 }
 
-// WriteSnapshot encodes snap (exactly one of Bel/CSR set) as a .nwhyb
-// stream.
+// WriteSnapshot encodes snap as a .nwhyb stream.
 func WriteSnapshot(w io.Writer, snap *Snapshot) error {
-	switch {
-	case snap.Bel != nil && snap.CSR == nil:
-		return writeSnapshotBiEdgeList(w, snap.Bel)
-	case snap.CSR != nil && snap.Bel == nil:
-		return writeSnapshotCSR(w, snap.CSR)
-	default:
-		return fmt.Errorf("mmio: snapshot must hold exactly one of BiEdgeList or CSR")
+	c := snap.CSR
+	if c == nil {
+		return fmt.Errorf("mmio: snapshot holds no CSR")
 	}
-}
-
-func writeSnapshotBiEdgeList(w io.Writer, bel *sparse.BiEdgeList) error {
-	if err := bel.Validate(); err != nil {
-		return fmt.Errorf("mmio: refusing to snapshot invalid list: %w", err)
-	}
-	var flags byte
-	if bel.Weights != nil {
-		flags |= snapFlagWeighted
-	}
-	h := snapHeader(snapKindBiEdgeList, flags, int64(bel.N0), int64(bel.N1), int64(len(bel.Edges)))
-	if _, err := w.Write(h[:]); err != nil {
-		return err
-	}
-	cw := &crcWriter{w: w}
-	if err := writeEdges(cw, bel.Edges); err != nil {
-		return err
-	}
-	if bel.Weights != nil {
-		if err := writeF64s(cw, bel.Weights); err != nil {
-			return err
-		}
-	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], cw.crc)
-	_, err := w.Write(tail[:])
-	return err
-}
-
-func writeSnapshotCSR(w io.Writer, c *sparse.CSR) error {
 	if err := c.Validate(); err != nil {
 		return fmt.Errorf("mmio: refusing to snapshot invalid CSR: %w", err)
 	}
@@ -211,7 +157,7 @@ func writeSnapshotCSR(w io.Writer, c *sparse.CSR) error {
 	if c.Val != nil {
 		flags |= snapFlagWeighted
 	}
-	h := snapHeader(snapKindCSR, flags, int64(c.NumRows()), int64(c.NumCols()), int64(c.NumEdges()))
+	h := snapHeader(flags, int64(c.NumRows()), int64(c.NumCols()), int64(c.NumEdges()))
 	if _, err := w.Write(h[:]); err != nil {
 		return err
 	}
@@ -236,13 +182,41 @@ func writeSnapshotCSR(w io.Writer, c *sparse.CSR) error {
 // SaveSnapshot writes snap to path as a .nwhyb file, atomically: a failed or
 // interrupted save leaves the previous file intact.
 func SaveSnapshot(path string, snap *Snapshot) error {
-	return sparse.WriteFileAtomic(path, func(w io.Writer) error { return WriteSnapshot(w, snap) })
+	return writeFileAtomic(path, func(w io.Writer) error { return WriteSnapshot(w, snap) })
 }
 
-// ReadSnapshot decodes a .nwhyb image. Both checksums are verified before
-// any payload byte is interpreted; the bulk slices then decode with
-// engine-parallel loops and the result is validated (bounds for an edge
-// list, the full CSR invariant set via sparse.AdoptSorted) before being
+// writeFileAtomic replaces path with what write produces, or leaves it
+// alone: the bytes go to a temporary file in path's directory, are synced to
+// disk, and only then renamed over path, so neither a failing write nor a
+// crash mid-save can destroy the previous file. On any error the temporary
+// file is removed.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	if err = write(f); err == nil {
+		err = f.Chmod(0o644) // CreateTemp's 0600 is not what os.Create gave
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
+}
+
+// ReadSnapshot decodes a .nwhyb image. The header is checked before any
+// payload byte is interpreted, the payload checksum before any is decoded;
+// the bulk slices then decode with engine-parallel loops and the result is
+// validated (the full CSR invariant set via sparse.AdoptSorted) before being
 // returned. Cancellation is observed at decode-chunk boundaries.
 func ReadSnapshot(eng *parallel.Engine, data []byte) (*Snapshot, error) {
 	if len(data) < snapHeaderSize+4 {
@@ -257,7 +231,10 @@ func ReadSnapshot(eng *parallel.Engine, data []byte) (*Snapshot, error) {
 	if v := binary.LittleEndian.Uint16(data[8:10]); v != snapshotVersion {
 		return nil, fmt.Errorf("mmio: unsupported snapshot version %d", v)
 	}
-	kind, flags := data[10], data[11]
+	if kind := data[10]; kind != snapKindCSR {
+		return nil, fmt.Errorf("mmio: unknown snapshot kind %d", kind)
+	}
+	flags := data[11]
 	if flags&^byte(snapFlagWeighted) != 0 {
 		return nil, fmt.Errorf("mmio: unknown snapshot flags %#x", flags)
 	}
@@ -272,71 +249,14 @@ func ReadSnapshot(eng *parallel.Engine, data []byte) (*Snapshot, error) {
 	// Dimension sanity before any sizing arithmetic: non-negative, index
 	// spaces addressable by uint32, and the entry count bounded by the
 	// payload that is actually present (each entry takes at least 4 bytes).
-	// With these bounds the per-kind `need` computations cannot overflow,
-	// and their exact-size checks run before any allocation, so a forged
-	// header cannot demand a huge allocation.
+	// With these bounds the `need` computation cannot overflow, and its
+	// exact-size check runs before any allocation, so a forged header cannot
+	// demand a huge allocation.
 	if d0 < 0 || d1 < 0 || nnz < 0 || d0 > math.MaxUint32 || d1 > math.MaxUint32 ||
 		nnz > int64(len(payload)) {
 		return nil, fmt.Errorf("mmio: snapshot dims %d/%d/%d inconsistent with %d payload bytes", d0, d1, nnz, len(payload))
 	}
-	switch kind {
-	case snapKindBiEdgeList:
-		return readSnapshotBiEdgeList(eng, payload, weighted, d0, d1, nnz)
-	case snapKindCSR:
-		return readSnapshotCSR(eng, payload, weighted, d0, d1, nnz)
-	default:
-		return nil, fmt.Errorf("mmio: unknown snapshot kind %d", kind)
-	}
-}
-
-func readSnapshotBiEdgeList(eng *parallel.Engine, payload []byte, weighted bool, d0, d1, nnz int64) (*Snapshot, error) {
-	need := nnz * 8
-	if weighted {
-		need += nnz * 8
-	}
-	if int64(len(payload)) != need {
-		return nil, fmt.Errorf("mmio: snapshot payload %d bytes, want %d", len(payload), need)
-	}
-	bel := &sparse.BiEdgeList{N0: int(d0), N1: int(d1)}
-	bel.Edges = make([]sparse.Edge, nnz)
-	eng.ForN(int(nnz), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			bel.Edges[i] = sparse.Edge{
-				U: binary.LittleEndian.Uint32(payload[i*8:]),
-				V: binary.LittleEndian.Uint32(payload[i*8+4:]),
-			}
-		}
-	})
-	if weighted {
-		bel.Weights = make([]float64, nnz)
-		wb := payload[nnz*8:]
-		eng.ForN(int(nnz), func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				bel.Weights[i] = math.Float64frombits(binary.LittleEndian.Uint64(wb[i*8:]))
-			}
-		})
-	}
-	if err := eng.Err(); err != nil {
-		return nil, err
-	}
-	bad := parallel.ReduceWith(eng, int(nnz), false,
-		func(lo, hi int, acc bool) bool {
-			for i := lo; i < hi; i++ {
-				e := bel.Edges[i]
-				if int64(e.U) >= d0 || int64(e.V) >= d1 {
-					return true
-				}
-			}
-			return acc
-		},
-		func(a, b bool) bool { return a || b })
-	if err := eng.Err(); err != nil {
-		return nil, err
-	}
-	if bad {
-		return nil, fmt.Errorf("mmio: snapshot edge outside %dx%d", d0, d1)
-	}
-	return &Snapshot{Bel: bel}, nil
+	return readSnapshotCSR(eng, payload, weighted, d0, d1, nnz)
 }
 
 func readSnapshotCSR(eng *parallel.Engine, payload []byte, weighted bool, d0, d1, nnz int64) (*Snapshot, error) {

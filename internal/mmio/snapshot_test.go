@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
+	"nwhy/internal/core"
 	"nwhy/internal/gen"
 	"nwhy/internal/parallel"
 	"nwhy/internal/sparse"
@@ -25,22 +29,40 @@ func snapshotBytes(t *testing.T, snap *Snapshot) []byte {
 	return buf.Bytes()
 }
 
-func TestSnapshotBiEdgeListRoundTrip(t *testing.T) {
-	eng := parallel.NewEngine(4)
+// csrFromHypergraph is belFromHypergraph as the incidence CSR a snapshot
+// holds.
+func csrFromHypergraph(h *core.Hypergraph, weighted bool, seed int64) *sparse.CSR {
+	bel := belFromHypergraph(h, weighted, seed)
+	return sparse.FromPairs(bel.N0, bel.N1, bel.Edges, bel.Weights)
+}
+
+// kind1Forged is what the parent's writer made of a 2×3 list of two
+// incidences as a kind-1 (BiEdgeList) snapshot, with all three dims then
+// forged to 2^40 and the header checksum recomputed: a reader that still
+// sized a kind-1 payload from them would ask for terabytes.
+var kind1Forged = []byte{
+	0x4e, 0x57, 0x48, 0x59, 0x42, 0x53, 0x4e, 0x31, 0x01, 0x00, 0x01, 0x00,
+	0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+	0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+	0xe0, 0x08, 0x81, 0xa7, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+	0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x2f, 0xcf, 0xbd, 0x11,
+}
+
+// The BiEdgeList kind is gone: its files fail on the kind byte, before any
+// dimension is read, and cost the reader little more than the error.
+func TestSnapshotRejectsBiEdgeListKind(t *testing.T) {
+	eng := parallel.NewEngine(2)
 	defer eng.Close()
-	for _, weighted := range []bool{false, true} {
-		bel := belFromHypergraph(gen.BipartitePowerLaw(300, 200, 1500, 1.7, 1), weighted, 3)
-		data := snapshotBytes(t, &Snapshot{Bel: bel})
-		back, err := ReadSnapshot(eng, data)
-		if err != nil {
-			t.Fatalf("weighted=%v: %v", weighted, err)
-		}
-		if back.Bel == nil || back.CSR != nil {
-			t.Fatal("wrong kind decoded")
-		}
-		if !belEqual(bel, back.Bel) {
-			t.Fatalf("weighted=%v: round trip changed the list", weighted)
-		}
+	ReadSnapshot(eng, kind1Forged) // builds crc32's 8 KiB table on first use
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadSnapshot(eng, kind1Forged)
+	runtime.ReadMemStats(&after)
+	if err == nil || err.Error() != "mmio: unknown snapshot kind 1" {
+		t.Fatalf("kind-1 snapshot: error %v, want unknown snapshot kind 1", err)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*len(kind1Forged)); got > limit {
+		t.Fatalf("rejecting a %d-byte kind-1 snapshot allocated %d B (limit %d)", len(kind1Forged), got, limit)
 	}
 }
 
@@ -55,8 +77,8 @@ func TestSnapshotCSRRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("weighted=%v: %v", weighted, err)
 		}
-		if back.CSR == nil || back.Bel != nil {
-			t.Fatal("wrong kind decoded")
+		if back.CSR == nil {
+			t.Fatal("nothing decoded")
 		}
 		if !csr.Equal(back.CSR) {
 			t.Fatalf("weighted=%v: round trip changed the CSR", weighted)
@@ -93,7 +115,8 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "h.nwhyb")
 	bel := belFromHypergraph(gen.Uniform(20, 30, 3, 6), false, 0)
-	if err := SaveSnapshot(path, &Snapshot{Bel: bel}); err != nil {
+	csr := sparse.FromPairs(bel.N0, bel.N1, bel.Edges, nil)
+	if err := SaveSnapshot(path, &Snapshot{CSR: csr}); err != nil {
 		t.Fatal(err)
 	}
 	if !IsSnapshotFile(path) {
@@ -103,8 +126,8 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !belEqual(bel, back.Bel) {
-		t.Fatal("file round trip changed the list")
+	if !csrEqual(csr, back.CSR) {
+		t.Fatal("file round trip changed the CSR")
 	}
 	mtx := filepath.Join(dir, "h.mtx")
 	if err := WriteHypergraphFile(mtx, bel); err != nil {
@@ -125,8 +148,7 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 func TestSnapshotRejectsCorruption(t *testing.T) {
 	eng := parallel.NewEngine(2)
 	defer eng.Close()
-	bel := belFromHypergraph(gen.Uniform(6, 8, 3, 7), true, 1)
-	good := snapshotBytes(t, &Snapshot{Bel: bel})
+	good := snapshotBytes(t, &Snapshot{CSR: csrFromHypergraph(gen.Uniform(6, 8, 3, 7), true, 1)})
 	if _, err := ReadSnapshot(eng, good); err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +171,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 func TestSnapshotRejectsForgedDims(t *testing.T) {
 	eng := parallel.NewEngine(2)
 	defer eng.Close()
-	bel := belFromHypergraph(gen.Uniform(4, 4, 2, 3), false, 0)
-	good := snapshotBytes(t, &Snapshot{Bel: bel})
+	good := snapshotBytes(t, &Snapshot{CSR: csrFromHypergraph(gen.Uniform(4, 4, 2, 3), false, 0)})
 	forge := func(mut func(h []byte)) []byte {
 		bad := append([]byte(nil), good...)
 		mut(bad)
@@ -205,8 +226,7 @@ func TestSnapshotCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ceng := eng.WithContext(ctx)
-	bel := belFromHypergraph(gen.BipartitePowerLaw(400, 300, 2400, 1.6, 5), false, 0)
-	data := snapshotBytes(t, &Snapshot{Bel: bel})
+	data := snapshotBytes(t, &Snapshot{CSR: csrFromHypergraph(gen.BipartitePowerLaw(400, 300, 2400, 1.6, 5), false, 0)})
 	if _, err := ReadSnapshot(ceng, data); err != context.Canceled {
 		t.Fatalf("cancelled snapshot load returned %v, want context.Canceled", err)
 	}
@@ -217,16 +237,15 @@ func TestSnapshotCancellation(t *testing.T) {
 func TestSaveSnapshotFailureKeepsOldFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "h.nwhyb")
-	if err := SaveSnapshot(path, &Snapshot{Bel: belFromHypergraph(gen.Uniform(20, 30, 3, 6), false, 0)}); err != nil {
+	if err := SaveSnapshot(path, &Snapshot{CSR: csrFromHypergraph(gen.Uniform(20, 30, 3, 6), false, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	old, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := &sparse.BiEdgeList{N0: 1, N1: 1, Edges: []sparse.Edge{{U: 5, V: 5}}}
-	if err := SaveSnapshot(path, &Snapshot{Bel: bad}); err == nil {
-		t.Fatal("saved an out-of-range edge list")
+	if err := SaveSnapshot(path, &Snapshot{CSR: outOfRangeCSR()}); err == nil {
+		t.Fatal("saved an out-of-range CSR")
 	}
 	if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, old) {
 		t.Fatalf("previous snapshot changed by a failed save (err=%v)", err)
@@ -236,23 +255,68 @@ func TestSaveSnapshotFailureKeepsOldFile(t *testing.T) {
 	}
 }
 
+// outOfRangeCSR is a 1×1 CSR whose one entry names column 5.
+func outOfRangeCSR() *sparse.CSR {
+	c := sparse.FromPairs(1, 1, []sparse.Edge{{U: 0, V: 0}}, nil)
+	c.Col[0] = 5
+	return c
+}
+
+// With one kind the only ambiguous snapshot is one that holds nothing: it is
+// refused, and nothing is written for it.
 func TestWriteSnapshotRejectsAmbiguous(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteSnapshot(&buf, &Snapshot{}); err == nil {
 		t.Fatal("accepted empty snapshot")
 	}
-	bel := sparse.NewBiEdgeList(1, 1)
-	csr := sparse.FromPairs(1, 1, nil, nil)
-	if err := WriteSnapshot(&buf, &Snapshot{Bel: bel, CSR: csr}); err == nil {
-		t.Fatal("accepted snapshot with both kinds set")
+	if buf.Len() != 0 {
+		t.Fatalf("wrote %d bytes for a refused snapshot", buf.Len())
 	}
 }
 
 func TestWriteSnapshotRejectsInvalidInput(t *testing.T) {
 	var buf bytes.Buffer
-	bad := &sparse.BiEdgeList{N0: 1, N1: 1, Edges: []sparse.Edge{{U: 5, V: 5}}}
-	if err := WriteSnapshot(&buf, &Snapshot{Bel: bad}); err == nil {
-		t.Fatal("snapshotted an out-of-range edge list")
+	if err := WriteSnapshot(&buf, &Snapshot{CSR: outOfRangeCSR()}); err == nil {
+		t.Fatal("snapshotted an out-of-range CSR")
+	}
+}
+
+// TestWriteFileAtomicKeepsOldFileOnFailure: a writer that fails midway
+// leaves the previous file byte-identical and no temporary file behind; a
+// writer that succeeds replaces it.
+func TestWriteFileAtomicKeepsOldFileOnFailure(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "f")
+	write := func(content string) func(io.Writer) error {
+		return func(w io.Writer) error { _, err := io.WriteString(w, content); return err }
+	}
+	if err := writeFileAtomic(path, write("old")); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("disk full")
+	err := writeFileAtomic(path, func(w io.Writer) error {
+		if err := write("half a file")(w); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the writer's", err)
+	}
+	if now, err := os.ReadFile(path); err != nil || string(now) != "old" {
+		t.Fatalf("previous file changed by a failed save (err=%v)", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("%d directory entries after a failed save, want only the old file", len(entries))
+	}
+	if err := writeFileAtomic(path, write("new")); err != nil {
+		t.Fatal(err)
+	}
+	if now, err := os.ReadFile(path); err != nil || string(now) != "new" {
+		t.Fatalf("successful save did not replace the file (err=%v)", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("%d directory entries after a save, want 1", len(entries))
 	}
 }
 
@@ -260,18 +324,14 @@ func TestWriteSnapshotRejectsInvalidInput(t *testing.T) {
 // must never panic or over-allocate, and anything it accepts must satisfy
 // the structural invariants.
 func FuzzReadSnapshot(f *testing.F) {
-	belSeed := &sparse.BiEdgeList{N0: 2, N1: 3, Edges: []sparse.Edge{{U: 0, V: 1}, {U: 1, V: 2}}}
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, &Snapshot{Bel: belSeed}); err != nil {
-		f.Fatal(err)
+	pairs := []sparse.Edge{{U: 0, V: 1}, {U: 1, V: 2}}
+	for _, weights := range [][]float64{nil, {1, 2}} {
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, &Snapshot{CSR: sparse.FromPairs(2, 3, pairs, weights)}); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
 	}
-	f.Add(buf.Bytes())
-	buf.Reset()
-	csrSeed := sparse.FromPairs(2, 3, belSeed.Edges, []float64{1, 2})
-	if err := WriteSnapshot(&buf, &Snapshot{CSR: csrSeed}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
 	f.Add([]byte(snapshotMagic))
 	eng := parallel.SharedEngine()
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -279,17 +339,11 @@ func FuzzReadSnapshot(f *testing.F) {
 		if err != nil {
 			return
 		}
-		switch {
-		case snap.Bel != nil:
-			if err := snap.Bel.Validate(); err != nil {
-				t.Fatalf("accepted snapshot decoded invalid list: %v", err)
-			}
-		case snap.CSR != nil:
-			if err := snap.CSR.Validate(); err != nil {
-				t.Fatalf("accepted snapshot decoded invalid CSR: %v", err)
-			}
-		default:
+		if snap.CSR == nil {
 			t.Fatal("accepted snapshot decoded nothing")
+		}
+		if err := snap.CSR.Validate(); err != nil {
+			t.Fatalf("accepted snapshot decoded invalid CSR: %v", err)
 		}
 	})
 }

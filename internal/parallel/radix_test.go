@@ -100,15 +100,3 @@ func BenchmarkRadixSort64(b *testing.B) {
 		RadixSort64On(eng, items, func(it radixItem) uint64 { return it.key })
 	}
 }
-
-func BenchmarkMergeSortComparable(b *testing.B) {
-	eng := NewEngine(0)
-	defer eng.Close()
-	base := randomItems(1<<18, 1<<40, 1)
-	items := make([]radixItem, len(base))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(items, base)
-		SortOn(eng, items, func(a, c radixItem) bool { return a.key < c.key })
-	}
-}

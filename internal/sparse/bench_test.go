@@ -65,16 +65,3 @@ func BenchmarkCSRDegrees(b *testing.B) {
 		_ = c.Degrees()
 	}
 }
-
-func BenchmarkRelabelHyperedges(b *testing.B) {
-	bel := NewBiEdgeList(20000, 20000)
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 200000; i++ {
-		bel.Add(uint32(rng.Intn(20000)), uint32(rng.Intn(20000)))
-	}
-	edges, nodes := BiAdjacency(bel)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _, _ = RelabelHyperedges(edges, nodes, Descending)
-	}
-}

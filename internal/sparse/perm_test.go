@@ -114,38 +114,3 @@ func TestApplyPermMatchesRowSemantics(t *testing.T) {
 		}
 	}
 }
-
-// TestDegreePermMatchesStableSort pins the radix DegreePerm to the
-// comparison-sort reference it replaced, including tie-breaking by old ID.
-func TestDegreePermMatchesStableSort(t *testing.T) {
-	prop := func(seed int64, descending bool) bool {
-		rng := rand.New(rand.NewSource(seed))
-		degrees := make([]int, rng.Intn(100)+1)
-		for i := range degrees {
-			degrees[i] = rng.Intn(10)
-		}
-		order := Ascending
-		if descending {
-			order = Descending
-		}
-		perm, inv := DegreePerm(degrees, order)
-		ref := make([]uint32, len(degrees))
-		for i := range ref {
-			ref[i] = uint32(i)
-		}
-		if descending {
-			sort.SliceStable(ref, func(a, b int) bool { return degrees[ref[a]] > degrees[ref[b]] })
-		} else {
-			sort.SliceStable(ref, func(a, b int) bool { return degrees[ref[a]] < degrees[ref[b]] })
-		}
-		for i := range ref {
-			if perm[i] != ref[i] || inv[perm[i]] != uint32(i) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -31,33 +31,6 @@ func (o Order) String() string {
 	}
 }
 
-// DegreePerm computes the relabel-by-degree permutation for the given
-// degrees: perm[newID] = oldID, inv[oldID] = newID. Ties break by old ID so
-// the permutation is deterministic (the radix sort is stable over the
-// identity-initialized permutation). NoOrder returns identity permutations.
-func DegreePerm(degrees []int, order Order) (perm, inv []uint32) {
-	n := len(degrees)
-	perm = make([]uint32, n)
-	for i := range perm {
-		perm[i] = uint32(i)
-	}
-	switch order {
-	case Ascending:
-		parallel.RadixSort64(perm, func(id uint32) uint64 { return uint64(degrees[id]) })
-	case Descending:
-		// Key on maxDeg−deg rather than a bit flip so the pass count stays
-		// proportional to the degree range.
-		maxDeg := 0
-		for _, d := range degrees {
-			if d > maxDeg {
-				maxDeg = d
-			}
-		}
-		parallel.RadixSort64(perm, func(id uint32) uint64 { return uint64(maxDeg - degrees[id]) })
-	}
-	return perm, InvertPerm(perm)
-}
-
 // InvertPerm returns the inverse of a permutation: inv[perm[i]] = i. With
 // perm[newID] = oldID the result reads inv[oldID] = newID.
 func InvertPerm(perm []uint32) []uint32 {
@@ -114,37 +87,4 @@ func (c *CSR) ApplyPerm(rowPerm, colInv []uint32) *CSR {
 		out = out.Transpose().Transpose()
 	}
 	return out
-}
-
-// RelabelHyperedges renames the hyperedge index space of a mutually indexed
-// biadjacency pair by degree: row newID of the returned edges CSR is row
-// perm[newID] of the input, and every hyperedge ID appearing in the nodes
-// CSR is mapped through inv. Hypernode IDs are untouched. It returns the
-// relabeled pair plus perm (perm[newID] = oldID) for mapping results back.
-func RelabelHyperedges(edges, nodes *CSR, order Order) (redges, rnodes *CSR, perm []uint32) {
-	if order == NoOrder {
-		return edges, nodes, identityPerm(edges.NumRows())
-	}
-	perm, inv := DegreePerm(edges.Degrees(), order)
-	redges = edges.ApplyPerm(perm, nil)
-	rnodes = nodes.ApplyPerm(nil, inv)
-	return redges, rnodes, perm
-}
-
-// RelabelSquare relabels a square adjacency by degree, permuting both rows
-// and column values. Returns the relabeled graph and perm[newID] = oldID.
-func RelabelSquare(g *CSR, order Order) (*CSR, []uint32) {
-	if order == NoOrder {
-		return g, identityPerm(g.NumRows())
-	}
-	perm, inv := DegreePerm(g.Degrees(), order)
-	return g.ApplyPerm(perm, inv), perm
-}
-
-func identityPerm(n int) []uint32 {
-	p := make([]uint32, n)
-	for i := range p {
-		p[i] = uint32(i)
-	}
-	return p
 }

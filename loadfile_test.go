@@ -40,7 +40,10 @@ func TestLoadFileFormatsAgree(t *testing.T) {
 	}
 	sameHypergraph(t, g, text)
 
-	serial, err := LoadFile(mtx, LoadOptions{Serial: true})
+	// A one-worker engine is the single-threaded parse.
+	one := parallel.NewEngine(1)
+	defer one.Close()
+	serial, err := LoadFile(mtx, LoadOptions{Engine: one})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,10 +67,10 @@ func TestLoadFileFormatsAgree(t *testing.T) {
 	sameHypergraph(t, g, viaLoad)
 }
 
-// Auto-detection must sniff the magic, not trust the extension: a snapshot
-// under a neutral name still decodes as a snapshot, and forcing the wrong
-// format must fail rather than misparse.
-func TestLoadFileDetectionAndForcing(t *testing.T) {
+// Detection sniffs the magic, not only the extension: a snapshot under a
+// neutral name still decodes as a snapshot, and text under the snapshot
+// extension fails rather than misparses.
+func TestLoadFileDetection(t *testing.T) {
 	dir := t.TempDir()
 	g, mtx := writeSample(t, dir)
 
@@ -81,11 +84,16 @@ func TestLoadFileDetectionAndForcing(t *testing.T) {
 	}
 	sameHypergraph(t, g, bin)
 
-	if _, err := LoadFile(mtx, LoadOptions{Format: FormatSnapshot}); err == nil {
-		t.Fatal("text file decoded as snapshot")
+	data, err := os.ReadFile(mtx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := LoadFile(disguised, LoadOptions{Format: FormatMatrixMarket}); err == nil {
-		t.Fatal("snapshot parsed as Matrix Market")
+	misnamed := filepath.Join(dir, "text.nwhyb")
+	if err := os.WriteFile(misnamed, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadFile(misnamed, LoadOptions{}); err == nil {
+		t.Fatal("text file decoded as snapshot")
 	}
 	if _, err := LoadFile(filepath.Join(dir, "missing.mtx"), LoadOptions{}); err == nil {
 		t.Fatal("missing file accepted")
@@ -112,8 +120,7 @@ func TestLoadFileBindsEngine(t *testing.T) {
 		t.Fatal("default handle not bound to the shared engine")
 	}
 
-	// The snapshot fast path (both CSR and Bel framings land here via
-	// SaveSnapshot) must bind identically — internal/server's warm start
+	// The snapshot path must bind identically — internal/server's warm start
 	// relies on LoadFile(path, LoadOptions{Engine: eng}).Engine() == eng
 	// with no WithEngine copy afterwards.
 	g2, _ := writeSample(t, dir)

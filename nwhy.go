@@ -50,7 +50,8 @@ func SharedEngine() *Engine { return parallel.SharedEngine() }
 // NWHypergraph is the user-facing hypergraph handle (the Python API's
 // NWHypergraph class). Every computation it exposes runs on the engine the
 // handle is bound to (SharedEngine unless NewWithEngine/WithEngine said
-// otherwise).
+// otherwise), and so does every handle derived from it (Dual, Toplexify,
+// Collapse*, RestrictTo*).
 //
 // A handle is safe for concurrent readers: every query method may be called
 // from many goroutines at once (on the same handle or on WithEngine copies
@@ -174,20 +175,6 @@ func FromSets(sets [][]uint32, numNodes int) *NWHypergraph {
 	return newHandle(core.FromSets(sets, numNodes), nil)
 }
 
-// Format selects the on-disk encoding LoadFile reads.
-type Format int
-
-const (
-	// FormatAuto detects the encoding: a .nwhyb extension or the snapshot
-	// magic bytes select the binary snapshot, anything else parses as
-	// Matrix Market text.
-	FormatAuto Format = iota
-	// FormatMatrixMarket forces the Matrix Market text parser.
-	FormatMatrixMarket
-	// FormatSnapshot forces the .nwhyb binary snapshot decoder.
-	FormatSnapshot
-)
-
 // LoadOptions configure LoadFile.
 type LoadOptions struct {
 	// Engine runs the parse and is bound directly to the returned handle:
@@ -196,11 +183,6 @@ type LoadOptions struct {
 	// internal/server's registry) use to bind many datasets to one shared
 	// serving engine. nil means SharedEngine.
 	Engine *Engine
-	// Format selects the decoder; FormatAuto sniffs it from the path.
-	Format Format
-	// Serial forces the single-threaded text parser instead of the
-	// chunked parallel one. Only meaningful for Matrix Market input.
-	Serial bool
 }
 
 // Load reads a hypergraph from a Matrix Market incidence file or a .nwhyb
@@ -209,27 +191,20 @@ func Load(path string) (*NWHypergraph, error) {
 	return LoadFile(path, LoadOptions{})
 }
 
-// LoadFile reads a hypergraph from path under opts. Matrix Market text is
-// parsed by the chunked parallel reader (unless opts.Serial) and built into
-// the bipartite CSR pair by counting transposes, which drop repeated
-// incidences on the way; .nwhyb snapshots holding a CSR deserialize straight
-// into the hyperedge incidence and pay one transpose for the hypernode side.
-// Parse and build run on opts.Engine and stop with its error once it is
-// cancelled.
+// LoadFile reads a hypergraph from path under opts. A .nwhyb extension or
+// the snapshot magic selects the snapshot decoder, which deserializes the
+// hyperedge incidence CSR and pays one transpose for the hypernode side;
+// anything else is Matrix Market text, parsed by the chunked reader and
+// built into the bipartite CSR pair by counting transposes, which drop
+// repeated incidences on the way. Parse and build run on opts.Engine (a
+// one-worker engine parses single-threaded) and stop with its error once it
+// is cancelled.
 func LoadFile(path string, opts LoadOptions) (*NWHypergraph, error) {
 	eng := opts.Engine
 	if eng == nil {
 		eng = parallel.SharedEngine()
 	}
-	format := opts.Format
-	if format == FormatAuto {
-		if strings.HasSuffix(path, mmio.SnapshotExt) || mmio.IsSnapshotFile(path) {
-			format = FormatSnapshot
-		} else {
-			format = FormatMatrixMarket
-		}
-	}
-	h, err := loadHypergraph(eng, path, format == FormatSnapshot, opts.Serial)
+	h, err := loadHypergraph(eng, path)
 	if err != nil {
 		return nil, err
 	}
@@ -237,26 +212,15 @@ func LoadFile(path string, opts LoadOptions) (*NWHypergraph, error) {
 }
 
 // loadHypergraph decodes path and builds the CSR pair, all on eng.
-func loadHypergraph(eng *Engine, path string, snapshot, serial bool) (*core.Hypergraph, error) {
-	if snapshot {
+func loadHypergraph(eng *Engine, path string) (*core.Hypergraph, error) {
+	if strings.HasSuffix(path, mmio.SnapshotExt) || mmio.IsSnapshotFile(path) {
 		snap, err := mmio.LoadSnapshot(eng, path)
 		if err != nil {
 			return nil, err
 		}
-		if snap.CSR != nil {
-			return core.FromIncidenceCSROn(eng, snap.CSR)
-		}
-		return core.FromBiEdgeListOn(eng, snap.Bel)
+		return core.FromIncidenceCSROn(eng, snap.CSR)
 	}
-	var (
-		bel *sparse.BiEdgeList
-		err error
-	)
-	if serial {
-		bel, err = mmio.GraphReader(path)
-	} else {
-		bel, err = mmio.GraphReaderParallel(eng, path)
-	}
+	bel, err := mmio.GraphReaderParallel(eng, path)
 	if err != nil {
 		return nil, err
 	}
@@ -447,7 +411,7 @@ func (g *NWHypergraph) ToplexesCtx(ctx context.Context) ([]uint32, error) {
 func (g *NWHypergraph) Toplexify() *NWHypergraph {
 	snap := g.snap()
 	tops, _, _ := g.toplexCover(g.engine(), snap)
-	return Wrap(core.RestrictToEdges(snap.h, tops)).WithEngine(g.engine())
+	return newHandle(core.RestrictToEdges(snap.h, tops), g.eng)
 }
 
 // CollapseEdges merges duplicate hyperedges into representatives, returning
@@ -455,21 +419,21 @@ func (g *NWHypergraph) Toplexify() *NWHypergraph {
 // collapse_edges()).
 func (g *NWHypergraph) CollapseEdges() (*NWHypergraph, [][]uint32) {
 	r := core.CollapseEdges(g.engine(), g.hg())
-	return Wrap(r.H), r.Classes
+	return newHandle(r.H, g.eng), r.Classes
 }
 
 // CollapseNodes merges hypernodes with identical hyperedge memberships
 // (collapse_nodes()).
 func (g *NWHypergraph) CollapseNodes() (*NWHypergraph, [][]uint32) {
 	r := core.CollapseNodes(g.engine(), g.hg())
-	return Wrap(r.H), r.Classes
+	return newHandle(r.H, g.eng), r.Classes
 }
 
 // CollapseNodesAndEdges collapses duplicate hypernodes, then duplicate
 // hyperedges (collapse_nodes_and_edges()).
 func (g *NWHypergraph) CollapseNodesAndEdges() (*NWHypergraph, [][]uint32) {
 	r, _ := core.CollapseNodesAndEdges(g.engine(), g.hg())
-	return Wrap(r.H), r.Classes
+	return newHandle(r.H, g.eng), r.Classes
 }
 
 // EdgeSizeDist returns the histogram of hyperedge sizes: dist[d] counts
@@ -482,13 +446,13 @@ func (g *NWHypergraph) NodeDegreeDist() []int { return core.NodeDegreeDist(g.hg(
 // RestrictToEdges returns the sub-hypergraph induced by the given
 // hyperedges (renumbered in the given order).
 func (g *NWHypergraph) RestrictToEdges(edgeIDs []uint32) *NWHypergraph {
-	return Wrap(core.RestrictToEdges(g.hg(), edgeIDs))
+	return newHandle(core.RestrictToEdges(g.hg(), edgeIDs), g.eng)
 }
 
 // RestrictToNodes returns the sub-hypergraph induced by the given
 // hypernodes (renumbered in the given order).
 func (g *NWHypergraph) RestrictToNodes(nodeIDs []uint32) *NWHypergraph {
-	return Wrap(core.RestrictToNodes(g.hg(), nodeIDs))
+	return newHandle(core.RestrictToNodes(g.hg(), nodeIDs), g.eng)
 }
 
 // Validate checks structural invariants of the representation.

@@ -303,9 +303,11 @@ func (g *NWHypergraph) ensemble(ss []int, edges bool, o ConstructOptions) map[in
 // unioned into a concurrent disjoint-set forest as the queue-based
 // construction discovers them, under the PruneAuto heuristics. Labels are
 // canonical minimum-member IDs over [0, NumEdges()). For repeated queries on
-// a mutating handle use IncrementalSCC.
+// a mutating handle use IncrementalSCC. If the bound engine's context is
+// cancelled the result is nil; use SConnectedComponentsCtx to observe the
+// error.
 func (g *NWHypergraph) SConnectedComponents(s int) []uint32 {
-	labels, _ := g.SConnectedComponentsCtx(context.Background(), s, PruneAuto)
+	labels, _ := g.SConnectedComponentsCtx(g.engine().Context(), s, PruneAuto)
 	return labels
 }
 
