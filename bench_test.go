@@ -2,10 +2,10 @@ package nwhy
 
 // Benchmark harness: one benchmark family per table/figure of the paper's
 // evaluation, plus ablations for the design choices DESIGN.md calls out
-// (partition strategy, relabel order, representation fed to the queue
-// algorithms). `go test -bench=.` regenerates every series at a reduced
-// dataset scale; cmd/nwhy-bench prints the same data formatted like the
-// paper's tables/plots and sweeps thread counts.
+// (representation fed to the queue algorithms, direct components).
+// `go test -bench=.` regenerates every series at a reduced dataset scale;
+// cmd/nwhy-bench prints the same data formatted like the paper's
+// tables/plots and sweeps thread counts.
 
 import (
 	"fmt"
@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"nwhy/internal/gen"
-	"nwhy/internal/sparse"
 )
 
 // benchScale keeps the full benchmark sweep tractable on a laptop while
@@ -126,9 +125,9 @@ func BenchmarkFig8BFS(b *testing.B) {
 
 // BenchmarkFig9SLine regenerates Figure 9: s-line-graph construction with
 // the non-queue Intersection and Hashmap algorithms and the paper's
-// queue-based Algorithms 1 and 2, for s in {1, 2, 4, 8}. Compare ns/op of
-// Alg1 vs Hashmap and Alg2 vs Intersection — the paper's claim is that each
-// queue algorithm tracks its non-queue counterpart.
+// queue-based Algorithms 1 and 2, for s in {1, 2, 4, 8}. Alg1 and Hashmap,
+// Alg2 and Intersection are one preset value each, so each pair's ns/op
+// agree up to noise.
 func BenchmarkFig9SLine(b *testing.B) {
 	algos := []struct {
 		name string
@@ -151,40 +150,6 @@ func BenchmarkFig9SLine(b *testing.B) {
 				})
 			}
 		}
-	}
-}
-
-// BenchmarkAblationPartition isolates the blocked vs cyclic schedule
-// choice on the most degree-skewed preset with descending relabel — the
-// configuration where the paper argues cyclic ranges matter.
-func BenchmarkAblationPartition(b *testing.B) {
-	g := benchHypergraph(b, "orkut-group-mini")
-	for _, sched := range []Schedule{ScheduleBlocked, ScheduleCyclic} {
-		b.Run(sched.String(), func(b *testing.B) {
-			o := PresetHashmap
-			o.Schedule, o.Relabel = sched, sparse.Descending
-			for i := 0; i < b.N; i++ {
-				g.SLineGraphWith(2, true, o)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationRelabel isolates the relabel-by-degree choice for the
-// Intersection algorithm on a skewed preset.
-func BenchmarkAblationRelabel(b *testing.B) {
-	g := benchHypergraph(b, "livejournal-mini")
-	for _, rel := range []struct {
-		name  string
-		order sparse.Order
-	}{{"none", sparse.NoOrder}, {"asc", sparse.Ascending}, {"desc", sparse.Descending}} {
-		b.Run(rel.name, func(b *testing.B) {
-			o := PresetIntersection
-			o.Relabel = rel.order
-			for i := 0; i < b.N; i++ {
-				g.SLineGraphWith(2, true, o)
-			}
-		})
 	}
 }
 

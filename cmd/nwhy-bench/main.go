@@ -30,7 +30,6 @@ import (
 	"nwhy"
 	"nwhy/internal/core"
 	"nwhy/internal/gen"
-	"nwhy/internal/sparse"
 )
 
 func main() {
@@ -49,7 +48,6 @@ func run(args []string, w io.Writer) error {
 		ss       = fs.String("s", "1,2,4,8", "comma-separated s values for fig9")
 		reps     = fs.Int("reps", 3, "repetitions per measurement (min reported)")
 		datasets = fs.String("datasets", "", "comma-separated preset names (default: all six)")
-		quick    = fs.Bool("quick", false, "fig9: skip the best-of relabel sweep")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -86,7 +84,7 @@ func run(args []string, w io.Writer) error {
 		"table1":   func() { table1(w, presets, *scale) },
 		"fig7":     func() { fig7(w, presets, *scale, threadList, *reps) },
 		"fig8":     func() { fig8(w, presets, *scale, threadList, *reps) },
-		"fig9":     func() { fig9(w, presets, *scale, sList, *reps, *quick) },
+		"fig9":     func() { fig9(w, presets, *scale, sList, *reps) },
 		"ablation": func() { ablation(w, presets, *scale, *reps) },
 	}
 	if *exp == "all" {
@@ -240,15 +238,11 @@ func maxDegreeEdge(g *nwhy.NWHypergraph) int {
 
 // fig9 prints, per dataset and s, the construction time of the Intersection
 // and Hashmap algorithms and the paper's queue-based Algorithms 1 and 2 —
-// the four presets, which differ only in the counter and schedule they pin —
-// each the fastest over the relabel orders, normalized to Hashmap, matching
-// the Figure 9 bars.
-func fig9(w io.Writer, presets []gen.Preset, scale float64, sList []int, reps int, quick bool) {
+// the four presets, which differ only in the counter they pin, so Hashmap
+// and Algorithm 1, Intersection and Algorithm 2 are one value each by
+// construction — normalized to Hashmap, matching the Figure 9 bars.
+func fig9(w io.Writer, presets []gen.Preset, scale float64, sList []int, reps int) {
 	fmt.Fprintf(w, "== Figure 9: s-line graph construction, runtime relative to Hashmap (scale %.2f) ==\n", scale)
-	relabels := []sparse.Order{sparse.NoOrder}
-	if !quick {
-		relabels = append(relabels, sparse.Ascending, sparse.Descending)
-	}
 	algos := []struct {
 		name string
 		o    nwhy.ConstructOptions
@@ -270,17 +264,7 @@ func fig9(w io.Writer, presets []gen.Preset, scale float64, sList []int, reps in
 			best := make([]time.Duration, len(algos))
 			var edges int
 			for i, a := range algos {
-				best[i] = time.Duration(1 << 62)
-				for _, rel := range relabels {
-					opts := a.o
-					opts.Relabel = rel
-					var lg *nwhy.SLineGraph
-					d := measure(reps, func() { lg = g.SLineGraphWith(s, true, opts) })
-					if d < best[i] {
-						best[i] = d
-					}
-					edges = lg.NumEdges()
-				}
+				best[i] = measure(reps, func() { edges = g.SLineGraphWith(s, true, a.o).NumEdges() })
 			}
 			hashmap := best[1]
 			fmt.Fprintf(w, "%-4d", s)
@@ -293,9 +277,8 @@ func fig9(w io.Writer, presets []gen.Preset, scale float64, sList []int, reps in
 	fmt.Fprintln(w)
 }
 
-// ablation prints the design-choice studies DESIGN.md calls out: blocked vs
-// cyclic schedule, relabel order, queue input representation, and
-// materialized vs direct s-connected components.
+// ablation prints the design-choice studies DESIGN.md calls out: queue
+// input representation, and materialized vs direct s-connected components.
 func ablation(w io.Writer, presets []gen.Preset, scale float64, reps int) {
 	fmt.Fprintf(w, "== Ablations (scale %.2f) ==\n", scale)
 	for _, p := range presets {
@@ -304,14 +287,6 @@ func ablation(w io.Writer, presets []gen.Preset, scale float64, reps int) {
 		fmt.Fprintf(w, "-- %s (|E|=%d |V|=%d) --\n", p.Name, g.NumEdges(), g.NumNodes())
 		row := func(name string, fn func()) {
 			fmt.Fprintf(w, "  %-44s %12s\n", name, measure(reps, fn).Round(time.Microsecond))
-		}
-		for _, sched := range []nwhy.Schedule{nwhy.ScheduleBlocked, nwhy.ScheduleCyclic} {
-			for _, rel := range []sparse.Order{sparse.NoOrder, sparse.Descending} {
-				o := nwhy.PresetHashmap
-				o.Schedule, o.Relabel = sched, rel
-				name := fmt.Sprintf("hashmap s=2 schedule=%v relabel=%v", sched, rel)
-				row(name, func() { g.SLineGraphWith(2, true, o) })
-			}
 		}
 		onAdjoin := nwhy.PresetAlgorithm1
 		onAdjoin.UseAdjoin = true

@@ -49,9 +49,9 @@ func TestBenchFig8(t *testing.T) {
 	}
 }
 
-func TestBenchFig9Quick(t *testing.T) {
+func TestBenchFig9(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"-exp", "fig9", "-scale", "0.02", "-s", "1,2", "-reps", "1", "-quick", "-datasets", "rand1-mini"}, &out)
+	err := run([]string{"-exp", "fig9", "-scale", "0.02", "-s", "1,2", "-reps", "1", "-datasets", "rand1-mini"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestBenchAblation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := out.String()
-	for _, want := range []string{"Ablations", "direct-unionfind", "input=adjoin", "schedule=cyclic"} {
+	for _, want := range []string{"Ablations", "direct-unionfind", "input=adjoin", "input=bipartite"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("ablation output missing %s: %q", want, s)
 		}
@@ -81,6 +81,7 @@ func TestBenchErrors(t *testing.T) {
 	cases := [][]string{
 		{"-exp", "nope"},
 		{"-exp", "partition"}, // a retired name is unknown like any other
+		{"-exp", "fig9", "-quick"},
 		{"-datasets", "nope"},
 		{"-threads", "0"},
 		{"-threads", "x"},

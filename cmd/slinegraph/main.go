@@ -1,14 +1,14 @@
 // Command slinegraph constructs the s-line graph of a hypergraph under a
-// chosen strategy / schedule / relabel / prune configuration and reports the
-// result size and construction time — the single-run counterpart of the
-// Figure 9 benchmark. -algo names one of the paper's four algorithms, each a
-// preset pinning -strategy and -schedule.
+// chosen strategy / input / prune configuration and reports the result size
+// and construction time — the single-run counterpart of the Figure 9
+// benchmark. -algo names one of the paper's four algorithms, each a preset
+// pinning -strategy.
 //
 // Usage:
 //
 //	slinegraph -preset livejournal-mini -s 2 -algo queue-hashmap
-//	slinegraph -in file.mtx -s 3 -algo intersection -relabel desc -adjoin
-//	slinegraph -preset rand1-mini -s 2 -strategy dense -schedule queue -weighted
+//	slinegraph -in file.mtx -s 3 -algo intersection -adjoin
+//	slinegraph -preset rand1-mini -s 2 -strategy dense -weighted
 package main
 
 import (
@@ -21,7 +21,6 @@ import (
 
 	"nwhy"
 	"nwhy/internal/gen"
-	"nwhy/internal/sparse"
 )
 
 func main() {
@@ -38,11 +37,9 @@ func run(args []string, stdout io.Writer) error {
 		presetName = fs.String("preset", "", "generator preset instead of a file")
 		scale      = fs.Float64("scale", 1.0, "preset scale factor")
 		s          = fs.Int("s", 1, "overlap threshold s")
-		algoName   = fs.String("algo", "", "paper preset, pins -strategy and -schedule: hashmap | intersection | queue-hashmap (Alg 1) | queue-intersection (Alg 2)")
+		algoName   = fs.String("algo", "", "paper preset, pins -strategy: hashmap | intersection | queue-hashmap (Alg 1) | queue-intersection (Alg 2)")
 		strategy   = fs.String("strategy", "auto", "kernel overlap counter: auto | hashmap | dense | intersection")
-		schedule   = fs.String("schedule", "default", "kernel work schedule: default | blocked | cyclic | queue | auto")
 		weighted   = fs.Bool("weighted", false, "retain exact overlap strengths (weighted s-line graph)")
-		relabel    = fs.String("relabel", "none", "relabel-by-degree: none | asc | desc")
 		adjoin     = fs.Bool("adjoin", false, "feed the kernel the adjoin representation")
 		threads    = fs.Int("threads", 0, "worker count (0 = GOMAXPROCS)")
 		reps       = fs.Int("reps", 3, "repetitions (min time reported)")
@@ -53,11 +50,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	orders := map[string]sparse.Order{"none": sparse.NoOrder, "asc": sparse.Ascending, "desc": sparse.Descending}
-	order, ok := orders[*relabel]
-	if !ok {
-		return fmt.Errorf("unknown relabel order %q", *relabel)
-	}
 	strategies := map[string]nwhy.Strategy{
 		"auto":         nwhy.StrategyAuto,
 		"hashmap":      nwhy.StrategyHashmap,
@@ -67,17 +59,6 @@ func run(args []string, stdout io.Writer) error {
 	strat, ok := strategies[*strategy]
 	if !ok {
 		return fmt.Errorf("unknown strategy %q", *strategy)
-	}
-	schedules := map[string]nwhy.Schedule{
-		"default": nwhy.ScheduleDefault,
-		"blocked": nwhy.ScheduleBlocked,
-		"cyclic":  nwhy.ScheduleCyclic,
-		"queue":   nwhy.ScheduleQueue,
-		"auto":    nwhy.ScheduleAuto,
-	}
-	sched, ok := schedules[*schedule]
-	if !ok {
-		return fmt.Errorf("unknown schedule %q", *schedule)
 	}
 	prunes := map[string]nwhy.Prune{
 		"auto":         nwhy.PruneAuto,
@@ -118,7 +99,7 @@ func run(args []string, stdout io.Writer) error {
 		g.Adjoin() // pre-build outside timing
 	}
 
-	opts, label := nwhy.ConstructOptions{Strategy: strat, Schedule: sched}, "kernel"
+	opts, label := nwhy.ConstructOptions{Strategy: strat}, "kernel"
 	if *algoName != "" {
 		presets := map[string]nwhy.ConstructOptions{
 			"hashmap":            nwhy.PresetHashmap,
@@ -131,7 +112,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		label = *algoName
 	}
-	opts.Relabel, opts.UseAdjoin, opts.Prune = order, *adjoin, prune
+	opts.UseAdjoin, opts.Prune = *adjoin, prune
 	best := time.Duration(1 << 62)
 	var edges int
 	for r := 0; r < *reps; r++ {
@@ -149,8 +130,8 @@ func run(args []string, stdout io.Writer) error {
 		label = "weighted " + label
 	}
 	fmt.Fprintf(stdout, "input: |E|=%d |V|=%d incidences=%d\n", g.NumEdges(), g.NumNodes(), g.NumIncidences())
-	fmt.Fprintf(stdout, "%d-line graph via %s (strategy=%s schedule=%s relabel=%s adjoin=%v prune=%s, %d threads): %d edges in %v\n",
-		*s, label, opts.Strategy, opts.Schedule, order, *adjoin, prune, g.Engine().NumWorkers(), edges, best.Round(time.Microsecond))
+	fmt.Fprintf(stdout, "%d-line graph via %s (strategy=%s adjoin=%v prune=%s, %d threads): %d edges in %v\n",
+		*s, label, opts.Strategy, *adjoin, prune, g.Engine().NumWorkers(), edges, best.Round(time.Microsecond))
 	if *components {
 		t0 := time.Now()
 		labels, err := g.SConnectedComponentsCtx(context.Background(), *s, prune)

@@ -55,14 +55,14 @@ func TestSlinegraphOptionsAndComponents(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{
 		"-preset", "com-orkut-mini", "-scale", "0.02", "-s", "2",
-		"-algo", "queue-hashmap", "-relabel", "desc", "-adjoin",
+		"-algo", "queue-hashmap", "-adjoin",
 		"-threads", "2", "-reps", "1", "-components",
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
-	if !strings.Contains(s, "via queue-hashmap (strategy=hashmap schedule=queue relabel=descending adjoin=true prune=auto") {
+	if !strings.Contains(s, "via queue-hashmap (strategy=hashmap adjoin=true prune=auto") {
 		t.Fatalf("options not echoed: %q", s)
 	}
 	if !strings.Contains(s, "2-connected components (prune=auto union-find):") {
@@ -103,9 +103,9 @@ func TestSlinegraphErrors(t *testing.T) {
 	cases := [][]string{
 		{},
 		{"-algo", "nope", "-preset", "rand1-mini"},
-		{"-relabel", "nope", "-preset", "rand1-mini"},
+		{"-relabel", "desc", "-preset", "rand1-mini"}, // retired flags are unknown like any other
 		{"-strategy", "nope", "-preset", "rand1-mini"},
-		{"-schedule", "nope", "-preset", "rand1-mini"},
+		{"-schedule", "queue", "-preset", "rand1-mini"},
 		{"-prune", "nope", "-preset", "rand1-mini"},
 		{"-preset", "nope"},
 		{"-in", "/nonexistent.mtx"},
@@ -117,8 +117,8 @@ func TestSlinegraphErrors(t *testing.T) {
 	}
 }
 
-// TestSlinegraphKernelAxesAgree: every -strategy x -schedule combination,
-// weighted or not, reports the naive edge count.
+// TestSlinegraphKernelAxesAgree: every -strategy, weighted or not, reports
+// the naive edge count.
 func TestSlinegraphKernelAxesAgree(t *testing.T) {
 	edgeCount := func(args ...string) string {
 		t.Helper()
@@ -135,13 +135,11 @@ func TestSlinegraphKernelAxesAgree(t *testing.T) {
 	}
 	want := naiveEdgeCount(t)
 	for _, strat := range []string{"auto", "hashmap", "dense", "intersection"} {
-		for _, sched := range []string{"blocked", "cyclic", "queue", "auto"} {
-			if got := edgeCount("-strategy", strat, "-schedule", sched); got != want {
-				t.Fatalf("strategy=%s schedule=%s: %s edges, want %s", strat, sched, got, want)
-			}
-			if got := edgeCount("-strategy", strat, "-schedule", sched, "-weighted"); got != want {
-				t.Fatalf("weighted strategy=%s schedule=%s: %s edges, want %s", strat, sched, got, want)
-			}
+		if got := edgeCount("-strategy", strat); got != want {
+			t.Fatalf("strategy=%s: %s edges, want %s", strat, got, want)
+		}
+		if got := edgeCount("-strategy", strat, "-weighted"); got != want {
+			t.Fatalf("weighted strategy=%s: %s edges, want %s", strat, got, want)
 		}
 	}
 }
@@ -150,13 +148,13 @@ func TestSlinegraphEchoesKernelAxes(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{
 		"-preset", "rand1-mini", "-scale", "0.01", "-s", "2",
-		"-strategy", "dense", "-schedule", "queue", "-weighted", "-reps", "1",
+		"-strategy", "dense", "-weighted", "-reps", "1",
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
-	if !strings.Contains(s, "via weighted kernel (strategy=dense schedule=queue") {
+	if !strings.Contains(s, "via weighted kernel (strategy=dense adjoin=false") {
 		t.Fatalf("kernel axes not echoed: %q", s)
 	}
 }

@@ -1,9 +1,9 @@
 // Command adjoinqueue demonstrates the paper's central algorithmic claim:
 // the queue-based s-line-graph construction algorithms (Algorithms 1 and 2)
 // work on any hyperedge ID space — the adjoin representation's shared index
-// set, degree-sorted work queues, even arbitrarily renamed IDs — while
-// producing exactly the same s-line graph as the non-queue algorithms on
-// the bipartite representation. Here all four are presets of one kernel.
+// set, even arbitrarily renamed IDs — while producing exactly the same
+// s-line graph as the non-queue algorithms on the bipartite representation.
+// Here all four are presets of one kernel.
 package main
 
 import (
@@ -14,7 +14,6 @@ import (
 	"nwhy"
 	"nwhy/internal/gen"
 	"nwhy/internal/slinegraph"
-	"nwhy/internal/sparse"
 )
 
 func main() {
@@ -47,20 +46,9 @@ func main() {
 	fmt.Printf("adjoin    + Algorithm 1 (queue):     %7d edges in %v  (shared index set of %d IDs)\n",
 		qa.NumEdges(), time.Since(t0).Round(time.Millisecond), adjoin.NumVertices())
 
-	// Algorithm 2 with a degree-sorted work queue — relabel-by-degree
-	// without physically relabeling anything, the move the non-queue
-	// algorithms cannot make on adjoin graphs.
-	sorted := nwhy.PresetAlgorithm2
-	sorted.Relabel = sparse.Descending
-	t0 = time.Now()
-	q2 := g.SLineGraphWith(s, true, sorted)
-	fmt.Printf("bipartite + Algorithm 2 (queue, descending): %7d edges in %v\n",
-		q2.NumEdges(), time.Since(t0).Round(time.Millisecond))
-
 	same := reflect.DeepEqual(reference.Pairs(), q1.Pairs()) &&
-		reflect.DeepEqual(reference.Pairs(), qa.Pairs()) &&
-		reflect.DeepEqual(reference.Pairs(), q2.Pairs())
-	fmt.Println("all four constructions identical:", same)
+		reflect.DeepEqual(reference.Pairs(), qa.Pairs())
+	fmt.Println("all three constructions identical:", same)
 
 	// Finally, scatter the hyperedge IDs across a 4x larger sparse ID space
 	// — the regime where the non-queue algorithms' [0, nE) assumption breaks
@@ -71,7 +59,7 @@ func main() {
 	}
 	in := slinegraph.Renamed(slinegraph.FromHypergraph(h), rename, 4*g.NumEdges()+3)
 	t0 = time.Now()
-	alg1 := slinegraph.Options{Counter: slinegraph.HashmapCounter, Schedule: slinegraph.QueueSchedule}
+	alg1 := slinegraph.Options{Counter: slinegraph.HashmapCounter}
 	renamed, _ := slinegraph.Construct(nwhy.SharedEngine(), in, s, alg1)
 	fmt.Printf("renamed   + Algorithm 1 (queue):     %7d edges in %v  (IDs 3, 7, 11, ...)\n",
 		len(renamed), time.Since(t0).Round(time.Millisecond))

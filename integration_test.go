@@ -81,7 +81,7 @@ func TestPipelineAdjoinFileFlow(t *testing.T) {
 		t.Fatal("adjoin CC of the loaded file differs from bipartite CC")
 	}
 	// Algorithm 1 on the loaded file's adjoin graph.
-	alg1 := slinegraph.Options{Counter: slinegraph.HashmapCounter, Schedule: slinegraph.QueueSchedule}
+	alg1 := slinegraph.Options{Counter: slinegraph.HashmapCounter}
 	pairs, _ := slinegraph.Construct(SharedEngine(), slinegraph.FromAdjoin(a), 2, alg1)
 	wantPairs := orig.SLineGraph(2, true).Pairs()
 	if !reflect.DeepEqual(pairs, wantPairs) {

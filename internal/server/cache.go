@@ -10,8 +10,11 @@ import (
 	"nwhy"
 )
 
-// CacheKey identifies one constructed s-line graph. Schedule is absent on
-// purpose: it changes how construction is scheduled, never what is built.
+// CacheKey identifies one constructed s-line graph by what is built. The
+// request's strategy and prune level are absent on purpose: every counter
+// yields the same CSR bytes, and the facade clamps the prune levels that
+// would drop pairs for materializing constructions, so they change how the
+// graph is built, never what. The first requester's options drive the build.
 // Epoch is the dataset's mutation epoch at request time: a commit bumps it,
 // so every entry built before the commit simply stops being addressable and
 // ages out of the LRU — mutation invalidates the cache without any explicit
@@ -21,14 +24,7 @@ type CacheKey struct {
 	S        int
 	Edges    bool
 	Weighted bool
-	Strategy nwhy.Strategy
-	// Prune is the requested pruning level — the prune-axis fingerprint.
-	// Like Strategy it never changes what a materializing construction
-	// builds (the facade clamps levels that would), but keying on it keeps
-	// the entry's provenance explicit and future-proofs result-shaping
-	// levels.
-	Prune nwhy.Prune
-	Epoch uint64
+	Epoch    uint64
 }
 
 // base strips the epoch off the key: the identity of the request independent

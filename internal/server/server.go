@@ -8,7 +8,7 @@
 //     queue, with a wait deadline and per-request context cancellation
 //     reaching every kernel;
 //   - an SLineCache memoizing constructed s-line graphs keyed on
-//     (dataset, s, edges, weighted, strategy), with single-flight dedup of
+//     (dataset, s, edges, weighted, epoch), with single-flight dedup of
 //     concurrent identical constructions;
 //   - the maintained s-component views every /scc is answered from, one per
 //     (dataset, s): a union-find forest carried across insert-only commits
@@ -305,18 +305,16 @@ func (s *Server) Toplexes(ctx context.Context, dataset string) (ToplexesResult, 
 }
 
 // SLineRequest names one s-line graph: the cache key components plus the
-// (result-invariant) schedule hint.
+// (result-invariant) construction options.
 type SLineRequest struct {
 	Dataset  string
 	S        int
 	Edges    bool // line graph over hyperedges (true) or hypernodes (false)
 	Weighted bool
 	Strategy nwhy.Strategy
-	Schedule nwhy.Schedule
 	// Prune selects the kernel's pruning level. Materializing constructions
 	// clamp anything above the (result-invariant) degree prefilter, so every
-	// level yields the same graph; the level still enters the cache key as
-	// the prune fingerprint.
+	// level yields the same graph.
 	Prune nwhy.Prune
 }
 
@@ -330,11 +328,10 @@ func (r SLineRequest) validate() error {
 	return nil
 }
 
-// key maps the request onto its cache key. The schedule is deliberately not
-// part of the key: it only affects construction scheduling, never the
-// resulting graph.
+// key maps the request onto its cache key: what is built, not how (see
+// CacheKey).
 func (r SLineRequest) key() CacheKey {
-	return CacheKey{Dataset: r.Dataset, S: r.S, Edges: r.Edges, Weighted: r.Weighted, Strategy: r.Strategy, Prune: r.Prune}
+	return CacheKey{Dataset: r.Dataset, S: r.S, Edges: r.Edges, Weighted: r.Weighted}
 }
 
 // SLineResult summarizes one constructed (or cache-served) s-line graph.
@@ -367,7 +364,7 @@ func (s *Server) slineGraph(ctx context.Context, req SLineRequest) (*nwhy.SLineG
 	}
 	key := req.key()
 	key.Epoch = g.Epoch()
-	opts := nwhy.ConstructOptions{Strategy: req.Strategy, Schedule: req.Schedule, Prune: req.Prune}
+	opts := nwhy.ConstructOptions{Strategy: req.Strategy, Prune: req.Prune}
 	return s.cache.Get(ctx, key, func() (*nwhy.SLineGraph, *nwhy.WeightedSLineGraph, error) {
 		if req.Weighted {
 			wlg, err := g.SLineGraphWeightedCtx(ctx, req.S, opts)

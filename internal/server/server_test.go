@@ -77,6 +77,33 @@ func TestSLineCacheHitAndMiss(t *testing.T) {
 	}
 }
 
+// TestSLineCacheKeyedOnWhatIsBuilt: two requests for one graph under
+// different strategies and prune levels share one cache entry — the second
+// is a hit, and the graph is built once.
+func TestSLineCacheKeyedOnWhatIsBuilt(t *testing.T) {
+	s, _ := testServer(t, Config{})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	for i, query := range []string{"strategy=hashmap", "strategy=dense&prune=none"} {
+		resp, err := srv.Client().Get(srv.URL + "/slinegraph?dataset=tiny&s=2&" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sl SLineResult
+		err = json.NewDecoder(resp.Body).Decode(&sl)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, decode err %v", query, resp.StatusCode, err)
+		}
+		if sl.CacheHit != (i > 0) {
+			t.Fatalf("%s: cache_hit = %v, want %v", query, sl.CacheHit, i > 0)
+		}
+	}
+	if _, misses, _ := s.Cache().Stats(); misses != 1 || s.Cache().Len() != 1 {
+		t.Fatalf("%d builds into %d entries, want 1 into 1", misses, s.Cache().Len())
+	}
+}
+
 func TestSLineValidation(t *testing.T) {
 	s, _ := testServer(t, Config{})
 	ctx := context.Background()

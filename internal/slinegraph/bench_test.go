@@ -127,7 +127,7 @@ func BenchmarkConstructCSR(b *testing.B) {
 				}
 				k := &kernel{view: v, s: s, ctr: DenseCounter, workers: make([]*worker, eng.NumWorkers())}
 				defer stashWorkers(eng, k.workers)
-				run(eng, ids, BlockedSchedule, func(w int, e uint32) {
+				parallel.Drain(eng, parallel.NewWorkQueueFor(eng, ids), func(w int, e uint32) {
 					st := workerOf(eng, k, w)
 					st.ids = k.walk(st, e, st.ids)[:0]
 				})

@@ -17,7 +17,7 @@ type edgeRun struct {
 }
 
 // runCollector is the kernel's one output stage: one sorted run of
-// neighbour IDs per hyperedge, not a pair list. Every schedule hands a
+// neighbour IDs per hyperedge, not a pair list. The queue hands a
 // hyperedge to exactly one worker, once, and a walk appends all of its
 // neighbours before the next one starts: a run is contiguous, runs[e] has a
 // single writer, and it is written once, from the length the walk added.

@@ -31,8 +31,8 @@ func lineRows(idSpace int, pairs []sparse.Edge) [][]uint32 {
 // assembly: on random small hypergraphs — with or without a
 // hub hyperedge adjacent to everything, at thresholds up to one that leaves
 // the line graph empty — ConstructCSR's rows and Construct's pairs must equal
-// the Naive oracle's for every counter x schedule x relabel order at 1, 2
-// and 3 workers, on the bipartite input, the adjoin input (ID space wider
+// the Naive oracle's for every counter at 1, 2 and 3 workers, on the
+// bipartite input, the adjoin input (ID space wider
 // than the hyperedge range) and a Renamed input (non-contiguous IDs). The
 // value column rides along: ConstructWeightedCSR has the same RowPtr and Col,
 // every Val is the brute-force overlap, symmetric, and KeepAtLeast(s') is
@@ -111,76 +111,72 @@ func FuzzConstructCSR(f *testing.F) {
 				members[s2] = member
 			}
 			for _, eng := range engines {
-				for _, ctr := range []Counter{AutoCounter, HashmapCounter, DenseCounter, IntersectionCounter} {
-					for _, sched := range []Schedule{BlockedSchedule, CyclicSchedule, QueueSchedule} {
-						for _, rel := range []sparse.Order{sparse.NoOrder, sparse.Ascending, sparse.Descending} {
-							o := Options{Counter: ctr, Schedule: sched, Relabel: rel}
-							fail := func(format string, args ...any) {
-								t.Helper()
-								t.Fatalf("seed=%d s=%d hub=%v %s workers=%d counter=%v schedule=%v relabel=%v: "+format,
-									append([]any{seed, s, hub, tc.name, eng.NumWorkers(), ctr, sched, rel}, args...)...)
+				for _, ctr := range allCounters {
+					o := Options{Counter: ctr}
+					fail := func(format string, args ...any) {
+						t.Helper()
+						t.Fatalf("seed=%d s=%d hub=%v %s workers=%d counter=%v: "+format,
+							append([]any{seed, s, hub, tc.name, eng.NumWorkers(), ctr}, args...)...)
+					}
+					csr, err := ConstructCSR(eng, tc.in, s, o)
+					if err != nil {
+						fail("ConstructCSR: %v", err)
+					}
+					if csr.NumRows() != tc.in.IDSpace() || csr.NumEdges() != 2*len(tc.want) {
+						fail("CSR has %d rows, %d entries; want %d, %d", csr.NumRows(), csr.NumEdges(), tc.in.IDSpace(), 2*len(tc.want))
+					}
+					for e, want := range wantRows {
+						row := csr.Row(e)
+						if !slices.Equal(row, want) {
+							fail("row %d = %v, want %v", e, row, want)
+						}
+						for k := 1; k < len(row); k++ {
+							if row[k-1] >= row[k] {
+								fail("row %d = %v repeats or misorders an entry", e, row)
 							}
-							csr, err := ConstructCSR(eng, tc.in, s, o)
+						}
+					}
+					pairs, err := Construct(eng, tc.in, s, o)
+					if err != nil {
+						fail("Construct: %v", err)
+					}
+					if !slices.Equal(pairs, tc.want) || (len(tc.want) == 0 && pairs != nil) {
+						fail("Construct = %v, want %v", pairs, tc.want)
+					}
+					weighted, err := ConstructWeightedCSR(eng, tc.in, s, o)
+					if err != nil {
+						fail("ConstructWeightedCSR: %v", err)
+					}
+					if !slices.Equal(weighted.RowPtr, csr.RowPtr) || !slices.Equal(weighted.Col, csr.Col) || csr.Val != nil {
+						fail("the weighted CSR's RowPtr/Col differ from ConstructCSR's")
+					}
+					for _, p := range allPrunes {
+						o.Prune = p
+						for exact, build := range map[bool]func(*parallel.Engine, Input, int, Options) (*sparse.CSR, error){false: ConstructCSR, true: ConstructWeightedCSR} {
+							got, err := build(eng, tc.in, s, o)
+							if err == nil {
+								err = sameBytes(got, parent[exact])
+							}
 							if err != nil {
-								fail("ConstructCSR: %v", err)
+								fail("prune=%v exact=%v: %v", p, exact, err)
 							}
-							if csr.NumRows() != tc.in.IDSpace() || csr.NumEdges() != 2*len(tc.want) {
-								fail("CSR has %d rows, %d entries; want %d, %d", csr.NumRows(), csr.NumEdges(), tc.in.IDSpace(), 2*len(tc.want))
+						}
+					}
+					for e := range wantRows {
+						for k, f := range weighted.Row(e) {
+							got := weighted.RowVal(e)[k]
+							if want := exactOverlap(tc.in.Incidence(uint32(e)), tc.in.Incidence(f)); got != float64(want) || strengthOf(weighted, f, uint32(e)) != want {
+								fail("overlap of (%d, %d) = %v, of (%d, %d) = %d, want %d both ways", e, f, got, f, e, strengthOf(weighted, f, uint32(e)), want)
 							}
-							for e, want := range wantRows {
-								row := csr.Row(e)
-								if !slices.Equal(row, want) {
-									fail("row %d = %v, want %v", e, row, want)
-								}
-								for k := 1; k < len(row); k++ {
-									if row[k-1] >= row[k] {
-										fail("row %d = %v repeats or misorders an entry", e, row)
-									}
-								}
-							}
-							pairs, err := Construct(eng, tc.in, s, o)
-							if err != nil {
-								fail("Construct: %v", err)
-							}
-							if !slices.Equal(pairs, tc.want) || (len(tc.want) == 0 && pairs != nil) {
-								fail("Construct = %v, want %v", pairs, tc.want)
-							}
-							weighted, err := ConstructWeightedCSR(eng, tc.in, s, o)
-							if err != nil {
-								fail("ConstructWeightedCSR: %v", err)
-							}
-							if !slices.Equal(weighted.RowPtr, csr.RowPtr) || !slices.Equal(weighted.Col, csr.Col) || csr.Val != nil {
-								fail("the weighted CSR's RowPtr/Col differ from ConstructCSR's")
-							}
-							for _, p := range allPrunes {
-								o.Prune = p
-								for exact, build := range map[bool]func(*parallel.Engine, Input, int, Options) (*sparse.CSR, error){false: ConstructCSR, true: ConstructWeightedCSR} {
-									got, err := build(eng, tc.in, s, o)
-									if err == nil {
-										err = sameBytes(got, parent[exact])
-									}
-									if err != nil {
-										fail("prune=%v exact=%v: %v", p, exact, err)
-									}
-								}
-							}
-							for e := range wantRows {
-								for k, f := range weighted.Row(e) {
-									got := weighted.RowVal(e)[k]
-									if want := exactOverlap(tc.in.Incidence(uint32(e)), tc.in.Incidence(f)); got != float64(want) || strengthOf(weighted, f, uint32(e)) != want {
-										fail("overlap of (%d, %d) = %v, of (%d, %d) = %d, want %d both ways", e, f, got, f, e, strengthOf(weighted, f, uint32(e)), want)
-									}
-								}
-							}
-							for s2, member := range members {
-								kept, err := weighted.KeepAtLeast(eng, float64(s2))
-								if err != nil {
-									fail("KeepAtLeast(%d): %v", s2, err)
-								}
-								if !slices.Equal(kept.RowPtr, member.RowPtr) || !slices.Equal(kept.Col, member.Col) || kept.Val != nil {
-									fail("KeepAtLeast(%d) differs from ConstructCSR at that s", s2)
-								}
-							}
+						}
+					}
+					for s2, member := range members {
+						kept, err := weighted.KeepAtLeast(eng, float64(s2))
+						if err != nil {
+							fail("KeepAtLeast(%d): %v", s2, err)
+						}
+						if !slices.Equal(kept.RowPtr, member.RowPtr) || !slices.Equal(kept.Col, member.Col) || kept.Val != nil {
+							fail("KeepAtLeast(%d) differs from ConstructCSR at that s", s2)
 						}
 					}
 				}
@@ -200,7 +196,7 @@ func TestConstructStaysOnEngine(t *testing.T) {
 	in := FromHypergraph(gen.Uniform(20000, 6000, 3, 5))
 	def := parallel.Default()
 	before := def.Submitted()
-	for _, o := range []Options{{}, {Counter: HashmapCounter, Schedule: QueueSchedule}, {Schedule: AutoSchedule, Relabel: sparse.Descending}} {
+	for _, o := range []Options{{}, {Counter: HashmapCounter}, {Counter: IntersectionCounter}} {
 		csr, err := ConstructCSR(eng, in, 1, o)
 		if err != nil {
 			t.Fatal(err)
@@ -285,7 +281,7 @@ func checkArenaScratchClean(t *testing.T, eng *parallel.Engine) int {
 
 // TestConstructCancelledAtEveryPoll cancels ConstructCSR and
 // ConstructWeightedCSR at each poll of their engine in turn — in the view's
-// two transposes, in the count loop under every schedule, in the assembly's
+// two transposes, in the queue's count loop, in the assembly's
 // transpose and copy, in the validation: a cancelled run returns the error
 // and no CSR, a run that finishes returns the oracle's, and either way the
 // view, the run and value buffers and the bitmap scratch are back in the
@@ -304,15 +300,13 @@ func TestConstructCancelledAtEveryPoll(t *testing.T) {
 			if exact {
 				build = ConstructWeightedCSR
 			}
-			for _, sched := range allSchedules {
-				paralleltest.CancelAtEveryPoll(t, eng, func(e *parallel.Engine) (*sparse.CSR, error) {
-					csr, err := build(e, in, 2, Options{Schedule: sched})
-					if checkArenaScratchClean(t, eng) == 0 && err == nil {
-						t.Fatal("a finished run stashed no worker state")
-					}
-					return csr, err
-				}, func(got *sparse.CSR) error { return sameBytes(got, want) })
-			}
+			paralleltest.CancelAtEveryPoll(t, eng, func(e *parallel.Engine) (*sparse.CSR, error) {
+				csr, err := build(e, in, 2, Options{})
+				if checkArenaScratchClean(t, eng) == 0 && err == nil {
+					t.Fatal("a finished run stashed no worker state")
+				}
+				return csr, err
+			}, func(got *sparse.CSR) error { return sameBytes(got, want) })
 		}
 		eng.Close()
 	}

@@ -40,9 +40,6 @@ func SComponentsDirect(eng *parallel.Engine, in Input, s int, o Options) ([]uint
 // is therefore bit-identical to SComponentsDirect over the full set.
 func SComponentsToplex(eng *parallel.Engine, in Input, s int, tops, cover []uint32, o Options) ([]uint32, error) {
 	forest := unionfind.New(in.IDSpace())
-	if o.Schedule == DefaultSchedule {
-		o.Schedule = QueueSchedule
-	}
 	o.Prune = ToplexPrune
 	o.Subset = tops
 	o.forest = forest

@@ -80,9 +80,6 @@ func ConstructDirty(eng *parallel.Engine, in Input, s int, dirty []uint32) ([]sp
 // every heuristic (the benchmark baseline); labels are identical either way.
 func SComponentsForest(eng *parallel.Engine, in Input, s int, o Options) (*unionfind.Forest, error) {
 	forest := unionfind.New(in.IDSpace())
-	if o.Schedule == DefaultSchedule {
-		o.Schedule = QueueSchedule
-	}
 	o.forest = forest
 	if err := unionInto(eng, in, s, o); err != nil {
 		return nil, err

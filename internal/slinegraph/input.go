@@ -1,12 +1,11 @@
 // Package slinegraph implements NWHy's s-line-graph construction: one
-// s-overlap kernel (kernel.go) parameterized by counter strategy, work
-// schedule and pruning level, reading a compacted view of its input
-// (view.go), one output stage (collect.go), plus the naive all-pairs oracle
-// the tests compare it against. The set-intersection
+// s-overlap kernel (kernel.go) parameterized by counter strategy and pruning
+// level, draining a compacted view of its input (view.go) through the
+// paper's work queue, one output stage (collect.go), plus the naive
+// all-pairs oracle the tests compare it against. The set-intersection
 // heuristic (HiPC'21), the hashmap-counting algorithm (IPDPS'22) and the
-// paper's queue-based Algorithms 1 and 2 are Counter × Schedule values of
-// that kernel. Clique expansion is provided as the 1-line graph of the dual
-// hypergraph.
+// paper's queue-based Algorithms 1 and 2 are Counter values of that kernel.
+// Clique expansion is provided as the 1-line graph of the dual hypergraph.
 //
 // The kernel consumes the Input interface, so every configuration works
 // with any hyperedge ID set — bipartite, adjoin (shared index space), or

@@ -3,33 +3,30 @@ package slinegraph
 import (
 	"math"
 	"slices"
-	"sort"
 
 	"nwhy/internal/countmap"
 	"nwhy/internal/parallel"
-	"nwhy/internal/sparse"
 	"nwhy/internal/unionfind"
 )
 
 // This file is the unified s-overlap construction kernel: one
-// count/yield cycle over the run's view (view.go), parameterized along two
-// orthogonal axes — counter strategy (Counter) and work schedule (Schedule)
-// — with the exact flag (overlaps kept beside the pairs or not) left to the
-// output stage. Every entry
-// point of this package — Construct[Weighted][CSR] through collect, and the
-// components builders — runs it; the paper's four named
-// algorithms are Counter × Schedule values, not code: Hashmap and
-// Intersection are those counters under BlockedSchedule, Algorithms 1 and 2
-// the same two under QueueSchedule (Algorithm 2's enqueue-pairs and
-// intersect phases are fused: the pair queue is the intersection counter's
-// per-worker candidate list).
+// count/yield cycle over the run's view (view.go), parameterized by the
+// counter strategy (Counter), with the exact flag (overlaps kept beside the
+// pairs or not) left to the output stage. Every entry point of this package
+// — Construct[Weighted][CSR] through collect, and the components builders —
+// runs it, and every run drains the view's work list through the paper's
+// dynamic queue in the order the view yields. The paper's four named
+// algorithms are Counter values, not code: Hashmap and Algorithm 1 are the
+// hashmap counter, Intersection and Algorithm 2 the intersection counter
+// (Algorithm 2's enqueue-pairs and intersect phases are fused: the pair
+// queue is the intersection counter's per-worker candidate list).
 
 // Counter selects the per-worker overlap-counting strategy.
 type Counter int
 
 const (
 	// AutoCounter picks dense or hashmap from the size of the ID space (see
-	// resolveAxes).
+	// resolveCounter).
 	AutoCounter Counter = iota
 	// HashmapCounter tallies overlaps in a per-worker open-addressing hash
 	// map (countmap.Map): O(distinct neighbors) memory, the IPDPS'22 default.
@@ -55,40 +52,6 @@ func (c Counter) String() string {
 		return "intersection"
 	default:
 		return "auto"
-	}
-}
-
-// Schedule selects how hyperedges are distributed over workers.
-type Schedule int
-
-const (
-	// DefaultSchedule is the entry point's own schedule: blocked for the
-	// constructions, the queue for the components builders.
-	DefaultSchedule Schedule = iota
-	// BlockedSchedule assigns contiguous chunks (tbb::blocked_range).
-	BlockedSchedule
-	// CyclicSchedule assigns hyperedges round-robin with a stride.
-	CyclicSchedule
-	// QueueSchedule is the paper's dynamic work queue: workers fetch chunks
-	// with an atomic cursor, rebalancing skew regardless of order.
-	QueueSchedule
-	// AutoSchedule picks a schedule from the relabel order and degree skew
-	// (see resolveAxes).
-	AutoSchedule
-)
-
-func (s Schedule) String() string {
-	switch s {
-	case BlockedSchedule:
-		return "blocked"
-	case CyclicSchedule:
-		return "cyclic"
-	case QueueSchedule:
-		return "queue"
-	case AutoSchedule:
-		return "auto"
-	default:
-		return "default"
 	}
 }
 
@@ -239,84 +202,27 @@ func (k *kernel) count(st *worker, f uint32) int32 {
 // whose array costs 4 B per ID per worker: 16 MiB a worker at the bound.
 const denseIDSpaceMax = 4 << 20
 
-// resolveAxes turns Auto/Default axis values into concrete ones:
-//
-//   - Counter: the dense array up to denseIDSpaceMax IDs, the hashmap
-//     beyond — measured, not modelled: no threshold run in EXPERIMENTS.md
-//     has another counter ahead of dense by more than noise. Intersection
-//     (the HiPC'21 heuristic) runs only when the caller pins it.
-//   - Schedule: a relabel order or a skewed degree distribution
-//     (max ≥ 8 × mean, from Options.Stats or else a scan on eng) begs for
-//     the dynamic queue's load rebalancing; otherwise the blocked schedule
-//     wins on scheduling overhead.
-func resolveAxes(eng *parallel.Engine, in Input, o Options) (Counter, Schedule) {
-	ctr, sched := o.Counter, o.Schedule
-	if ctr == AutoCounter {
-		ctr = HashmapCounter
-		if in.IDSpace() <= denseIDSpaceMax {
-			ctr = DenseCounter
-		}
+// resolveCounter turns AutoCounter into the dense array up to
+// denseIDSpaceMax IDs and the hashmap beyond — measured, not modelled: no
+// threshold run in EXPERIMENTS.md has another counter ahead of dense by more
+// than noise. Intersection (the HiPC'21 heuristic) runs only when the caller
+// pins it.
+func resolveCounter(in Input, o Options) Counter {
+	if o.Counter != AutoCounter {
+		return o.Counter
 	}
-	if sched == AutoSchedule {
-		st := o.Stats
-		if st == nil {
-			scanned := ComputeDegreeStats(eng, in)
-			st = &scanned
-		}
-		if o.Relabel != sparse.NoOrder || float64(st.Max) >= 8*st.Mean {
-			return ctr, QueueSchedule
-		}
+	if in.IDSpace() <= denseIDSpaceMax {
+		return DenseCounter
 	}
-	if sched == DefaultSchedule || sched == AutoSchedule {
-		sched = BlockedSchedule
-	}
-	return ctr, sched
-}
-
-// sortByDegree stably sorts ids by hyperedge degree per ord (NoOrder leaves
-// the slice untouched): the paper's relabel-by-degree without any physical
-// CSR relabeling — only the work order changes, the queue contents or the
-// static schedules' iteration space alike.
-func sortByDegree(ids []uint32, in Input, ord sparse.Order) []uint32 {
-	switch ord {
-	case sparse.Ascending:
-		sort.SliceStable(ids, func(a, b int) bool {
-			return in.EdgeDegree(ids[a]) < in.EdgeDegree(ids[b])
-		})
-	case sparse.Descending:
-		sort.SliceStable(ids, func(a, b int) bool {
-			return in.EdgeDegree(ids[a]) > in.EdgeDegree(ids[b])
-		})
-	}
-	return ids
-}
-
-// run distributes ids over eng's workers per sched and calls body once for
-// each, with the worker that got it.
-func run(eng *parallel.Engine, ids []uint32, sched Schedule, body func(w int, e uint32)) {
-	switch sched {
-	case QueueSchedule:
-		parallel.Drain(eng, parallel.NewWorkQueueFor(eng, ids), body)
-	case CyclicSchedule:
-		eng.ForCyclic(eng.Cyclic(0, len(ids), 0), func(w, start, end, stride int) {
-			for i := start; i < end; i += stride {
-				body(w, ids[i])
-			}
-		})
-	default:
-		eng.For(eng.Blocked(0, len(ids)), func(w, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				body(w, ids[i])
-			}
-		})
-	}
+	return HashmapCounter
 }
 
 // construct is the kernel body shared by every construction algorithm:
-// resolve the pruning level, build the view of what survives it, order the
-// hyperedge IDs, distribute them per the schedule and walk each. Every
-// s-overlapping pair (e, f), f > e, goes exactly once to o.forest when a
-// components builder armed it, to c otherwise: e's neighbours as one sorted
+// resolve the pruning level, build the view of what survives it, drain its
+// work list through the dynamic queue in the order the view yields and walk
+// each hyperedge. Every s-overlapping pair (e, f), f > e, goes exactly once
+// to o.forest when a components builder armed it, to c otherwise: e's
+// neighbours as one sorted
 // run in the buffer of the worker that walked e (c.workers, which the
 // caller stashes back once it has read the runs). s = 0 means what s = 1
 // does: a pair must share a hypernode to be counted at all. Returns
@@ -333,13 +239,11 @@ func construct(eng *parallel.Engine, in Input, s int, o Options, c *runCollector
 	if err != nil {
 		return err
 	}
-	k := &kernel{view: v, s: int32(s), forest: o.forest, workers: c.workers}
+	k := &kernel{view: v, s: int32(s), ctr: resolveCounter(in, o), forest: o.forest, workers: c.workers}
 	if p >= ConnectivityPrune {
 		k.known = o.forest
 	}
-	var sched Schedule
-	k.ctr, sched = resolveAxes(eng, in, o)
-	run(eng, sortByDegree(ids, in, o.Relabel), sched, func(w int, e uint32) {
+	parallel.Drain(eng, parallel.NewWorkQueueFor(eng, ids), func(w int, e uint32) {
 		st := workerOf(eng, k, w)
 		start := len(st.ids)
 		st.ids = k.walk(st, e, st.ids)

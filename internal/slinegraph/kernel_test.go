@@ -8,7 +8,6 @@ import (
 	"slices"
 	"testing"
 
-	"nwhy/internal/core"
 	"nwhy/internal/gen"
 	"nwhy/internal/parallel"
 	"nwhy/internal/sparse"
@@ -24,30 +23,19 @@ func tConstruct(t *testing.T, in Input, s int, o Options) []sparse.Edge {
 }
 
 // TestCrossStrategyDifferential is the kernel's differential property test:
-// on generated random hypergraphs, every (counter x schedule x relabel)
-// combination must yield the identical canonicalized s-line edge set for s
-// in {1, 2, 3}.
+// on generated random hypergraphs, every counter must yield the identical
+// canonicalized s-line edge set for s in {1, 2, 3}.
 func TestCrossStrategyDifferential(t *testing.T) {
 	hs := map[string]Input{
 		"uniform":  FromHypergraph(gen.Uniform(60, 40, 5, 1)),
 		"powerlaw": FromHypergraph(gen.BipartitePowerLaw(50, 35, 4, 1.6, 2)),
 	}
-	counters := []Counter{AutoCounter, HashmapCounter, DenseCounter, IntersectionCounter}
-	schedules := []Schedule{DefaultSchedule, BlockedSchedule, CyclicSchedule, QueueSchedule, AutoSchedule}
-	relabels := []sparse.Order{sparse.NoOrder, sparse.Ascending, sparse.Descending}
 	for hname, in := range hs {
 		for s := 1; s <= 3; s++ {
 			want := tConstruct(t, in, s, Options{})
-			for _, ctr := range counters {
-				for _, sched := range schedules {
-					for _, rel := range relabels {
-						o := Options{Counter: ctr, Schedule: sched, Relabel: rel}
-						got := tConstruct(t, in, s, o)
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s s=%d counter=%v schedule=%v relabel=%v: %d edges, want %d",
-								hname, s, ctr, sched, rel, len(got), len(want))
-						}
-					}
+			for _, ctr := range allCounters {
+				if got := tConstruct(t, in, s, Options{Counter: ctr}); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s s=%d counter=%v: %d edges, want %d", hname, s, ctr, len(got), len(want))
 				}
 			}
 		}
@@ -56,31 +44,27 @@ func TestCrossStrategyDifferential(t *testing.T) {
 
 // TestWeightedParityAcrossOptions is the weighted/unweighted parity test:
 // the weighted CSR's structure is the unweighted CSR's for the same options
-// and every value is the exact overlap, across every axis combination.
+// and every value is the exact overlap, for every pinned counter.
 func TestWeightedParityAcrossOptions(t *testing.T) {
 	in := FromHypergraph(gen.Uniform(50, 30, 5, 7))
 	for _, ctr := range []Counter{HashmapCounter, DenseCounter, IntersectionCounter} {
-		for _, sched := range []Schedule{BlockedSchedule, CyclicSchedule, QueueSchedule} {
-			for _, rel := range []sparse.Order{sparse.NoOrder, sparse.Descending} {
-				o := Options{Counter: ctr, Schedule: sched, Relabel: rel}
-				for s := 1; s <= 3; s++ {
-					plain, err := ConstructCSR(teng, in, s, o)
-					if err != nil {
-						t.Fatal(err)
-					}
-					weighted, err := ConstructWeightedCSR(teng, in, s, o)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !weighted.Equal(plain) || plain.Val != nil {
-						t.Fatalf("counter=%v schedule=%v relabel=%v s=%d: weighted structure differs from unweighted", ctr, sched, rel, s)
-					}
-					for e := 0; e < weighted.NumRows(); e++ {
-						for k, f := range weighted.Row(e) {
-							if got := weighted.RowVal(e)[k]; got != float64(exactOverlap(in.Incidence(uint32(e)), in.Incidence(f))) {
-								t.Fatalf("counter=%v s=%d: pair (%d,%d) overlap %v not exact", ctr, s, e, f, got)
-							}
-						}
+		o := Options{Counter: ctr}
+		for s := 1; s <= 3; s++ {
+			plain, err := ConstructCSR(teng, in, s, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			weighted, err := ConstructWeightedCSR(teng, in, s, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !weighted.Equal(plain) || plain.Val != nil {
+				t.Fatalf("counter=%v s=%d: weighted structure differs from unweighted", ctr, s)
+			}
+			for e := 0; e < weighted.NumRows(); e++ {
+				for k, f := range weighted.Row(e) {
+					if got := weighted.RowVal(e)[k]; got != float64(exactOverlap(in.Incidence(uint32(e)), in.Incidence(f))) {
+						t.Fatalf("counter=%v s=%d: pair (%d,%d) overlap %v not exact", ctr, s, e, f, got)
 					}
 				}
 			}
@@ -98,8 +82,8 @@ func TestConstructCSRMatchesPairsPath(t *testing.T) {
 			want := lineRows(in.IDSpace(), tNaive(h, s))
 			for _, o := range []Options{
 				{},
-				{Counter: DenseCounter, Schedule: QueueSchedule},
-				{Counter: IntersectionCounter, Schedule: CyclicSchedule, Relabel: sparse.Ascending},
+				{Counter: DenseCounter},
+				{Counter: IntersectionCounter},
 			} {
 				csr, err := ConstructCSR(teng, in, s, o)
 				if err != nil {
@@ -138,41 +122,27 @@ type wideInput struct {
 
 func (w wideInput) IDSpace() int { return w.idSpace }
 
-// TestResolveAxes pins the axis resolution: Auto picks the counter from the
-// ID space alone, a pinned counter is never overridden, and the Auto
-// schedule reads injected Stats in place of scanning.
+// TestResolveAxes pins the counter resolution: Auto picks the counter from
+// the ID space alone, and a pinned counter is never overridden.
 func TestResolveAxes(t *testing.T) {
-	flat := FromHypergraph(overlapHypergraph()) // degrees 4,4,4,2: max < 8 × mean
-	hub := [][]uint32{{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}}
-	for v := uint32(0); v < 15; v++ {
-		hub = append(hub, []uint32{v})
-	}
-	skewed := FromHypergraph(core.FromSets(hub, 16)) // max 16 ≥ 8 × mean 1.9
+	flat := FromHypergraph(overlapHypergraph())
 	over := wideInput{flat, denseIDSpaceMax + 1}
 	for _, tc := range []struct {
-		name  string
-		in    Input
-		o     Options
-		ctr   Counter
-		sched Schedule
+		name string
+		in   Input
+		o    Options
+		ctr  Counter
 	}{
-		{"auto under the bound", flat, Options{}, DenseCounter, BlockedSchedule},
-		{"auto at the bound", wideInput{flat, denseIDSpaceMax}, Options{}, DenseCounter, BlockedSchedule},
-		{"auto over the bound", over, Options{}, HashmapCounter, BlockedSchedule},
-		{"pinned hashmap under", flat, Options{Counter: HashmapCounter}, HashmapCounter, BlockedSchedule},
-		{"pinned intersection under", flat, Options{Counter: IntersectionCounter}, IntersectionCounter, BlockedSchedule},
-		{"pinned dense over", over, Options{Counter: DenseCounter}, DenseCounter, BlockedSchedule},
-		{"pinned intersection over", over, Options{Counter: IntersectionCounter}, IntersectionCounter, BlockedSchedule},
-		{"pinned schedule", flat, Options{Schedule: QueueSchedule}, DenseCounter, QueueSchedule},
-		{"auto schedule, scanned flat", flat, Options{Schedule: AutoSchedule}, DenseCounter, BlockedSchedule},
-		{"auto schedule, scanned skew", skewed, Options{Schedule: AutoSchedule}, DenseCounter, QueueSchedule},
-		{"auto schedule, injected skew beats the scan", flat, Options{Schedule: AutoSchedule, Stats: &DegreeStats{Mean: 2, Max: 16}}, DenseCounter, QueueSchedule},
-		{"auto schedule, injected flat beats the scan", skewed, Options{Schedule: AutoSchedule, Stats: &DegreeStats{Mean: 4, Max: 4}}, DenseCounter, BlockedSchedule},
-		{"auto schedule, relabel order", flat, Options{Schedule: AutoSchedule, Relabel: sparse.Descending}, DenseCounter, QueueSchedule},
+		{"auto under the bound", flat, Options{}, DenseCounter},
+		{"auto at the bound", wideInput{flat, denseIDSpaceMax}, Options{}, DenseCounter},
+		{"auto over the bound", over, Options{}, HashmapCounter},
+		{"pinned hashmap under", flat, Options{Counter: HashmapCounter}, HashmapCounter},
+		{"pinned intersection under", flat, Options{Counter: IntersectionCounter}, IntersectionCounter},
+		{"pinned dense over", over, Options{Counter: DenseCounter}, DenseCounter},
+		{"pinned intersection over", over, Options{Counter: IntersectionCounter}, IntersectionCounter},
 	} {
-		ctr, sched := resolveAxes(teng, tc.in, tc.o)
-		if ctr != tc.ctr || sched != tc.sched {
-			t.Errorf("%s: resolved (%v, %v), want (%v, %v)", tc.name, ctr, sched, tc.ctr, tc.sched)
+		if ctr := resolveCounter(tc.in, tc.o); ctr != tc.ctr {
+			t.Errorf("%s: resolved %v, want %v", tc.name, ctr, tc.ctr)
 		}
 	}
 }
@@ -196,10 +166,8 @@ func TestConstructSurfacesCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	in := FromHypergraph(paperHypergraph())
-	for _, sched := range []Schedule{BlockedSchedule, CyclicSchedule, QueueSchedule} {
-		if _, err := Construct(teng.WithContext(ctx), in, 1, Options{Schedule: sched}); err == nil {
-			t.Fatalf("schedule %v: cancelled construct returned nil error", sched)
-		}
+	if _, err := Construct(teng.WithContext(ctx), in, 1, Options{}); err == nil {
+		t.Fatal("cancelled construct returned nil error")
 	}
 	if _, err := ConstructCSR(teng.WithContext(ctx), in, 1, Options{}); err == nil {
 		t.Fatal("cancelled ConstructCSR returned nil error")
@@ -233,10 +201,6 @@ func TestAxisStrings(t *testing.T) {
 		"hashmap":      HashmapCounter,
 		"dense":        DenseCounter,
 		"intersection": IntersectionCounter,
-		"default":      DefaultSchedule,
-		"blocked":      BlockedSchedule,
-		"cyclic":       CyclicSchedule,
-		"queue":        QueueSchedule,
 	} {
 		if got.String() != want {
 			t.Fatalf("String() = %q, want %q", got.String(), want)

@@ -1,9 +1,6 @@
 package slinegraph
 
-import (
-	"nwhy/internal/sparse"
-	"nwhy/internal/unionfind"
-)
+import "nwhy/internal/unionfind"
 
 // Prune selects the algorithmic-cut heuristics (kernel axis 4), the
 // companion paper's pruning arsenal (Liu et al., arXiv:2010.11448). The
@@ -20,8 +17,8 @@ const (
 	// benchmark baseline.
 	NoPrune
 	// DegreePrune keeps only the hyperedges {e : deg(e) ≥ s} in the run's
-	// view (view.go), built once up front, so schedules, counters and the
-	// two-level incidence walk never see a sub-s hyperedge.
+	// view (view.go), built once up front, so the queue, the counters and
+	// the two-level incidence walk never see a sub-s hyperedge.
 	// Result-invariant: sound for every run.
 	DegreePrune
 	// ConnectivityPrune adds the connected short-circuit: pairs already in
@@ -53,28 +50,19 @@ func (p Prune) String() string {
 }
 
 // Options configure a construction algorithm run. The zero value selects
-// no relabeling and AutoCounter's choice (dense up to denseIDSpaceMax IDs,
-// else hashmap) under the entry point's schedule.
+// AutoCounter's choice (dense up to denseIDSpaceMax IDs, else hashmap) and
+// AutoPrune's level.
 type Options struct {
-	// Relabel applies relabel-by-degree to the hyperedge IDs before
-	// construction. The kernel sorts its work order — queue contents or
-	// iteration space — rather than physically relabeling the CSR pair,
-	// which is the versatility the paper's queue-based algorithms
-	// demonstrate; results are always in the original ID space.
-	Relabel sparse.Order
 	// Counter selects the overlap-counting strategy (kernel axis 1).
 	// AutoCounter (the zero value) resolves from the size of the ID space.
 	Counter Counter
-	// Schedule selects the work distribution (kernel axis 2).
-	// DefaultSchedule (the zero value) is the entry point's own: blocked
-	// for constructions, the queue for the components builders.
-	Schedule Schedule
 	// Prune selects the pruning heuristics (kernel axis 4). AutoPrune (the
 	// zero value) resolves from whether a components builder armed forest.
 	Prune Prune
-	// Stats optionally injects precomputed degree statistics so the
-	// AutoSchedule resolution skips its per-run scan — the facade memoizes
-	// one DegreeStats per snapshot epoch. nil falls back to scanning.
+	// Stats is no longer read by the kernel: the work order is fixed, so no
+	// resolution needs degree statistics. It stays only because bench/ binds
+	// it; ROADMAP item 2 deletes it together with the benchmark's
+	// slinegraph.degree_stats step.
 	Stats *DegreeStats
 	// Subset restricts construction to these hyperedge IDs (the toplex-only
 	// path). Honored only under ToplexPrune: the components builder that

@@ -168,13 +168,12 @@ func sameBytes(got, want *sparse.CSR) error {
 }
 
 var (
-	allCounters  = []Counter{AutoCounter, HashmapCounter, DenseCounter, IntersectionCounter}
-	allSchedules = []Schedule{BlockedSchedule, CyclicSchedule, QueueSchedule}
-	allPrunes    = []Prune{AutoPrune, NoPrune, DegreePrune, ConnectivityPrune, ToplexPrune}
+	allCounters = []Counter{AutoCounter, HashmapCounter, DenseCounter, IntersectionCounter}
+	allPrunes   = []Prune{AutoPrune, NoPrune, DegreePrune, ConnectivityPrune, ToplexPrune}
 )
 
 // checkAgainstParent runs ConstructCSR and ConstructWeightedCSR on eng for
-// every Counter × Schedule × Prune and demands the parent routine's bytes.
+// every Counter × Prune and demands the parent routine's bytes.
 func checkAgainstParent(t *testing.T, eng *parallel.Engine, in Input, s int, what string) {
 	t.Helper()
 	for _, exact := range []bool{false, true} {
@@ -187,15 +186,13 @@ func checkAgainstParent(t *testing.T, eng *parallel.Engine, in Input, s int, wha
 			build = ConstructWeightedCSR
 		}
 		for _, ctr := range allCounters {
-			for _, sched := range allSchedules {
-				for _, p := range allPrunes {
-					got, err := build(eng, in, s, Options{Counter: ctr, Schedule: sched, Prune: p})
-					if err == nil {
-						err = sameBytes(got, want)
-					}
-					if err != nil {
-						t.Fatalf("%s s=%d exact=%v workers=%d counter=%v schedule=%v prune=%v: %v", what, s, exact, eng.NumWorkers(), ctr, sched, p, err)
-					}
+			for _, p := range allPrunes {
+				got, err := build(eng, in, s, Options{Counter: ctr, Prune: p})
+				if err == nil {
+					err = sameBytes(got, want)
+				}
+				if err != nil {
+					t.Fatalf("%s s=%d exact=%v workers=%d counter=%v prune=%v: %v", what, s, exact, eng.NumWorkers(), ctr, p, err)
 				}
 			}
 		}
@@ -204,7 +201,7 @@ func checkAgainstParent(t *testing.T, eng *parallel.Engine, in Input, s int, wha
 
 // TestSameBytesAsParentOnPresets is the byte-identity pin of the kernel's
 // second round: every internal/gen preset at test scale, s from 0 to 4,
-// every Counter × Schedule × Prune, exact on and off, at 1, 2 and 3 workers;
+// every Counter × Prune, exact on and off, at 1, 2 and 3 workers;
 // and the s-component labels of every counter equal SComponentsDirect's
 // under NoPrune.
 func TestSameBytesAsParentOnPresets(t *testing.T) {

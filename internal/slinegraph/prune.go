@@ -10,9 +10,10 @@ import "nwhy/internal/parallel"
 // what the run's view holds (view.go) and whether the walk consults the
 // forest (kernel.connected).
 
-// DegreeStats summarizes the hyperedge degree distribution of an input. It
-// feeds the resolveAxes heuristics; the facade memoizes one per snapshot
-// epoch (Options.Stats) so repeated constructions skip the rescan.
+// DegreeStats summarizes the hyperedge degree distribution of an input. The
+// kernel no longer reads it (Options.Stats): it stays, with
+// ComputeDegreeStats, only because bench/ binds both, and ROADMAP item 2
+// deletes them together with the benchmark's slinegraph.degree_stats step.
 type DegreeStats struct {
 	// Mean is the average hyperedge degree over the work list.
 	Mean float64
@@ -21,7 +22,7 @@ type DegreeStats struct {
 }
 
 // ComputeDegreeStats computes DegreeStats engine-parallel over in's
-// hyperedges.
+// hyperedges. No kernel path calls it (see DegreeStats).
 func ComputeDegreeStats(eng *parallel.Engine, in Input) DegreeStats {
 	ids := in.EdgeIDs()
 	type acc struct{ total, max int }

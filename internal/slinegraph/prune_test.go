@@ -70,28 +70,21 @@ func TestSComponentsDirectPruneLevels(t *testing.T) {
 }
 
 // TestSComponentsToplexMatchesDirect is the differential pin of the toplex
-// path: labels must be bit-identical to SComponentsDirect across every
-// counter x schedule combination, on random and containment-rich inputs,
-// including the s=0 floor case.
+// path: labels must be bit-identical to SComponentsDirect for every counter,
+// on random and containment-rich inputs, including the s=0 floor case.
 func TestSComponentsToplexMatchesDirect(t *testing.T) {
-	counters := []Counter{AutoCounter, HashmapCounter, DenseCounter, IntersectionCounter}
-	schedules := []Schedule{DefaultSchedule, BlockedSchedule, CyclicSchedule, QueueSchedule}
 	for _, h := range pruneTestInputs() {
 		in := FromHypergraph(h)
 		tops, cover := core.ToplexCover(teng, h)
 		for s := 0; s <= 4; s++ {
 			want := tSComponentsDirect(in, s, Options{Prune: NoPrune})
-			for _, ctr := range counters {
-				for _, sched := range schedules {
-					got, err := SComponentsToplex(teng, in, s, tops, cover,
-						Options{Counter: ctr, Schedule: sched})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !slices.Equal(got, want) {
-						t.Fatalf("s=%d counter=%v schedule=%v: toplex labels diverge from direct",
-							s, ctr, sched)
-					}
+			for _, ctr := range allCounters {
+				got, err := SComponentsToplex(teng, in, s, tops, cover, Options{Counter: ctr})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("s=%d counter=%v: toplex labels diverge from direct", s, ctr)
 				}
 			}
 		}

@@ -156,8 +156,8 @@ func TestSLineMonotonicityProperty(t *testing.T) {
 func TestOptionsMatrixAllEquivalent(t *testing.T) {
 	h := randomHypergraph(50, 30, 6, 77)
 	want := tNaive(h, 2)
-	for _, rel := range []sparse.Order{sparse.NoOrder, sparse.Ascending, sparse.Descending} {
-		o := Options{Relabel: rel}
+	for _, p := range allPrunes {
+		o := Options{Prune: p}
 		for name, got := range map[string][]sparse.Edge{
 			"intersection": tIntersection(h, 2, o),
 			"hashmap":      tHashmap(h, 2, o),
@@ -165,7 +165,7 @@ func TestOptionsMatrixAllEquivalent(t *testing.T) {
 			"queue2":       tQueueIntersection(FromHypergraph(h), 2, o),
 		} {
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s with relabel %v differs from naive", name, rel)
+				t.Errorf("%s with prune %v differs from naive", name, p)
 			}
 		}
 	}
@@ -222,10 +222,8 @@ func TestQueueAlgorithmsOnRenamedIDs(t *testing.T) {
 		}
 		want = canonPairs(teng, want)
 		for _, ctr := range allCounters {
-			for _, sched := range allSchedules {
-				if got := tPinned(rin, s, Options{}, ctr, sched); !slices.Equal(got, want) {
-					t.Errorf("reversed IDs, s=%d counter=%v schedule=%v: %d pairs, want %d", s, ctr, sched, len(got), len(want))
-				}
+			if got := tPinned(rin, s, Options{}, ctr); !slices.Equal(got, want) {
+				t.Errorf("reversed IDs, s=%d counter=%v: %d pairs, want %d", s, ctr, len(got), len(want))
 			}
 		}
 		checkAgainstParent(t, teng, rin, s, "reversed IDs")
@@ -275,7 +273,7 @@ func TestQueueAlgorithmsRenamedInvariance(t *testing.T) {
 func TestEnsembleMatchesIndividualRuns(t *testing.T) {
 	h := randomHypergraph(40, 25, 6, 9)
 	ss := []int{1, 2, 3, 5}
-	got := tEnsemble(FromHypergraph(h), ss, BlockedSchedule)
+	got := tEnsemble(FromHypergraph(h), ss)
 	for _, s := range ss {
 		want := tHashmap(h, s, Options{})
 		if !reflect.DeepEqual(got[s], want) {
@@ -287,15 +285,9 @@ func TestEnsembleMatchesIndividualRuns(t *testing.T) {
 func TestEnsembleQueueMatchesEnsemble(t *testing.T) {
 	h := randomHypergraph(40, 25, 6, 17)
 	ss := []int{1, 2, 4}
-	want := tEnsemble(FromHypergraph(h), ss, BlockedSchedule)
-	got := tEnsemble(FromHypergraph(h), ss, QueueSchedule)
-	for _, s := range ss {
-		if !reflect.DeepEqual(got[s], want[s]) {
-			t.Errorf("queue ensemble s=%d differs", s)
-		}
-	}
-	// And on the adjoin representation.
-	gotAdj := tEnsemble(FromAdjoin(core.Adjoin(teng, h)), ss, QueueSchedule)
+	want := tEnsemble(FromHypergraph(h), ss)
+	// On the adjoin representation.
+	gotAdj := tEnsemble(FromAdjoin(core.Adjoin(teng, h)), ss)
 	for _, s := range ss {
 		if !reflect.DeepEqual(gotAdj[s], want[s]) {
 			t.Errorf("adjoin queue ensemble s=%d differs", s)
@@ -306,9 +298,9 @@ func TestEnsembleQueueMatchesEnsemble(t *testing.T) {
 // A member whose threshold no overlap reaches is an empty line graph over
 // the whole ID space, not a missing one: the handle built from it must still
 // have every hyperedge as a vertex.
-func emptyMember(t *testing.T, in Input, sched Schedule) {
+func emptyMember(t *testing.T, in Input) {
 	t.Helper()
-	base := tWeighted(in, 1, HashmapCounter, sched)
+	base := tWeighted(in, 1, HashmapCounter)
 	member, err := base.KeepAtLeast(teng, 2) // the running example's overlaps are all 1
 	if err != nil {
 		t.Fatal(err)
@@ -319,11 +311,11 @@ func emptyMember(t *testing.T, in Input, sched Schedule) {
 }
 
 func TestEnsembleQueueEmpty(t *testing.T) {
-	emptyMember(t, FromAdjoin(core.Adjoin(teng, paperHypergraph())), QueueSchedule)
+	emptyMember(t, FromAdjoin(core.Adjoin(teng, paperHypergraph())))
 }
 
 func TestEnsembleEmptyThresholds(t *testing.T) {
-	emptyMember(t, FromHypergraph(paperHypergraph()), BlockedSchedule)
+	emptyMember(t, FromHypergraph(paperHypergraph()))
 }
 
 func TestCliqueExpansionPaperExample(t *testing.T) {
@@ -388,19 +380,6 @@ func TestSelfPairsNeverEmitted(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestOrderQueueDegreeSort(t *testing.T) {
-	h := paperHypergraph() // degrees 3,3,3,4
-	in := FromHypergraph(h)
-	q := sortByDegree(in.EdgeIDs(), in, sparse.Descending)
-	if q[0] != 3 {
-		t.Fatalf("descending queue should start with e3 (degree 4): %v", q)
-	}
-	q = sortByDegree(in.EdgeIDs(), in, sparse.Ascending)
-	if q[3] != 3 {
-		t.Fatalf("ascending queue should end with e3: %v", q)
 	}
 }
 

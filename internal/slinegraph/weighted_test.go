@@ -21,7 +21,7 @@ func strengthOf(csr *sparse.CSR, e, f uint32) int {
 
 func TestHashmapWeightedStrengths(t *testing.T) {
 	h := overlapHypergraph() // |e0∩e1|=3, |e0∩e2|=2, |e1∩e2|=3
-	csr := tWeighted(FromHypergraph(h), 1, HashmapCounter, BlockedSchedule)
+	csr := tWeighted(FromHypergraph(h), 1, HashmapCounter)
 	want := map[[2]uint32]int{{0, 1}: 3, {0, 2}: 2, {1, 2}: 3}
 	if csr.NumEdges() != 2*len(want) {
 		t.Fatalf("got %v", csr.UpperTriangle())
@@ -37,11 +37,8 @@ func TestWeightedMatchesUnweightedPairs(t *testing.T) {
 	f := func(seed int64) bool {
 		h := randomHypergraph(30, 20, 5, seed)
 		for s := 1; s <= 3; s++ {
-			plain := tHashmap(h, s, Options{})
-			for _, sched := range []Schedule{BlockedSchedule, QueueSchedule} {
-				if !reflect.DeepEqual(plain, tWeighted(FromHypergraph(h), s, HashmapCounter, sched).UpperTriangle()) {
-					return false
-				}
+			if !reflect.DeepEqual(tHashmap(h, s, Options{}), tWeighted(FromHypergraph(h), s, HashmapCounter).UpperTriangle()) {
+				return false
 			}
 		}
 		return true
@@ -54,7 +51,7 @@ func TestWeightedMatchesUnweightedPairs(t *testing.T) {
 func TestWeightedOverlapsAreExact(t *testing.T) {
 	f := func(seed int64) bool {
 		h := randomHypergraph(25, 15, 5, seed)
-		csr := tWeighted(FromHypergraph(h), 1, HashmapCounter, BlockedSchedule)
+		csr := tWeighted(FromHypergraph(h), 1, HashmapCounter)
 		for e := 0; e < csr.NumRows(); e++ {
 			for k, f := range csr.Row(e) {
 				if float64(exactOverlap(h.EdgeIncidence(e), h.EdgeIncidence(int(f)))) != csr.RowVal(e)[k] {
@@ -72,7 +69,7 @@ func TestWeightedOverlapsAreExact(t *testing.T) {
 func TestWeightedOverlapAtLeastS(t *testing.T) {
 	h := randomHypergraph(40, 20, 6, 11)
 	for s := 2; s <= 4; s++ {
-		for _, overlap := range tWeighted(FromHypergraph(h), s, HashmapCounter, BlockedSchedule).Val {
+		for _, overlap := range tWeighted(FromHypergraph(h), s, HashmapCounter).Val {
 			if overlap < float64(s) {
 				t.Fatalf("s=%d pair with overlap %v", s, overlap)
 			}
@@ -101,8 +98,8 @@ func exactOverlap(a, b []uint32) int {
 
 func TestQueueHashmapWeightedOnAdjoin(t *testing.T) {
 	h := randomHypergraph(30, 20, 5, 5)
-	want := tWeighted(FromHypergraph(h), 2, HashmapCounter, BlockedSchedule)
-	got := tWeighted(FromAdjoin(core.Adjoin(teng, h)), 2, HashmapCounter, QueueSchedule)
+	want := tWeighted(FromHypergraph(h), 2, HashmapCounter)
+	got := tWeighted(FromAdjoin(core.Adjoin(teng, h)), 2, HashmapCounter)
 	ne := h.NumEdges()
 	if !slices.Equal(got.RowPtr[:ne+1], want.RowPtr) || !slices.Equal(got.Col, want.Col) || !slices.Equal(got.Val, want.Val) {
 		t.Fatal("weighted queue construction on adjoin differs")

@@ -42,19 +42,13 @@ type pairsBox struct {
 	list []sparse.Edge
 }
 
-// Build constructs the s-line graph of h on eng with Auto counter/schedule
-// resolution, assembling the adjacency CSR directly from the kernel's
+// Build constructs the s-line graph of h on eng with the kernel's zero
+// options, assembling the adjacency CSR directly from the kernel's
 // per-worker buffers — the default path never materializes a global edge
 // list (Pairs extracts one lazily on demand). The handle binds eng: every
 // subsequent s-metric query schedules on it and observes its context.
 func Build(eng *parallel.Engine, h *core.Hypergraph, s int) (*SLineGraph, error) {
-	return BuildOptions(eng, h, s, slinegraph.Options{Schedule: slinegraph.AutoSchedule})
-}
-
-// BuildOptions is Build with explicit construction options (counter
-// strategy, schedule, relabel order), still on the direct-CSR fast path.
-func BuildOptions(eng *parallel.Engine, h *core.Hypergraph, s int, o slinegraph.Options) (*SLineGraph, error) {
-	csr, err := slinegraph.ConstructCSR(eng, slinegraph.FromHypergraph(h), s, o)
+	csr, err := slinegraph.ConstructCSR(eng, slinegraph.FromHypergraph(h), s, slinegraph.Options{})
 	if err != nil {
 		return nil, err
 	}

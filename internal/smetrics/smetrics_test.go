@@ -207,19 +207,23 @@ func TestSEccentricityChain(t *testing.T) {
 	}
 }
 
-// TestBuildWithMatchesBuild: a handle built with explicit options (the
+// TestBuildWithMatchesBuild: a handle built over explicit options (the
 // paper's Algorithm 2) is Build's handle, its lazily extracted pair list the
 // kernel's.
 func TestBuildWithMatchesBuild(t *testing.T) {
 	h := chainHypergraph()
-	queue2 := slinegraph.Options{Counter: slinegraph.IntersectionCounter, Schedule: slinegraph.QueueSchedule}
-	viaQueue, err := BuildOptions(teng, h, 2, queue2)
+	queue2 := slinegraph.Options{Counter: slinegraph.IntersectionCounter}
+	csr, err := slinegraph.ConstructCSR(teng, slinegraph.FromHypergraph(h), 2, queue2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaQueue, err := BuildCSR(teng, h, 2, csr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	direct := tBuild(h, 2)
 	if !viaQueue.G.CSR().Equal(direct.G.CSR()) {
-		t.Fatal("BuildOptions(queue2) differs from Build")
+		t.Fatal("BuildCSR over Algorithm 2's CSR differs from Build")
 	}
 	if pairs, _ := slinegraph.Construct(teng, slinegraph.FromHypergraph(h), 2, queue2); !reflect.DeepEqual(viaQueue.Pairs(), pairs) {
 		t.Fatalf("Pairs() = %v, the kernel's pair list is %v", viaQueue.Pairs(), pairs)

@@ -1,7 +1,7 @@
 // Package sparse provides the compressed sparse data structures underneath
 // every hypergraph representation in NWHy-Go: edge lists, bipartite edge
 // lists (the paper's biedgelist), rectangular CSR incidence structures (the
-// paper's biadjacency), and the relabel-by-degree permutation machinery.
+// paper's biadjacency), and the permutation machinery (ApplyPerm).
 //
 // The central design point, taken from the paper, is that hypergraph
 // incidence matrices are rectangular: the hyperedge and hypernode index

@@ -4,33 +4,6 @@ import (
 	"nwhy/internal/parallel"
 )
 
-// Order selects a relabel-by-degree direction. Relabeling by degree
-// (permute-by-row/column) improves workload distribution and memory access
-// patterns for skewed inputs; the paper notes it cannot be applied to adjoin
-// graphs directly because it would intermingle hyperedge and hypernode IDs —
-// the motivation for the queue-based s-line-graph algorithms.
-type Order int
-
-const (
-	// NoOrder leaves IDs as they are.
-	NoOrder Order = iota
-	// Ascending gives the smallest IDs to the lowest-degree vertices.
-	Ascending
-	// Descending gives the smallest IDs to the highest-degree vertices.
-	Descending
-)
-
-func (o Order) String() string {
-	switch o {
-	case Ascending:
-		return "ascending"
-	case Descending:
-		return "descending"
-	default:
-		return "none"
-	}
-}
-
 // InvertPerm returns the inverse of a permutation: inv[perm[i]] = i. With
 // perm[newID] = oldID the result reads inv[oldID] = newID.
 func InvertPerm(perm []uint32) []uint32 {

@@ -81,11 +81,6 @@ type lazyState struct {
 	// Commit moves the epoch and invalidates it implicitly.
 	adjoin      *core.AdjoinGraph
 	adjoinEpoch uint64
-	// dstats caches the hyperedge degree statistics of the snapshot at
-	// dstatsEpoch — the numbers resolveAxes and the degree prefilter consume
-	// on every construction, memoized so repeated queries skip the scan.
-	dstats      *slinegraph.DegreeStats
-	dstatsEpoch uint64
 	// tops/cover cache Algorithm 3's output (toplex IDs plus the containment
 	// map) of the snapshot at topsEpoch, shared by Toplexes, Toplexify, and
 	// the toplex-only s-component path. topsValid distinguishes a cached
@@ -293,7 +288,7 @@ func (g *NWHypergraph) Stats() core.Stats { return core.ComputeStats(g.hg()) }
 func (g *NWHypergraph) Adjoin() *core.AdjoinGraph { return g.adjoinAt(g.snap()) }
 
 // adjoinAt is Adjoin for the snapshot its caller already bound — like
-// degreeStats and toplexCover, so one query never pairs a hypergraph with
+// toplexCover, so one query never pairs a hypergraph with
 // the adjoin graph of another epoch.
 func (g *NWHypergraph) adjoinAt(snap *snapshot) *core.AdjoinGraph {
 	lz := g.lazy
@@ -315,36 +310,6 @@ func (g *NWHypergraph) adjoinAt(snap *snapshot) *core.AdjoinGraph {
 		lz.adjoinEpoch = snap.epoch
 	}
 	return lz.adjoin
-}
-
-// degreeStats returns the memoized hyperedge degree statistics of snap,
-// computing them engine-parallel on eng on first use. Like toplexCover and
-// toplexCacheWarmAt it takes the snapshot its caller already bound, so one
-// query never pairs a hypergraph with derived state of another epoch. The
-// cache follows the adjoin discipline: epoch-keyed, built under mu, never
-// populated from a cancelled engine (nil is returned instead and the kernel
-// falls back to its own scan).
-func (g *NWHypergraph) degreeStats(eng *Engine, snap *snapshot) *slinegraph.DegreeStats {
-	lz := g.lazy
-	if lz == nil {
-		// Zero-value handle (no constructor ran): compute uncached.
-		st := slinegraph.ComputeDegreeStats(eng, slinegraph.FromHypergraph(snap.h))
-		if eng.Err() != nil {
-			return nil
-		}
-		return &st
-	}
-	lz.mu.Lock()
-	defer lz.mu.Unlock()
-	if lz.dstats == nil || lz.dstatsEpoch != snap.epoch {
-		st := slinegraph.ComputeDegreeStats(eng, slinegraph.FromHypergraph(snap.h))
-		if eng.Err() != nil {
-			return nil
-		}
-		lz.dstats = &st
-		lz.dstatsEpoch = snap.epoch
-	}
-	return lz.dstats
 }
 
 // toplexCover returns the memoized (toplexes, containment map) of snap,

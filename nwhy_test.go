@@ -8,7 +8,6 @@ import (
 
 	"nwhy/internal/gen"
 	"nwhy/internal/slinegraph"
-	"nwhy/internal/sparse"
 )
 
 // TestListing5Workflow reproduces the paper's Listing 5 Python session:
@@ -140,11 +139,11 @@ func TestAllCCVariantsAgree(t *testing.T) {
 }
 
 // TestAllConstructionAlgorithmsAgree is the one-route table: each of the
-// paper's four presets, on the bipartite and the adjoin input, under every
-// relabel order, for s in 0..4 at 1, 2 and 3 workers, yields a line-graph CSR
-// identical entry for entry to the zero-options route's and pairs equal to
-// the naive all-pairs oracle — the presets differ in the Strategy and
-// Schedule they pin and in nothing the result shows.
+// paper's four presets, on the bipartite and the adjoin input, for s in 0..4
+// at 1, 2 and 3 workers, yields a line-graph CSR identical entry for entry to
+// the zero-options route's and pairs equal to the naive all-pairs oracle —
+// the presets differ in the Strategy they pin and in nothing the result
+// shows.
 func TestAllConstructionAlgorithmsAgree(t *testing.T) {
 	h := gen.Community(gen.CommunityConfig{NumEdges: 90, NumNodes: 40, MeanEdgeSize: 4, SizeSkew: 1.6, MemberSkew: 0.5, Seed: 20})
 	presets := map[string]ConstructOptions{
@@ -171,15 +170,35 @@ func TestAllConstructionAlgorithmsAgree(t *testing.T) {
 			}
 			for name, o := range presets {
 				for _, o.UseAdjoin = range []bool{false, true} {
-					for _, o.Relabel = range []sparse.Order{sparse.NoOrder, sparse.Ascending, sparse.Descending} {
-						got := g.SLineGraphWith(s, true, o)
-						if !got.G.CSR().Equal(zero.G.CSR()) {
-							t.Fatalf("workers=%d s=%d %s %+v: CSR differs from the zero-options route", workers, s, name, o)
-						}
-						if !slices.Equal(got.Pairs(), oracle) {
-							t.Fatalf("workers=%d s=%d %s %+v: pairs differ from the oracle", workers, s, name, o)
-						}
+					got := g.SLineGraphWith(s, true, o)
+					if !got.G.CSR().Equal(zero.G.CSR()) {
+						t.Fatalf("workers=%d s=%d %s %+v: CSR differs from the zero-options route", workers, s, name, o)
 					}
+					if !slices.Equal(got.Pairs(), oracle) {
+						t.Fatalf("workers=%d s=%d %s %+v: pairs differ from the oracle", workers, s, name, o)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPaperPresetsSameBytesAsZeroOptions: on every internal/gen preset at
+// test scale, SLineGraphWith under each of the paper's four presets gives
+// the RowPtr, Col and Val of the zero options, element for element.
+func TestPaperPresetsSameBytesAsZeroOptions(t *testing.T) {
+	presets := map[string]ConstructOptions{
+		"Hashmap": PresetHashmap, "Intersection": PresetIntersection,
+		"Algorithm1": PresetAlgorithm1, "Algorithm2": PresetAlgorithm2,
+	}
+	for _, p := range gen.Presets() {
+		g := Wrap(p.Build(0.01))
+		for s := 1; s <= 3; s++ {
+			want := g.SLineGraphWith(s, true, ConstructOptions{}).G.CSR()
+			for name, o := range presets {
+				got := g.SLineGraphWith(s, true, o).G.CSR()
+				if !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.Col, want.Col) || !slices.Equal(got.Val, want.Val) {
+					t.Fatalf("%s s=%d %s: CSR differs from the zero options'", p.Name, s, name)
 				}
 			}
 		}

@@ -30,25 +30,6 @@ const (
 
 func (s Strategy) String() string { return slinegraph.Counter(s).String() }
 
-// Schedule selects how hyperedges are distributed over workers — the
-// schedule axis of the s-overlap construction kernel.
-type Schedule int
-
-const (
-	// ScheduleDefault is ScheduleBlocked for s-line constructions.
-	ScheduleDefault Schedule = iota
-	// ScheduleBlocked assigns contiguous chunks.
-	ScheduleBlocked
-	// ScheduleCyclic assigns hyperedges round-robin with a stride.
-	ScheduleCyclic
-	// ScheduleQueue is the paper's dynamic work queue.
-	ScheduleQueue
-	// ScheduleAuto picks a schedule from the relabel order and degree skew.
-	ScheduleAuto
-)
-
-func (s Schedule) String() string { return slinegraph.Schedule(s).String() }
-
 // Prune selects the intent-aware pruning heuristics — the fourth kernel
 // axis (the companion paper's algorithmic cuts). The heuristics compose in
 // order; levels that drop pairs (connectivity, toplex) only ever apply to
@@ -79,16 +60,14 @@ const (
 func (p Prune) String() string { return slinegraph.Prune(p).String() }
 
 // ConstructOptions configure s-line-graph construction, weighted or not.
-// Every value runs the one s-overlap kernel and yields the same graph; the
-// axes only change how the work is counted, distributed and pruned.
+// Every value runs the one s-overlap kernel, which drains its work list
+// through the paper's queue in ID order, and yields the same graph; the
+// fields only change how the work is counted, what it is fed and how it is
+// pruned.
 type ConstructOptions struct {
 	// Strategy selects the overlap-counting strategy. Zero value:
 	// auto-resolve.
 	Strategy Strategy
-	// Schedule selects the work distribution. Zero value: blocked.
-	Schedule Schedule
-	// Relabel applies relabel-by-degree before construction.
-	Relabel sparse.Order
 	// UseAdjoin feeds the kernel the adjoin representation (one shared
 	// index set) instead of the bipartite one. Hyperedge-side only.
 	UseAdjoin bool
@@ -99,29 +78,28 @@ type ConstructOptions struct {
 	Prune Prune
 }
 
-// The paper's four named constructions, as presets pinning the Strategy and
-// Schedule each name stands for (every other field stays settable on a
-// copy). Figure 9 compares exactly these; none is a separate code path.
+// The paper's four named constructions, as presets pinning the Strategy each
+// name stands for (every other field stays settable on a copy). Every run
+// drains the paper's queue, so a queue-based algorithm and its non-queue
+// namesake are one value under two labels. Figure 9 compares exactly these;
+// none is a separate code path.
 var (
-	// PresetHashmap is the hashmap-counting algorithm (IPDPS'22).
-	PresetHashmap = ConstructOptions{Strategy: StrategyHashmap, Schedule: ScheduleBlocked}
-	// PresetIntersection is the set-intersection heuristic (HiPC'21).
-	PresetIntersection = ConstructOptions{Strategy: StrategyIntersection, Schedule: ScheduleBlocked}
-	// PresetAlgorithm1 is the paper's Algorithm 1: queue-based hashmap
-	// counting.
-	PresetAlgorithm1 = ConstructOptions{Strategy: StrategyHashmap, Schedule: ScheduleQueue}
-	// PresetAlgorithm2 is the paper's Algorithm 2: queue-based set
-	// intersection.
-	PresetAlgorithm2 = ConstructOptions{Strategy: StrategyIntersection, Schedule: ScheduleQueue}
+	// PresetHashmap is the hashmap-counting algorithm (IPDPS'22):
+	// {Strategy: StrategyHashmap}, the same value as PresetAlgorithm1.
+	PresetHashmap = ConstructOptions{Strategy: StrategyHashmap}
+	// PresetIntersection is the set-intersection heuristic (HiPC'21):
+	// {Strategy: StrategyIntersection}, the same value as PresetAlgorithm2.
+	PresetIntersection = ConstructOptions{Strategy: StrategyIntersection}
+	// PresetAlgorithm1 is the paper's Algorithm 1, queue-based hashmap
+	// counting: {Strategy: StrategyHashmap}.
+	PresetAlgorithm1 = ConstructOptions{Strategy: StrategyHashmap}
+	// PresetAlgorithm2 is the paper's Algorithm 2, queue-based set
+	// intersection: {Strategy: StrategyIntersection}.
+	PresetAlgorithm2 = ConstructOptions{Strategy: StrategyIntersection}
 )
 
 func (o ConstructOptions) internal() slinegraph.Options {
-	return slinegraph.Options{
-		Relabel:  o.Relabel,
-		Counter:  slinegraph.Counter(o.Strategy),
-		Schedule: slinegraph.Schedule(o.Schedule),
-		Prune:    slinegraph.Prune(o.Prune),
-	}
+	return slinegraph.Options{Counter: slinegraph.Counter(o.Strategy), Prune: slinegraph.Prune(o.Prune)}
 }
 
 // SLineGraph is a materialized s-line graph handle exposing the s-metric
@@ -168,12 +146,7 @@ func (g *NWHypergraph) SLineGraphCtx(ctx context.Context, s int, edges bool, o C
 // Val = |e ∩ f|. It runs on eng (possibly ctx-bound).
 func (g *NWHypergraph) lineCSR(eng *Engine, snap *snapshot, s int, edges, exact bool, o ConstructOptions) (*core.Hypergraph, *sparse.CSR, error) {
 	h := snap.h
-	opts := o.internal()
-	if edges {
-		// The memoized degree statistics only describe the hyperedge side;
-		// dual (edges=false) constructions fall back to the kernel's scan.
-		opts.Stats = g.degreeStats(eng, snap)
-	} else {
+	if !edges {
 		h = h.Dual()
 	}
 	in := slinegraph.FromHypergraph(h)
@@ -184,7 +157,7 @@ func (g *NWHypergraph) lineCSR(eng *Engine, snap *snapshot, s int, edges, exact 
 	if exact {
 		construct = slinegraph.ConstructWeightedCSR
 	}
-	csr, err := construct(eng, in, s, opts)
+	csr, err := construct(eng, in, s, o.internal())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -261,11 +234,10 @@ func (g *NWHypergraph) SLineGraphEnsemble(ss []int, edges bool) map[int]*SLineGr
 	return g.ensemble(ss, edges, ConstructOptions{})
 }
 
-// SLineGraphEnsembleQueue is SLineGraphEnsemble over hyperedges with the
-// counting pass on the dynamic work queue; with useAdjoin it runs directly
-// on the adjoin representation.
+// SLineGraphEnsembleQueue is SLineGraphEnsemble over hyperedges; with
+// useAdjoin its counting pass runs directly on the adjoin representation.
 func (g *NWHypergraph) SLineGraphEnsembleQueue(ss []int, useAdjoin bool) map[int]*SLineGraph {
-	return g.ensemble(ss, true, ConstructOptions{Schedule: ScheduleQueue, UseAdjoin: useAdjoin})
+	return g.ensemble(ss, true, ConstructOptions{UseAdjoin: useAdjoin})
 }
 
 // ensemble builds one handle per distinct s in ss: lineCSR once, exact, at
@@ -325,8 +297,7 @@ func (g *NWHypergraph) SConnectedComponents(s int) []uint32 {
 // while on the community shape the route saves less than the cover costs —
 // so Auto still never pays for it speculatively. PruneToplex forces the
 // toplex path, computing and caching the cover if needed (profitable when
-// many component queries hit one snapshot, the serving tier's pattern). The
-// axis resolution reads the handle's memoized degree statistics.
+// many component queries hit one snapshot, the serving tier's pattern).
 func (g *NWHypergraph) SConnectedComponentsCtx(ctx context.Context, s int, prune Prune) ([]uint32, error) {
 	snap := g.snap()
 	eng := g.engine().WithContext(ctx)
@@ -334,20 +305,18 @@ func (g *NWHypergraph) SConnectedComponentsCtx(ctx context.Context, s int, prune
 	if prune == PruneAuto && g.toplexCacheWarmAt(snap) {
 		prune = PruneToplex
 	}
-	opts := slinegraph.Options{Stats: g.degreeStats(eng, snap)}
 	if prune == PruneToplex {
 		tops, cover, err := g.toplexCover(eng, snap)
 		if err != nil {
 			return nil, err
 		}
-		labels, err := slinegraph.SComponentsToplex(eng, in, s, tops, cover, opts)
+		labels, err := slinegraph.SComponentsToplex(eng, in, s, tops, cover, slinegraph.Options{})
 		if err != nil {
 			return nil, err
 		}
 		return labels[:snap.h.NumEdges()], nil
 	}
-	opts.Prune = slinegraph.Prune(prune)
-	labels, err := slinegraph.SComponentsDirect(eng, in, s, opts)
+	labels, err := slinegraph.SComponentsDirect(eng, in, s, slinegraph.Options{Prune: slinegraph.Prune(prune)})
 	if err != nil {
 		return nil, err
 	}
