@@ -26,7 +26,8 @@ func BetweennessCentrality(eng *parallel.Engine, g *Graph, normalized bool) []fl
 // component's CSR column array and a source's word operations stay below
 // the arc visits they replace. The constant is read off the crossover table
 // of BenchmarkBetweenness (EXPERIMENTS.md, "s-betweenness on a bit
-// matrix"): the kernels break even near words = arcs.
+// matrix"): the kernels break even near words = arcs. The level histograms
+// take the same rule (BenchmarkLevelHistograms).
 func matrixPays(nc, arcs int) bool {
 	return nc*((nc+63)/64) <= arcs/2
 }
@@ -39,7 +40,7 @@ func matrixPays(nc, arcs int) bool {
 // that pin one kernel.
 func betweenness(eng *parallel.Engine, g *Graph, normalized bool, dense func(nc, arcs int) bool) []float64 {
 	n := g.NumVertices()
-	plan := planBrandes(g, dense)
+	plan := planComponents(g, dense)
 	partials := parallel.NewTLSFor(eng, func() []float64 { return make([]float64, n) })
 
 	// Grain 1: each source is one grain, so cancellation is observed between
@@ -87,20 +88,22 @@ func betweenness(eng *parallel.Engine, g *Graph, normalized bool, dense func(nc,
 // noComponent labels a vertex without a neighbor.
 const noComponent = ^uint32(0)
 
-// brandesPlan assigns every source its component and, where the component
-// is dense, its bit matrix and its ID in it.
-type brandesPlan struct {
+// componentPlan assigns every source its component and, where the component
+// is dense, its bit matrix and its ID in it. Brandes and the level
+// histograms share it: a source runs one kernel or the other by its
+// component alone.
+type componentPlan struct {
 	comp   []uint32     // vertex -> component, numbered by least vertex; noComponent if isolated
 	local  []uint32     // vertex -> compact ID, set for vertices of matrix components only
-	matrix []*bitMatrix // component -> its bit matrix, nil for the CSR walk
+	matrix []*bitMatrix // component -> its bit matrix, nil where the kernel walks CSR rows
 }
 
-// planBrandes labels the components with one serial sweep, O(n + arcs) —
-// what a single source costs — and builds the matrix of every component
+// planComponents labels the components with one serial sweep, O(n + arcs)
+// — what a single source costs — and builds the matrix of every component
 // dense admits.
-func planBrandes(g *Graph, dense func(nc, arcs int) bool) *brandesPlan {
+func planComponents(g *Graph, dense func(nc, arcs int) bool) *componentPlan {
 	n := g.NumVertices()
-	p := &brandesPlan{comp: make([]uint32, n), local: make([]uint32, n)}
+	p := &componentPlan{comp: make([]uint32, n), local: make([]uint32, n)}
 	for i := range p.comp {
 		p.comp[i] = noComponent
 	}

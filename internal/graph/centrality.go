@@ -115,29 +115,57 @@ func (sc *sweepScratch) run(eng *parallel.Engine, g *Graph, batch []uint32) bool
 // levelHistograms calls fn(src, hist) for every vertex with a neighbor,
 // hist[d] being the number of vertices at hop distance d from src (valid
 // during the call only); an isolated vertex's histogram is [1] and is not
-// reported. Sources advance 64 at a time as one bit-parallel BFS, batches
-// being the parallel grain. A cancelled engine leaves sources unreported.
-func levelHistograms(eng *parallel.Engine, g *Graph, fn func(src int, hist []int64)) {
+// reported. It shares betweenness' component plan: a source in a component
+// dense admits runs one BFS over the component's bit matrix
+// (bitLevelState), every other source advances with up to 63 others as one
+// bit-parallel sweep over the CSR rows (sweepScratch). A grain of the one
+// loop is 64 sources of either kind: one sweep batch, or 64 matrix sources
+// run one after another. Both kernels count the same levels, so the
+// histograms do not depend on the kernel or the worker count. A cancelled
+// engine leaves sources unreported; it is observed between grains, sweep
+// levels and matrix sources. dense is matrixPays everywhere but in the
+// tests and benchmarks that pin one kernel.
+func levelHistograms(eng *parallel.Engine, g *Graph, dense func(nc, arcs int) bool, fn func(src int, hist []int64)) {
 	n := g.NumVertices()
-	srcs := make([]uint32, 0, n)
-	for v := 0; v < n; v++ {
-		if g.Degree(v) > 0 {
-			srcs = append(srcs, uint32(v))
+	plan := planComponents(g, dense)
+	var swept, onMatrix []uint32
+	for v, c := range plan.comp {
+		switch {
+		case c == noComponent:
+		case plan.matrix[c] != nil:
+			onMatrix = append(onMatrix, uint32(v))
+		default:
+			swept = append(swept, uint32(v))
 		}
 	}
-	eng.For(parallel.BlockedGrain(0, (len(srcs)+63)/64, 1), func(w, lo, hi int) {
-		sc := grabScratch[sweepScratch](eng, w, sweepScratchKey)
-		sc.ensure(n)
+	sweeps := (len(swept) + 63) / 64
+	eng.For(parallel.BlockedGrain(0, sweeps+(len(onMatrix)+63)/64, 1), func(w, lo, hi int) {
 		for b := lo; b < hi; b++ {
-			batch := srcs[b*64 : min(b*64+64, len(srcs))]
-			if sc.run(eng, g, batch) {
-				for i, s := range batch {
-					fn(int(s), sc.hist[i])
+			if b < sweeps {
+				sc := grabScratch[sweepScratch](eng, w, sweepScratchKey)
+				sc.ensure(n)
+				batch := swept[b*64 : min(b*64+64, len(swept))]
+				if sc.run(eng, g, batch) {
+					for i, s := range batch {
+						fn(int(s), sc.hist[i])
+					}
 				}
+				sc.reset()
+				eng.Stash(w, sweepScratchKey, sc)
+				continue
 			}
-			sc.reset()
+			st := grabScratch[bitLevelState](eng, w, bitLevelStateKey)
+			first := (b - sweeps) * 64
+			for _, src := range onMatrix[first:min(first+64, len(onMatrix))] {
+				if eng.Cancelled() {
+					break
+				}
+				m := plan.matrix[plan.comp[src]]
+				st.ensure(m.words)
+				fn(int(src), st.levels(m, int(plan.local[src])))
+			}
+			eng.Stash(w, bitLevelStateKey, st)
 		}
-		eng.Stash(w, sweepScratchKey, sc)
 	})
 }
 
@@ -166,7 +194,7 @@ func closeness(hist []int64, n int) float64 {
 func ClosenessCentrality(eng *parallel.Engine, g *Graph) []float64 {
 	n := g.NumVertices()
 	out := make([]float64, n)
-	levelHistograms(eng, g, func(src int, hist []int64) { out[src] = closeness(hist, n) })
+	levelHistograms(eng, g, matrixPays, func(src int, hist []int64) { out[src] = closeness(hist, n) })
 	return out
 }
 
@@ -180,24 +208,27 @@ func ClosenessCentralityOf(g *Graph, src int) float64 {
 func HarmonicClosenessCentrality(eng *parallel.Engine, g *Graph) []float64 {
 	n := g.NumVertices()
 	out := make([]float64, n)
-	levelHistograms(eng, g, func(src int, hist []int64) {
-		sum := 0.0
-		for d := 1; d < len(hist); d++ {
-			sum += float64(hist[d]) / float64(d)
-		}
-		if n > 1 {
-			sum /= float64(n - 1)
-		}
-		out[src] = sum
-	})
+	levelHistograms(eng, g, matrixPays, func(src int, hist []int64) { out[src] = harmonic(hist, n) })
 	return out
+}
+
+// harmonic scores one level histogram: sum of hist[d]/d, divided by n-1.
+func harmonic(hist []int64, n int) float64 {
+	sum := 0.0
+	for d := 1; d < len(hist); d++ {
+		sum += float64(hist[d]) / float64(d)
+	}
+	if n > 1 {
+		sum /= float64(n - 1)
+	}
+	return sum
 }
 
 // Eccentricity computes, for every vertex, the greatest hop distance to any
 // vertex reachable from it. Isolated vertices score 0.
 func Eccentricity(eng *parallel.Engine, g *Graph) []float64 {
 	out := make([]float64, g.NumVertices())
-	levelHistograms(eng, g, func(src int, hist []int64) { out[src] = float64(len(hist) - 1) })
+	levelHistograms(eng, g, matrixPays, func(src int, hist []int64) { out[src] = float64(len(hist) - 1) })
 	return out
 }
 

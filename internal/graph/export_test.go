@@ -8,7 +8,13 @@ import "nwhy/internal/parallel"
 // BetweennessWith is BetweennessCentrality with the kernel choice pinned:
 // "rule", "matrix" or "sparse".
 func BetweennessWith(eng *parallel.Engine, g *Graph, normalized bool, kernel string) []float64 {
-	return betweenness(eng, g, normalized, brandesKernels[kernel])
+	return betweenness(eng, g, normalized, kernelChoices[kernel])
+}
+
+// CentralitiesWith is ClosenessCentrality, HarmonicClosenessCentrality and
+// Eccentricity with the kernel choice pinned: "rule", "matrix" or "sparse".
+func CentralitiesWith(eng *parallel.Engine, g *Graph, kernel string) (clo, harm, ecc []float64) {
+	return centralitiesWith(eng, g, kernelChoices[kernel])
 }
 
 // ParentBetweennessCentrality is the routine of parent_test.go.
@@ -20,7 +26,7 @@ var MatrixPays = matrixPays
 // LargestComponent reports the vertices and arcs of g's largest component,
 // as the rule is asked about it.
 func LargestComponent(g *Graph) (nc, arcs int) {
-	planBrandes(g, func(n, a int) bool {
+	planComponents(g, func(n, a int) bool {
 		if n > nc {
 			nc, arcs = n, a
 		}
@@ -38,4 +44,15 @@ func TakeBetweennessWork(eng *parallel.Engine) (wordOps, dagArcs int) {
 		st.wordOps, st.dagArcs = 0, 0
 	})
 	return wordOps, dagArcs
+}
+
+// TakeLevelWork returns and zeroes the matrix words read by the
+// level-histogram states stashed in eng's arenas.
+func TakeLevelWork(eng *parallel.Engine) (wordOps int) {
+	forEachStashed(eng, bitLevelStateKey, func(v any) {
+		st := v.(*bitLevelState)
+		wordOps += st.wordOps
+		st.wordOps = 0
+	})
+	return wordOps
 }

@@ -6,9 +6,9 @@
 // Algorithms provided: breadth-first search (top-down, bottom-up, and
 // direction-optimizing), connected components (label propagation and
 // Afforest), single-source shortest paths (delta-stepping), betweenness
-// centrality (Brandes per connected component, over an adjacency bit matrix
-// where the component is dense and over the CSR rows elsewhere), closeness /
-// harmonic closeness / eccentricity, PageRank, k-core decomposition and
+// centrality and closeness / harmonic closeness / eccentricity (per
+// connected component, over an adjacency bit matrix where the component is
+// dense and over the CSR rows elsewhere), PageRank, k-core decomposition and
 // maximal independent sets.
 package graph
 

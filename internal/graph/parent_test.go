@@ -115,9 +115,10 @@ func (st *parentBrandesState) accumulate(g *Graph, src int, score []float64, sca
 	st.order = order
 }
 
-// The three kernel choices a test can pin: the rule, and each kernel for
-// every component whatever its density.
-var brandesKernels = map[string]func(nc, arcs int) bool{
+// The three kernel choices a test can pin, for Brandes and the level
+// histograms alike: the rule, and each kernel for every component whatever
+// its density ("sparse" is the CSR walk, or the 64-wide sweep).
+var kernelChoices = map[string]func(nc, arcs int) bool{
 	"rule":   matrixPays,
 	"matrix": func(int, int) bool { return true },
 	"sparse": func(int, int) bool { return false },
@@ -143,7 +144,7 @@ func sameScoresAsParent(engines []*parallel.Engine, g *Graph) error {
 	for _, normalized := range []bool{false, true} {
 		want := parentBetweennessCentrality(engines[0], g, normalized)
 		for _, eng := range engines {
-			for name, dense := range brandesKernels {
+			for name, dense := range kernelChoices {
 				got := betweenness(eng, g, normalized, dense)
 				for v := range want {
 					if eng.NumWorkers() == 1 && got[v] != want[v] || math.Abs(got[v]-want[v]) > 1e-12*math.Abs(want[v]) {
@@ -230,7 +231,7 @@ func TestBetweennessSameBitsAsParent(t *testing.T) {
 
 	// The rule sends the dense components to the matrix and the rest to the
 	// CSR walk, and the named graphs above exercise both level directions.
-	p := planBrandes(mixedGraph(2), matrixPays)
+	p := planComponents(mixedGraph(2), matrixPays)
 	var matrices, walks int
 	for _, m := range p.matrix {
 		if m != nil {

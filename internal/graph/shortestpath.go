@@ -18,6 +18,7 @@ func grabScratch[T any](eng *parallel.Engine, w int, key string) *T {
 const (
 	pathScratchKey          = "graph.shortestpath"
 	sweepScratchKey         = "graph.sweep"
+	bitLevelStateKey        = "graph.sweep.bits"
 	brandesStateKey         = "graph.brandes"
 	bitBrandesStateKey      = "graph.brandes.bits"
 	weightedBrandesStateKey = "graph.brandes.weighted"

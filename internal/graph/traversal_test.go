@@ -29,12 +29,16 @@ func ringWithChords(k int, seed int64) *Graph {
 	return FromEdgeList(el, true)
 }
 
-// TestLevelHistogramsMatchPerSourceBFS pins the 64-wide sweep to one BFS
-// per source across the shapes that stress it: more levels than bits, one
-// level, components of different depth, nothing to sweep, and source counts
-// around the batch width. Histograms — hence closeness sums and
-// eccentricities — must be integer-exact, harmonic closeness within 1e-12,
-// and every non-isolated source reported exactly once, at any worker count.
+// TestLevelHistogramsMatchPerSourceBFS pins both histogram kernels to one
+// BFS per source across the shapes that stress them: more levels than bits,
+// one level, components of different depth, nothing to sweep, source counts
+// around the batch width, cliques and dense blobs around the word width (64
+// and 128 leave no padding bits), and a matrix component beside a path and
+// isolated vertices. Under every kernel choice and worker count, histograms
+// — hence closeness sums and eccentricities — must be integer-exact, every
+// non-isolated source reported exactly once, and the three scores the same
+// bits as the sweep's; harmonic closeness is within 1e-12 of the per-pair
+// sum.
 func TestLevelHistogramsMatchPerSourceBFS(t *testing.T) {
 	star := sparse.NewEdgeList(40)
 	for v := 1; v < 40; v++ {
@@ -49,6 +53,15 @@ func TestLevelHistogramsMatchPerSourceBFS(t *testing.T) {
 			twoComps.Add(uint32(u), uint32(v))
 		}
 	}
+	mixed := sparse.NewEdgeList(290) // a matrix component, a 70-path and 20 isolated vertices
+	blob := make([]uint32, 200)
+	for i := range blob {
+		blob[i] = uint32(i)
+	}
+	denseBlob(mixed, rand.New(rand.NewSource(9)), blob, 0.2)
+	for v := 210; v+1 < 280; v++ {
+		mixed.Add(uint32(v), uint32(v+1))
+	}
 	cases := map[string]*Graph{
 		"path200":     pathGraph(200),
 		"star":        FromEdgeList(star, true),
@@ -58,67 +71,112 @@ func TestLevelHistogramsMatchPerSourceBFS(t *testing.T) {
 	for _, k := range []int{1, 63, 64, 65, 130} {
 		cases[fmt.Sprintf("sources%d", k)] = ringWithChords(k, int64(k))
 	}
-	for workers := 1; workers <= 3; workers++ {
-		eng := parallel.NewEngine(workers)
-		defer eng.Close()
-		for name, g := range cases {
-			n := g.NumVertices()
-			got := make([][]int64, n)
-			var calls atomic.Int64
-			levelHistograms(eng, g, func(src int, hist []int64) {
-				calls.Add(1)
-				got[src] = slices.Clone(hist)
-			})
+	onMatrix := map[string]*Graph{
+		"clique64":      completeGraph(64),
+		"clique65":      completeGraph(65),
+		"clique130":     completeGraph(130),
+		"gnp300":        blobWithTail(300, 0, 0.15, 5),
+		"blob128":       blobWithTail(128, 0, 0.1, 6),
+		"matrixPathIso": FromEdgeList(mixed, true),
+	}
+	for name, g := range onMatrix {
+		if !slices.ContainsFunc(planComponents(g, matrixPays).matrix, func(m *bitMatrix) bool { return m != nil }) {
+			t.Fatalf("%s: the rule gives no component a matrix", name)
+		}
+		cases[name] = g
+	}
+	for name, g := range cases {
+		n := g.NumVertices()
+		want := make([][]int64, n)
+		wantHarmonic := make([]float64, n)
+		dist := make([]int32, n)
+		for src := 0; src < n; src++ {
+			for _, v := range bfsDistances(g, src, dist, nil) {
+				if int(dist[v]) == len(want[src]) {
+					want[src] = append(want[src], 0)
+				}
+				want[src][dist[v]]++
+				if dist[v] > 0 {
+					wantHarmonic[src] += 1 / float64(dist[v])
+				}
+			}
+			if n > 1 {
+				wantHarmonic[src] /= float64(n - 1)
+			}
+		}
+		for workers := 1; workers <= 3; workers++ {
+			eng := parallel.NewEngine(workers)
+			sweepClo, sweepHarmonic, sweepEcc := centralitiesWith(eng, g, kernelChoices["sparse"])
+			for kernel, dense := range kernelChoices {
+				got, calls := histogramsWith(eng, g, dense)
+				nonIsolated := 0
+				for src := 0; src < n; src++ {
+					switch {
+					case g.Degree(src) > 0:
+						nonIsolated++
+						if !slices.Equal(got[src], want[src]) {
+							t.Fatalf("%s %s workers=%d: hist[%d] = %v, want %v", name, kernel, workers, src, got[src], want[src])
+						}
+					case got[src] != nil:
+						t.Fatalf("%s %s workers=%d: isolated vertex %d reported %v", name, kernel, workers, src, got[src])
+					}
+				}
+				if calls != nonIsolated {
+					t.Fatalf("%s %s workers=%d: %d sources reported, want %d", name, kernel, workers, calls, nonIsolated)
+				}
+				clo, harmonic, ecc := centralitiesWith(eng, g, dense)
+				for src := 0; src < n; src++ {
+					if clo[src] != sweepClo[src] || harmonic[src] != sweepHarmonic[src] || ecc[src] != sweepEcc[src] {
+						t.Fatalf("%s %s workers=%d: scores of %d = %v %v %v, the sweep's %v %v %v", name, kernel, workers, src, clo[src], harmonic[src], ecc[src], sweepClo[src], sweepHarmonic[src], sweepEcc[src])
+					}
+				}
+			}
 			clo, harmonic, ecc := ClosenessCentrality(eng, g), HarmonicClosenessCentrality(eng, g), Eccentricity(eng, g)
-			nonIsolated := 0
-			dist := make([]int32, n)
 			for src := 0; src < n; src++ {
-				var want []int64
-				wantHarmonic := 0.0
-				for _, v := range bfsDistances(g, src, dist, nil) {
-					if int(dist[v]) == len(want) {
-						want = append(want, 0)
-					}
-					want[dist[v]]++
-					if dist[v] > 0 {
-						wantHarmonic += 1 / float64(dist[v])
-					}
-				}
-				if n > 1 {
-					wantHarmonic /= float64(n - 1)
-				}
-				if g.Degree(src) == 0 {
-					if got[src] != nil {
-						t.Fatalf("%s workers=%d: isolated vertex %d reported %v", name, workers, src, got[src])
-					}
-				} else {
-					nonIsolated++
-					if !slices.Equal(got[src], want) {
-						t.Fatalf("%s workers=%d: hist[%d] = %v, want %v", name, workers, src, got[src], want)
-					}
-				}
-				if ecc[src] != float64(len(want)-1) || ecc[src] != EccentricityOf(g, src) {
-					t.Fatalf("%s workers=%d: ecc[%d] = %v, want %d", name, workers, src, ecc[src], len(want)-1)
+				if ecc[src] != float64(len(want[src])-1) || ecc[src] != EccentricityOf(g, src) {
+					t.Fatalf("%s workers=%d: ecc[%d] = %v, want %d", name, workers, src, ecc[src], len(want[src])-1)
 				}
 				if clo[src] != ClosenessCentralityOf(g, src) {
 					t.Fatalf("%s workers=%d: closeness[%d] = %v, want %v", name, workers, src, clo[src], ClosenessCentralityOf(g, src))
 				}
-				if math.Abs(harmonic[src]-wantHarmonic) > 1e-12 {
-					t.Fatalf("%s workers=%d: harmonic[%d] = %v, want %v", name, workers, src, harmonic[src], wantHarmonic)
+				if math.Abs(harmonic[src]-wantHarmonic[src]) > 1e-12 {
+					t.Fatalf("%s workers=%d: harmonic[%d] = %v, want %v", name, workers, src, harmonic[src], wantHarmonic[src])
 				}
 			}
-			if int(calls.Load()) != nonIsolated {
-				t.Fatalf("%s workers=%d: %d sources reported, want %d", name, workers, calls.Load(), nonIsolated)
-			}
+			checkArenaScratchClean(t, eng)
+			eng.Close()
 		}
-		checkArenaScratchClean(t, eng)
 	}
+}
+
+// histogramsWith runs levelHistograms under the kernel choice dense and
+// returns a copy of every reported histogram, nil for a source not
+// reported, and the number of reports.
+func histogramsWith(eng *parallel.Engine, g *Graph, dense func(nc, arcs int) bool) ([][]int64, int) {
+	got := make([][]int64, g.NumVertices())
+	var calls atomic.Int64
+	levelHistograms(eng, g, dense, func(src int, hist []int64) {
+		calls.Add(1)
+		got[src] = slices.Clone(hist)
+	})
+	return got, int(calls.Load())
+}
+
+// centralitiesWith is ClosenessCentrality, HarmonicClosenessCentrality and
+// Eccentricity under the kernel choice dense, from one levelHistograms call.
+func centralitiesWith(eng *parallel.Engine, g *Graph, dense func(nc, arcs int) bool) (clo, harm, ecc []float64) {
+	n := g.NumVertices()
+	clo, harm, ecc = make([]float64, n), make([]float64, n), make([]float64, n)
+	levelHistograms(eng, g, dense, func(src int, hist []int64) {
+		clo[src], harm[src], ecc[src] = closeness(hist, n), harmonic(hist, n), float64(len(hist)-1)
+	})
+	return clo, harm, ecc
 }
 
 // checkArenaScratchClean pops every traversal scratch stashed in eng's
 // arenas, checks the state each must be in between calls (ShortestPath marks
 // and sweep words all zero, Brandes distances all unreachable, no list
-// left non-empty; the bit-matrix Brandes state has no such invariant beyond
+// left non-empty; the two bit-matrix states have no such invariant beyond
 // the sizes ensure compares), puts them back and returns how many it saw.
 func checkArenaScratchClean(t *testing.T, eng *parallel.Engine) int {
 	t.Helper()
@@ -130,7 +188,7 @@ func checkArenaScratchClean(t *testing.T, eng *parallel.Engine) int {
 		}
 	}
 	found := 0
-	for _, key := range []string{pathScratchKey, sweepScratchKey, brandesStateKey, bitBrandesStateKey} {
+	for _, key := range []string{pathScratchKey, sweepScratchKey, bitLevelStateKey, brandesStateKey, bitBrandesStateKey} {
 		forEachStashed(eng, key, func(v any) {
 			found++
 			switch sc := v.(type) {
@@ -149,6 +207,10 @@ func checkArenaScratchClean(t *testing.T, eng *parallel.Engine) int {
 				allZero("next", sc.next)
 				if len(sc.cur)+len(sc.nxt)+len(sc.visited) != 0 {
 					t.Fatalf("stashed sweep scratch has non-empty lists")
+				}
+			case *bitLevelState:
+				if len(sc.cur) != len(sc.visited) || len(sc.next) != len(sc.visited) {
+					t.Fatalf("stashed bit-matrix level state has bitsets of %d, %d and %d words", len(sc.visited), len(sc.cur), len(sc.next))
 				}
 			case *brandesState:
 				for v, d := range sc.dist {
@@ -191,7 +253,8 @@ func allocatedBytes(fn func()) uint64 {
 }
 
 // TestCancelledTraversalsLeaveEngineReusable cancels each of the three
-// traversals before it starts and between any two of its first polls. A
+// traversals, and the level histograms on the bit matrix, before it starts
+// and between any two of its first polls. A
 // cancelled run must leave the engine reporting the context's error, return
 // its scratch to the arenas in the between-calls state, and not disturb the
 // next run on the same engine, which must be exact.
@@ -228,6 +291,12 @@ func TestCancelledTraversalsLeaveEngineReusable(t *testing.T) {
 			}
 			return nil
 		},
+		"HarmonicOnMatrix": func(e *parallel.Engine) error {
+			if _, got, _ := centralitiesWith(e, g, kernelChoices["matrix"]); !slices.Equal(got, wantHarmonic) {
+				return errors.New("harmonic closeness on the bit matrix differs from the uncancelled sweep")
+			}
+			return nil
+		},
 		"Betweenness": func(e *parallel.Engine) error {
 			for v, got := range BetweennessCentrality(e, g, false) {
 				if math.Abs(got-wantBC[v]) > 1e-9*(1+wantBC[v]) {
@@ -256,7 +325,7 @@ func TestCancelledTraversalsLeaveEngineReusable(t *testing.T) {
 			t.Fatalf("%s: only %d of 60 runs were cancelled; the test no longer cancels mid-run", name, cancelled)
 		}
 	}
-	if checkArenaScratchClean(t, eng) < 3 {
+	if checkArenaScratchClean(t, eng) < 4 {
 		t.Fatal("traversal scratch was not stashed back into the engine arenas")
 	}
 }
@@ -273,7 +342,7 @@ func TestBetweennessAllocatesPerWorkerNotPerSource(t *testing.T) {
 	const n = 1000
 	grains := allocatedBytes(func() { eng.For(parallel.BlockedGrain(0, n, 1), func(int, int, int) {}) })
 	dense := blobWithTail(n, 0, 0.1, 11)
-	matrix := planBrandes(dense, matrixPays).matrix
+	matrix := planComponents(dense, matrixPays).matrix
 	if len(matrix) != 1 || matrix[0] == nil {
 		t.Fatal("the dense graph is not one matrix component")
 	}
@@ -299,7 +368,7 @@ func TestBetweennessAllocatesPerWorkerNotPerSource(t *testing.T) {
 func TestBetweennessSparseGiantAllocatesLinear(t *testing.T) {
 	const n = 100000
 	g := randomGraph(n, 4*n, 5)
-	p := planBrandes(g, matrixPays)
+	p := planComponents(g, matrixPays)
 	for c, m := range p.matrix {
 		if m == nil {
 			continue
@@ -338,7 +407,7 @@ func TestBetweennessAsymmetricAdjacencyTerminates(t *testing.T) {
 	if g.IsSymmetric() {
 		t.Fatal("the adjacency is symmetric")
 	}
-	for name, dense := range brandesKernels {
+	for name, dense := range kernelChoices {
 		if got := betweenness(teng, g, false, dense); len(got) != 4 {
 			t.Fatalf("%s kernel: %d scores", name, len(got))
 		}
