@@ -1,64 +1,43 @@
 // Command nwhy-lint runs NWHy-Go's static-analysis suite: repo-specific
 // checks that machine-enforce the engine and concurrency invariants
-// (engine-first kernels, pool-confined goroutines, no atomic/plain mixing
-// inside parallel regions, per-round cancellation, arena recycling,
-// context propagation, lock balance, and the stateBox commit protocol).
-// Packages are parsed and type-checked module-wide, so the interprocedural
-// checks see real method sets and the cross-package call graph.
+// (engine-first kernels, pool-confined goroutines, per-round cancellation,
+// arena recycling, context propagation, and lock balance).
+// Every package's non-test files are type-checked, so the checks see real
+// method sets and the cross-package call graph.
 //
 // Usage:
 //
-//	go run ./cmd/nwhy-lint ./...          # lint the whole module
-//	go run ./cmd/nwhy-lint -list          # print the registered checks
-//	go run ./cmd/nwhy-lint -checks a,b .  # run a subset
-//	go run ./cmd/nwhy-lint -json ./...    # machine-readable diagnostics
+//	go run ./cmd/nwhy-lint ./...   # lint the whole module
+//	go run ./cmd/nwhy-lint -list   # print the registered checks
 //
-// Diagnostics print as file:line:col: check: message (or, with -json, as a
-// JSON array of objects with those fields). The exit status is 0 when the
-// tree is clean, 1 when diagnostics were reported, and 2 on usage or load
-// errors. Individual findings can be silenced with a justified suppression
-// comment:
+// Diagnostics print as file:line:col: check: message. The exit status is 0
+// when the tree is clean, 1 when diagnostics were reported, and 2 on usage
+// or load errors (a package that does not parse or type-check included).
+// Individual findings can be silenced with a justified suppression comment:
 //
 //	//nwhy:nolint(check-name) reason the invariant is safe to waive here
 //
 // The tool is built on the standard library only; it adds no module
-// dependencies. Type-checking and analysis both run in parallel on the
-// repo's own engine; -v reports the phase timings on stderr.
+// dependencies.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"strings"
-	"time"
 
 	"nwhy/internal/analysis"
-	"nwhy/internal/parallel"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// jsonDiag is the -json wire shape of one diagnostic.
-type jsonDiag struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Check   string `json:"check"`
-	Message string `json:"message"`
-}
-
-func run(args []string, stdout, stderr *os.File) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("nwhy-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "print the registered checks and exit")
-	checkList := fs.String("checks", "", "comma-separated subset of checks to run (default: all)")
-	asJSON := fs.Bool("json", false, "emit diagnostics as a JSON array")
-	verbose := fs.Bool("v", false, "report load/analysis timings on stderr")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -69,88 +48,26 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 0
 	}
 
-	checks := analysis.Checks()
-	runningAll := true
-	if *checkList != "" {
-		runningAll = false
-		checks = checks[:0:0]
-		for _, name := range strings.Split(*checkList, ",") {
-			name = strings.TrimSpace(name)
-			c := analysis.LookupCheck(name)
-			if c == nil {
-				fmt.Fprintf(stderr, "nwhy-lint: unknown check %q (try -list)\n", name)
-				return 2
-			}
-			checks = append(checks, c)
-		}
-	}
-
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	cwd, err := os.Getwd()
+	root, err := analysis.FindModuleRoot(".")
 	if err != nil {
 		fmt.Fprintln(stderr, "nwhy-lint:", err)
 		return 2
 	}
-	root, err := analysis.FindModuleRoot(cwd)
+	pkgs, err := analysis.Load(root, patterns)
 	if err != nil {
 		fmt.Fprintln(stderr, "nwhy-lint:", err)
 		return 2
 	}
-
-	eng := parallel.NewEngine(runtime.GOMAXPROCS(0))
-	defer eng.Close()
-
-	loadStart := time.Now()
-	loader, err := analysis.NewLoader(root)
-	if err != nil {
-		fmt.Fprintln(stderr, "nwhy-lint:", err)
-		return 2
-	}
-	loader.Engine = eng
-	pkgs, err := loader.Load(patterns)
-	if err != nil {
-		fmt.Fprintln(stderr, "nwhy-lint:", err)
-		return 2
-	}
-	loadDone := time.Now()
-	diags := analysis.Run(pkgs, checks, analysis.Options{
-		ReportUnusedSuppressions: runningAll,
-		Engine:                   eng,
-	})
-	if *verbose {
-		fmt.Fprintf(stderr, "nwhy-lint: loaded %d package(s) in %v, analyzed in %v\n",
-			len(pkgs), loadDone.Sub(loadStart).Round(time.Millisecond), time.Since(loadDone).Round(time.Millisecond))
-	}
-
-	if *asJSON {
-		out := make([]jsonDiag, 0, len(diags))
-		for _, d := range diags {
-			out = append(out, jsonDiag{
-				File:    d.Pos.Filename,
-				Line:    d.Pos.Line,
-				Col:     d.Pos.Column,
-				Check:   d.Check,
-				Message: d.Message,
-			})
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(stderr, "nwhy-lint:", err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintln(stdout, d)
-		}
-		if len(diags) > 0 {
-			fmt.Fprintf(stdout, "nwhy-lint: %d diagnostic(s)\n", len(diags))
-		}
+	diags := analysis.Run(pkgs, analysis.Checks())
+	for _, d := range diags {
+		fmt.Fprintln(stdout, d)
 	}
 	if len(diags) > 0 {
+		fmt.Fprintf(stdout, "nwhy-lint: %d diagnostic(s)\n", len(diags))
 		return 1
 	}
 	return 0

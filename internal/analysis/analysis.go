@@ -6,19 +6,17 @@
 //
 // The framework exists to machine-enforce the engine and concurrency
 // invariants the repo established by convention: every kernel threads an
-// explicit *parallel.Engine, all concurrency flows through the pool, shared
-// state inside parallel regions goes through atomics, multi-round drivers
-// observe cancellation, arena scratch is recycled, serving paths thread the
-// request context, locks balance, and the facade's snapshot box is only
-// touched through its accessors. Each invariant is a registered Check;
-// cmd/nwhy-lint runs them all over the module.
+// explicit *parallel.Engine, all concurrency flows through the pool,
+// multi-round drivers observe cancellation, arena scratch is recycled,
+// serving paths thread the request context, and locks balance. Each
+// invariant is a registered Check; cmd/nwhy-lint runs them all over the
+// module.
 //
-// Loading happens in two tiers. The Loader parses the module's package DAG
-// and type-checks it bottom-up (stdlib dependencies come from a shared
-// source importer), attaching go/types information to every File. Checks
-// consume types when present and degrade to the original AST name-matching
-// when a file failed to type-check — golden fixtures with deliberate type
-// errors keep working.
+// Load parses each package and type-checks its non-test files, resolving
+// module-internal imports from source and the standard library through a
+// shared source importer, one package at a time. Every check resolves
+// calls, types and objects through go/types; a package that does not
+// type-check is a load error, not a degraded analysis.
 package analysis
 
 import (
@@ -28,8 +26,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-
-	"nwhy/internal/parallel"
 )
 
 // Diagnostic is one finding: a position, the check that produced it, and a
@@ -44,30 +40,17 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Check, d.Message)
 }
 
-// File is one parsed source file plus the lookup tables checks need.
+// File is one parsed source file.
 type File struct {
 	Name string // path on disk
 	AST  *ast.File
 	Test bool // *_test.go
-	// Imports maps each import's local name (alias or path base) to its
-	// import path, so checks can resolve selector expressions like
-	// parallel.MinU32 without type information. Files with identical
-	// import blocks share one table.
-	Imports map[string]string
-	// Info is the go/types information for the checking unit this file was
-	// type-checked in (nil when the package was loaded without types).
-	// Non-test files share the package's lib unit; in-package and external
-	// test files each get their own unit.
+	// Info is the package's go/types information; every non-test file of
+	// a package shares it. Test files are never type-checked (no check
+	// reads them) and have none.
 	Info *types.Info
 
-	importedAs   map[string]string // reverse of Imports: path → local name
 	suppressions []suppression
-}
-
-// ImportsAs reports the local name path is imported under in this file
-// ("" if not imported).
-func (f *File) ImportsAs(path string) string {
-	return f.importedAs[path]
 }
 
 // Package is one directory's worth of parsed files (test files included,
@@ -78,15 +61,7 @@ type Package struct {
 	Name   string
 	Fset   *token.FileSet
 	Files  []*File
-
-	// Types and TypesInfo carry the type-checked form of the package's
-	// non-test files; nil for AST-only loads. TypeErrors collects every
-	// soft error the checker reported — fixture packages type-check
-	// best-effort, and checks fall back to name matching where resolution
-	// failed.
-	Types      *types.Package
-	TypesInfo  *types.Info
-	TypeErrors []error
+	Types  *types.Package // the type-checked non-test files
 }
 
 // Check is one registered invariant: a stable name (the key used in
@@ -146,40 +121,21 @@ func LookupCheck(name string) *Check {
 	return nil
 }
 
-// Options configures a Run.
-type Options struct {
-	// ReportUnusedSuppressions adds a diagnostic for every //nwhy:nolint
-	// that suppressed nothing. Set when running the full check suite (a
-	// partial run can legitimately leave suppressions unused).
-	ReportUnusedSuppressions bool
-	// Engine, when set, analyzes packages in parallel on the given engine
-	// (each package's checks still run sequentially, so per-package state
-	// never races). Nil runs everything on the calling goroutine.
-	Engine *parallel.Engine
-}
-
 // Run executes the checks over the packages, applies //nwhy:nolint
 // suppressions, and returns the surviving diagnostics sorted by position.
 // Malformed suppressions (unknown check, missing reason) surface as
-// diagnostics of the pseudo-check "nolint" and cannot be suppressed.
-func Run(pkgs []*Package, checks []*Check, opts Options) []Diagnostic {
-	mod := NewModule(pkgs)
-	perPkg := make([][]Diagnostic, len(pkgs))
-	analyze := func(i int) {
-		for _, c := range checks {
-			c.Run(&Pass{Check: c, Pkg: pkgs[i], Mod: mod, diags: &perPkg[i]})
-		}
-	}
-	if opts.Engine != nil {
-		opts.Engine.ForEach(len(pkgs), analyze)
-	} else {
-		for i := range pkgs {
-			analyze(i)
-		}
-	}
+// diagnostics of the pseudo-check "nolint" and cannot be suppressed, as
+// does a suppression that silenced nothing although every check it names
+// ran.
+func Run(pkgs []*Package, checks []*Check) []Diagnostic {
+	mod := &Module{Pkgs: pkgs}
+	ran := map[string]bool{}
 	var raw []Diagnostic
-	for _, ds := range perPkg {
-		raw = append(raw, ds...)
+	for _, c := range checks {
+		ran[c.Name] = true
+		for _, pkg := range pkgs {
+			c.Run(&Pass{Check: c, Pkg: pkg, Mod: mod, diags: &raw})
+		}
 	}
 
 	var out []Diagnostic
@@ -197,7 +153,7 @@ func Run(pkgs []*Package, checks []*Check, opts Options) []Diagnostic {
 				s := &f.suppressions[i]
 				if s.err != "" {
 					out = append(out, Diagnostic{Pos: pkg.Fset.Position(s.pos), Check: "nolint", Message: s.err})
-				} else if opts.ReportUnusedSuppressions && !used[s] {
+				} else if !used[s] && allRan(s.checks, ran) {
 					out = append(out, Diagnostic{
 						Pos:     pkg.Fset.Position(s.pos),
 						Check:   "nolint",
@@ -218,6 +174,15 @@ func Run(pkgs []*Package, checks []*Check, opts Options) []Diagnostic {
 		return a.Column < b.Column
 	})
 	return out
+}
+
+func allRan(names []string, ran map[string]bool) bool {
+	for _, n := range names {
+		if !ran[n] {
+			return false
+		}
+	}
+	return true
 }
 
 // walkFiles visits every non-test file of the pass's package.

@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"sync"
 )
 
 // Module is the unit of one Run: every package handed to Run plus the
@@ -11,18 +10,15 @@ import (
 // through Pass.Mod.
 type Module struct {
 	Pkgs []*Package
-
-	once sync.Once
 	cg   *CallGraph
 }
 
-// NewModule wraps the packages of one Run.
-func NewModule(pkgs []*Package) *Module { return &Module{Pkgs: pkgs} }
-
-// CallGraph returns the static call graph over the module's typed function
-// declarations, built on first use (safe under concurrent passes).
+// CallGraph returns the static call graph over the module's function
+// declarations, built on first use.
 func (m *Module) CallGraph() *CallGraph {
-	m.once.Do(func() { m.cg = buildCallGraph(m.Pkgs) })
+	if m.cg == nil {
+		m.cg = buildCallGraph(m.Pkgs)
+	}
 	return m.cg
 }
 
@@ -46,7 +42,7 @@ func buildCallGraph(pkgs []*Package) *CallGraph {
 	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
-			if f.Test || f.Info == nil {
+			if f.Test {
 				continue
 			}
 			for _, decl := range f.AST.Decls {
@@ -65,7 +61,7 @@ func buildCallGraph(pkgs []*Package) *CallGraph {
 					if !ok {
 						return true
 					}
-					if _, isRegion := isParallelRegionCall(f, call); isRegion {
+					if isParallelRegionCall(f, call) {
 						region = true
 					}
 					if callee := typedCallee(f, call); callee != nil {

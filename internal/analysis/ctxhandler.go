@@ -43,10 +43,6 @@ func runCtxFirstHandler(p *Pass) {
 		return
 	}
 	p.walkFiles(func(f *File) {
-		ctxName := f.ImportsAs("context")
-		if ctxName == "" && f.Info == nil {
-			return
-		}
 		for _, decl := range f.AST.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -60,27 +56,11 @@ func runCtxFirstHandler(p *Pass) {
 				if !ok {
 					return true
 				}
-				if fn := typedCallee(f, call); fn != nil {
-					if funcPkgPath(fn) == "context" && recvTypeName(fn) == "" &&
-						(fn.Name() == "Background" || fn.Name() == "TODO") {
-						p.Reportf(call.Pos(),
-							"context.%s() on a request path; thread the caller's ctx instead",
-							fn.Name())
-					}
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				base, ok := sel.X.(*ast.Ident)
-				if !ok || base.Name != ctxName {
-					return true
-				}
-				if sel.Sel.Name == "Background" || sel.Sel.Name == "TODO" {
+				if fn := typedCallee(f, call); fn != nil && funcPkgPath(fn) == "context" &&
+					(fn.Name() == "Background" || fn.Name() == "TODO") {
 					p.Reportf(call.Pos(),
 						"context.%s() on a request path; thread the caller's ctx instead",
-						sel.Sel.Name)
+						fn.Name())
 				}
 				return true
 			})

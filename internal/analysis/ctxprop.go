@@ -34,16 +34,12 @@ func init() {
 //
 // Functions without a ctx or engine parameter are not analyzed — the
 // non-Ctx convenience wrappers legitimately start from the shared engine.
-// The check needs type information and skips files without it.
 func runCtxPropagation(p *Pass) {
 	facade := p.Pkg.Path == p.Pkg.Module
 	if !facade && !isServingPkg(p.Pkg.Path) {
 		return
 	}
 	p.funcDecls(func(f *File, d *ast.FuncDecl) {
-		if f.Info == nil {
-			return
-		}
 		tainted := ctxSeeds(f, d)
 		if len(tainted) == 0 {
 			return

@@ -17,23 +17,16 @@ func init() {
 // cancellation between rounds, otherwise a cancelled engine merely stops
 // scheduling grains while the driver keeps spinning rounds forever.
 //
-// "Launches parallel work" resolves through the module call graph when
-// type information is available: a loop is parallel if it contains a
-// region call or a statically resolved call — cross-package and method
-// calls included — to a function that transitively schedules on pool
-// workers. Untyped files keep the original package-local name closure, so
-// fixtures with deliberate type errors degrade rather than break. The
-// cancellation observer is typed too: Engine.Err/Cancelled or
+// "Launches parallel work" resolves through the module call graph: a loop
+// is parallel if it contains a region call or a call — cross-package and
+// method calls included — to a function that transitively schedules on
+// pool workers. The cancellation observer is Engine.Err/Cancelled or
 // context.Context.Err/Done, verified by receiver.
 func runCtxAtRounds(p *Pass) {
 	if !isKernelPkg(p.Pkg.Path) {
 		return
 	}
-	parallelFns := packageParallelFuncs(p)
-	var cg *CallGraph
-	if p.Mod != nil {
-		cg = p.Mod.CallGraph()
-	}
+	cg := p.Mod.CallGraph()
 	p.funcDecls(func(f *File, d *ast.FuncDecl) {
 		ast.Inspect(d, func(n ast.Node) bool {
 			var body *ast.BlockStmt
@@ -46,7 +39,7 @@ func runCtxAtRounds(p *Pass) {
 			default:
 				return true
 			}
-			if !launchesParallelWork(f, cg, body, parallelFns) {
+			if !launchesParallelWork(f, cg, body) {
 				return true
 			}
 			if containsCancellationCheck(f, body) || (cond != nil && containsCancellationCheck(f, cond)) {
@@ -58,100 +51,15 @@ func runCtxAtRounds(p *Pass) {
 	})
 }
 
-// packageParallelFuncs computes the transitive closure of package-local
-// functions that launch parallel work — the untyped fallback vocabulary.
-func packageParallelFuncs(p *Pass) map[string]bool {
-	type fn struct {
-		decl *ast.FuncDecl
-		file *File
-	}
-	decls := map[string]fn{}
-	p.funcDecls(func(f *File, d *ast.FuncDecl) {
-		if d.Recv == nil { // methods are resolved through regionMethods instead
-			decls[d.Name.Name] = fn{d, f}
-		}
-	})
-	parallel := map[string]bool{}
-	for name, fd := range decls {
-		if containsRegionCall(fd.file, fd.decl.Body) {
-			parallel[name] = true
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for name, fd := range decls {
-			if parallel[name] {
-				continue
-			}
-			callsParallel := false
-			ast.Inspect(fd.decl.Body, func(n ast.Node) bool {
-				if callsParallel {
-					return false
-				}
-				if call, ok := n.(*ast.CallExpr); ok {
-					if base, callee := selectorCall(call); base == "" && parallel[callee] {
-						callsParallel = true
-					}
-				}
-				return true
-			})
-			if callsParallel {
-				parallel[name] = true
-				changed = true
-			}
-		}
-	}
-	return parallel
-}
-
-func containsRegionCall(f *File, root ast.Node) bool {
+// launchesParallelWork reports whether root contains a call to a region
+// entry point or to a function the call graph marks parallel.
+func launchesParallelWork(f *File, cg *CallGraph, root ast.Node) bool {
 	found := false
 	ast.Inspect(root, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if _, ok := isParallelRegionCall(f, call); ok {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// launchesParallelWork reports whether root contains a region call, a
-// statically resolved call to a function the call graph marks parallel, or
-// (for unresolved calls) a call to a package-local parallel function by
-// name.
-func launchesParallelWork(f *File, cg *CallGraph, root ast.Node, parallelFns map[string]bool) bool {
-	found := false
-	ast.Inspect(root, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if _, ok := isParallelRegionCall(f, call); ok {
+		if call, ok := n.(*ast.CallExpr); ok && cg.LaunchesParallel(typedCallee(f, call)) {
 			found = true
-			return false
 		}
-		if cg != nil {
-			if callee := typedCallee(f, call); callee != nil {
-				if cg.LaunchesParallel(callee) {
-					found = true
-				}
-				return !found
-			}
-		}
-		if base, callee := selectorCall(call); base == "" && parallelFns[callee] {
-			found = true
-			return false
-		}
-		return true
+		return !found
 	})
 	return found
 }

@@ -40,15 +40,7 @@ func runEngineFirst(p *Pass) {
 				if !ok || sel.Sel.Name != "SharedEngine" {
 					return true
 				}
-				if f.Info != nil {
-					if fn, isFn := f.Info.Uses[sel.Sel].(*types.Func); isFn {
-						if isParallelModulePkg(funcPkgPath(fn)) {
-							p.Reportf(sel.Pos(), "parallel.SharedEngine is confined to the facade package; take a *parallel.Engine from the caller instead")
-						}
-						return true
-					}
-				}
-				if base := pathOf(sel.X); base != "" && f.Imports[base] == parallelPkg {
+				if fn, isFn := f.Info.Uses[sel.Sel].(*types.Func); isFn && isParallelPkg(funcPkgPath(fn)) {
 					p.Reportf(sel.Pos(), "parallel.SharedEngine is confined to the facade package; take a *parallel.Engine from the caller instead")
 				}
 				return true
@@ -81,16 +73,9 @@ func runEngineFirst(p *Pass) {
 						if !ok {
 							continue
 						}
-						if fn := typedCallee(f, call); fn != nil {
-							if isParallelModulePkg(funcPkgPath(fn)) &&
-								(fn.Name() == "SharedEngine" || fn.Name() == "NewEngine") {
-								p.Reportf(vs.Pos(), "package-level engine binding (parallel.%s); kernels must receive their engine per call", fn.Name())
-							}
-							continue
-						}
-						if base, name := selectorCall(call); f.Imports[base] == parallelPkg &&
-							(name == "SharedEngine" || name == "NewEngine") {
-							p.Reportf(vs.Pos(), "package-level engine binding (%s.%s); kernels must receive their engine per call", base, name)
+						if fn := typedCallee(f, call); fn != nil && isParallelPkg(funcPkgPath(fn)) &&
+							(fn.Name() == "SharedEngine" || fn.Name() == "NewEngine") {
+							p.Reportf(vs.Pos(), "package-level engine binding (parallel.%s); kernels must receive their engine per call", fn.Name())
 						}
 					}
 				}
@@ -103,14 +88,9 @@ func runEngineFirst(p *Pass) {
 			if !ok {
 				return true
 			}
-			if fn := typedCallee(f, call); fn != nil {
-				if isParallelModulePkg(funcPkgPath(fn)) && recvTypeName(fn) == "" && defaultPoolFuncNames[fn.Name()] {
-					p.Reportf(call.Pos(), "parallel.%s schedules on the process default pool; run the loop on the caller's engine", fn.Name())
-				}
-				return true
-			}
-			if base, name := selectorCall(call); base != "" && f.Imports[base] == parallelPkg && defaultPoolFuncNames[name] {
-				p.Reportf(call.Pos(), "parallel.%s schedules on the process default pool; run the loop on the caller's engine", name)
+			if fn := typedCallee(f, call); fn != nil && isParallelPkg(funcPkgPath(fn)) &&
+				recvTypeName(fn) == "" && defaultPoolFuncNames[fn.Name()] {
+				p.Reportf(call.Pos(), "parallel.%s schedules on the process default pool; run the loop on the caller's engine", fn.Name())
 			}
 			return true
 		})

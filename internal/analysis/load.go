@@ -3,12 +3,13 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 )
@@ -16,17 +17,166 @@ import (
 // Load parses and type-checks the packages matched by patterns
 // (directories, optionally with a /... suffix) relative to the module root
 // and returns them ready for Run. Directories named testdata or vendor and
-// hidden directories are skipped, matching the go tool's convention.
+// hidden directories are skipped, matching the go tool's convention. A
+// package that fails to parse or type-check is an error.
 func Load(root string, patterns []string) ([]*Package, error) {
-	l, err := NewLoader(root)
+	module, err := modulePath(root)
 	if err != nil {
 		return nil, err
 	}
-	return l.Load(patterns)
+	l := newLoader(token.NewFileSet(), root, module)
+	paths, err := l.matchPatterns(patterns)
+	if err != nil {
+		return nil, err
+	}
+	result := make([]*Package, 0, len(paths))
+	for _, p := range paths {
+		pkg, err := l.load(p)
+		if err != nil {
+			return nil, err
+		}
+		result = append(result, pkg)
+	}
+	return result, nil
+}
+
+// LoadDir parses every .go file of one directory as a single Package with
+// the given import path and type-checks its non-test files; module-internal
+// imports resolve against the enclosing module on disk. Test files are
+// included and marked, but carry no type information.
+func LoadDir(fset *token.FileSet, dir, importPath, module string) (*Package, error) {
+	pkg, err := parseDir(fset, dir, importPath, module)
+	if err != nil {
+		return nil, err
+	}
+	root, err := FindModuleRoot(dir)
+	if err != nil {
+		return nil, err
+	}
+	if err := newLoader(fset, root, module).check(pkg); err != nil {
+		return nil, err
+	}
+	return pkg, nil
+}
+
+// loader parses and type-checks packages of one module on the calling
+// goroutine. Each import path is checked at most once, so every consumer of
+// a package sees the same *types.Package — object identity is what the call
+// graph and the typed checks key on. Module-internal imports are checked
+// from source on first use, recursively through the importer; everything
+// else comes from the shared stdlib importer.
+type loader struct {
+	fset   *token.FileSet
+	root   string // module root directory
+	module string // module import path
+	pkgs   map[string]*Package
+}
+
+func newLoader(fset *token.FileSet, root, module string) *loader {
+	return &loader{fset: fset, root: root, module: module, pkgs: map[string]*Package{}}
+}
+
+// load returns importPath's package, parsed and type-checked. A nil entry
+// marks a check in progress, so an import cycle is an error rather than a
+// loop (it would fail `go build` too).
+func (l *loader) load(importPath string) (*Package, error) {
+	if pkg, ok := l.pkgs[importPath]; ok {
+		if pkg == nil {
+			return nil, fmt.Errorf("analysis: import cycle through %s", importPath)
+		}
+		return pkg, nil
+	}
+	pkg, err := parseDir(l.fset, l.dirFor(importPath), importPath, l.module)
+	if err != nil {
+		return nil, err
+	}
+	if err := l.check(pkg); err != nil {
+		return nil, err
+	}
+	return pkg, nil
+}
+
+// check type-checks pkg's non-test files and attaches the Info to them.
+func (l *loader) check(pkg *Package) error {
+	l.pkgs[pkg.Path] = nil
+	info := &types.Info{
+		Types:     map[ast.Expr]types.TypeAndValue{},
+		Defs:      map[*ast.Ident]types.Object{},
+		Uses:      map[*ast.Ident]types.Object{},
+		Instances: map[*ast.Ident]types.Instance{},
+	}
+	var files []*ast.File
+	for _, f := range pkg.Files {
+		if !f.Test {
+			files = append(files, f.AST)
+			f.Info = info
+		}
+	}
+	conf := types.Config{Importer: (*loaderImporter)(l)}
+	tp, err := conf.Check(pkg.Path, l.fset, files, info)
+	if err != nil {
+		delete(l.pkgs, pkg.Path)
+		return fmt.Errorf("analysis: type-checking %s: %w", pkg.Path, err)
+	}
+	pkg.Types = tp
+	l.pkgs[pkg.Path] = pkg
+	return nil
+}
+
+// loaderImporter adapts a loader to types.Importer.
+type loaderImporter loader
+
+func (li *loaderImporter) Import(path string) (*types.Package, error) {
+	l := (*loader)(li)
+	if path != l.module && !strings.HasPrefix(path, l.module+"/") {
+		return stdImport(path)
+	}
+	pkg, err := l.load(path)
+	if err != nil {
+		return nil, err
+	}
+	return pkg.Types, nil
+}
+
+// stdlib is the process-wide cache in front of the source-mode stdlib
+// importer: re-checking the standard library per loader would dominate
+// load time, so one instance (with its own FileSet — stdlib positions are
+// never reported) serves every loader. The mutex only guards the cache
+// against loaders running on different goroutines.
+var stdlib struct {
+	sync.Mutex
+	imp  types.Importer
+	pkgs map[string]*types.Package
+}
+
+func stdImport(path string) (*types.Package, error) {
+	stdlib.Lock()
+	defer stdlib.Unlock()
+	if stdlib.imp == nil {
+		stdlib.imp = importer.ForCompiler(token.NewFileSet(), "source", nil)
+		stdlib.pkgs = map[string]*types.Package{}
+	}
+	if p, ok := stdlib.pkgs[path]; ok {
+		return p, nil
+	}
+	p, err := stdlib.imp.Import(path)
+	if err != nil {
+		return nil, err
+	}
+	stdlib.pkgs[path] = p
+	return p, nil
+}
+
+// dirFor maps a module-internal import path to its directory on disk.
+func (l *loader) dirFor(importPath string) string {
+	if importPath == l.module {
+		return l.root
+	}
+	return filepath.Join(l.root, filepath.FromSlash(strings.TrimPrefix(importPath, l.module+"/")))
 }
 
 // matchPatterns resolves the pattern list to module import paths.
-func (l *Loader) matchPatterns(patterns []string) ([]string, error) {
+func (l *loader) matchPatterns(patterns []string) ([]string, error) {
 	seen := map[string]bool{}
 	var out []string
 	add := func(dir string) error {
@@ -39,13 +189,13 @@ func (l *Loader) matchPatterns(patterns []string) ([]string, error) {
 		if err != nil || !ok {
 			return err
 		}
-		rel, err := filepath.Rel(l.Root, abs)
+		rel, err := filepath.Rel(l.root, abs)
 		if err != nil {
 			return err
 		}
-		importPath := l.Module
+		importPath := l.module
 		if rel != "." {
-			importPath = path.Join(l.Module, filepath.ToSlash(rel))
+			importPath = path.Join(l.module, filepath.ToSlash(rel))
 		}
 		out = append(out, importPath)
 		return nil
@@ -62,7 +212,7 @@ func (l *Loader) matchPatterns(patterns []string) ([]string, error) {
 		}
 		dir := pat
 		if !filepath.IsAbs(dir) {
-			dir = filepath.Join(l.Root, pat)
+			dir = filepath.Join(l.root, pat)
 		}
 		if !recursive {
 			if err := add(dir); err != nil {
@@ -91,28 +241,8 @@ func (l *Loader) matchPatterns(patterns []string) ([]string, error) {
 	return out, nil
 }
 
-// LoadDir parses every .go file of one directory as a single Package with
-// the given import path, then type-checks it best-effort: module-internal
-// imports resolve against the enclosing module on disk, and type errors
-// (fixtures carry some deliberately) are collected on Package.TypeErrors
-// rather than failing the load. Test files are included and marked.
-func LoadDir(fset *token.FileSet, dir, importPath, module string) (*Package, error) {
-	pkg, err := parseDir(fset, dir, importPath, module)
-	if err != nil {
-		return nil, err
-	}
-	if root, rerr := FindModuleRoot(dir); rerr == nil {
-		l := &Loader{Fset: fset, Root: root, Module: module}
-		l.seed(pkg)
-		if _, err := l.libPkg(importPath); err != nil {
-			pkg.TypeErrors = append(pkg.TypeErrors, err)
-		}
-		l.checkTests(pkg)
-	}
-	return pkg, nil
-}
-
-// parseDir is the parse-only tier of LoadDir.
+// parseDir parses every .go file of dir, test files included: checks skip
+// them, but their //nwhy:nolint comments still count.
 func parseDir(fset *token.FileSet, dir, importPath, module string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -129,12 +259,11 @@ func parseDir(fset *token.FileSet, dir, importPath, module string) (*Package, er
 			return nil, err
 		}
 		f := &File{
-			Name: name,
-			AST:  astFile,
-			Test: strings.HasSuffix(e.Name(), "_test.go"),
+			Name:         name,
+			AST:          astFile,
+			Test:         strings.HasSuffix(e.Name(), "_test.go"),
+			suppressions: parseSuppressions(fset, astFile),
 		}
-		f.Imports, f.importedAs = importTables(astFile)
-		f.suppressions = parseSuppressions(fset, astFile)
 		if pkg.Name == "" && !f.Test {
 			pkg.Name = astFile.Name.Name
 		}
@@ -147,61 +276,6 @@ func parseDir(fset *token.FileSet, dir, importPath, module string) (*Package, er
 		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
 	}
 	return pkg, nil
-}
-
-// importCache dedupes import tables across files: most files of a package
-// (and many across packages) share the same import block, so both lookup
-// maps are built once per distinct block and shared read-only.
-var importCache struct {
-	sync.Mutex
-	tables map[string]*importTable
-}
-
-type importTable struct {
-	byName map[string]string // local name → import path
-	byPath map[string]string // import path → local name
-}
-
-// importTables returns the (name→path, path→name) lookup tables for f's
-// imports, from cache when an identical import block was seen before.
-func importTables(f *ast.File) (byName, byPath map[string]string) {
-	var key strings.Builder
-	for _, imp := range f.Imports {
-		if imp.Name != nil {
-			key.WriteString(imp.Name.Name)
-		}
-		key.WriteByte(' ')
-		key.WriteString(imp.Path.Value)
-		key.WriteByte('\n')
-	}
-	importCache.Lock()
-	defer importCache.Unlock()
-	if t, ok := importCache.tables[key.String()]; ok {
-		return t.byName, t.byPath
-	}
-	t := &importTable{byName: map[string]string{}, byPath: map[string]string{}}
-	for _, imp := range f.Imports {
-		p, err := strconv.Unquote(imp.Path.Value)
-		if err != nil {
-			continue
-		}
-		name := path.Base(p)
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		if name == "_" || name == "." {
-			continue
-		}
-		t.byName[name] = p
-		if _, dup := t.byPath[p]; !dup {
-			t.byPath[p] = name
-		}
-	}
-	if importCache.tables == nil {
-		importCache.tables = map[string]*importTable{}
-	}
-	importCache.tables[key.String()] = t
-	return t.byName, t.byPath
 }
 
 // modulePath reads the module declaration from root/go.mod.

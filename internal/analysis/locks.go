@@ -16,9 +16,8 @@ func init() {
 	})
 }
 
-// runLocksBalanced enforces two lock disciplines, both typed (the check
-// skips files without type information — name matching cannot distinguish
-// sync.Mutex.Lock from any other Lock method):
+// runLocksBalanced enforces two lock disciplines, both on the resolved
+// sync.Mutex/RWMutex methods:
 //
 //   - pairing, module-wide (the parallel runtime itself is exempt — its
 //     pool hand-off patterns are the mechanism the rest of the module is
@@ -46,13 +45,10 @@ func runLocksBalanced(p *Pass) {
 	}
 	serving := isServingPkg(p.Pkg.Path)
 	var cg *CallGraph
-	if serving && p.Mod != nil {
+	if serving {
 		cg = p.Mod.CallGraph()
 	}
 	p.funcDecls(func(f *File, d *ast.FuncDecl) {
-		if f.Info == nil {
-			return
-		}
 		var scopes []*lockScope
 		collectLockScope(f, cg, d.Body, d.Name.Name, &scopes)
 		for _, sc := range scopes {
@@ -127,7 +123,7 @@ func collectLockScope(f *File, cg *CallGraph, body *ast.BlockStmt, fname string,
 		if deferred {
 			return
 		}
-		if _, isRegion := isParallelRegionCall(f, call); isRegion {
+		if isParallelRegionCall(f, call) {
 			sc.hazards = append(sc.hazards, lockHazard{call.Pos(), "a parallel region"})
 			return
 		}

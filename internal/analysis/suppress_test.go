@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// loadSourcePkg builds a single-file Package straight from source text,
-// under a simulated import path.
+// loadSourcePkg builds and type-checks a single-file Package straight from
+// source text, under a simulated import path.
 func loadSourcePkg(t *testing.T, importPath, src string) *Package {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -17,14 +17,20 @@ func loadSourcePkg(t *testing.T, importPath, src string) *Package {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	f := &File{Name: name, AST: astFile}
-	f.Imports, f.importedAs = importTables(astFile)
-	f.suppressions = parseSuppressions(fset, astFile)
-	return &Package{Path: importPath, Module: "nwhy", Name: astFile.Name.Name, Fset: fset, Files: []*File{f}}
+	f := &File{Name: name, AST: astFile, suppressions: parseSuppressions(fset, astFile)}
+	pkg := &Package{Path: importPath, Module: "nwhy", Name: astFile.Name.Name, Fset: fset, Files: []*File{f}}
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := newLoader(fset, root, "nwhy").check(pkg); err != nil {
+		t.Fatal(err)
+	}
+	return pkg
 }
 
-func runAll(pkg *Package, reportUnused bool) []Diagnostic {
-	return Run([]*Package{pkg}, Checks(), Options{ReportUnusedSuppressions: reportUnused})
+func runAll(pkg *Package) []Diagnostic {
+	return Run([]*Package{pkg}, Checks())
 }
 
 func TestSuppressionTrailing(t *testing.T) {
@@ -34,7 +40,7 @@ func fire(done chan struct{}) {
 	go close(done) //nwhy:nolint(no-naked-goroutine) exercised only in this test fixture
 }
 `)
-	if diags := runAll(pkg, true); len(diags) != 0 {
+	if diags := runAll(pkg); len(diags) != 0 {
 		t.Errorf("trailing suppression did not silence: %v", diags)
 	}
 }
@@ -47,7 +53,7 @@ func fire(done chan struct{}) {
 	go close(done)
 }
 `)
-	if diags := runAll(pkg, true); len(diags) != 0 {
+	if diags := runAll(pkg); len(diags) != 0 {
 		t.Errorf("suppression on the line above did not silence: %v", diags)
 	}
 }
@@ -58,7 +64,7 @@ func TestSuppressionUnknownCheck(t *testing.T) {
 //nwhy:nolint(bogus-check) some reason
 func fire() {}
 `)
-	diags := runAll(pkg, true)
+	diags := runAll(pkg)
 	if len(diags) != 1 || diags[0].Check != "nolint" || !strings.Contains(diags[0].Message, "unknown check") {
 		t.Errorf("want one nolint unknown-check diagnostic, got %v", diags)
 	}
@@ -71,7 +77,7 @@ func fire(done chan struct{}) {
 	go close(done) //nwhy:nolint(no-naked-goroutine)
 }
 `)
-	diags := runAll(pkg, true)
+	diags := runAll(pkg)
 	// A reasonless suppression is malformed, so it both reports itself and
 	// fails to silence the underlying diagnostic.
 	if len(diags) != 2 {
@@ -90,14 +96,15 @@ func TestSuppressionUnused(t *testing.T) {
 func fire() {}
 `
 	pkg := loadSourcePkg(t, "nwhy/internal/core", src)
-	diags := runAll(pkg, true)
+	diags := runAll(pkg)
 	if len(diags) != 1 || diags[0].Check != "nolint" || !strings.Contains(diags[0].Message, "unused suppression") {
 		t.Errorf("want one unused-suppression diagnostic, got %v", diags)
 	}
-	// Partial runs may legitimately leave suppressions unused.
+	// A run without the named check cannot know whether the suppression
+	// is needed.
 	pkg = loadSourcePkg(t, "nwhy/internal/core", src)
-	if diags := runAll(pkg, false); len(diags) != 0 {
-		t.Errorf("unused suppression reported despite ReportUnusedSuppressions=false: %v", diags)
+	if diags := Run([]*Package{pkg}, []*Check{LookupCheck("engine-first")}); len(diags) != 0 {
+		t.Errorf("unused suppression reported although its check did not run: %v", diags)
 	}
 }
 
@@ -108,7 +115,7 @@ func TestSuppressionProseMentionIgnored(t *testing.T) {
 // directive, and must not parse as a suppression.
 func fire() {}
 `)
-	if diags := runAll(pkg, true); len(diags) != 0 {
+	if diags := runAll(pkg); len(diags) != 0 {
 		t.Errorf("prose mention of the grammar parsed as a suppression: %v", diags)
 	}
 }

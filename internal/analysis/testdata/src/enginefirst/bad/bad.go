@@ -20,5 +20,5 @@ func BadOrder(n int, eng *parallel.Engine) { // want engine-first
 // DefaultPool schedules on the process default pool behind the caller's
 // back.
 func DefaultPool(n int) {
-	parallel.For(0, n, func(i int) { _ = i }) // want engine-first
+	parallel.For(n, func(_, lo, hi int) { _, _ = lo, hi }) // want engine-first
 }

@@ -11,7 +11,7 @@ func Kernel(eng *parallel.Engine, n int) int {
 		_, _ = lo, hi
 	})
 	return parallel.ReduceWith(eng, n, 0,
-		func(_ int, lo, hi int, acc int) int { return acc + hi - lo },
+		func(lo, hi int, acc int) int { return acc + hi - lo },
 		func(a, b int) int { return a + b })
 }
 

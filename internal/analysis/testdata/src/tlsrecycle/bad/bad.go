@@ -5,21 +5,21 @@ import "nwhy/internal/parallel"
 
 // Leak grabs scratch and never stashes it back.
 func Leak(eng *parallel.Engine, n int) {
-	buf := eng.GrabU32(n) // want tls-recycle
-	for i := range buf {
-		buf[i] = 0
+	buf := eng.GrabU32(0) // want tls-recycle
+	for i := 0; i < n; i++ {
+		buf = append(buf, 0)
 	}
 }
 
 // EarlyReturn has an escape path between the grab and the stash.
 func EarlyReturn(eng *parallel.Engine, n int) int {
-	buf := eng.GrabU32(n)
+	buf := eng.GrabU32(0)
 	if n == 0 {
 		return 0 // want tls-recycle
 	}
-	for i := range buf {
-		buf[i] = uint32(i)
+	for i := 0; i < n; i++ {
+		buf = append(buf, uint32(i))
 	}
-	eng.StashU32(buf)
+	eng.StashU32(0, buf)
 	return n
 }

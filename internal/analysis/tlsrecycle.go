@@ -49,7 +49,7 @@ func runTLSRecycle(p *Pass) {
 	}
 	grabLike, recycleLike := arenaWrappers(p)
 	p.funcDecls(func(f *File, d *ast.FuncDecl) {
-		if d.Recv == nil && grabLike[d.Name.Name] {
+		if grabLike[f.Info.Defs[d.Name]] {
 			return // transfers ownership of the grabbed scratch to its caller
 		}
 		var grabs, recycles []token.Pos
@@ -62,12 +62,10 @@ func runTLSRecycle(p *Pass) {
 					recycles = append(recycles, n.Pos())
 				}
 			case *ast.CallExpr:
-				if base, name := selectorCall(n); base == "" {
-					if grabLike[name] {
-						grabs = append(grabs, n.Pos())
-					} else if recycleLike[name] {
-						recycles = append(recycles, n.Pos())
-					}
+				if fn := typedCallee(f, n); grabLike[fn] {
+					grabs = append(grabs, n.Pos())
+				} else if recycleLike[fn] {
+					recycles = append(recycles, n.Pos())
 				}
 			}
 			return true
@@ -98,31 +96,31 @@ func runTLSRecycle(p *Pass) {
 	})
 }
 
-// arenaWrappers classifies package-local functions: grabLike functions
-// hand arena-grabbed scratch to their caller (a grab reaches a return
-// statement), recycleLike functions contain a recycle mention. Both close
-// transitively over package-local calls.
-func arenaWrappers(p *Pass) (grabLike, recycleLike map[string]bool) {
-	grabLike, recycleLike = map[string]bool{}, map[string]bool{}
+// arenaWrappers classifies the package's plain functions, keyed by their
+// declared object: grabLike functions hand arena-grabbed scratch to their
+// caller (a grab reaches a return statement), recycleLike functions contain
+// a recycle mention. Both close transitively over package-local calls.
+func arenaWrappers(p *Pass) (grabLike, recycleLike map[types.Object]bool) {
+	grabLike, recycleLike = map[types.Object]bool{}, map[types.Object]bool{}
 	type fnDecl struct {
 		decl *ast.FuncDecl
 		file *File
 	}
-	decls := map[string]fnDecl{}
+	decls := map[types.Object]fnDecl{}
 	p.funcDecls(func(f *File, d *ast.FuncDecl) {
 		if d.Recv == nil {
-			decls[d.Name.Name] = fnDecl{d, f}
+			decls[f.Info.Defs[d.Name]] = fnDecl{d, f}
 		}
 	})
 	for changed := true; changed; {
 		changed = false
-		for name, fd := range decls {
-			if !grabLike[name] && returnsGrabbedScratch(fd.file, fd.decl, grabLike) {
-				grabLike[name] = true
+		for fn, fd := range decls {
+			if !grabLike[fn] && returnsGrabbedScratch(fd.file, fd.decl, grabLike) {
+				grabLike[fn] = true
 				changed = true
 			}
-			if !recycleLike[name] && mentionsRecycle(fd.file, fd.decl, recycleLike) {
-				recycleLike[name] = true
+			if !recycleLike[fn] && mentionsRecycle(fd.file, fd.decl, recycleLike) {
+				recycleLike[fn] = true
 				changed = true
 			}
 		}
@@ -133,7 +131,7 @@ func arenaWrappers(p *Pass) (grabLike, recycleLike map[string]bool) {
 // returnsGrabbedScratch reports whether a grab result reaches a return
 // statement of d: a return expression containing a grab call directly, or
 // containing an identifier previously assigned from one.
-func returnsGrabbedScratch(f *File, d *ast.FuncDecl, grabLike map[string]bool) bool {
+func returnsGrabbedScratch(f *File, d *ast.FuncDecl, grabLike map[types.Object]bool) bool {
 	if d.Type.Results == nil || len(d.Type.Results.List) == 0 {
 		return false
 	}
@@ -142,11 +140,10 @@ func returnsGrabbedScratch(f *File, d *ast.FuncDecl, grabLike map[string]bool) b
 		if !ok {
 			return false
 		}
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			return isArenaSel(f, sel, grabNames)
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && isArenaSel(f, sel, grabNames) {
+			return true
 		}
-		base, name := selectorCall(call)
-		return base == "" && grabLike[name]
+		return grabLike[typedCallee(f, call)]
 	}
 	// Identifiers assigned (directly or through a pointer) from a grab.
 	tainted := map[string]bool{}
@@ -209,7 +206,7 @@ func returnsGrabbedScratch(f *File, d *ast.FuncDecl, grabLike map[string]bool) b
 
 // mentionsRecycle reports whether d contains a recycle selector or a call
 // to a recycleLike package-local function.
-func mentionsRecycle(f *File, d *ast.FuncDecl, recycleLike map[string]bool) bool {
+func mentionsRecycle(f *File, d *ast.FuncDecl, recycleLike map[types.Object]bool) bool {
 	found := false
 	ast.Inspect(d.Body, func(n ast.Node) bool {
 		if found {
@@ -221,7 +218,7 @@ func mentionsRecycle(f *File, d *ast.FuncDecl, recycleLike map[string]bool) bool
 				found = true
 			}
 		case *ast.CallExpr:
-			if base, name := selectorCall(n); base == "" && recycleLike[name] {
+			if recycleLike[typedCallee(f, n)] {
 				found = true
 			}
 		}
@@ -230,24 +227,14 @@ func mentionsRecycle(f *File, d *ast.FuncDecl, recycleLike map[string]bool) bool
 	return found
 }
 
-// isArenaSel reports whether sel mentions one of the arena protocol names.
-// When the selector resolves, the callee must actually belong to the
-// parallel runtime or the frontier substrate — an unrelated method that
-// happens to be called Stash no longer satisfies a grab. Unresolved
-// selectors (type errors, untyped loads) are accepted by name, as before.
+// isArenaSel reports whether sel names one of the arena protocol functions
+// of the parallel runtime or the frontier substrate — an unrelated method
+// that happens to be called Stash does not count.
 func isArenaSel(f *File, sel *ast.SelectorExpr, names map[string]bool) bool {
-	if !names[sel.Sel.Name] {
+	fn, ok := f.Info.Uses[sel.Sel].(*types.Func)
+	if !ok || !names[fn.Name()] {
 		return false
 	}
-	if f != nil && f.Info != nil {
-		if obj := f.Info.Uses[sel.Sel]; obj != nil {
-			fn, ok := obj.(*types.Func)
-			if !ok {
-				return false
-			}
-			pkg := funcPkgPath(fn)
-			return isParallelModulePkg(pkg) || isFrontierPkg(pkg)
-		}
-	}
-	return true
+	pkg := funcPkgPath(fn)
+	return isParallelPkg(pkg) || isFrontierPkg(pkg)
 }

@@ -24,39 +24,44 @@ func loadModulePkgs(t *testing.T, patterns ...string) []*Package {
 }
 
 // TestTypedLoadRealPackages pins the loader contract on real module code:
-// every loaded package carries a *types.Package and a fully populated
-// *types.Info, with no type errors, and every file — test files included —
-// has type information attached.
+// every loaded package carries a *types.Package, its non-test files share
+// one populated *types.Info, and test files are parsed but not checked.
 func TestTypedLoadRealPackages(t *testing.T) {
 	pkgs := loadModulePkgs(t, "./internal/parallel", "./internal/core")
 	if len(pkgs) != 2 {
 		t.Fatalf("want 2 packages, got %d", len(pkgs))
 	}
 	for _, p := range pkgs {
-		if p.Types == nil || p.TypesInfo == nil {
+		if p.Types == nil {
 			t.Fatalf("%s: missing type information", p.Path)
 		}
-		for _, e := range p.TypeErrors {
-			t.Errorf("%s: unexpected type error: %v", p.Path, e)
-		}
+		var info *types.Info
+		tests := 0
 		for _, f := range p.Files {
-			if f.Info == nil {
-				t.Errorf("%s: file %s has no Info", p.Path, f.Name)
+			if f.Test {
+				tests++
+				if f.Info != nil {
+					t.Errorf("%s: test file %s was type-checked", p.Path, f.Name)
+				}
 				continue
 			}
-			if !f.Test && f.Info != p.TypesInfo {
-				t.Errorf("%s: non-test file %s not checked in the lib unit", p.Path, f.Name)
+			if f.Info == nil || len(f.Info.Uses) == 0 {
+				t.Fatalf("%s: file %s has no Info", p.Path, f.Name)
 			}
-			if f.Test && f.Info == p.TypesInfo {
-				t.Errorf("%s: test file %s shares the lib Info; test units must not pollute it", p.Path, f.Name)
+			if info != nil && f.Info != info {
+				t.Errorf("%s: non-test file %s has an Info of its own", p.Path, f.Name)
 			}
+			info = f.Info
+		}
+		if tests == 0 {
+			t.Errorf("%s: test files were not parsed", p.Path)
 		}
 	}
 }
 
 // TestTypedLoadGenerics verifies the loader handles generic declarations
 // and records instantiations: RadixSort64On and ReduceWith are generic, and
-// their call sites (in lib or test files) land in Info.Instances.
+// their call sites land in Info.Instances.
 func TestTypedLoadGenerics(t *testing.T) {
 	pkgs := loadModulePkgs(t, "./internal/parallel")
 	p := pkgs[0]
@@ -70,65 +75,21 @@ func TestTypedLoadGenerics(t *testing.T) {
 			t.Errorf("%s: expected a generic signature, got %v", name, obj.Type())
 		}
 	}
-	instances := 0
-	seen := map[*types.Info]bool{}
 	for _, f := range p.Files {
-		if f.Info == nil || seen[f.Info] {
-			continue
+		if f.Info != nil && len(f.Info.Instances) > 0 {
+			return
 		}
-		seen[f.Info] = true
-		instances += len(f.Info.Instances)
 	}
-	if instances == 0 {
-		t.Error("no generic instantiations recorded across any type-check unit")
-	}
+	t.Error("no generic instantiations recorded")
 }
 
-// TestTypedLoadExternalTestPackage verifies external test packages
-// (package foo_test) are type-checked as their own unit, with Info attached
-// to their files and distinct from the lib unit's.
-func TestTypedLoadExternalTestPackage(t *testing.T) {
-	pkgs := loadModulePkgs(t, "./internal/core")
-	p := pkgs[0]
-	found := false
-	for _, f := range p.Files {
-		if !strings.HasSuffix(f.Name, "traversal_prop_test.go") {
-			continue
-		}
-		found = true
-		if !f.Test {
-			t.Errorf("%s not marked as a test file", f.Name)
-		}
-		if f.Info == nil {
-			t.Fatalf("%s: external test file has no Info", f.Name)
-		}
-		if f.Info == p.TypesInfo {
-			t.Errorf("%s: external test file shares the lib Info", f.Name)
-		}
-		if len(f.Info.Defs) == 0 {
-			t.Errorf("%s: external test unit recorded no definitions", f.Name)
-		}
-	}
-	if !found {
-		t.Skip("traversal_prop_test.go not present")
-	}
-}
-
-// TestFixtureTypeErrorsTolerated pins the error-tolerant tier: fixtures
-// carry deliberate type errors (undeclared helpers, wrong arity), and the
-// loader must collect them on TypeErrors yet still deliver an AST package
-// the checks can run on.
-func TestFixtureTypeErrorsTolerated(t *testing.T) {
-	pkg := loadFixturePkg(t, filepath.Join("testdata", "src", "tlsrecycle", "bad"), "nwhy/internal/graph")
-	if len(pkg.Files) == 0 {
-		t.Fatal("no files loaded")
-	}
-	if len(pkg.TypeErrors) == 0 {
-		t.Error("expected the fixture's deliberate type errors to be collected")
-	}
-	diags := Run([]*Package{pkg}, []*Check{LookupCheck("tls-recycle")}, Options{})
-	if len(diags) == 0 {
-		t.Error("checks did not run on the partially typed fixture")
+// TestLoadDirTypeError pins that a package which does not type-check is a
+// load error: checks never run on partial type information.
+func TestLoadDirTypeError(t *testing.T) {
+	dir := filepath.Join("testdata", "src", "typeerror")
+	_, err := LoadDir(token.NewFileSet(), dir, "nwhy/internal/graph", "nwhy")
+	if err == nil || !strings.Contains(err.Error(), "Spin") {
+		t.Fatalf("LoadDir(%s) = %v, want the planted type error", dir, err)
 	}
 }
 
@@ -148,29 +109,5 @@ func TestLoadDirCorrupted(t *testing.T) {
 func TestLoadDirEmpty(t *testing.T) {
 	if _, err := LoadDir(token.NewFileSet(), t.TempDir(), "nwhy/internal/empty", "nwhy"); err == nil {
 		t.Fatal("LoadDir succeeded on an empty directory")
-	}
-}
-
-// TestImportsAs pins the constant-time import lookup both ways.
-func TestImportsAs(t *testing.T) {
-	pkg := loadSourcePkg(t, "nwhy/internal/core", `package core
-
-import (
-	"context"
-	par "nwhy/internal/parallel"
-)
-
-var _ = context.Background
-var _ = par.NewEngine
-`)
-	f := pkg.Files[0]
-	if got := f.ImportsAs("nwhy/internal/parallel"); got != "par" {
-		t.Errorf("ImportsAs(parallel) = %q, want %q", got, "par")
-	}
-	if got := f.ImportsAs("context"); got != "context" {
-		t.Errorf("ImportsAs(context) = %q, want %q", got, "context")
-	}
-	if got := f.ImportsAs("net/http"); got != "" {
-		t.Errorf("ImportsAs(net/http) = %q, want empty", got)
 	}
 }

@@ -10,12 +10,8 @@ import (
 // typedCallee resolves the *types.Func a call statically dispatches to:
 // package functions, methods (interface methods resolve to the interface's
 // declaration), and generic instantiations (which resolve to their origin).
-// nil for func-value calls, unresolved identifiers, and untyped files —
-// callers fall back to name matching then.
+// nil for func-value calls, conversions and builtins.
 func typedCallee(f *File, call *ast.CallExpr) *types.Func {
-	if f == nil || f.Info == nil {
-		return nil
-	}
 	fun := ast.Unparen(call.Fun)
 	for {
 		switch fe := fun.(type) {
@@ -65,12 +61,6 @@ func recvTypeName(fn *types.Func) string {
 	return ""
 }
 
-// isParallelModulePkg matches the concurrency runtime's import path both in
-// the real module and under fixture module names.
-func isParallelModulePkg(path string) bool {
-	return path == parallelPkg || strings.HasSuffix(path, "/internal/parallel")
-}
-
 func isFrontierPkg(path string) bool {
 	return strings.HasSuffix(path, "/internal/frontier")
 }
@@ -98,9 +88,9 @@ func typedRegionFunc(fn *types.Func) bool {
 	pkg := funcPkgPath(fn)
 	recv := recvTypeName(fn)
 	switch {
-	case isParallelModulePkg(pkg) && recv == "Engine" && engineRegionMethods[fn.Name()]:
+	case isParallelPkg(pkg) && recv == "Engine" && engineRegionMethods[fn.Name()]:
 		return true
-	case isParallelModulePkg(pkg) && recv == "" && regionParallelFuncs[fn.Name()]:
+	case isParallelPkg(pkg) && recv == "" && regionParallelFuncs[fn.Name()]:
 		return true
 	case isFrontierPkg(pkg) && recv == "State" && fn.Name() == "EdgeMap":
 		return true
@@ -109,22 +99,21 @@ func typedRegionFunc(fn *types.Func) bool {
 }
 
 // isCancellationObserver reports whether call observes cancellation:
-// Engine.Err / Engine.Cancelled / context.Context.Err (or Done). With type
-// information the receiver is verified; without, any .Err()/.Cancelled()
-// counts, as before.
+// Engine.Err / Engine.Cancelled / context.Context.Err (or Done), verified
+// by receiver.
 func isCancellationObserver(f *File, call *ast.CallExpr) bool {
-	if fn := typedCallee(f, call); fn != nil {
-		pkg, recv, name := funcPkgPath(fn), recvTypeName(fn), fn.Name()
-		switch {
-		case isParallelModulePkg(pkg) && recv == "Engine" && (name == "Err" || name == "Cancelled"):
-			return true
-		case pkg == "context" && recv == "Context" && (name == "Err" || name == "Done"):
-			return true
-		}
+	fn := typedCallee(f, call)
+	if fn == nil {
 		return false
 	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	return ok && cancellationNames[sel.Sel.Name]
+	pkg, recv, name := funcPkgPath(fn), recvTypeName(fn), fn.Name()
+	switch {
+	case isParallelPkg(pkg) && recv == "Engine" && (name == "Err" || name == "Cancelled"):
+		return true
+	case pkg == "context" && recv == "Context" && (name == "Err" || name == "Done"):
+		return true
+	}
+	return false
 }
 
 // isContextType reports whether t is context.Context.
@@ -142,14 +131,11 @@ func isEngineType(t types.Type) bool {
 	}
 	n, ok := types.Unalias(p.Elem()).(*types.Named)
 	return ok && n.Obj().Pkg() != nil &&
-		isParallelModulePkg(n.Obj().Pkg().Path()) && n.Obj().Name() == "Engine"
+		isParallelPkg(n.Obj().Pkg().Path()) && n.Obj().Name() == "Engine"
 }
 
 // identObj resolves an identifier's object, use or definition.
 func identObj(f *File, id *ast.Ident) types.Object {
-	if f == nil || f.Info == nil {
-		return nil
-	}
 	if obj := f.Info.Uses[id]; obj != nil {
 		return obj
 	}
@@ -158,12 +144,9 @@ func identObj(f *File, id *ast.Ident) types.Object {
 
 // chainObjects resolves a selector chain (x, x.f, x.f.g — parens looked
 // through) to its constituent objects, outermost first. Package qualifiers
-// are dropped (the package-level object is already unique). nil when any
-// link fails to resolve — callers fall back to the rendered string path.
+// are dropped (the package-level object is already unique). nil when e is
+// not such a chain.
 func chainObjects(f *File, e ast.Expr) []types.Object {
-	if f == nil || f.Info == nil {
-		return nil
-	}
 	var chain []types.Object
 	var walk func(e ast.Expr) bool
 	walk = func(e ast.Expr) bool {
@@ -196,22 +179,17 @@ func chainObjects(f *File, e ast.Expr) []types.Object {
 	return chain
 }
 
-// memKey is a comparable identity for a selector chain: object pointers
-// when typed ("o:" prefix), the rendered path otherwise ("s:" prefix).
-// Typed and untyped keys never collide, so one region/function mixing both
-// stays internally consistent per base.
+// memKey is a comparable identity for a selector chain — its objects'
+// pointers — plus the rendered path for messages; ("", "") when e is not
+// a resolvable chain.
 func memKey(f *File, e ast.Expr) (key, display string) {
-	display = pathOf(e)
-	if chain := chainObjects(f, e); chain != nil {
-		var b strings.Builder
-		b.WriteString("o:")
-		for _, o := range chain {
-			fmt.Fprintf(&b, "%p.", o)
-		}
-		return b.String(), display
-	}
-	if display == "" {
+	chain := chainObjects(f, e)
+	if chain == nil {
 		return "", ""
 	}
-	return "s:" + display, display
+	var b strings.Builder
+	for _, o := range chain {
+		fmt.Fprintf(&b, "%p.", o)
+	}
+	return b.String(), pathOf(e)
 }

@@ -9,10 +9,10 @@ import (
 
 // TestMISSelectionPhaseRaceDiscipline pins the atomic discipline of the
 // MIS selection phase (every state[] element access inside the parallel
-// rounds goes through sync/atomic — the invariant nwhy-lint's
-// atomic-mixing check enforces). Running a dense graph on a multi-worker
-// engine makes the selection and knock-out phases overlap heavily, so a
-// reintroduced plain read shows up under -race.
+// rounds goes through sync/atomic). Running a dense graph on a
+// multi-worker engine makes the selection and knock-out phases overlap
+// heavily, so a reintroduced plain read of a neighbour's state shows up
+// under -race.
 func TestMISSelectionPhaseRaceDiscipline(t *testing.T) {
 	eng := parallel.NewEngine(4)
 	defer eng.Close()
