@@ -28,23 +28,10 @@ const (
 	BFSDirectionOptimizing
 )
 
-// BFS traverses the hypergraph from hyperedge srcEdge, returning bipartite
-// hop levels for hyperedges and hypernodes (-1 = unreachable). All variants
-// produce identical levels; they differ in traversal strategy and
-// representation, which is what Figure 8 benchmarks. If the bound engine's
-// context is cancelled the result is nil; use BFSCtx to observe the error.
-func (g *NWHypergraph) BFS(srcEdge int, variant BFSVariant) *core.HyperBFSResult {
-	r, _ := g.bfsOn(g.engine(), srcEdge, variant)
-	return r
-}
-
 // BFSCtx is BFS bounded by ctx: the traversal stops scheduling new rounds
 // once ctx is cancelled and returns ctx.Err().
 func (g *NWHypergraph) BFSCtx(ctx context.Context, srcEdge int, variant BFSVariant) (*core.HyperBFSResult, error) {
-	return g.bfsOn(g.engine().WithContext(ctx), srcEdge, variant)
-}
-
-func (g *NWHypergraph) bfsOn(eng *Engine, srcEdge int, variant BFSVariant) (*core.HyperBFSResult, error) {
+	eng := g.engine().WithContext(ctx)
 	switch variant {
 	case BFSBottomUp:
 		return core.HyperBFSBottomUp(eng, g.hg(), srcEdge)
@@ -131,14 +118,6 @@ func (g *NWHypergraph) AdjoinPageRank(damping, tol float64, maxIter int) (edgePR
 	return append([]float64(nil), e...), append([]float64(nil), n...)
 }
 
-// HyperPageRank computes PageRank over hypernodes via the two-step random
-// walk on the bipartite structure (node -> uniform hyperedge -> uniform
-// member), without materializing any projection.
-func (g *NWHypergraph) HyperPageRank(damping, tol float64, maxIter int) []float64 {
-	pr, _ := core.HyperPageRank(g.engine(), g.hg(), damping, tol, maxIter)
-	return pr
-}
-
 // HyperPageRankCtx is HyperPageRank bounded by ctx: iteration stops at the
 // next round boundary once ctx is cancelled and ctx.Err() is returned.
 func (g *NWHypergraph) HyperPageRankCtx(ctx context.Context, damping, tol float64, maxIter int) ([]float64, error) {
@@ -152,24 +131,11 @@ func (g *NWHypergraph) HyperCoreness() []int {
 	return core.HyperCoreness(g.hg())
 }
 
-// ConnectedComponents labels every hyperedge and hypernode with its
-// component (canonical shared-space labels). All variants produce identical
-// labels; Figure 7 benchmarks their runtime differences. If the bound
-// engine's context is cancelled the result is nil; use
-// ConnectedComponentsCtx to observe the error.
-func (g *NWHypergraph) ConnectedComponents(variant CCVariant) *core.HyperCCResult {
-	r, _ := g.ccOn(g.engine(), variant)
-	return r
-}
-
 // ConnectedComponentsCtx is ConnectedComponents bounded by ctx: the fixpoint
 // loop stops at the next round boundary once ctx is cancelled and returns
 // ctx.Err().
 func (g *NWHypergraph) ConnectedComponentsCtx(ctx context.Context, variant CCVariant) (*core.HyperCCResult, error) {
-	return g.ccOn(g.engine().WithContext(ctx), variant)
-}
-
-func (g *NWHypergraph) ccOn(eng *Engine, variant CCVariant) (*core.HyperCCResult, error) {
+	eng := g.engine().WithContext(ctx)
 	switch variant {
 	case CCAdjoinAfforest:
 		return core.AdjoinCC(eng, g.Adjoin(), core.AdjoinAfforest)

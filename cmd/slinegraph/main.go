@@ -1,5 +1,5 @@
 // Command slinegraph constructs the s-line graph of a hypergraph under a
-// chosen strategy / input / prune configuration and reports the result size
+// chosen strategy / input configuration and reports the result size
 // and construction time — the single-run counterpart of the Figure 9
 // benchmark. -algo names one of the paper's four algorithms, each a preset
 // pinning -strategy.
@@ -12,7 +12,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -44,7 +43,6 @@ func run(args []string, stdout io.Writer) error {
 		threads    = fs.Int("threads", 0, "worker count (0 = GOMAXPROCS)")
 		reps       = fs.Int("reps", 3, "repetitions (min time reported)")
 		components = fs.Bool("components", false, "also report s-connected components (pruned union-find)")
-		pruneName  = fs.String("prune", "auto", "pruning heuristics: auto | none | degree | connectivity | toplex")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -59,17 +57,6 @@ func run(args []string, stdout io.Writer) error {
 	strat, ok := strategies[*strategy]
 	if !ok {
 		return fmt.Errorf("unknown strategy %q", *strategy)
-	}
-	prunes := map[string]nwhy.Prune{
-		"auto":         nwhy.PruneAuto,
-		"none":         nwhy.PruneNone,
-		"degree":       nwhy.PruneDegree,
-		"connectivity": nwhy.PruneConnectivity,
-		"toplex":       nwhy.PruneToplex,
-	}
-	prune, ok := prunes[*pruneName]
-	if !ok {
-		return fmt.Errorf("unknown prune %q", *pruneName)
 	}
 
 	var g *nwhy.NWHypergraph
@@ -112,7 +99,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		label = *algoName
 	}
-	opts.UseAdjoin, opts.Prune = *adjoin, prune
+	opts.UseAdjoin = *adjoin
 	best := time.Duration(1 << 62)
 	var edges int
 	for r := 0; r < *reps; r++ {
@@ -130,20 +117,17 @@ func run(args []string, stdout io.Writer) error {
 		label = "weighted " + label
 	}
 	fmt.Fprintf(stdout, "input: |E|=%d |V|=%d incidences=%d\n", g.NumEdges(), g.NumNodes(), g.NumIncidences())
-	fmt.Fprintf(stdout, "%d-line graph via %s (strategy=%s adjoin=%v prune=%s, %d threads): %d edges in %v\n",
-		*s, label, opts.Strategy, *adjoin, prune, g.Engine().NumWorkers(), edges, best.Round(time.Microsecond))
+	fmt.Fprintf(stdout, "%d-line graph via %s (strategy=%s adjoin=%v, %d threads): %d edges in %v\n",
+		*s, label, opts.Strategy, *adjoin, g.Engine().NumWorkers(), edges, best.Round(time.Microsecond))
 	if *components {
 		t0 := time.Now()
-		labels, err := g.SConnectedComponentsCtx(context.Background(), *s, prune)
-		if err != nil {
-			return err
-		}
+		labels := g.SConnectedComponents(*s)
 		distinct := map[uint32]bool{}
 		for _, c := range labels {
 			distinct[c] = true
 		}
-		fmt.Fprintf(stdout, "%d-connected components (prune=%s union-find): %d in %v\n",
-			*s, prune, len(distinct), time.Since(t0).Round(time.Microsecond))
+		fmt.Fprintf(stdout, "%d-connected components (union-find): %d in %v\n",
+			*s, len(distinct), time.Since(t0).Round(time.Microsecond))
 	}
 	return nil
 }

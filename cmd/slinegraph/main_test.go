@@ -62,40 +62,11 @@ func TestSlinegraphOptionsAndComponents(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := out.String()
-	if !strings.Contains(s, "via queue-hashmap (strategy=hashmap adjoin=true prune=auto") {
+	if !strings.Contains(s, "via queue-hashmap (strategy=hashmap adjoin=true, 2 threads)") {
 		t.Fatalf("options not echoed: %q", s)
 	}
-	if !strings.Contains(s, "2-connected components (prune=auto union-find):") {
+	if !strings.Contains(s, "2-connected components (union-find):") {
 		t.Fatalf("components line missing: %q", s)
-	}
-}
-
-// TestSlinegraphPruneLevelsAgree: the -components count is identical at
-// every -prune level.
-func TestSlinegraphPruneLevelsAgree(t *testing.T) {
-	count := func(prune string) string {
-		t.Helper()
-		var out bytes.Buffer
-		err := run([]string{
-			"-preset", "containment-mini", "-scale", "0.1", "-s", "2",
-			"-reps", "1", "-components", "-prune", prune,
-		}, &out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := out.String()
-		i := strings.Index(s, "union-find): ")
-		if i < 0 {
-			t.Fatalf("components line missing: %q", s)
-		}
-		rest := s[i+len("union-find): "):]
-		return rest[:strings.Index(rest, " ")]
-	}
-	want := count("none")
-	for _, p := range []string{"auto", "degree", "connectivity", "toplex"} {
-		if got := count(p); got != want {
-			t.Errorf("prune=%s components = %s, want %s", p, got, want)
-		}
 	}
 }
 
@@ -106,7 +77,7 @@ func TestSlinegraphErrors(t *testing.T) {
 		{"-relabel", "desc", "-preset", "rand1-mini"}, // retired flags are unknown like any other
 		{"-strategy", "nope", "-preset", "rand1-mini"},
 		{"-schedule", "queue", "-preset", "rand1-mini"},
-		{"-prune", "nope", "-preset", "rand1-mini"},
+		{"-prune", "nope", "-preset", "rand1-mini"}, // retired like -relabel and -schedule
 		{"-preset", "nope"},
 		{"-in", "/nonexistent.mtx"},
 	}

@@ -9,10 +9,11 @@ import (
 	"testing"
 )
 
-// TestSLineGraphCtxHandleDetached pins the slgOn contract: construction —
-// the kernel and the CSR assembly, on the bipartite and the adjoin input
-// alike — runs on the ctx-bound engine, but the returned handle is rebound to
-// the handle's own engine, so queries survive the request deadline expiring.
+// TestSLineGraphCtxHandleDetached pins the SLineGraphCtx contract:
+// construction — the kernel and the CSR assembly, on the bipartite and the
+// adjoin input alike — runs on the ctx-bound engine, but the returned handle
+// is rebound to the handle's own engine, so queries survive the request
+// deadline expiring.
 func TestSLineGraphCtxHandleDetached(t *testing.T) {
 	g := engineTestHypergraph(t)
 	for _, o := range []ConstructOptions{{}, {UseAdjoin: true}} {

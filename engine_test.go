@@ -130,7 +130,7 @@ func TestSLineGraphCtxCancellation(t *testing.T) {
 			t.Fatalf("%+v: got non-nil handle from cancelled construction", o)
 		}
 	}
-	if _, err := g.SConnectedComponentsCtx(ctx, 2, PruneAuto); !errors.Is(err, context.Canceled) {
+	if _, err := g.SConnectedComponentsCtx(ctx, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SConnectedComponentsCtx err = %v, want Canceled", err)
 	}
 	if _, err := g.ConnectedComponentsCtx(ctx, CCHyper); !errors.Is(err, context.Canceled) {
@@ -199,11 +199,10 @@ func TestDerivedHandlesKeepEngine(t *testing.T) {
 	}
 }
 
-// TestNonCtxTwinsObserveBoundContext: SConnectedComponents,
-// RefreshSLineGraph and Mutation.Commit run with the context the handle's
-// engine is bound to, like BFS and SLineGraphWith: on an already cancelled
-// one each returns nothing (Commit: the context's error) and schedules no
-// kernel.
+// TestNonCtxTwinsObserveBoundContext: every ctx-less method of shims.go runs
+// with the context the handle's engine is bound to: on an already cancelled
+// one each returns its zero result (RefreshSLineGraph and Commit: the
+// context's error) and schedules no kernel.
 func TestNonCtxTwinsObserveBoundContext(t *testing.T) {
 	g := engineTestHypergraph(t)
 	lg := g.SLineGraph(2, true)
@@ -224,21 +223,34 @@ func TestNonCtxTwinsObserveBoundContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	epoch := g.Epoch()
+	twins := map[string]func() bool{
+		"BFS":                    func() bool { return bound.BFS(0, BFSTopDown) == nil },
+		"ConnectedComponents":    func() bool { return bound.ConnectedComponents(CCHyper) == nil },
+		"HyperPageRank":          func() bool { return bound.HyperPageRank(0.85, 1e-9, 100) == nil },
+		"Toplexes":               func() bool { return bound.Toplexes() == nil },
+		"CliqueExpansion":        func() bool { return bound.CliqueExpansion() == nil },
+		"SLineGraph":             func() bool { return bound.SLineGraph(2, true) == nil },
+		"SLineGraphWith":         func() bool { return bound.SLineGraphWith(2, true, PresetAlgorithm2) == nil },
+		"SLineGraphWeighted":     func() bool { return bound.SLineGraphWeighted(2) == nil },
+		"SLineGraphWeightedWith": func() bool { return bound.SLineGraphWeightedWith(2, PresetHashmap) == nil },
+		"SConnectedComponents":   func() bool { return bound.SConnectedComponents(2) == nil },
+		"RefreshSLineGraph": func() bool {
+			nl, _, err := bound.RefreshSLineGraph(lg, ConstructOptions{})
+			return nl == nil && errors.Is(err, context.Canceled)
+		},
+		"Mutation.Commit": func() bool { return errors.Is(m.Commit(), context.Canceled) },
+	}
 	def := parallel.Default()
-	before := def.Submitted()
-	if labels := bound.SConnectedComponents(2); labels != nil {
-		t.Error("SConnectedComponents on a cancelled engine returned labels")
-	}
-	if nl, _, err := bound.RefreshSLineGraph(lg, ConstructOptions{}); nl != nil || !errors.Is(err, context.Canceled) {
-		t.Errorf("RefreshSLineGraph on a cancelled engine: handle %v, error %v", nl != nil, err)
-	}
-	if err := m.Commit(); !errors.Is(err, context.Canceled) {
-		t.Errorf("Commit on a cancelled engine: error %v, want Canceled", err)
+	for name, zero := range twins {
+		before := def.Submitted()
+		if !zero() {
+			t.Errorf("%s on a cancelled engine returned a result", name)
+		}
+		if n := def.Submitted() - before; n != 0 {
+			t.Errorf("%s: the default pool received %d tasks on a cancelled engine", name, n)
+		}
 	}
 	if g.Epoch() != epoch {
 		t.Error("a cancelled commit published a snapshot")
-	}
-	if n := def.Submitted() - before; n != 0 {
-		t.Errorf("the default pool received %d tasks on a cancelled engine", n)
 	}
 }

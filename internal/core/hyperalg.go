@@ -25,9 +25,8 @@ func HyperPageRank(eng *parallel.Engine, h *Hypergraph, damping, tol float64, ma
 	for i := range rank {
 		rank[i] = inv
 	}
-	nodeDeg := h.NodeDegrees()
-	edgeSize := h.EdgeDegrees()
-
+	// Degrees are read off the row pointers: precomputing them is a scan on
+	// the shared pool, not on eng.
 	for iter := 0; iter < maxIter; iter++ {
 		if err := eng.Err(); err != nil {
 			return nil, err
@@ -35,7 +34,7 @@ func HyperPageRank(eng *parallel.Engine, h *Hypergraph, damping, tol float64, ma
 		// Step 1: push node mass onto hyperedges (rank/deg per incidence).
 		dangling := parallel.ReduceWith(eng, nv, 0.0, func(lo, hi int, acc float64) float64 {
 			for v := lo; v < hi; v++ {
-				if nodeDeg[v] == 0 {
+				if h.Nodes.Degree(v) == 0 {
 					acc += rank[v]
 				}
 			}
@@ -45,7 +44,7 @@ func HyperPageRank(eng *parallel.Engine, h *Hypergraph, damping, tol float64, ma
 			for e := lo; e < hi; e++ {
 				sum := 0.0
 				for _, v := range h.Edges.Row(e) {
-					sum += rank[v] / float64(nodeDeg[v])
+					sum += rank[v] / float64(h.Nodes.Degree(int(v)))
 				}
 				edgeMass[e] = sum
 			}
@@ -56,8 +55,8 @@ func HyperPageRank(eng *parallel.Engine, h *Hypergraph, damping, tol float64, ma
 			for v := lo; v < hi; v++ {
 				sum := 0.0
 				for _, e := range h.Nodes.Row(v) {
-					if edgeSize[e] > 0 {
-						sum += edgeMass[e] / float64(edgeSize[e])
+					if h.Edges.Degree(int(e)) > 0 {
+						sum += edgeMass[e] / float64(h.Edges.Degree(int(e)))
 					}
 				}
 				next[v] = base + damping*sum

@@ -3,6 +3,7 @@ package server
 import (
 	"container/list"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -10,12 +11,9 @@ import (
 	"nwhy"
 )
 
-// CacheKey identifies one constructed s-line graph by what is built. The
-// request's strategy and prune level are absent on purpose: every counter
-// yields the same CSR bytes, and the facade clamps the prune levels that
-// would drop pairs for materializing constructions, so they change how the
-// graph is built, never what. The first requester's options drive the build.
-// Epoch is the dataset's mutation epoch at request time: a commit bumps it,
+// CacheKey identifies one constructed s-line graph by what is built: every
+// build runs the facade's default construction options. Epoch is the
+// dataset's mutation epoch at request time: a commit bumps it,
 // so every entry built before the commit simply stops being addressable and
 // ages out of the LRU — mutation invalidates the cache without any explicit
 // invalidation traffic.
@@ -81,10 +79,12 @@ func NewSLineCache(capacity int) *SLineCache {
 // a miss. The third return reports whether the result came from cache (a
 // wait on another request's in-flight build counts as a hit — nothing was
 // constructed for this caller). Failed builds — a panic counts as one — are
-// evicted so the next request retries.
+// evicted so the next request retries. A build that failed only because its
+// own request was cancelled fails that request alone: a waiter whose ctx is
+// live retries, building or waiting on the next build.
 func (c *SLineCache) Get(ctx context.Context, key CacheKey, build func() (*nwhy.SLineGraph, *nwhy.WeightedSLineGraph, error)) (*nwhy.SLineGraph, *nwhy.WeightedSLineGraph, bool, error) {
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
+	for el, ok := c.entries[key]; ok; el, ok = c.entries[key] {
 		e := el.Value.(*cacheEntry)
 		c.order.MoveToFront(el)
 		c.mu.Unlock()
@@ -99,11 +99,16 @@ func (c *SLineCache) Get(ctx context.Context, key CacheKey, build func() (*nwhy.
 				return nil, nil, false, ctx.Err()
 			}
 		}
-		if e.err != nil {
+		if e.err == nil {
+			c.hits.Add(1)
+			return e.lg, e.wlg, true, nil
+		}
+		cancelled := errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)
+		if !cancelled || ctx.Err() != nil {
 			return nil, nil, false, e.err
 		}
-		c.hits.Add(1)
-		return e.lg, e.wlg, true, nil
+		c.remove(key, e)
+		c.mu.Lock()
 	}
 
 	// Miss: install an in-flight entry, then build outside the lock.

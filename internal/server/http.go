@@ -10,8 +10,6 @@ import (
 	"sort"
 	"strconv"
 	"time"
-
-	"nwhy"
 )
 
 // Handler returns the server's HTTP surface: one GET endpoint per query
@@ -146,40 +144,6 @@ func qBool(r *http.Request, name string, def bool) (bool, error) {
 	return b, nil
 }
 
-// qStrategy parses the strategy parameter onto the kernel counter axis.
-func qStrategy(r *http.Request) (nwhy.Strategy, error) {
-	switch v := r.URL.Query().Get("strategy"); v {
-	case "", "auto":
-		return nwhy.StrategyAuto, nil
-	case "hashmap":
-		return nwhy.StrategyHashmap, nil
-	case "dense":
-		return nwhy.StrategyDense, nil
-	case "intersection":
-		return nwhy.StrategyIntersection, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown strategy %q (want auto|hashmap|dense|intersection)", ErrBadRequest, v)
-	}
-}
-
-// qPrune parses the prune parameter onto the kernel's pruning axis.
-func qPrune(r *http.Request) (nwhy.Prune, error) {
-	switch v := r.URL.Query().Get("prune"); v {
-	case "", "auto":
-		return nwhy.PruneAuto, nil
-	case "none":
-		return nwhy.PruneNone, nil
-	case "degree":
-		return nwhy.PruneDegree, nil
-	case "connectivity":
-		return nwhy.PruneConnectivity, nil
-	case "toplex":
-		return nwhy.PruneToplex, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown prune %q (want auto|none|degree|connectivity|toplex)", ErrBadRequest, v)
-	}
-}
-
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.Health())
 }
@@ -223,14 +187,6 @@ func (s *Server) handleSLine(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Weighted, err = qBool(r, "weighted", false); err != nil {
-		writeErr(w, err)
-		return
-	}
-	if req.Strategy, err = qStrategy(r); err != nil {
-		writeErr(w, err)
-		return
-	}
-	if req.Prune, err = qPrune(r); err != nil {
 		writeErr(w, err)
 		return
 	}

@@ -13,7 +13,20 @@ import (
 	"nwhy"
 	"nwhy/internal/core"
 	"nwhy/internal/gen"
+	"nwhy/internal/slinegraph"
 )
+
+// unprunedSCC is the reference labels of g's current snapshot: the
+// components kernel with every pruning heuristic off.
+func unprunedSCC(t *testing.T, g *nwhy.NWHypergraph, s int) []uint32 {
+	t.Helper()
+	h := g.Hypergraph()
+	labels, err := slinegraph.SComponentsDirect(g.Engine(), slinegraph.FromHypergraph(h), s, slinegraph.Options{Prune: slinegraph.NoPrune})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return labels[:h.NumEdges()]
+}
 
 // recount derives the /scc summary from a label vector.
 func recount(labels []uint32) (components, largest int) {
@@ -38,7 +51,7 @@ func checkSCCAgainst(res SCCResult, want []uint32) error {
 	return nil
 }
 
-// checkSCCReply checks res against the facade's unpruned one-shot on the
+// checkSCCReply checks res against the unpruned kernel on the
 // registry's handle, which must be quiescent at the epoch res reports.
 func checkSCCReply(t *testing.T, s *Server, res SCCResult) {
 	t.Helper()
@@ -49,11 +62,7 @@ func checkSCCReply(t *testing.T, s *Server, res SCCResult) {
 	if g.Epoch() != res.Epoch {
 		t.Fatalf("reply reports epoch %d, the dataset is at %d", res.Epoch, g.Epoch())
 	}
-	want, err := g.SConnectedComponentsCtx(context.Background(), res.S, nwhy.PruneNone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := checkSCCAgainst(res, want); err != nil {
+	if err := checkSCCAgainst(res, unprunedSCC(t, g, res.S)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -82,7 +91,7 @@ func batch(g *nwhy.NWHypergraph, c int) []EdgeOp {
 // TestSCCRepliesMatchUnprunedFacade: however /scc is spelled — with or
 // without labels, with the retired route selectors, in process or over HTTP —
 // and however the view got there — computed, from memory, absorbed, recomputed
-// after a removal — the reply is the facade's unpruned one-shot at the epoch
+// after a removal — the reply is the unpruned kernel's labels at the epoch
 // it reports.
 func TestSCCRepliesMatchUnprunedFacade(t *testing.T) {
 	eng := nwhy.NewEngine(2)
@@ -142,10 +151,13 @@ func TestSCCRepliesMatchUnprunedFacade(t *testing.T) {
 		t.Fatalf("%d views with %d full recomputes, want 3 with 6", views, full)
 	}
 
-	// The prune parameter still selects on /slinegraph, and is still checked.
+	// The retired strategy and prune parameters are ignored on /slinegraph
+	// too, like any parameter it does not read.
 	for path, want := range map[string]int{
-		"/slinegraph?dataset=contain&s=1&prune=degree": 200,
-		"/slinegraph?dataset=contain&s=1&prune=nope":   400,
+		"/slinegraph?dataset=contain&s=1&prune=degree":    200,
+		"/slinegraph?dataset=contain&s=1&prune=nope":      200,
+		"/slinegraph?dataset=contain&s=1&strategy=bogus":  200,
+		"/slinegraph?dataset=contain&s=1&edges=sometimes": 400,
 	} {
 		resp, err := srv.Client().Get(srv.URL + path)
 		if err != nil {
@@ -173,11 +185,7 @@ func TestSCCServedRepliesNeverCrossAnEpoch(t *testing.T) {
 	want := map[int][][]uint32{}
 	record := func() {
 		for _, sv := range []int{2, 3} {
-			labels, err := ref.SConnectedComponentsCtx(ctx, sv, nwhy.PruneNone)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[sv] = append(want[sv], labels)
+			want[sv] = append(want[sv], unprunedSCC(t, ref, sv))
 		}
 	}
 	record()

@@ -304,18 +304,12 @@ func (s *Server) Toplexes(ctx context.Context, dataset string) (ToplexesResult, 
 	return out, err
 }
 
-// SLineRequest names one s-line graph: the cache key components plus the
-// (result-invariant) construction options.
+// SLineRequest names one s-line graph: the cache key components.
 type SLineRequest struct {
 	Dataset  string
 	S        int
 	Edges    bool // line graph over hyperedges (true) or hypernodes (false)
 	Weighted bool
-	Strategy nwhy.Strategy
-	// Prune selects the kernel's pruning level. Materializing constructions
-	// clamp anything above the (result-invariant) degree prefilter, so every
-	// level yields the same graph.
-	Prune nwhy.Prune
 }
 
 func (r SLineRequest) validate() error {
@@ -364,18 +358,17 @@ func (s *Server) slineGraph(ctx context.Context, req SLineRequest) (*nwhy.SLineG
 	}
 	key := req.key()
 	key.Epoch = g.Epoch()
-	opts := nwhy.ConstructOptions{Strategy: req.Strategy, Prune: req.Prune}
 	return s.cache.Get(ctx, key, func() (*nwhy.SLineGraph, *nwhy.WeightedSLineGraph, error) {
 		if req.Weighted {
-			wlg, err := g.SLineGraphWeightedCtx(ctx, req.S, opts)
+			wlg, err := g.SLineGraphWeightedCtx(ctx, req.S, nwhy.ConstructOptions{})
 			return nil, wlg, err
 		}
 		var lg *nwhy.SLineGraph
 		var err error
 		if prev := s.latestFor(key, g); prev != nil {
-			lg, _, err = g.RefreshSLineGraphCtx(ctx, prev, opts)
+			lg, _, err = g.RefreshSLineGraphCtx(ctx, prev, nwhy.ConstructOptions{})
 		} else {
-			lg, err = g.SLineGraphCtx(ctx, req.S, req.Edges, opts)
+			lg, err = g.SLineGraphCtx(ctx, req.S, req.Edges, nwhy.ConstructOptions{})
 		}
 		if err != nil {
 			return nil, nil, err
@@ -595,8 +588,15 @@ type CentralityResult struct {
 func (s *Server) Centrality(ctx context.Context, req CentralityRequest) (CentralityResult, error) {
 	var out CentralityResult
 	err := s.do(ctx, "centrality", func(ctx context.Context) error {
-		if req.Weighted && req.Kind == CentralityPageRank {
-			return fmt.Errorf("%w: weighted pagerank is not supported", ErrBadRequest)
+		// Reject what no build can answer before building (and caching) one.
+		switch req.Kind {
+		case CentralityBetweenness, CentralityCloseness, CentralityHarmonic, CentralityEccentricity:
+		case CentralityPageRank:
+			if req.Weighted {
+				return fmt.Errorf("%w: weighted pagerank is not supported", ErrBadRequest)
+			}
+		default:
+			return fmt.Errorf("%w: unknown centrality kind %q", ErrBadRequest, req.Kind)
 		}
 		lg, wlg, hit, err := s.slineGraph(ctx, SLineRequest{Dataset: req.Dataset, S: req.S, Edges: true, Weighted: req.Weighted})
 		if err != nil {
@@ -630,8 +630,6 @@ func (s *Server) Centrality(ctx context.Context, req CentralityRequest) (Central
 			}
 		case CentralityPageRank:
 			scores, err = lg.SPageRankCtx(ctx, 0.85, 1e-9, 100)
-		default:
-			return fmt.Errorf("%w: unknown centrality kind %q", ErrBadRequest, req.Kind)
 		}
 		if err != nil {
 			return err

@@ -77,9 +77,9 @@ func TestSLineCacheHitAndMiss(t *testing.T) {
 	}
 }
 
-// TestSLineCacheKeyedOnWhatIsBuilt: two requests for one graph under
-// different strategies and prune levels share one cache entry — the second
-// is a hit, and the graph is built once.
+// TestSLineCacheKeyedOnWhatIsBuilt: two requests for one graph, spelled with
+// the retired (and ignored) strategy and prune parameters, share one cache
+// entry — the second is a hit, and the graph is built once.
 func TestSLineCacheKeyedOnWhatIsBuilt(t *testing.T) {
 	s, _ := testServer(t, Config{})
 	srv := httptest.NewServer(s.Handler())
@@ -119,14 +119,11 @@ func TestSLineValidation(t *testing.T) {
 }
 
 // TestSComponentsCachedMatchesDirect: /scc labels, computed and repeated from
-// memory, are the facade's unpruned one-shot labels.
+// memory, are the unpruned kernel's labels.
 func TestSComponentsCachedMatchesDirect(t *testing.T) {
 	s, eng := testServer(t, Config{})
 	ctx := context.Background()
-	want, err := nwhy.FromSets(twoIslands(), 8).WithEngine(eng).SConnectedComponentsCtx(ctx, 1, nwhy.PruneNone)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := unprunedSCC(t, nwhy.FromSets(twoIslands(), 8).WithEngine(eng), 1)
 	for _, when := range []string{"computed", "repeated"} {
 		got, err := s.SComponents(ctx, SCCRequest{Dataset: "tiny", S: 1, WithLabels: true})
 		if err != nil {
@@ -185,6 +182,18 @@ func TestCentralityKinds(t *testing.T) {
 	}
 	if _, err := s.Centrality(ctx, CentralityRequest{Dataset: "tiny", S: 1, Kind: CentralityPageRank, Weighted: true}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("weighted pagerank err = %v, want ErrBadRequest", err)
+	}
+}
+
+// TestCentralityRejectsUnknownKindBeforeBuilding: a kind no build can answer
+// is a bad request before any s-line graph is built or cached.
+func TestCentralityRejectsUnknownKindBeforeBuilding(t *testing.T) {
+	s, _ := testServer(t, Config{})
+	if _, err := s.Centrality(context.Background(), CentralityRequest{Dataset: "tiny", S: 1, Kind: "bogus"}); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("unknown kind err = %v, want ErrBadRequest", err)
+	}
+	if _, misses, _ := s.Cache().Stats(); misses != 0 || s.Cache().Len() != 0 {
+		t.Fatalf("an unknown kind built %d graphs into %d entries, want none", misses, s.Cache().Len())
 	}
 }
 
@@ -406,6 +415,56 @@ func TestCachePanickingBuildFailsWaiters(t *testing.T) {
 	}
 }
 
+// TestCacheWaiterOutlivesCancelledBuilder: the request that builds a miss is
+// cancelled mid-build. A waiter whose own ctx is live does not inherit that
+// cancellation: it retries, runs the build itself, and gets a graph — two
+// misses, one entry.
+func TestCacheWaiterOutlivesCancelledBuilder(t *testing.T) {
+	c := NewSLineCache(4)
+	key := CacheKey{Dataset: "d", S: 1, Edges: true}
+	bctx, cancel := context.WithCancel(context.Background())
+	started, builderErr := make(chan struct{}), make(chan error, 1)
+	go func() {
+		_, _, _, err := c.Get(bctx, key, func() (*nwhy.SLineGraph, *nwhy.WeightedSLineGraph, error) {
+			close(started)
+			<-bctx.Done()
+			return nil, nil, bctx.Err()
+		})
+		builderErr <- err
+	}()
+	<-started
+	want := &nwhy.SLineGraph{}
+	type reply struct {
+		lg  *nwhy.SLineGraph
+		err error
+	}
+	waiter := make(chan reply, 1)
+	go func() {
+		lg, _, _, err := c.Get(context.Background(), key, func() (*nwhy.SLineGraph, *nwhy.WeightedSLineGraph, error) {
+			return want, nil, nil
+		})
+		waiter <- reply{lg, err}
+	}()
+	for _, _, waits := c.Stats(); waits == 0; _, _, waits = c.Stats() {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-builderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("builder err = %v, want Canceled", err)
+	}
+	select {
+	case r := <-waiter:
+		if r.err != nil || r.lg != want {
+			t.Fatalf("live waiter got graph %v, err %v; want the graph", r.lg != nil, r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the live waiter is still blocked")
+	}
+	if _, misses, _ := c.Stats(); misses != 2 || c.Len() != 1 {
+		t.Fatalf("%d misses into %d entries, want 2 into 1", misses, c.Len())
+	}
+}
+
 // TestDoRecoversPanic: a panic inside a request body becomes an error the
 // HTTP layer maps to 500, the admission slot is released and the request
 // still reaches the endpoint metrics.
@@ -597,7 +656,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	// Error mapping.
 	get(t, "/stats?dataset=nope", 404, nil)
 	get(t, "/slinegraph?dataset=tiny&s=zero", 400, nil)
-	get(t, "/slinegraph?dataset=tiny&s=1&strategy=bogus", 400, nil)
+	get(t, "/slinegraph?dataset=tiny&s=1&weighted=maybe", 400, nil)
 	get(t, "/scc?dataset=tiny&s=0", 400, nil)
 
 	// /metrics is expvar JSON including the cache and endpoint counters.

@@ -101,10 +101,7 @@ func TestConcurrentReadersMatchSerial(t *testing.T) {
 	base := map[int]*baseline{}
 	for _, s := range sValues {
 		lg := serial.SLineGraph(s, true)
-		labels, err := serial.SConnectedComponentsCtx(context.Background(), s, nwhy.PruneNone)
-		if err != nil {
-			t.Fatal(err)
-		}
+		labels := unprunedSCC(t, serial, s)
 		base[s] = &baseline{
 			pairs:       lg.Pairs(),
 			labels:      labels,

@@ -153,10 +153,6 @@ func (m *Mutation) Deletes() int { return m.dyn.Deletes() }
 
 var errMutationDone = errors.New("nwhy: mutation already committed")
 
-// Commit compacts the batch into a fresh frozen snapshot and atomically
-// swaps it in on the handle's engine, observing its context. See CommitCtx.
-func (m *Mutation) Commit() error { return m.CommitCtx(m.g.engine().Context()) }
-
 // CommitCtx is Commit bounded by ctx. The staged overlay folds into a new
 // CSR pair on the handle's engine (removed IDs stay as empty rows, so the
 // ID space is stable), then a compare-and-swap publishes the snapshot: it
@@ -329,13 +325,6 @@ func (r Refresh) String() string {
 		return "current"
 	}
 	return "rebuilt"
-}
-
-// RefreshSLineGraph brings a previously constructed s-line graph up to the
-// handle's current snapshot on its engine, observing its context. See
-// RefreshSLineGraphCtx.
-func (g *NWHypergraph) RefreshSLineGraph(lg *SLineGraph, o ConstructOptions) (*SLineGraph, Refresh, error) {
-	return g.RefreshSLineGraphCtx(g.engine().Context(), lg, o)
 }
 
 // RefreshSLineGraphCtx brings lg up to the current snapshot: a handle at the

@@ -337,8 +337,8 @@ func (g *NWHypergraph) toplexCover(eng *Engine, snap *snapshot) (tops, cover []u
 }
 
 // toplexCacheWarmAt reports whether the toplex cache already holds snap's
-// containment map — the signal PruneAuto uses to take the toplex-only path
-// only when it costs nothing extra.
+// containment map — the signal SConnectedComponentsCtx uses to take the
+// toplex-only route only when it costs nothing extra.
 func (g *NWHypergraph) toplexCacheWarmAt(snap *snapshot) bool {
 	lz := g.lazy
 	if lz == nil {
@@ -347,18 +347,6 @@ func (g *NWHypergraph) toplexCacheWarmAt(snap *snapshot) bool {
 	lz.mu.Lock()
 	defer lz.mu.Unlock()
 	return lz.topsValid && lz.topsEpoch == snap.epoch
-}
-
-// Toplexes returns the IDs of the maximal hyperedges (paper Algorithm 3),
-// served from an epoch-keyed cache shared with Toplexify and the
-// toplex-only s-component path; a committed mutation invalidates it like
-// the adjoin graph.
-func (g *NWHypergraph) Toplexes() []uint32 {
-	tops, _, err := g.toplexCover(g.engine(), g.snap())
-	if err != nil {
-		return nil
-	}
-	return append([]uint32(nil), tops...)
 }
 
 // ToplexesCtx is Toplexes bounded by ctx: the scan aborts at the next grain
@@ -431,16 +419,6 @@ func SetNumThreads(n int) { parallel.SetNumWorkers(n) }
 
 // NumThreads reports the current worker count.
 func NumThreads() int { return parallel.NumWorkers() }
-
-// CliqueExpansion computes the clique-expansion graph of the hypergraph
-// (the 1-line graph of the dual): each hyperedge becomes a clique over its
-// members. Returned pairs are hypernode ID pairs. If the bound engine's
-// context is cancelled the result is nil; use CliqueExpansionCtx to observe
-// the error.
-func (g *NWHypergraph) CliqueExpansion() []sparse.Edge {
-	pairs, _ := slinegraph.CliqueExpansion(g.engine(), g.hg(), slinegraph.Options{})
-	return pairs
-}
 
 // CliqueExpansionCtx is CliqueExpansion bounded by ctx: the construction
 // aborts at the next grain boundary once ctx is cancelled and returns

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nwhy/internal/gen"
+	"nwhy/internal/slinegraph"
 )
 
 func containmentFacade() *NWHypergraph {
@@ -23,15 +24,26 @@ func containmentFacade() *NWHypergraph {
 	}, 16)
 }
 
-var allPrunes = []Prune{PruneAuto, PruneNone, PruneDegree, PruneConnectivity, PruneToplex}
+// unprunedSCC is the reference every s-component differential compares
+// against: the components kernel with every pruning heuristic off, on g's
+// current snapshot.
+func unprunedSCC(t *testing.T, g *NWHypergraph, s int) []uint32 {
+	t.Helper()
+	h := g.Hypergraph()
+	labels, err := slinegraph.SComponentsDirect(g.Engine(), slinegraph.FromHypergraph(h), s, slinegraph.Options{Prune: slinegraph.NoPrune})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return labels[:h.NumEdges()]
+}
 
-// TestSConnectedComponentsCtxEveryPruneLevel is the one differential for the
-// one-shot s-CC entry: every prune level, s from 0 (below any overlap) to 4
-// (above most), on a cold and on a warm toplex cache, must label exactly
-// like the materialized route (build the s-line graph, then CC on it) and
-// like the unpruned kernel. Each cell gets a fresh handle, because
-// PruneToplex warms the cache it runs on.
-func TestSConnectedComponentsCtxEveryPruneLevel(t *testing.T) {
+// TestSConnectedComponentsCtxColdAndWarmCover is the one differential for
+// the one-shot s-CC entry: s from 0 (below any overlap) to 4 (above most),
+// on a cold toplex cover (the connectivity route) and a warm one (the
+// toplex route), must label exactly like the materialized route (build the
+// s-line graph, then CC on it) and like the unpruned kernel. Neither route
+// changes whether the cover is warm.
+func TestSConnectedComponentsCtxColdAndWarmCover(t *testing.T) {
 	inputs := map[string]func() *NWHypergraph{
 		"containment": containmentFacade,
 		"communities": func() *NWHypergraph {
@@ -45,34 +57,27 @@ func TestSConnectedComponentsCtxEveryPruneLevel(t *testing.T) {
 		for s := 0; s <= 4; s++ {
 			ref := build()
 			materialized := ref.SLineGraph(s, true).SConnectedComponents()
-			unpruned, err := ref.SConnectedComponentsCtx(ctx, s, PruneNone)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(unpruned, materialized) {
-				t.Fatalf("%s s=%d: PruneNone diverges from the materialized route", name, s)
+			if !slices.Equal(unprunedSCC(t, ref, s), materialized) {
+				t.Fatalf("%s s=%d: the unpruned kernel diverges from the materialized route", name, s)
 			}
 			for _, warm := range []bool{false, true} {
-				for _, p := range allPrunes {
-					g := build()
-					if warm {
-						g.Toplexes()
-					}
-					got, err := g.SConnectedComponentsCtx(ctx, s, p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !slices.Equal(got, materialized) {
-						t.Fatalf("%s s=%d prune=%v warm=%v: labels diverge from the materialized route", name, s, p, warm)
-					}
-					if wantWarm := warm || p == PruneToplex; g.toplexCacheWarm() != wantWarm {
-						t.Fatalf("%s s=%d prune=%v warm=%v: toplex cache warm = %v", name, s, p, warm, !wantWarm)
-					}
+				g := build()
+				if warm {
+					g.Toplexes()
 				}
-			}
-			// The shim is the PruneAuto column.
-			if !slices.Equal(ref.SConnectedComponents(s), materialized) {
-				t.Fatalf("%s s=%d: SConnectedComponents diverges from the materialized route", name, s)
+				got, err := g.SConnectedComponentsCtx(ctx, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, materialized) {
+					t.Fatalf("%s s=%d warm=%v: labels diverge from the materialized route", name, s, warm)
+				}
+				if g.toplexCacheWarm() != warm {
+					t.Fatalf("%s s=%d warm=%v: toplex cache warm = %v", name, s, warm, !warm)
+				}
+				if !slices.Equal(g.SConnectedComponents(s), materialized) {
+					t.Fatalf("%s s=%d warm=%v: SConnectedComponents diverges from the materialized route", name, s, warm)
+				}
 			}
 		}
 	}
@@ -84,19 +89,17 @@ func TestPruneAutoUpgradesOnWarmToplexCache(t *testing.T) {
 		t.Fatal("fresh handle should have a cold toplex cache")
 	}
 	want := g.SConnectedComponents(2)
-	// Cold cache: PruneAuto must not have paid for toplexes speculatively.
+	// Cold cache: the one-shot must not have paid for toplexes speculatively.
 	if g.toplexCacheWarm() {
-		t.Fatal("PruneAuto warmed the toplex cache on a cold handle")
+		t.Fatal("SConnectedComponents warmed the toplex cache on a cold handle")
 	}
-	// PruneToplex forces and caches the cover; PruneAuto then upgrades.
-	if _, err := g.SConnectedComponentsCtx(context.Background(), 2, PruneToplex); err != nil {
-		t.Fatal(err)
-	}
+	// Toplexes warms the cover; the one-shot then takes the toplex route.
+	g.Toplexes()
 	if !g.toplexCacheWarm() {
-		t.Fatal("PruneToplex should warm the toplex cache")
+		t.Fatal("Toplexes should warm the toplex cache")
 	}
 	if got := g.SConnectedComponents(2); !slices.Equal(got, want) {
-		t.Fatal("warm-cache PruneAuto labels diverge from cold-cache run")
+		t.Fatal("warm-cache labels diverge from the cold-cache run")
 	}
 }
 
@@ -127,18 +130,13 @@ func TestToplexCacheInvalidatedByCommit(t *testing.T) {
 	if slices.Equal(before, after) {
 		t.Fatal("toplex set should change after the commit")
 	}
-	// Toplex-pruned components still match the unpruned kernel on the new
-	// snapshot.
-	ctx := context.Background()
-	pruned, err := g.SConnectedComponentsCtx(ctx, 1, PruneToplex)
+	// Toplex-route components still match the unpruned kernel on the new
+	// snapshot (the Toplexes call above warmed its cover).
+	pruned, err := g.SConnectedComponentsCtx(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unpruned, err := g.SConnectedComponentsCtx(ctx, 1, PruneNone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(pruned, unpruned) {
+	if !slices.Equal(pruned, unprunedSCC(t, g, 1)) {
 		t.Fatal("post-commit toplex-pruned labels diverge from the unpruned kernel")
 	}
 }
@@ -159,27 +157,21 @@ func TestSConnectedComponentsCtxCancel(t *testing.T) {
 	g := containmentFacade()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, p := range allPrunes {
-		if _, err := g.SConnectedComponentsCtx(ctx, 2, p); err == nil {
-			t.Fatalf("prune=%v: cancelled run returned nil error", p)
-		}
+	if _, err := g.SConnectedComponentsCtx(ctx, 2); err == nil {
+		t.Fatal("cold cover: cancelled run returned nil error")
 	}
-	// The cancelled toplex attempt must not have poisoned the cache.
+	if _, err := g.ToplexesCtx(ctx); err == nil {
+		t.Fatal("cancelled cover scan returned nil error")
+	}
+	// The cancelled cover scan must not have poisoned the cache.
 	if g.toplexCacheWarm() {
 		t.Fatal("cancelled run populated the toplex cache")
 	}
-	if labels, err := g.SConnectedComponentsCtx(context.Background(), 2, PruneToplex); err != nil || len(labels) != g.NumEdges() {
-		t.Fatalf("post-cancel retry failed: %v", err)
+	g.Toplexes()
+	if _, err := g.SConnectedComponentsCtx(ctx, 2); err == nil {
+		t.Fatal("warm cover: cancelled run returned nil error")
 	}
-}
-
-func TestPruneStrings(t *testing.T) {
-	for want, p := range map[string]Prune{
-		"auto": PruneAuto, "none": PruneNone, "degree": PruneDegree,
-		"connectivity": PruneConnectivity, "toplex": PruneToplex,
-	} {
-		if p.String() != want {
-			t.Fatalf("String() = %q, want %q", p.String(), want)
-		}
+	if labels, err := g.SConnectedComponentsCtx(context.Background(), 2); err != nil || len(labels) != g.NumEdges() {
+		t.Fatalf("post-cancel retry failed: %v", err)
 	}
 }

@@ -30,40 +30,11 @@ const (
 
 func (s Strategy) String() string { return slinegraph.Counter(s).String() }
 
-// Prune selects the intent-aware pruning heuristics — the fourth kernel
-// axis (the companion paper's algorithmic cuts). The heuristics compose in
-// order; levels that drop pairs (connectivity, toplex) only ever apply to
-// connectivity-intent runs (SConnectedComponents[Ctx], IncrementalSCC) and
-// silently degrade to the result-identical degree prefilter everywhere else.
-type Prune int
-
-const (
-	// PruneAuto resolves from the query intent: the degree prefilter for
-	// pair-list constructions, the connectivity arsenal for component
-	// queries (upgrading to the toplex-only path when the handle's toplex
-	// cache is already warm).
-	PruneAuto Prune = iota
-	// PruneNone disables every heuristic — the benchmark baseline.
-	PruneNone
-	// PruneDegree prefilters the work list to hyperedges with deg ≥ s once
-	// up front (engine-parallel bitset + filtered span).
-	PruneDegree
-	// PruneConnectivity adds the union-find connected short-circuit:
-	// candidate pairs already in one s-component skip counting.
-	PruneConnectivity
-	// PruneToplex additionally restricts construction to the maximal
-	// hyperedges, expanding labels through the containment map; forcing it
-	// computes (and caches) the toplex cover if cold.
-	PruneToplex
-)
-
-func (p Prune) String() string { return slinegraph.Prune(p).String() }
-
 // ConstructOptions configure s-line-graph construction, weighted or not.
 // Every value runs the one s-overlap kernel, which drains its work list
-// through the paper's queue in ID order, and yields the same graph; the
-// fields only change how the work is counted, what it is fed and how it is
-// pruned.
+// through the paper's queue in ID order under the degree prefilter, and
+// yields the same graph; the fields only change how the work is counted and
+// what it is fed.
 type ConstructOptions struct {
 	// Strategy selects the overlap-counting strategy. Zero value:
 	// auto-resolve.
@@ -71,11 +42,6 @@ type ConstructOptions struct {
 	// UseAdjoin feeds the kernel the adjoin representation (one shared
 	// index set) instead of the bipartite one. Hyperedge-side only.
 	UseAdjoin bool
-	// Prune selects the pruning heuristics (kernel axis 4). Zero value:
-	// auto-resolve from the query intent. Pair-list constructions clamp
-	// levels above PruneDegree, since dropping pairs is only sound for
-	// component queries.
-	Prune Prune
 }
 
 // The paper's four named constructions, as presets pinning the Strategy each
@@ -99,7 +65,7 @@ var (
 )
 
 func (o ConstructOptions) internal() slinegraph.Options {
-	return slinegraph.Options{Counter: slinegraph.Counter(o.Strategy), Prune: slinegraph.Prune(o.Prune)}
+	return slinegraph.Options{Counter: slinegraph.Counter(o.Strategy)}
 }
 
 // SLineGraph is a materialized s-line graph handle exposing the s-metric
@@ -115,28 +81,21 @@ type SLineGraph struct {
 // Epoch reports the snapshot epoch the handle was built from.
 func (l *SLineGraph) Epoch() uint64 { return l.epoch }
 
-// SLineGraph constructs the s-line graph of the hypergraph with the default
-// options. With edges=true the line graph is over hyperedges (s-line graph);
-// with edges=false it is over hypernodes (the s-clique graph of the dual),
-// mirroring hg.s_linegraph(s, edges).
-func (g *NWHypergraph) SLineGraph(s int, edges bool) *SLineGraph {
-	return g.SLineGraphWith(s, edges, ConstructOptions{})
-}
-
-// SLineGraphWith constructs the s-line graph with explicit options. If the
-// bound engine's context is cancelled the result is nil; use SLineGraphCtx
-// to observe the error.
-func (g *NWHypergraph) SLineGraphWith(s int, edges bool, o ConstructOptions) *SLineGraph {
-	l, _ := g.slgOn(g.engine(), s, edges, o)
-	return l
-}
-
 // SLineGraphCtx is SLineGraphWith bounded by ctx: the construction aborts at
 // the next grain boundary once ctx is cancelled and returns ctx.Err(). The
 // returned handle stays bound to the handle's engine (without ctx), so
 // subsequent s-metric queries are not affected by an expired deadline.
 func (g *NWHypergraph) SLineGraphCtx(ctx context.Context, s int, edges bool, o ConstructOptions) (*SLineGraph, error) {
-	return g.slgOn(g.engine().WithContext(ctx), s, edges, o)
+	snap, eng := g.snap(), g.engine().WithContext(ctx)
+	h, csr, err := g.lineCSR(eng, snap, s, edges, false, o)
+	if err != nil {
+		return nil, err
+	}
+	l, err := smetrics.BuildCSR(eng, h, s, csr)
+	if err != nil {
+		return nil, err
+	}
+	return &SLineGraph{SLineGraph: l.WithEngine(g.engine()), epoch: snap.epoch, overEdges: edges}, nil
 }
 
 // lineCSR is the one route from ConstructOptions to the symmetric s-line
@@ -169,43 +128,11 @@ func (g *NWHypergraph) lineCSR(eng *Engine, snap *snapshot, s int, edges, exact 
 	return h, csr, err
 }
 
-// slgOn builds an unweighted handle: lineCSR → smetrics.BuildCSR, no pair
-// list in between. The handle is rebound to the handle's engine, so later
-// queries outlive the request deadline.
-func (g *NWHypergraph) slgOn(eng *Engine, s int, edges bool, o ConstructOptions) (*SLineGraph, error) {
-	snap := g.snap()
-	h, csr, err := g.lineCSR(eng, snap, s, edges, false, o)
-	if err != nil {
-		return nil, err
-	}
-	l, err := smetrics.BuildCSR(eng, h, s, csr)
-	if err != nil {
-		return nil, err
-	}
-	return &SLineGraph{SLineGraph: l.WithEngine(g.engine()), epoch: snap.epoch, overEdges: edges}, nil
-}
-
 // WeightedSLineGraph is the strength-annotated s-line graph handle: every
 // s-line edge carries its exact overlap |e ∩ f| (the edge widths of the
 // paper's Figure 5), enabling strength-weighted distances.
 type WeightedSLineGraph struct {
 	*smetrics.WeightedSLineGraph
-}
-
-// SLineGraphWeighted constructs the s-line graph over hyperedges with
-// overlap strengths retained.
-func (g *NWHypergraph) SLineGraphWeighted(s int) *WeightedSLineGraph {
-	return g.SLineGraphWeightedWith(s, ConstructOptions{})
-}
-
-// SLineGraphWeightedWith is SLineGraphWeighted with explicit construction
-// options — the same ConstructOptions the unweighted variants take, on the
-// same route with the value column kept. If the bound engine's context is
-// cancelled the result is nil; use SLineGraphWeightedCtx to observe the
-// error.
-func (g *NWHypergraph) SLineGraphWeightedWith(s int, o ConstructOptions) *WeightedSLineGraph {
-	l, _ := g.SLineGraphWeightedCtx(g.engine().Context(), s, o)
-	return l
 }
 
 // SLineGraphWeightedCtx is SLineGraphWeightedWith bounded by ctx: the
@@ -270,53 +197,34 @@ func (g *NWHypergraph) ensemble(ss []int, edges bool, o ConstructOptions) map[in
 	return out
 }
 
-// SConnectedComponents computes the s-connected components of the
-// hyperedges without materializing the s-line graph: s-incident pairs are
-// unioned into a concurrent disjoint-set forest as the queue-based
-// construction discovers them, under the PruneAuto heuristics. Labels are
-// canonical minimum-member IDs over [0, NumEdges()). For repeated queries on
-// a mutating handle use IncrementalSCC. If the bound engine's context is
-// cancelled the result is nil; use SConnectedComponentsCtx to observe the
-// error.
-func (g *NWHypergraph) SConnectedComponents(s int) []uint32 {
-	labels, _ := g.SConnectedComponentsCtx(g.engine().Context(), s, PruneAuto)
-	return labels
-}
-
-// SConnectedComponentsCtx is SConnectedComponents bounded by ctx (the queue
-// drain stops at the next chunk boundary once ctx is cancelled and ctx.Err()
-// is returned) with an explicit prune level (see Prune). Labels are
-// bit-identical at every level — the differential tests pin this — only the
-// work done differs. PruneAuto runs the connectivity arsenal (degree
-// prefilter + connected short-circuit) and upgrades to the toplex-only path
-// when the handle's toplex cache is already warm for this snapshot. A cold
-// cover costs 0.2–0.4 of a connectivity pass on the community-shaped serve
-// input and under 0.1 on the containment-rich one (EXPERIMENTS.md, "Toplex
-// cover by pivot scan"), but the toplex route repays it only where
-// containment is common: there cover plus route is a quarter of a pass,
-// while on the community shape the route saves less than the cover costs —
-// so Auto still never pays for it speculatively. PruneToplex forces the
-// toplex path, computing and caching the cover if needed (profitable when
-// many component queries hit one snapshot, the serving tier's pattern).
-func (g *NWHypergraph) SConnectedComponentsCtx(ctx context.Context, s int, prune Prune) ([]uint32, error) {
-	snap := g.snap()
-	eng := g.engine().WithContext(ctx)
+// SConnectedComponentsCtx is SConnectedComponents bounded by ctx: s-incident
+// pairs are unioned into a concurrent disjoint-set forest as the queue-based
+// construction discovers them, the drain stops at the next chunk boundary
+// once ctx is cancelled, and ctx.Err() is returned. It takes one of two
+// routes, whose labels are bit-identical (the differential tests pin this):
+// the toplex-only route when the handle's toplex cover is already warm for
+// this snapshot, else the connectivity route (degree prefilter + connected
+// short-circuit). A cold cover costs 0.2–0.4 of a connectivity pass on the
+// community-shaped serve input and under 0.1 on the containment-rich one
+// (EXPERIMENTS.md, "Toplex cover by pivot scan"), but the toplex route
+// repays it only where containment is common, so the call never pays for it
+// speculatively. A caller who wants the toplex route (many component queries
+// on one snapshot, the serving tier's pattern) warms the cover with
+// Toplexes first.
+func (g *NWHypergraph) SConnectedComponentsCtx(ctx context.Context, s int) ([]uint32, error) {
+	snap, eng := g.snap(), g.engine().WithContext(ctx)
 	in := slinegraph.FromHypergraph(snap.h)
-	if prune == PruneAuto && g.toplexCacheWarmAt(snap) {
-		prune = PruneToplex
-	}
-	if prune == PruneToplex {
-		tops, cover, err := g.toplexCover(eng, snap)
-		if err != nil {
+	var labels []uint32
+	var err error
+	if g.toplexCacheWarmAt(snap) {
+		var tops, cover []uint32
+		if tops, cover, err = g.toplexCover(eng, snap); err != nil {
 			return nil, err
 		}
-		labels, err := slinegraph.SComponentsToplex(eng, in, s, tops, cover, slinegraph.Options{})
-		if err != nil {
-			return nil, err
-		}
-		return labels[:snap.h.NumEdges()], nil
+		labels, err = slinegraph.SComponentsToplex(eng, in, s, tops, cover, slinegraph.Options{})
+	} else {
+		labels, err = slinegraph.SComponentsDirect(eng, in, s, slinegraph.Options{})
 	}
-	labels, err := slinegraph.SComponentsDirect(eng, in, s, slinegraph.Options{Prune: slinegraph.Prune(prune)})
 	if err != nil {
 		return nil, err
 	}

@@ -51,10 +51,7 @@ func TestIncrementalSCCOnlyMovesForward(t *testing.T) {
 	ref := Wrap(h)
 	want := map[int][]uint32{}
 	record := func() {
-		labels, err := ref.SConnectedComponentsCtx(ctx, s, PruneNone)
-		if err != nil {
-			t.Fatal(err)
-		}
+		labels := unprunedSCC(t, ref, s)
 		want[len(labels)] = labels
 	}
 	record()
@@ -86,7 +83,7 @@ func TestIncrementalSCCOnlyMovesForward(t *testing.T) {
 					return
 				}
 				if len(labels) < ne || !slices.Equal(labels, want[len(labels)]) {
-					t.Errorf("%d labels are the PruneNone labels of no epoch from %d hyperedges on", len(labels), ne)
+					t.Errorf("%d labels are the unpruned labels of no epoch from %d hyperedges on", len(labels), ne)
 					return
 				}
 			}
@@ -118,11 +115,7 @@ func TestSCCAndToplexesNeverCrossAnEpoch(t *testing.T) {
 	ref := Wrap(h)
 	wantLabels, wantTops := map[int][]uint32{}, map[int][]uint32{}
 	record := func() {
-		labels, err := ref.SConnectedComponentsCtx(ctx, s, PruneNone)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantLabels[ref.NumEdges()] = labels
+		wantLabels[ref.NumEdges()] = unprunedSCC(t, ref, s)
 		wantTops[ref.NumEdges()] = core.ToplexesBruteForce(ref.Hypergraph())
 	}
 	record()
@@ -152,18 +145,18 @@ func TestSCCAndToplexesNeverCrossAnEpoch(t *testing.T) {
 				default:
 				}
 				ne := g.NumEdges()
-				tops, err := g.ToplexesCtx(ctx) // warms the memo PruneAuto upgrades on
+				tops, err := g.ToplexesCtx(ctx) // warms the cover the toplex route runs on
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				labels, err := g.SConnectedComponentsCtx(ctx, s, PruneAuto)
+				labels, err := g.SConnectedComponentsCtx(ctx, s)
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				if want, ok := wantLabels[len(labels)]; !ok || len(labels) < ne || !slices.Equal(labels, want) {
-					t.Errorf("%d labels are the PruneNone labels of no epoch from %d hyperedges on", len(labels), ne)
+					t.Errorf("%d labels are the unpruned labels of no epoch from %d hyperedges on", len(labels), ne)
 					return
 				}
 				found := false
