@@ -36,7 +36,11 @@ func (g *NWHypergraph) BFSCtx(ctx context.Context, srcEdge int, variant BFSVaria
 	case BFSBottomUp:
 		return core.HyperBFSBottomUp(eng, g.hg(), srcEdge)
 	case BFSAdjoin:
-		return core.AdjoinBFS(eng, g.Adjoin(), srcEdge)
+		a, err := g.adjoinAt(eng, g.snap())
+		if err != nil {
+			return nil, err
+		}
+		return core.AdjoinBFS(eng, a, srcEdge)
 	case BFSHygraBaseline:
 		el, nl, err := hygra.BFS(eng, g.hg(), srcEdge)
 		if err != nil {
@@ -82,28 +86,34 @@ func (g *NWHypergraph) HyperTree(srcEdge int) *core.HyperTree {
 // metrics" claim, applied to a metric no bespoke hypergraph kernel exists
 // for here.
 func (g *NWHypergraph) AdjoinBetweenness(normalized bool) (edgeBC, nodeBC []float64) {
-	a := g.Adjoin()
-	scores := graph.BetweennessCentrality(g.engine(), a.G, normalized)
-	e, n := core.SplitResult(a, scores)
+	return g.adjoinScores(func(eng *Engine, a *graph.Graph) []float64 {
+		return graph.BetweennessCentrality(eng, a, normalized)
+	})
+}
+
+// adjoinScores runs one per-vertex metric on the adjoin graph, both on the
+// handle's engine, and splits the scores into the two index spaces. A
+// cancelled engine returns nil for both.
+func (g *NWHypergraph) adjoinScores(metric func(eng *Engine, a *graph.Graph) []float64) (edges, nodes []float64) {
+	eng := g.engine()
+	a, err := g.adjoinAt(eng, g.snap())
+	if err != nil {
+		return nil, nil
+	}
+	e, n := core.SplitResult(a, metric(eng, a.G))
 	return append([]float64(nil), e...), append([]float64(nil), n...)
 }
 
 // AdjoinCloseness computes closeness centrality over the adjoin
 // representation, split into the hyperedge and hypernode index spaces.
 func (g *NWHypergraph) AdjoinCloseness() (edgeC, nodeC []float64) {
-	a := g.Adjoin()
-	scores := graph.ClosenessCentrality(g.engine(), a.G)
-	e, n := core.SplitResult(a, scores)
-	return append([]float64(nil), e...), append([]float64(nil), n...)
+	return g.adjoinScores(graph.ClosenessCentrality)
 }
 
 // AdjoinEccentricity computes bipartite-hop eccentricities over the adjoin
 // representation, split into the two index spaces.
 func (g *NWHypergraph) AdjoinEccentricity() (edgeEcc, nodeEcc []float64) {
-	a := g.Adjoin()
-	scores := graph.Eccentricity(g.engine(), a.G)
-	e, n := core.SplitResult(a, scores)
-	return append([]float64(nil), e...), append([]float64(nil), n...)
+	return g.adjoinScores(graph.Eccentricity)
 }
 
 // AdjoinPageRank computes PageRank on the adjoin representation and splits
@@ -112,10 +122,9 @@ func (g *NWHypergraph) AdjoinEccentricity() (edgeEcc, nodeEcc []float64) {
 // scores differ from HyperPageRank's two-step walk by the mass parked on
 // hyperedges.
 func (g *NWHypergraph) AdjoinPageRank(damping, tol float64, maxIter int) (edgePR, nodePR []float64) {
-	a := g.Adjoin()
-	scores := graph.PageRank(g.engine(), a.G, damping, tol, maxIter)
-	e, n := core.SplitResult(a, scores)
-	return append([]float64(nil), e...), append([]float64(nil), n...)
+	return g.adjoinScores(func(eng *Engine, a *graph.Graph) []float64 {
+		return graph.PageRank(eng, a, damping, tol, maxIter)
+	})
 }
 
 // HyperPageRankCtx is HyperPageRank bounded by ctx: iteration stops at the
@@ -137,10 +146,16 @@ func (g *NWHypergraph) HyperCoreness() []int {
 func (g *NWHypergraph) ConnectedComponentsCtx(ctx context.Context, variant CCVariant) (*core.HyperCCResult, error) {
 	eng := g.engine().WithContext(ctx)
 	switch variant {
-	case CCAdjoinAfforest:
-		return core.AdjoinCC(eng, g.Adjoin(), core.AdjoinAfforest)
-	case CCAdjoinLabelProp:
-		return core.AdjoinCC(eng, g.Adjoin(), core.AdjoinLabelPropagation)
+	case CCAdjoinAfforest, CCAdjoinLabelProp:
+		a, err := g.adjoinAt(eng, g.snap())
+		if err != nil {
+			return nil, err
+		}
+		alg := core.AdjoinAfforest
+		if variant == CCAdjoinLabelProp {
+			alg = core.AdjoinLabelPropagation
+		}
+		return core.AdjoinCC(eng, a, alg)
 	case CCHygraBaseline:
 		ec, nc, err := hygra.CC(eng, g.hg())
 		if err != nil {

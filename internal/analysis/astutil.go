@@ -54,10 +54,9 @@ func pathOf(e ast.Expr) string {
 }
 
 // regionParallelFuncs are package-level functions of internal/parallel that
-// schedule their closure arguments onto pool workers.
+// schedule their closure arguments onto the workers of the engine they take.
 var regionParallelFuncs = map[string]bool{
-	"For": true, "ForEach": true, "Reduce": true, "ReduceWith": true,
-	"Drain": true,
+	"ReduceWith": true, "Drain": true,
 }
 
 // isParallelRegionCall reports whether call hands work to pool workers,

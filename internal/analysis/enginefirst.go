@@ -21,10 +21,11 @@ func init() {
 //     *parallel.Engine parameter must take it first (functions without an
 //     engine parameter receive it through a carrying type, e.g. a method
 //     whose receiver holds one, and are not flagged);
-//   - the algorithm-layer packages must not declare package-level engines
-//     nor call the default-pool loop entry points (parallel.For /
-//     parallel.ForEach / parallel.Reduce) — both are backdoors to implicit
-//     process-global execution state;
+//   - the algorithm-layer packages must not declare package-level engines,
+//     a backdoor to implicit process-global execution state (there are no
+//     default-pool loop entry points left to call: every loop of
+//     internal/parallel runs on an engine, so a kernel that reaches for the
+//     default pool does not compile);
 //   - parallel.SharedEngine() may only be referenced from the facade
 //     package (the module root) and the runtime itself. Everything else
 //     receives its engine from the caller.
@@ -81,19 +82,6 @@ func runEngineFirst(p *Pass) {
 				}
 			}
 		}
-		// Default-pool loop entry points bypass the caller's engine
-		// (ReduceWith and Drain take an explicit engine and are fine).
-		ast.Inspect(f.AST, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if fn := typedCallee(f, call); fn != nil && isParallelPkg(funcPkgPath(fn)) &&
-				recvTypeName(fn) == "" && defaultPoolFuncNames[fn.Name()] {
-				p.Reportf(call.Pos(), "parallel.%s schedules on the process default pool; run the loop on the caller's engine", fn.Name())
-			}
-			return true
-		})
 	})
 }
 

@@ -13,7 +13,7 @@ func init() {
 
 // runNoNakedGoroutine flags every go statement outside the concurrency
 // runtime. Kernels and commands schedule work through the engine
-// (Engine.For*/Invoke/Go), which keeps the worker budget, cancellation,
+// (Engine.For / Engine.ForN / parallel.Drain), which keeps the worker budget, cancellation,
 // and per-worker scratch arenas coherent; a naked goroutine escapes all
 // three. Test files are exempt — tests legitimately spin up goroutines to
 // exercise concurrency.
@@ -24,7 +24,7 @@ func runNoNakedGoroutine(p *Pass) {
 	p.walkFiles(func(f *File) {
 		ast.Inspect(f.AST, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
-				p.Reportf(g.Pos(), "naked goroutine; route concurrency through the engine's pool (Engine.Go / Engine.Invoke / Engine.For*)")
+				p.Reportf(g.Pos(), "naked goroutine; route concurrency through the engine's pool (Engine.For / Engine.ForN / parallel.Drain)")
 			}
 			return true
 		})

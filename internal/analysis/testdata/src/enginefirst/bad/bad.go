@@ -1,7 +1,6 @@
 // Package bad violates the engine-first discipline in every way the check
 // recognizes: a shared-engine reference outside the facade, package-level
-// engine bindings, an engine parameter that is not first, and a
-// default-pool loop entry point.
+// engine bindings, and an engine parameter that is not first.
 package bad
 
 import "nwhy/internal/parallel"
@@ -15,10 +14,4 @@ func BadOrder(n int, eng *parallel.Engine) { // want engine-first
 	eng.ForN(n, func(_, lo, hi int) {
 		_, _ = lo, hi
 	})
-}
-
-// DefaultPool schedules on the process default pool behind the caller's
-// back.
-func DefaultPool(n int) {
-	parallel.For(n, func(_, lo, hi int) { _, _ = lo, hi }) // want engine-first
 }

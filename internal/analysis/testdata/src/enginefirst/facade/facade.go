@@ -8,6 +8,6 @@ import "nwhy/internal/parallel"
 func Run(n int) int {
 	eng := parallel.SharedEngine()
 	count := 0
-	eng.Invoke(func() { count = n })
+	eng.ForN(1, func(_, _, _ int) { count = n })
 	return count
 }

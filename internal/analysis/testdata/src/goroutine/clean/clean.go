@@ -1,18 +1,11 @@
 // Package clean routes all concurrency through the engine's pool.
 package clean
 
-import (
-	"sync"
+import "nwhy/internal/parallel"
 
-	"nwhy/internal/parallel"
-)
-
-// Fire schedules the task on the engine's pool.
+// Fire runs the task as a loop on the engine's pool.
 func Fire(eng *parallel.Engine, done chan struct{}) {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	eng.Go(func(int) {
+	eng.ForN(1, func(_, _, _ int) {
 		close(done)
-	}, &wg)
-	wg.Wait()
+	})
 }

@@ -69,21 +69,11 @@ func isFrontierPkg(path string) bool {
 // closure arguments onto pool workers.
 var engineRegionMethods = map[string]bool{
 	"For": true, "ForN": true, "ForEach": true,
-	"ForCyclic": true, "ForCyclicNeighbor": true,
-	"Invoke": true, "Go": true,
-}
-
-// defaultPoolFuncNames are the package-level parallel entry points that run
-// on the process default pool (banned in kernels — they bypass the
-// caller's engine). ReduceWith and Drain take an explicit engine and are
-// therefore regions but not backdoors.
-var defaultPoolFuncNames = map[string]bool{
-	"For": true, "ForEach": true, "Reduce": true,
 }
 
 // typedRegionFunc classifies a resolved callee as a parallel-region entry:
-// an Engine region method, frontier State.EdgeMap, or a package-level
-// parallel loop/reduction/queue drain.
+// an Engine region method, frontier State.EdgeMap, or an engine-taking
+// package-level reduction or queue drain.
 func typedRegionFunc(fn *types.Func) bool {
 	pkg := funcPkgPath(fn)
 	recv := recvTypeName(fn)

@@ -29,6 +29,8 @@ type AdjoinGraph struct {
 // vertex set is the direct sum of the hyperedge and hypernode index sets,
 // and each incidence (e, v) becomes the undirected pair {e, NumRealEdges+v}.
 // It is the one constructor of the adjoin form: files are read bipartite.
+// The build runs on eng; a cancelled engine returns nil (callers check
+// eng.Err()).
 func Adjoin(eng *parallel.Engine, h *Hypergraph) *AdjoinGraph {
 	ne, nv := h.NumEdges(), h.NumNodes()
 	m := h.NumIncidences()
@@ -43,7 +45,10 @@ func Adjoin(eng *parallel.Engine, h *Hypergraph) *AdjoinGraph {
 			}
 		}
 	})
-	csr := sparse.FromPairs(ne+nv, ne+nv, pairs, nil)
+	csr, err := sparse.FromPairsOn(eng, ne+nv, ne+nv, pairs, nil)
+	if err != nil {
+		return nil // only a cancelled engine fails: every pair is in range
+	}
 	g, err := graph.FromCSR(csr)
 	if err != nil {
 		panic("core: adjoin CSR not square: " + err.Error()) // impossible by construction

@@ -13,7 +13,7 @@ import (
 // sameHypergraph is CancelAtEveryPoll's check for the incidence builds.
 func sameHypergraph(want *Hypergraph) func(*Hypergraph) error {
 	return func(h *Hypergraph) error {
-		if err := h.Validate(); err != nil {
+		if err := h.Validate(teng); err != nil {
 			return err
 		}
 		if !sameIncidence(h, want) {

@@ -19,8 +19,9 @@ type CollapseResult struct {
 
 // CollapseEdges merges duplicate hyperedges — hyperedges with identical
 // hypernode sets — into a single representative each, mirroring the nwhy
-// Python API's collapse_edges(). Hypernode IDs are unchanged.
-func CollapseEdges(eng *parallel.Engine, h *Hypergraph) *CollapseResult {
+// Python API's collapse_edges(). Hypernode IDs are unchanged. The build
+// runs on eng; a cancelled engine returns eng.Err() and no result.
+func CollapseEdges(eng *parallel.Engine, h *Hypergraph) (*CollapseResult, error) {
 	classes := equivalenceClasses(eng, h.Edges)
 	bel := sparse.NewBiEdgeList(len(classes), h.NumNodes())
 	for k, class := range classes {
@@ -28,13 +29,14 @@ func CollapseEdges(eng *parallel.Engine, h *Hypergraph) *CollapseResult {
 			bel.Add(uint32(k), v)
 		}
 	}
-	return &CollapseResult{H: FromBiEdgeList(bel), Classes: classes}
+	return collapsed(eng, bel, classes)
 }
 
 // CollapseNodes merges duplicate hypernodes — hypernodes incident to
 // identical hyperedge sets — into a single representative each, mirroring
 // collapse_nodes(). Hyperedge IDs are unchanged; hyperedge sizes shrink.
-func CollapseNodes(eng *parallel.Engine, h *Hypergraph) *CollapseResult {
+// Cancellation as for CollapseEdges.
+func CollapseNodes(eng *parallel.Engine, h *Hypergraph) (*CollapseResult, error) {
 	classes := equivalenceClasses(eng, h.Nodes)
 	bel := sparse.NewBiEdgeList(h.NumEdges(), len(classes))
 	for k, class := range classes {
@@ -42,17 +44,32 @@ func CollapseNodes(eng *parallel.Engine, h *Hypergraph) *CollapseResult {
 			bel.Add(e, uint32(k))
 		}
 	}
-	return &CollapseResult{H: FromBiEdgeList(bel), Classes: classes}
+	return collapsed(eng, bel, classes)
+}
+
+// collapsed builds the reduced hypergraph of a collapse on eng.
+func collapsed(eng *parallel.Engine, bel *sparse.BiEdgeList, classes [][]uint32) (*CollapseResult, error) {
+	h, err := FromBiEdgeListOn(eng, bel)
+	if err != nil {
+		return nil, err
+	}
+	return &CollapseResult{H: h, Classes: classes}, nil
 }
 
 // CollapseNodesAndEdges collapses duplicate hypernodes, then duplicate
 // hyperedges of the reduced hypergraph (collapse_nodes_and_edges()). The
 // returned classes describe the edge collapse of the node-collapsed
 // hypergraph; nodeClasses describes the first stage.
-func CollapseNodesAndEdges(eng *parallel.Engine, h *Hypergraph) (result *CollapseResult, nodeClasses [][]uint32) {
-	nodes := CollapseNodes(eng, h)
-	edges := CollapseEdges(eng, nodes.H)
-	return edges, nodes.Classes
+func CollapseNodesAndEdges(eng *parallel.Engine, h *Hypergraph) (result *CollapseResult, nodeClasses [][]uint32, err error) {
+	nodes, err := CollapseNodes(eng, h)
+	if err != nil {
+		return nil, nil, err
+	}
+	edges, err := CollapseEdges(eng, nodes.H)
+	if err != nil {
+		return nil, nil, err
+	}
+	return edges, nodes.Classes, nil
 }
 
 // equivalenceClasses groups the rows of a CSR by identical content,
@@ -162,21 +179,23 @@ func degreeHistogram(degrees []int) []int {
 }
 
 // RestrictToEdges returns the sub-hypergraph induced by the given hyperedge
-// IDs (renumbered 0..len-1 in the given order); hypernode IDs are kept.
-func RestrictToEdges(h *Hypergraph, edgeIDs []uint32) *Hypergraph {
+// IDs (renumbered 0..len-1 in the given order); hypernode IDs are kept. The
+// build runs on eng; a cancelled engine returns eng.Err() and no hypergraph.
+func RestrictToEdges(eng *parallel.Engine, h *Hypergraph, edgeIDs []uint32) (*Hypergraph, error) {
 	bel := sparse.NewBiEdgeList(len(edgeIDs), h.NumNodes())
 	for k, e := range edgeIDs {
 		for _, v := range h.Edges.Row(int(e)) {
 			bel.Add(uint32(k), v)
 		}
 	}
-	return FromBiEdgeList(bel)
+	return FromBiEdgeListOn(eng, bel)
 }
 
 // RestrictToNodes returns the sub-hypergraph induced by the given hypernode
 // IDs (renumbered 0..len-1); hyperedges keep their IDs but lose members
-// outside the set (possibly becoming empty).
-func RestrictToNodes(h *Hypergraph, nodeIDs []uint32) *Hypergraph {
+// outside the set (possibly becoming empty). Cancellation as for
+// RestrictToEdges.
+func RestrictToNodes(eng *parallel.Engine, h *Hypergraph, nodeIDs []uint32) (*Hypergraph, error) {
 	keep := make(map[uint32]uint32, len(nodeIDs))
 	for k, v := range nodeIDs {
 		keep[v] = uint32(k)
@@ -189,12 +208,12 @@ func RestrictToNodes(h *Hypergraph, nodeIDs []uint32) *Hypergraph {
 			}
 		}
 	}
-	return FromBiEdgeList(bel)
+	return FromBiEdgeListOn(eng, bel)
 }
 
 // Toplexify returns the sub-hypergraph restricted to the toplexes — the
 // simplification HyperNetX calls "toplexes()": the maximal hyperedges carry
 // all the set-containment information.
-func Toplexify(eng *parallel.Engine, h *Hypergraph) *Hypergraph {
-	return RestrictToEdges(h, Toplexes(eng, h))
+func Toplexify(eng *parallel.Engine, h *Hypergraph) (*Hypergraph, error) {
+	return RestrictToEdges(eng, h, Toplexes(eng, h))
 }

@@ -26,7 +26,7 @@ func TestCollapseEdgesMergesDuplicates(t *testing.T) {
 	if !reflect.DeepEqual(r.H.EdgeIncidence(0), []uint32{0, 1}) {
 		t.Fatalf("representative 0 incidence = %v", r.H.EdgeIncidence(0))
 	}
-	if err := r.H.Validate(); err != nil {
+	if err := r.H.Validate(teng); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -151,7 +151,7 @@ func TestDegreeDistSumsMatch(t *testing.T) {
 
 func TestRestrictToEdges(t *testing.T) {
 	h := paperHypergraph()
-	sub := RestrictToEdges(h, []uint32{3, 1})
+	sub, _ := RestrictToEdges(teng, h, []uint32{3, 1})
 	if sub.NumEdges() != 2 || sub.NumNodes() != 9 {
 		t.Fatalf("shape %d/%d", sub.NumEdges(), sub.NumNodes())
 	}
@@ -166,7 +166,7 @@ func TestRestrictToEdges(t *testing.T) {
 func TestRestrictToNodes(t *testing.T) {
 	h := paperHypergraph()
 	// Keep only nodes 0 and 2 (renumbered 0 and 1).
-	sub := RestrictToNodes(h, []uint32{0, 2})
+	sub, _ := RestrictToNodes(teng, h, []uint32{0, 2})
 	if sub.NumNodes() != 2 || sub.NumEdges() != 4 {
 		t.Fatalf("shape %d/%d", sub.NumEdges(), sub.NumNodes())
 	}

@@ -16,7 +16,7 @@ func dynBase(t *testing.T) *Hypergraph {
 		{4},
 		{3, 5},
 	}, 6)
-	if err := h.Validate(); err != nil {
+	if err := h.Validate(teng); err != nil {
 		t.Fatal(err)
 	}
 	return h
@@ -147,7 +147,7 @@ func TestDynamicSnapshotValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Validate(); err != nil {
+	if err := h.Validate(teng); err != nil {
 		t.Fatal(err)
 	}
 	if h.NumEdges() != 5 || len(h.EdgeIncidence(1)) != 0 {
@@ -224,7 +224,7 @@ func TestDynamicSnapshotMatchesRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := got.Validate(); err != nil {
+		if err := got.Validate(teng); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		want := FromSets(liveSets(d), got.NumNodes())

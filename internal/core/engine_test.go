@@ -51,12 +51,22 @@ func tAdjoin(h *Hypergraph) *AdjoinGraph { return Adjoin(teng, h) }
 
 func tToplexes(h *Hypergraph) []uint32 { return Toplexes(teng, h) }
 
-func tToplexify(h *Hypergraph) *Hypergraph { return Toplexify(teng, h) }
+func tToplexify(h *Hypergraph) *Hypergraph {
+	t, _ := Toplexify(teng, h)
+	return t
+}
 
-func tCollapseEdges(h *Hypergraph) *CollapseResult { return CollapseEdges(teng, h) }
+func tCollapseEdges(h *Hypergraph) *CollapseResult {
+	r, _ := CollapseEdges(teng, h)
+	return r
+}
 
-func tCollapseNodes(h *Hypergraph) *CollapseResult { return CollapseNodes(teng, h) }
+func tCollapseNodes(h *Hypergraph) *CollapseResult {
+	r, _ := CollapseNodes(teng, h)
+	return r
+}
 
 func tCollapseNodesAndEdges(h *Hypergraph) (*CollapseResult, [][]uint32) {
-	return CollapseNodesAndEdges(teng, h)
+	r, classes, _ := CollapseNodesAndEdges(teng, h)
+	return r, classes
 }

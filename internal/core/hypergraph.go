@@ -169,8 +169,9 @@ func (h *Hypergraph) NodeNeighbors(v int) []uint32 {
 }
 
 // Validate checks that the two incidence structures are mutual transposes
-// and structurally sound.
-func (h *Hypergraph) Validate() error {
+// and structurally sound. The transpose check runs on eng; a cancelled
+// engine returns eng.Err().
+func (h *Hypergraph) Validate(eng *parallel.Engine) error {
 	if err := h.Edges.Validate(); err != nil {
 		return fmt.Errorf("core: edge incidence: %w", err)
 	}
@@ -181,7 +182,11 @@ func (h *Hypergraph) Validate() error {
 		return fmt.Errorf("core: dimensions not dual: %dx%d vs %dx%d",
 			h.Edges.NumRows(), h.Edges.NumCols(), h.Nodes.NumRows(), h.Nodes.NumCols())
 	}
-	if !h.Edges.Transpose().Equal(h.Nodes) {
+	t, err := sparse.TransposeOn(eng, h.Edges)
+	if err != nil {
+		return err
+	}
+	if !t.Equal(h.Nodes) {
 		return fmt.Errorf("core: incidence structures are not mutually indexed (transpose mismatch)")
 	}
 	return nil

@@ -42,7 +42,7 @@ func TestPaperHypergraphShape(t *testing.T) {
 	if h.NumEdges() != 4 || h.NumNodes() != 9 || h.NumIncidences() != 13 {
 		t.Fatalf("shape: %d edges, %d nodes, %d incidences", h.NumEdges(), h.NumNodes(), h.NumIncidences())
 	}
-	if err := h.Validate(); err != nil {
+	if err := h.Validate(teng); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(h.EdgeIncidence(3), []uint32{0, 6, 7, 8}) {
@@ -162,12 +162,12 @@ func TestComputeStatsPaperExample(t *testing.T) {
 func TestValidateCatchesMismatchedPair(t *testing.T) {
 	h := paperHypergraph()
 	bad := &Hypergraph{Edges: h.Edges, Nodes: h.Nodes.Transpose()} // wrong shape
-	if bad.Validate() == nil {
+	if bad.Validate(teng) == nil {
 		t.Fatal("Validate accepted dimension mismatch")
 	}
 	other := FromSets([][]uint32{{0}, {1, 2}, {3}, {4}}, 9)
 	bad2 := &Hypergraph{Edges: h.Edges, Nodes: other.Nodes}
-	if bad2.Validate() == nil {
+	if bad2.Validate(teng) == nil {
 		t.Fatal("Validate accepted non-transpose pair")
 	}
 }
@@ -177,7 +177,7 @@ func TestEmptyHypergraph(t *testing.T) {
 	if h.NumEdges() != 0 || h.NumNodes() != 0 {
 		t.Fatal("empty hypergraph not empty")
 	}
-	if err := h.Validate(); err != nil {
+	if err := h.Validate(teng); err != nil {
 		t.Fatal(err)
 	}
 	s := ComputeStats(h)

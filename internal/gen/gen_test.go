@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nwhy/internal/core"
+	"nwhy/internal/parallel"
 )
 
 func TestUniformShape(t *testing.T) {
@@ -13,7 +14,7 @@ func TestUniformShape(t *testing.T) {
 	if h.NumEdges() != 100 || h.NumNodes() != 200 {
 		t.Fatalf("shape %d/%d", h.NumEdges(), h.NumNodes())
 	}
-	if err := h.Validate(); err != nil {
+	if err := h.Validate(parallel.SharedEngine()); err != nil {
 		t.Fatal(err)
 	}
 	for e := 0; e < 100; e++ {
@@ -62,7 +63,7 @@ func TestCommunitySkewedDegrees(t *testing.T) {
 		NumEdges: 3000, NumNodes: 2000, MeanEdgeSize: 10,
 		SizeSkew: 1.5, MemberSkew: 0.5, Seed: 9,
 	})
-	if err := h.Validate(); err != nil {
+	if err := h.Validate(parallel.SharedEngine()); err != nil {
 		t.Fatal(err)
 	}
 	s := core.ComputeStats(h)
@@ -88,7 +89,7 @@ func TestCommunityMeanEdgeSizeNearTarget(t *testing.T) {
 
 func TestBipartitePowerLaw(t *testing.T) {
 	h := BipartitePowerLaw(2000, 4000, 20000, 1.7, 5)
-	if err := h.Validate(); err != nil {
+	if err := h.Validate(parallel.SharedEngine()); err != nil {
 		t.Fatal(err)
 	}
 	if h.NumIncidences() != 20000 {
@@ -103,7 +104,7 @@ func TestBipartitePowerLaw(t *testing.T) {
 func TestPresetsAllBuildAndValidate(t *testing.T) {
 	for _, p := range Presets() {
 		h := p.Build(0.05) // tiny scale for test speed
-		if err := h.Validate(); err != nil {
+		if err := h.Validate(parallel.SharedEngine()); err != nil {
 			t.Errorf("%s: %v", p.Name, err)
 		}
 		if h.NumEdges() == 0 || h.NumNodes() == 0 {
@@ -145,7 +146,7 @@ func TestPresetShapesMatchTableI(t *testing.T) {
 
 func TestRMATShape(t *testing.T) {
 	h := RMAT(1000, 2000, 8000, 0.55, 0.15, 0.15, 7)
-	if err := h.Validate(); err != nil {
+	if err := h.Validate(parallel.SharedEngine()); err != nil {
 		t.Fatal(err)
 	}
 	if h.NumEdges() != 1000 || h.NumNodes() != 2000 {
@@ -175,7 +176,7 @@ func TestRMATDeterministic(t *testing.T) {
 
 func TestRMATNonPowerOfTwoDims(t *testing.T) {
 	h := RMAT(100, 77, 500, 0.4, 0.2, 0.2, 5)
-	if err := h.Validate(); err != nil {
+	if err := h.Validate(parallel.SharedEngine()); err != nil {
 		t.Fatal(err)
 	}
 	if h.NumEdges() != 100 || h.NumNodes() != 77 {

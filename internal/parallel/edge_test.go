@@ -6,9 +6,9 @@ import (
 )
 
 func TestFlattenTLSZeroContribution(t *testing.T) {
-	p := New(4)
-	defer p.Close()
-	tls := NewTLS[[]uint32](p, nil)
+	eng := NewEngine(4)
+	defer eng.Close()
+	tls := NewTLSFor[[]uint32](eng, nil)
 
 	// Only one worker slot contributes; the untouched slots must neither
 	// appear in the output nor reach the recycle callback.
@@ -33,9 +33,9 @@ func TestFlattenTLSZeroContribution(t *testing.T) {
 }
 
 func TestFlattenTLSNoTouchedSlots(t *testing.T) {
-	p := New(4)
-	defer p.Close()
-	tls := NewTLS[[]uint32](p, nil)
+	eng := NewEngine(4)
+	defer eng.Close()
+	tls := NewTLSFor[[]uint32](eng, nil)
 	called := false
 	out := FlattenTLS(nil, tls, func(int, []uint32) { called = true })
 	if len(out) != 0 {
@@ -47,9 +47,9 @@ func TestFlattenTLSNoTouchedSlots(t *testing.T) {
 }
 
 func TestFlattenTLSReusesDst(t *testing.T) {
-	p := New(2)
-	defer p.Close()
-	tls := NewTLS[[]uint32](p, nil)
+	eng := NewEngine(2)
+	defer eng.Close()
+	tls := NewTLSFor[[]uint32](eng, nil)
 	*tls.Get(0) = append(*tls.Get(0), 1, 2, 3)
 	dst := make([]uint32, 0, 64)
 	out := FlattenTLS(dst, tls, nil)

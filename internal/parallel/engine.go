@@ -142,15 +142,6 @@ func (e *Engine) Blocked(begin, end int) BlockedRange {
 	return BlockedRange{Begin: begin, End: end, Grain: autoGrainFor(end-begin, e.NumWorkers())}
 }
 
-// Cyclic returns a CyclicRange over [begin, end) splitting into at most
-// bins interleaved sub-ranges (bins < 1: 4x this engine's worker count).
-func (e *Engine) Cyclic(begin, end, bins int) CyclicRange {
-	if bins < 1 {
-		bins = 4 * e.NumWorkers()
-	}
-	return CyclicRange{Begin: begin, End: end, Offset: 0, Stride: 1, MaxStride: bins}
-}
-
 // For runs body over the blocked range on this engine. Cancellation is
 // observed at grain boundaries: once the bound context is cancelled no
 // further chunk executes (chunks already running finish). Callers detect an
@@ -203,74 +194,6 @@ func (e *Engine) ForEach(n int, body func(i int)) {
 	})
 }
 
-// ForCyclic runs body over the cyclic range on this engine, observing
-// cancellation at sub-range boundaries.
-func (e *Engine) ForCyclic(r CyclicRange, body func(worker, start, end, stride int)) {
-	if r.End-r.Begin <= 0 || e.Cancelled() {
-		return
-	}
-	p := e.pool()
-	var box panicBox
-	var wg sync.WaitGroup
-	wg.Add(1)
-	p.submit(task{wg: &wg, fn: func(w int) { e.forCyclic(p, w, r, body, &wg, &box) }})
-	wg.Wait()
-	box.rethrow()
-}
-
-func (e *Engine) forCyclic(p *Pool, w int, r CyclicRange, body func(worker, start, end, stride int), wg *sync.WaitGroup, box *panicBox) {
-	for r.Divisible() {
-		if e.Cancelled() || box.tripped.Load() {
-			return
-		}
-		left, right := r.Split()
-		wg.Add(1)
-		r = left
-		p.spawn(w, task{wg: wg, fn: func(w2 int) { e.forCyclic(p, w2, right, body, wg, box) }})
-	}
-	if e.Cancelled() || box.tripped.Load() {
-		return
-	}
-	box.guard(func() { body(w, r.Begin+r.Offset, r.End, r.Stride) })
-}
-
-// ForCyclicNeighbor is the cyclic neighbor range adaptor on this engine.
-func (e *Engine) ForCyclicNeighbor(g Adjacency, bins int, body func(worker, u int, neighbors []uint32)) {
-	e.ForCyclic(e.Cyclic(0, g.NumRows(), bins), func(w, start, end, stride int) {
-		for u := start; u < end; u += stride {
-			body(w, u, g.Row(u))
-		}
-	})
-}
-
-// Invoke runs all fns in parallel on this engine and waits. Functions not
-// yet started when the context is cancelled are skipped. The first panic
-// raised by any fn is rethrown on the calling goroutine after all finish.
-func (e *Engine) Invoke(fns ...func()) {
-	if e.Cancelled() {
-		return
-	}
-	p := e.pool()
-	var box panicBox
-	var wg sync.WaitGroup
-	wg.Add(len(fns))
-	for _, fn := range fns {
-		fn := fn
-		p.submit(task{fn: func(int) {
-			if !e.Cancelled() && !box.tripped.Load() {
-				box.guard(fn)
-			}
-		}, wg: &wg})
-	}
-	wg.Wait()
-	box.rethrow()
-}
-
-// Go schedules fn on the engine's pool and returns immediately.
-func (e *Engine) Go(fn func(worker int), wg *sync.WaitGroup) {
-	e.pool().Go(fn, wg)
-}
-
 // ReduceWith computes a parallel reduction over [0, n) on engine e. join
 // must be associative; combination order is unspecified. If the engine is
 // cancelled mid-loop the unprocessed chunks are skipped — callers must
@@ -296,7 +219,7 @@ func ReduceWith[T any](e *Engine, n int, identity T, mapFn func(lo, hi int, acc 
 
 // NewTLSFor creates per-worker storage sized for engine e's pool.
 func NewTLSFor[T any](e *Engine, init func() T) *TLS[T] {
-	return NewTLS(e.pool(), init)
+	return &TLS[T]{slots: make([]tlsSlot[T], e.NumWorkers()), init: init}
 }
 
 // arena returns worker w's scratch arena, growing the table on demand (the

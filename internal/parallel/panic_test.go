@@ -14,10 +14,10 @@ func recoverValue(fn func()) (v any) {
 }
 
 func TestPoolForPanicPropagates(t *testing.T) {
-	p := New(4)
-	defer p.Close()
+	eng := NewEngine(4)
+	defer eng.Close()
 	v := recoverValue(func() {
-		p.For(BlockedGrain(0, 1000, 1), func(_, lo, hi int) {
+		eng.For(BlockedGrain(0, 1000, 1), func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				if i == 137 {
 					panic("boom")
@@ -28,48 +28,11 @@ func TestPoolForPanicPropagates(t *testing.T) {
 	if v != "boom" {
 		t.Fatalf("recovered %v, want boom", v)
 	}
-	// The pool must remain fully usable after a captured panic.
+	// The engine must remain fully usable after a captured panic.
 	var count atomic.Int64
-	p.For(Blocked(0, 1000), func(_, lo, hi int) { count.Add(int64(hi - lo)) })
+	eng.For(eng.Blocked(0, 1000), func(_, lo, hi int) { count.Add(int64(hi - lo)) })
 	if count.Load() != 1000 {
 		t.Fatalf("post-panic For covered %d indices, want 1000", count.Load())
-	}
-}
-
-func TestPoolForCyclicPanicPropagates(t *testing.T) {
-	p := New(4)
-	defer p.Close()
-	v := recoverValue(func() {
-		p.ForCyclic(Cyclic(0, 1000, 16), func(_, start, end, stride int) {
-			for i := start; i < end; i += stride {
-				if i == 500 {
-					panic("cyclic boom")
-				}
-			}
-		})
-	})
-	if v != "cyclic boom" {
-		t.Fatalf("recovered %v, want cyclic boom", v)
-	}
-}
-
-func TestPoolInvokePanicPropagates(t *testing.T) {
-	p := New(2)
-	defer p.Close()
-	ran := atomic.Int64{}
-	v := recoverValue(func() {
-		p.Invoke(
-			func() { ran.Add(1) },
-			func() { panic("invoke boom") },
-			func() { ran.Add(1) },
-		)
-	})
-	if v != "invoke boom" {
-		t.Fatalf("recovered %v, want invoke boom", v)
-	}
-	// Invoke waits for all fns even when one panics; the others ran.
-	if ran.Load() != 2 {
-		t.Fatalf("ran = %d sibling fns, want 2", ran.Load())
 	}
 }
 
@@ -118,35 +81,11 @@ func TestEnginePanicDoesNotCorruptArena(t *testing.T) {
 	}
 }
 
-func TestEngineInvokePanicPropagates(t *testing.T) {
-	eng := NewEngine(2)
-	defer eng.Close()
-	v := recoverValue(func() {
-		eng.Invoke(func() {}, func() { panic(42) })
-	})
-	if v != 42 {
-		t.Fatalf("recovered %v, want 42", v)
-	}
-}
-
-func TestEngineForCyclicPanicPropagates(t *testing.T) {
+func TestFirstPanicWins(t *testing.T) {
 	eng := NewEngine(4)
 	defer eng.Close()
 	v := recoverValue(func() {
-		eng.ForCyclic(eng.Cyclic(0, 512, 8), func(_, start, end, stride int) {
-			panic("cyclic engine boom")
-		})
-	})
-	if v != "cyclic engine boom" {
-		t.Fatalf("recovered %v, want cyclic engine boom", v)
-	}
-}
-
-func TestFirstPanicWins(t *testing.T) {
-	p := New(4)
-	defer p.Close()
-	v := recoverValue(func() {
-		p.For(BlockedGrain(0, 64, 1), func(_, lo, hi int) {
+		eng.For(BlockedGrain(0, 64, 1), func(_, lo, hi int) {
 			panic("boom") // every chunk panics; exactly one value surfaces
 		})
 	})

@@ -1,8 +1,9 @@
 // Package parallel provides the shared-memory parallel runtime that the rest
 // of NWHy-Go is built on. It plays the role oneAPI Threading Building Blocks
-// (oneTBB) plays in the C++ NWHy framework: a work-stealing scheduler plus a
-// family of splittable range adaptors (blocked, cyclic, and cyclic-neighbor
-// ranges) that control how loop iterations are distributed over workers.
+// (oneTBB) plays in the C++ NWHy framework: a work-stealing scheduler (Pool)
+// and one executor on top of it (Engine), whose loops — blocked ranges, the
+// dynamic work queue, reductions, the radix sort — are the only way work
+// reaches a pool.
 //
 // The scheduler is a classic work-stealing design: every worker owns a deque
 // of tasks; a worker pushes locally spawned tasks onto its own deque and pops
@@ -165,8 +166,8 @@ func (p *Pool) Close() {
 }
 
 // Submitted reports how many tasks the pool has been handed from outside its
-// workers: one per structured loop (For, ForCyclic), one per function of
-// Invoke or Go. A computation bound to another pool leaves it unchanged.
+// workers: one per Engine.For loop, one per worker of a Drain. A computation
+// bound to another pool leaves it unchanged.
 func (p *Pool) Submitted() int64 { return p.submitted.Load() }
 
 // submit enqueues a task from outside the pool.
@@ -258,7 +259,7 @@ func (p *Pool) run(id int) {
 }
 
 // panicBox captures the first panic raised by any task of one structured
-// parallel call (For/ForCyclic/Invoke) so the coordinating goroutine can
+// parallel call (Engine.For or Drain) so the coordinating goroutine can
 // rethrow it after wg.Wait. Without it a body panic would unwind a pool
 // worker's stack and tear down the whole process far from the call that
 // caused it — and leave the call's WaitGroup waiting forever. Later panics
@@ -294,29 +295,6 @@ func (b *panicBox) rethrow() {
 	}
 }
 
-// Go schedules fn on the pool and returns immediately. done.Done is called
-// when fn completes. Unlike the structured drivers (For/ForCyclic/Invoke),
-// Go does not capture panics: there is no coordinating call to rethrow on,
-// so a panicking fn crashes the process just like a panicking goroutine.
-func (p *Pool) Go(fn func(worker int), wg *sync.WaitGroup) {
-	p.submit(task{fn: fn, wg: wg})
-}
-
-// Invoke runs all fns in parallel on the pool and waits for completion. If
-// any fn panics, the first panic is rethrown on the calling goroutine once
-// all fns have finished.
-func (p *Pool) Invoke(fns ...func()) {
-	var box panicBox
-	var wg sync.WaitGroup
-	wg.Add(len(fns))
-	for _, fn := range fns {
-		fn := fn
-		p.submit(task{fn: func(int) { box.guard(fn) }, wg: &wg})
-	}
-	wg.Wait()
-	box.rethrow()
-}
-
 var (
 	defaultMu   sync.Mutex
 	defaultPool *Pool
@@ -346,6 +324,3 @@ func SetNumWorkers(n int) {
 		old.Close()
 	}
 }
-
-// NumWorkers reports the default pool's worker count.
-func NumWorkers() int { return Default().NumWorkers() }

@@ -9,51 +9,11 @@ import (
 	"unsafe"
 )
 
-func TestPoolInvokeRunsAll(t *testing.T) {
-	p := New(4)
-	defer p.Close()
-	var a, b, c atomic.Int32
-	p.Invoke(
-		func() { a.Store(1) },
-		func() { b.Store(2) },
-		func() { c.Store(3) },
-	)
-	if a.Load() != 1 || b.Load() != 2 || c.Load() != 3 {
-		t.Fatalf("Invoke did not run all functions: %d %d %d", a.Load(), b.Load(), c.Load())
-	}
-}
-
-func TestPoolInvokeEmpty(t *testing.T) {
-	p := New(2)
-	defer p.Close()
-	p.Invoke() // must not hang
-}
-
-func TestPoolGoCompletes(t *testing.T) {
-	p := New(2)
-	defer p.Close()
-	var wg sync.WaitGroup
-	var n atomic.Int32
-	for i := 0; i < 100; i++ {
-		wg.Add(1)
-		p.Go(func(worker int) {
-			if worker < 0 || worker >= p.NumWorkers() {
-				t.Errorf("bad worker id %d", worker)
-			}
-			n.Add(1)
-		}, &wg)
-	}
-	wg.Wait()
-	if n.Load() != 100 {
-		t.Fatalf("ran %d of 100 tasks", n.Load())
-	}
-}
-
 func TestPoolSingleWorker(t *testing.T) {
-	p := New(1)
-	defer p.Close()
+	eng := NewEngine(1)
+	defer eng.Close()
 	var n atomic.Int32
-	p.For(Blocked(0, 1000), func(_, lo, hi int) {
+	eng.For(eng.Blocked(0, 1000), func(_, lo, hi int) {
 		n.Add(int32(hi - lo))
 	})
 	if n.Load() != 1000 {
@@ -62,11 +22,11 @@ func TestPoolSingleWorker(t *testing.T) {
 }
 
 func TestForCoversEveryIndexOnce(t *testing.T) {
-	p := New(8)
-	defer p.Close()
+	eng := NewEngine(8)
+	defer eng.Close()
 	const n = 100003
 	counts := make([]int32, n)
-	p.For(Blocked(0, n), func(_, lo, hi int) {
+	eng.For(eng.Blocked(0, n), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			atomic.AddInt32(&counts[i], 1)
 		}
@@ -79,25 +39,25 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 }
 
 func TestForEmptyRange(t *testing.T) {
-	p := New(2)
-	defer p.Close()
+	eng := NewEngine(2)
+	defer eng.Close()
 	called := false
-	p.For(Blocked(5, 5), func(_, lo, hi int) { called = true })
+	eng.For(eng.Blocked(5, 5), func(_, lo, hi int) { called = true })
 	if called {
 		t.Fatal("body called for empty range")
 	}
-	p.For(Blocked(7, 3), func(_, lo, hi int) { called = true })
+	eng.For(eng.Blocked(7, 3), func(_, lo, hi int) { called = true })
 	if called {
 		t.Fatal("body called for inverted range")
 	}
 }
 
 func TestForGrainRespected(t *testing.T) {
-	p := New(4)
-	defer p.Close()
+	eng := NewEngine(4)
+	defer eng.Close()
 	var mu sync.Mutex
 	sizes := []int{}
-	p.For(BlockedGrain(0, 100, 10), func(_, lo, hi int) {
+	eng.For(BlockedGrain(0, 100, 10), func(_, lo, hi int) {
 		mu.Lock()
 		sizes = append(sizes, hi-lo)
 		mu.Unlock()
@@ -115,102 +75,24 @@ func TestForGrainRespected(t *testing.T) {
 }
 
 func TestForWorkerIDsInRange(t *testing.T) {
-	p := New(3)
-	defer p.Close()
-	p.For(Blocked(0, 10000), func(w, lo, hi int) {
+	eng := NewEngine(3)
+	defer eng.Close()
+	eng.For(eng.Blocked(0, 10000), func(w, lo, hi int) {
 		if w < 0 || w >= 3 {
 			t.Errorf("worker id %d out of range", w)
 		}
 	})
 }
 
-func TestForCyclicCoversEveryIndexOnce(t *testing.T) {
-	p := New(8)
-	defer p.Close()
-	const n = 99991
-	counts := make([]int32, n)
-	p.ForCyclic(Cyclic(0, n, 32), func(_, start, end, stride int) {
-		for i := start; i < end; i += stride {
-			atomic.AddInt32(&counts[i], 1)
-		}
-	})
-	for i, c := range counts {
-		if c != 1 {
-			t.Fatalf("index %d visited %d times", i, c)
-		}
-	}
-}
-
-func TestForCyclicSmallRanges(t *testing.T) {
-	p := New(4)
-	defer p.Close()
-	for n := 0; n < 20; n++ {
-		counts := make([]int32, n+1)
-		p.ForCyclic(Cyclic(0, n, 16), func(_, start, end, stride int) {
-			for i := start; i < end; i += stride {
-				atomic.AddInt32(&counts[i], 1)
-			}
-		})
-		for i := 0; i < n; i++ {
-			if counts[i] != 1 {
-				t.Fatalf("n=%d: index %d visited %d times", n, i, counts[i])
-			}
-		}
-	}
-}
-
-func TestCyclicRangeSplitInterleaves(t *testing.T) {
-	r := Cyclic(0, 16, 4)
-	a, b := r.Split()
-	if a.Offset != 0 || a.Stride != 2 || b.Offset != 1 || b.Stride != 2 {
-		t.Fatalf("unexpected split: %+v %+v", a, b)
-	}
-	if !a.Divisible() || !b.Divisible() {
-		t.Fatal("stride-2 ranges with MaxStride 4 should still be divisible")
-	}
-	aa, ab := a.Split()
-	if aa.Divisible() || ab.Divisible() {
-		t.Fatal("stride-4 ranges with MaxStride 4 must not be divisible")
-	}
-}
-
-type fakeAdj struct {
-	rows [][]uint32
-}
-
-func (f fakeAdj) NumRows() int       { return len(f.rows) }
-func (f fakeAdj) Row(i int) []uint32 { return f.rows[i] }
-
-func TestForCyclicNeighborDeliversRows(t *testing.T) {
-	p := New(4)
-	defer p.Close()
-	adj := fakeAdj{rows: [][]uint32{{1, 2}, {0}, {0, 3, 4}, {}, {2}}}
-	var mu sync.Mutex
-	got := make(map[int]int)
-	p.ForCyclicNeighbor(adj, 2, func(_, u int, nbrs []uint32) {
-		mu.Lock()
-		got[u] = len(nbrs)
-		mu.Unlock()
-	})
-	if len(got) != 5 {
-		t.Fatalf("visited %d of 5 rows", len(got))
-	}
-	for u, want := range map[int]int{0: 2, 1: 1, 2: 3, 3: 0, 4: 1} {
-		if got[u] != want {
-			t.Errorf("row %d: got %d neighbors, want %d", u, got[u], want)
-		}
-	}
-}
-
 func TestSkewedWorkloadBalances(t *testing.T) {
 	// One index carries nearly all the work; the scheduler must still finish
 	// promptly because other workers steal the remaining chunks.
-	p := New(4)
-	defer p.Close()
+	eng := NewEngine(4)
+	defer eng.Close()
 	const n = 4096
 	start := time.Now()
 	var total atomic.Int64
-	p.For(BlockedGrain(0, n, 1), func(_, lo, hi int) {
+	eng.For(BlockedGrain(0, n, 1), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			work := 1
 			if i == 0 {
@@ -230,9 +112,10 @@ func TestSkewedWorkloadBalances(t *testing.T) {
 }
 
 func TestReduceSum(t *testing.T) {
-	SetNumWorkers(4)
+	eng := NewEngine(4)
+	defer eng.Close()
 	const n = 100000
-	got := Reduce(n, 0,
+	got := ReduceWith(eng, n, 0,
 		func(lo, hi, acc int) int {
 			for i := lo; i < hi; i++ {
 				acc += i
@@ -242,21 +125,25 @@ func TestReduceSum(t *testing.T) {
 		func(a, b int) int { return a + b })
 	want := n * (n - 1) / 2
 	if got != want {
-		t.Fatalf("Reduce sum = %d, want %d", got, want)
+		t.Fatalf("ReduceWith sum = %d, want %d", got, want)
 	}
 }
 
 func TestReduceEmpty(t *testing.T) {
-	got := Reduce(0, 42, func(lo, hi, acc int) int { return acc + 1 }, func(a, b int) int { return a + b })
+	eng := NewEngine(2)
+	defer eng.Close()
+	got := ReduceWith(eng, 0, 42, func(lo, hi, acc int) int { return acc + 1 }, func(a, b int) int { return a + b })
 	if got != 42 {
-		t.Fatalf("Reduce over empty range = %d, want identity 42", got)
+		t.Fatalf("ReduceWith over empty range = %d, want identity 42", got)
 	}
 }
 
 func TestForEachCovers(t *testing.T) {
 	const n = 1000
 	counts := make([]int32, n)
-	ForEach(n, func(i int) { atomic.AddInt32(&counts[i], 1) })
+	eng := NewEngine(4)
+	defer eng.Close()
+	eng.ForEach(n, func(i int) { atomic.AddInt32(&counts[i], 1) })
 	for i, c := range counts {
 		if c != 1 {
 			t.Fatalf("index %d visited %d times", i, c)
@@ -265,27 +152,28 @@ func TestForEachCovers(t *testing.T) {
 }
 
 func TestSetNumWorkers(t *testing.T) {
+	shared := SharedEngine()
 	SetNumWorkers(2)
-	if NumWorkers() != 2 {
-		t.Fatalf("NumWorkers = %d, want 2", NumWorkers())
+	if shared.NumWorkers() != 2 {
+		t.Fatalf("NumWorkers = %d, want 2", shared.NumWorkers())
 	}
 	SetNumWorkers(5)
-	if NumWorkers() != 5 {
-		t.Fatalf("NumWorkers = %d, want 5", NumWorkers())
+	if shared.NumWorkers() != 5 {
+		t.Fatalf("NumWorkers = %d, want 5", shared.NumWorkers())
 	}
-	// Pool still works after swap.
+	// The shared engine still works after the swap.
 	var n atomic.Int32
-	ForEach(100, func(int) { n.Add(1) })
+	shared.ForEach(100, func(int) { n.Add(1) })
 	if n.Load() != 100 {
 		t.Fatalf("pool broken after SetNumWorkers: %d", n.Load())
 	}
 }
 
 func TestTLSPerWorkerIsolation(t *testing.T) {
-	p := New(4)
-	defer p.Close()
-	tls := NewTLS(p, func() []int { return nil })
-	p.For(BlockedGrain(0, 10000, 16), func(w, lo, hi int) {
+	eng := NewEngine(4)
+	defer eng.Close()
+	tls := NewTLSFor(eng, func() []int { return nil })
+	eng.For(BlockedGrain(0, 10000, 16), func(w, lo, hi int) {
 		s := tls.Get(w)
 		for i := lo; i < hi; i++ {
 			*s = append(*s, i)
@@ -308,9 +196,9 @@ func TestTLSPerWorkerIsolation(t *testing.T) {
 }
 
 func TestTLSInit(t *testing.T) {
-	p := New(2)
-	defer p.Close()
-	tls := NewTLS(p, func() int { return 7 })
+	eng := NewEngine(2)
+	defer eng.Close()
+	tls := NewTLSFor(eng, func() int { return 7 })
 	if *tls.Get(0) != 7 {
 		t.Fatalf("TLS init not applied: %d", *tls.Get(0))
 	}
@@ -329,25 +217,25 @@ func TestTLSInit(t *testing.T) {
 // through Get(w) once per item, so two workers' slice headers (or small
 // accumulators) must never share a cache line or an adjacent-line pair.
 func TestTLSSlotsApartByACacheLinePair(t *testing.T) {
-	p := New(2)
-	defer p.Close()
+	eng := NewEngine(2)
+	defer eng.Close()
 	apart := func(a, b unsafe.Pointer) uintptr { return uintptr(b) - uintptr(a) }
-	bufs := NewTLS(p, func() []uint32 { return nil })
+	bufs := NewTLSFor(eng, func() []uint32 { return nil })
 	if d := apart(unsafe.Pointer(bufs.Get(0)), unsafe.Pointer(bufs.Get(1))); d < 128 {
 		t.Fatalf("[]uint32 slots are %d bytes apart, want at least 128", d)
 	}
 	type acc struct{ total, max int }
-	accs := NewTLS(p, func() acc { return acc{} })
+	accs := NewTLSFor(eng, func() acc { return acc{} })
 	if d := apart(unsafe.Pointer(accs.Get(0)), unsafe.Pointer(accs.Get(1))); d < 128 {
 		t.Fatalf("small struct slots are %d bytes apart, want at least 128", d)
 	}
 }
 
 func TestCloseIdle(t *testing.T) {
-	p := New(3)
-	p.Invoke(func() {}, func() {})
+	eng := NewEngine(3)
+	eng.ForN(2, func(int, int, int) {})
 	done := make(chan struct{})
-	go func() { p.Close(); close(done) }()
+	go func() { eng.Close(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
@@ -358,11 +246,11 @@ func TestCloseIdle(t *testing.T) {
 func TestManySequentialParallelFors(t *testing.T) {
 	// Regression guard against lost-wakeup bugs: many small rounds where
 	// workers park and wake repeatedly.
-	p := New(4)
-	defer p.Close()
+	eng := NewEngine(4)
+	defer eng.Close()
 	for round := 0; round < 500; round++ {
 		var n atomic.Int32
-		p.For(Blocked(0, 37), func(_, lo, hi int) { n.Add(int32(hi - lo)) })
+		eng.For(eng.Blocked(0, 37), func(_, lo, hi int) { n.Add(int32(hi - lo)) })
 		if n.Load() != 37 {
 			t.Fatalf("round %d: covered %d of 37", round, n.Load())
 		}
@@ -398,12 +286,12 @@ func TestEngineDetach(t *testing.T) {
 }
 
 func BenchmarkParallelFor(b *testing.B) {
-	p := New(4)
-	defer p.Close()
+	eng := NewEngine(4)
+	defer eng.Close()
 	data := make([]int64, 1<<20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.For(Blocked(0, len(data)), func(_, lo, hi int) {
+		eng.For(eng.Blocked(0, len(data)), func(_, lo, hi int) {
 			for k := lo; k < hi; k++ {
 				data[k]++
 			}
@@ -412,11 +300,11 @@ func BenchmarkParallelFor(b *testing.B) {
 }
 
 func BenchmarkWorkStealingSkewed(b *testing.B) {
-	p := New(4)
-	defer p.Close()
+	eng := NewEngine(4)
+	defer eng.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.For(BlockedGrain(0, 1024, 1), func(_, lo, hi int) {
+		eng.For(BlockedGrain(0, 1024, 1), func(_, lo, hi int) {
 			for k := lo; k < hi; k++ {
 				work := 10
 				if k%128 == 0 {

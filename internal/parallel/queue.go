@@ -6,10 +6,9 @@ import (
 )
 
 // WorkQueue is the dynamic work-distribution adaptor of NWHy's queue-based
-// algorithms, promoted to a first-class sibling of BlockedRange and
-// CyclicRange: items are enqueued up front and workers repeatedly fetch
-// fixed-size chunks with an atomic cursor until the queue drains. Unlike the
-// splittable ranges, fetching is fully dynamic, so the load balances
+// algorithms, the sibling of BlockedRange: items are enqueued up front and
+// workers repeatedly fetch fixed-size chunks with an atomic cursor until the
+// queue drains. Unlike a splittable range, fetching is fully dynamic, so the load balances
 // regardless of how work is distributed across items — the property the
 // paper's Algorithms 1 and 2 rely on for skewed hyperedge degrees.
 type WorkQueue[T any] struct {
@@ -51,13 +50,13 @@ func (q *WorkQueue[T]) Next() []T {
 // Len reports the number of enqueued items.
 func (q *WorkQueue[T]) Len() int { return len(q.items) }
 
-// Drain runs body over every queue item using all of eng's workers. Like the
-// other structured drivers (For/ForCyclic/Invoke) it is cancellable and
-// panic-safe: a cancelled engine stops fetching at the next chunk boundary,
-// leaving the rest of the queue unprocessed (callers surface eng.Err()), and
-// if body panics the remaining chunks are skipped and the first panic is
-// rethrown on the calling goroutine once in-flight chunks finish — the
-// engine and its arenas stay usable afterwards.
+// Drain runs body over every queue item using all of eng's workers. Like
+// Engine.For it is cancellable and panic-safe: a cancelled engine stops
+// fetching at the next chunk boundary, leaving the rest of the queue
+// unprocessed (callers surface eng.Err()), and if body panics the remaining
+// chunks are skipped and the first panic is rethrown on the calling
+// goroutine once in-flight chunks finish — the engine and its arenas stay
+// usable afterwards.
 func Drain[T any](eng *Engine, q *WorkQueue[T], body func(worker int, item T)) {
 	if q.Len() == 0 || eng.Cancelled() {
 		return

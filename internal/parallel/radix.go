@@ -2,42 +2,27 @@ package parallel
 
 import "sort"
 
-// RadixSort64 sorts s by key with a stable parallel LSD radix sort: one
-// 8-bit digit per pass, per-chunk histograms, and offsets laid out
+// RadixSort64On sorts s by key on engine e with a stable parallel LSD radix
+// sort: one 8-bit digit per pass, per-chunk histograms, and offsets laid out
 // bucket-major/chunk-minor so elements of a bucket keep their chunk order —
 // the property the weighted dedup's first-wins rule depends on. The pass
 // count comes from the maximum key (a 32-bit key pays four passes, not
 // eight) and passes whose digit is uniform across the input are skipped.
 // Falls back to sort.SliceStable below the size where parallel passes pay
 // for themselves.
-func RadixSort64[T any](s []T, key func(T) uint64) {
-	radixSort64(Default(), nil, s, key)
-}
-
-// RadixSort64On is RadixSort64 scheduled on engine e's pool, observing e's
-// cancellation between digit passes: a cancelled sort stops early and leaves
-// s a permutation of its input (possibly unsorted), never a corrupted mix of
-// the ping-pong buffers. Callers detect the abort with e.Err().
+//
+// A cancelled sort stops early and leaves s a permutation of its input
+// (possibly unsorted), never a corrupted mix of the ping-pong buffers:
+// an engine loop drops its remaining chunks once cancelled, so a pass is
+// swapped in only if the engine was still live when it finished. Callers
+// detect the abort with e.Err().
 func RadixSort64On[T any](e *Engine, s []T, key func(T) uint64) {
-	radixSort64(e.pool(), e, s, key)
-}
-
-const radixSerialCutoff = 1 << 13
-
-// RadixSerialCutoff is the input size below which RadixSort64 sorts serially
-// (sort.SliceStable) instead of scheduling parallel passes. Callers inside a
-// parallel loop body may sort slices shorter than this without deadlock risk:
-// the serial path never submits pool work, whereas a parallel pass submitted
-// from a pool worker would wait on the very pool it is occupying.
-const RadixSerialCutoff = radixSerialCutoff
-
-func radixSort64[T any](p *Pool, e *Engine, s []T, key func(T) uint64) {
 	n := len(s)
-	if n < radixSerialCutoff || p.NumWorkers() < 2 {
+	if n < radixSerialCutoff || e.NumWorkers() < 2 {
 		sort.SliceStable(s, func(a, b int) bool { return key(s[a]) < key(s[b]) })
 		return
 	}
-	nchunks := p.NumWorkers()
+	nchunks := e.NumWorkers()
 	bounds := make([]int, nchunks+1)
 	for i := 0; i <= nchunks; i++ {
 		bounds[i] = i * n / nchunks
@@ -45,7 +30,7 @@ func radixSort64[T any](p *Pool, e *Engine, s []T, key func(T) uint64) {
 	// Pass count from the maximum key: byte k is a pass only if some key
 	// has a nonzero byte at or above position k.
 	maxes := make([]uint64, nchunks)
-	p.For(BlockedGrain(0, nchunks, 1), func(_, lo, hi int) {
+	e.For(BlockedGrain(0, nchunks, 1), func(_, lo, hi int) {
 		for c := lo; c < hi; c++ {
 			var m uint64
 			for _, v := range s[bounds[c]:bounds[c+1]] {
@@ -62,8 +47,8 @@ func radixSort64[T any](p *Pool, e *Engine, s []T, key func(T) uint64) {
 			maxKey = m
 		}
 	}
-	if maxKey == 0 {
-		return // all keys equal: stable sort is the identity
+	if maxKey == 0 || e.Cancelled() {
+		return // all keys equal (stable sort is the identity), or cancelled
 	}
 	passes := 0
 	for k := maxKey; k != 0; k >>= 8 {
@@ -72,13 +57,10 @@ func radixSort64[T any](p *Pool, e *Engine, s []T, key func(T) uint64) {
 	buf := make([]T, n)
 	src, dst := s, buf
 	hist := make([]int, nchunks*256)
-	for pass := 0; pass < passes; pass++ {
-		if e != nil && e.Cancelled() {
-			break
-		}
+	for pass := 0; pass < passes && !e.Cancelled(); pass++ {
 		shift := uint(8 * pass)
 		clear(hist)
-		p.For(BlockedGrain(0, nchunks, 1), func(_, lo, hi int) {
+		e.For(BlockedGrain(0, nchunks, 1), func(_, lo, hi int) {
 			for c := lo; c < hi; c++ {
 				h := hist[c*256 : c*256+256]
 				for _, v := range src[bounds[c]:bounds[c+1]] {
@@ -106,7 +88,7 @@ func radixSort64[T any](p *Pool, e *Engine, s []T, key func(T) uint64) {
 		if uniform {
 			continue
 		}
-		p.For(BlockedGrain(0, nchunks, 1), func(_, lo, hi int) {
+		e.For(BlockedGrain(0, nchunks, 1), func(_, lo, hi int) {
 			for c := lo; c < hi; c++ {
 				h := hist[c*256 : c*256+256]
 				for _, v := range src[bounds[c]:bounds[c+1]] {
@@ -116,12 +98,24 @@ func radixSort64[T any](p *Pool, e *Engine, s []T, key func(T) uint64) {
 				}
 			}
 		})
+		if e.Cancelled() {
+			break // the scatter may have dropped chunks: dst is not a permutation
+		}
 		src, dst = dst, src
 	}
 	if &src[0] != &s[0] {
-		// Serial on purpose: this also runs on the cancelled-early path,
-		// where pool loops would still execute but an engine loop would
-		// silently drop chunks.
+		// Serial on purpose: this also runs on the cancelled path, where an
+		// engine loop would drop chunks.
 		copy(s, src)
 	}
 }
+
+const radixSerialCutoff = 1 << 13
+
+// RadixSerialCutoff is the input size below which RadixSort64On sorts
+// serially (sort.SliceStable) instead of scheduling parallel passes. Callers
+// inside a parallel loop body may sort slices shorter than this without
+// deadlock risk: the serial path never submits pool work, whereas a parallel
+// pass submitted from a pool worker would wait on the very pool it is
+// occupying.
+const RadixSerialCutoff = radixSerialCutoff

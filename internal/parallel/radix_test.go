@@ -52,9 +52,10 @@ func TestRadixSort64MatchesSortSlice(t *testing.T) {
 	}
 }
 
+// The shared engine sorts on the default pool.
 func TestRadixSort64DefaultPool(t *testing.T) {
 	items := randomItems(1<<14, 1<<32, 7)
-	RadixSort64(items, func(it radixItem) uint64 { return it.key })
+	RadixSort64On(SharedEngine(), items, func(it radixItem) uint64 { return it.key })
 	checkSortedStable(t, items)
 }
 

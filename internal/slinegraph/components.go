@@ -57,9 +57,9 @@ func SComponentsToplex(eng *parallel.Engine, in Input, s int, tops, cover []uint
 			}
 		}
 	})
+	forest.Compress(eng) // a no-op once cancelled
 	if err := eng.Err(); err != nil {
 		return nil, err
 	}
-	forest.Compress()
 	return forest.Labels(), nil
 }

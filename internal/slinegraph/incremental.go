@@ -84,7 +84,10 @@ func SComponentsForest(eng *parallel.Engine, in Input, s int, o Options) (*union
 	if err := unionInto(eng, in, s, o); err != nil {
 		return nil, err
 	}
-	forest.Compress()
+	forest.Compress(eng)
+	if err := eng.Err(); err != nil {
+		return nil, err
+	}
 	return forest, nil
 }
 
@@ -107,9 +110,6 @@ func AbsorbPairs(eng *parallel.Engine, forest *unionfind.Forest, pairs []sparse.
 			forest.Union(pairs[i].U, pairs[i].V)
 		}
 	})
-	if err := eng.Err(); err != nil {
-		return err
-	}
-	forest.Compress()
-	return nil
+	forest.Compress(eng) // a no-op once cancelled
+	return eng.Err()
 }

@@ -1,11 +1,15 @@
 package slinegraph
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"nwhy/internal/core"
+	"nwhy/internal/gen"
 	"nwhy/internal/parallel"
+	"nwhy/internal/parallel/paralleltest"
 	"nwhy/internal/sparse"
 	"nwhy/internal/unionfind"
 )
@@ -174,7 +178,57 @@ func TestAbsorbPairsEmpty(t *testing.T) {
 	if err := AbsorbPairs(eng, f, nil); err != nil {
 		t.Fatal(err)
 	}
-	if f.NumSets() != 3 {
-		t.Fatalf("NumSets = %d", f.NumSets())
+	for x, r := range f.Labels() {
+		if r != uint32(x) {
+			t.Fatalf("label[%d] = %d after absorbing no pairs", x, r)
+		}
 	}
+}
+
+// TestAbsorbPairsCancelledAtEveryPoll: one forest holds the components of
+// the s-line pairs inside each half of the ID space; absorbing the pairs
+// across the halves, which merges those fragments (hooking root under
+// root, so their members sit two links from the new root), is cancelled at
+// every poll. Each cancelled call returns the
+// context's error, and every call that returns nil — the retries on the
+// same forest included — leaves the unpruned kernel's labels.
+func TestAbsorbPairsCancelledAtEveryPoll(t *testing.T) {
+	eng := parallel.NewEngine(3)
+	defer eng.Close()
+	const s = 2
+	in := FromHypergraph(gen.Community(gen.CommunityConfig{
+		NumEdges: 400, NumNodes: 260, MeanEdgeSize: 5, SizeSkew: 1.5, MemberSkew: 0.6, Seed: 23,
+	}))
+	pairs, err := Construct(eng, in, s, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := SComponentsDirect(eng, in, s, Options{Prune: NoPrune})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inside, across []sparse.Edge
+	half := uint32(in.IDSpace() / 2)
+	for _, p := range pairs {
+		if p.U < half == (p.V < half) {
+			inside = append(inside, p)
+		} else {
+			across = append(across, p)
+		}
+	}
+	forest := unionfind.New(in.IDSpace())
+	if err := AbsorbPairs(eng, forest, inside); err != nil {
+		t.Fatal(err)
+	}
+	paralleltest.CancelAtEveryPoll(t, eng, func(e *parallel.Engine) ([]uint32, error) {
+		if err := AbsorbPairs(e, forest, across); err != nil {
+			return nil, err
+		}
+		return forest.Labels(), nil
+	}, func(got []uint32) error {
+		if !slices.Equal(got, want) {
+			return errors.New("labels differ from the unpruned kernel's")
+		}
+		return nil
+	})
 }

@@ -34,10 +34,25 @@ func TestConstructPermutationInvariant(t *testing.T) {
 		return p
 	}
 	for gi, h := range graphs {
+		// perm[newID] = oldID on both sides; inverses read inv[oldID] = newID.
 		edgePerm := shuffled(h.NumEdges())
 		nodePerm := shuffled(h.NumNodes())
-		rh := core.Relabel(h, edgePerm, nodePerm)
-		if err := rh.Validate(); err != nil {
+		edgeInv := make([]uint32, len(edgePerm))
+		for newID, oldID := range edgePerm {
+			edgeInv[oldID] = uint32(newID)
+		}
+		nodeInv := make([]uint32, len(nodePerm))
+		for newID, oldID := range nodePerm {
+			nodeInv[oldID] = uint32(newID)
+		}
+		sets := make([][]uint32, h.NumEdges())
+		for newID, oldID := range edgePerm {
+			for _, v := range h.EdgeIncidence(int(oldID)) {
+				sets[newID] = append(sets[newID], nodeInv[v])
+			}
+		}
+		rh := core.FromSets(sets, h.NumNodes())
+		if err := rh.Validate(eng); err != nil {
 			t.Fatalf("graph %d: relabeled hypergraph invalid: %v", gi, err)
 		}
 		for _, s := range []int{1, 2, 3} {
@@ -74,7 +89,6 @@ func TestConstructPermutationInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			edgeInv := sparse.InvertPerm(edgePerm)
 			canon := make(map[uint32]uint32)
 			for e := 0; e < h.NumEdges(); e++ {
 				rep, ok := canon[wantLab[e]]

@@ -10,6 +10,39 @@ import (
 	"nwhy/internal/parallel"
 )
 
+func randomCSR(rng *rand.Rand, weighted bool) *CSR {
+	nrows := rng.Intn(40) + 1
+	ncols := rng.Intn(40) + 1
+	nnz := rng.Intn(200)
+	pairs := make([]Edge, nnz)
+	var weights []float64
+	if weighted {
+		weights = make([]float64, nnz)
+	}
+	for i := range pairs {
+		pairs[i] = Edge{uint32(rng.Intn(nrows)), uint32(rng.Intn(ncols))}
+		if weighted {
+			weights[i] = rng.Float64()
+		}
+	}
+	return FromPairs(nrows, ncols, pairs, weights)
+}
+
+func csrIdentical(a, b *CSR) bool {
+	if !a.Equal(b) {
+		return false
+	}
+	if (a.Val == nil) != (b.Val == nil) {
+		return false
+	}
+	for i := range a.Val {
+		if a.Val[i] != b.Val[i] {
+			return false
+		}
+	}
+	return true
+}
+
 func TestAdoptSortedAccepts(t *testing.T) {
 	c, err := AdoptSorted(parallel.SharedEngine(), 3, 4,
 		[]int64{0, 2, 2, 3},

@@ -46,35 +46,25 @@ func (c *CSR) RowVal(i int) []float64 {
 // Degree reports the number of entries in row i.
 func (c *CSR) Degree(i int) int { return int(c.RowPtr[i+1] - c.RowPtr[i]) }
 
-// Degrees returns the degree of every row, computed in parallel. This is the
-// degrees() accessor of the paper's biadjacency.
+// Degrees returns the degree of every row: the degrees() accessor of the
+// paper's biadjacency. It is one serial pass over RowPtr — O(rows) reads of
+// one array, which a parallel loop does not pay for.
 func (c *CSR) Degrees() []int {
 	d := make([]int, c.nrows)
-	parallel.For(c.nrows, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			d[i] = c.Degree(i)
-		}
-	})
+	for i := range d {
+		d[i] = c.Degree(i)
+	}
 	return d
 }
 
-// MaxDegree returns the largest row degree, or 0 for an empty structure.
+// MaxDegree returns the largest row degree, or 0 for an empty structure
+// (one serial pass over RowPtr, like Degrees).
 func (c *CSR) MaxDegree() int {
-	return parallel.Reduce(c.nrows, 0,
-		func(lo, hi, acc int) int {
-			for i := lo; i < hi; i++ {
-				if d := c.Degree(i); d > acc {
-					acc = d
-				}
-			}
-			return acc
-		},
-		func(a, b int) int {
-			if a > b {
-				return a
-			}
-			return b
-		})
+	m := 0
+	for i := 0; i < c.nrows; i++ {
+		m = max(m, c.Degree(i))
+	}
+	return m
 }
 
 // AvgDegree returns the mean row degree.
@@ -197,10 +187,12 @@ func (c *CSR) validateRow(i int) error {
 // equal pairs (and their weights) in input order. Duplicate pairs are kept;
 // BiAdjacency is the build that drops them.
 func FromPairs(nrows, ncols int, pairs []Edge, weights []float64) *CSR {
-	return must(fromPairsOn(shared(), nrows, ncols, pairs, weights))
+	return must(FromPairsOn(shared(), nrows, ncols, pairs, weights))
 }
 
-func fromPairsOn(e *parallel.Engine, nrows, ncols int, pairs []Edge, weights []float64) (*CSR, error) {
+// FromPairsOn is FromPairs on engine e. A cancelled engine returns e.Err()
+// and no CSR.
+func FromPairsOn(e *parallel.Engine, nrows, ncols int, pairs []Edge, weights []float64) (*CSR, error) {
 	g, err := groupByCol(e, nrows, ncols, pairs, weights)
 	if err != nil {
 		return nil, err
@@ -209,7 +201,8 @@ func fromPairsOn(e *parallel.Engine, nrows, ncols int, pairs []Edge, weights []f
 }
 
 // shared is the engine under the engine-less builders (FromPairs,
-// BiAdjacency, Transpose). It has no context, so it is never cancelled.
+// BiAdjacency, Transpose, EdgeList.Sort, BiEdgeList.Dedup). It has no
+// context, so it is never cancelled.
 func shared() *parallel.Engine {
 	return parallel.SharedEngine() //nwhy:nolint(engine-first) the engine-less builders are shims over the On forms
 }

@@ -1,7 +1,7 @@
 // Package sparse provides the compressed sparse data structures underneath
 // every hypergraph representation in NWHy-Go: edge lists, bipartite edge
-// lists (the paper's biedgelist), rectangular CSR incidence structures (the
-// paper's biadjacency), and the permutation machinery (ApplyPerm).
+// lists (the paper's biedgelist) and rectangular CSR incidence structures
+// (the paper's biadjacency).
 //
 // The central design point, taken from the paper, is that hypergraph
 // incidence matrices are rectangular: the hyperedge and hypernode index
@@ -47,8 +47,8 @@ func (el *EdgeList) Add(u, v uint32) {
 // Len reports the number of edges.
 func (el *EdgeList) Len() int { return len(el.Edges) }
 
-// Sort orders edges by (U, V).
-func (el *EdgeList) Sort() { sortEdgesOn(nil, el.Edges) }
+// Sort orders edges by (U, V) on the shared engine.
+func (el *EdgeList) Sort() { sortEdgesOn(shared(), el.Edges) }
 
 // SortOn is Sort scheduled on engine e's pool. A cancelled engine leaves the
 // list a permutation of its input; callers detect the abort with e.Err().
@@ -141,14 +141,14 @@ func (bel *BiEdgeList) NumVertices(idx int) int {
 }
 
 // Dedup removes duplicate incidences (keeping the first weight of each
-// group when weights are present). The list is sorted by (U, V).
+// group when weights are present) on the shared engine. The list is sorted
+// by (U, V).
 func (bel *BiEdgeList) Dedup() {
-	// Without an engine nothing can cancel the sort, so the error is nil.
-	_ = bel.DedupOn(nil)
+	// The shared engine has no context, so the error is nil.
+	_ = bel.DedupOn(shared())
 }
 
-// DedupOn is Dedup scheduled on engine e's pool (nil: the default pool),
-// observing e's cancellation between radix passes. On cancellation the list
+// DedupOn is Dedup scheduled on engine e's pool, observing e's cancellation between radix passes. On cancellation the list
 // is left a (possibly unsorted, weight-aligned) permutation of its input and
 // e's error is returned.
 func (bel *BiEdgeList) DedupOn(e *parallel.Engine) error {
@@ -157,8 +157,8 @@ func (bel *BiEdgeList) DedupOn(e *parallel.Engine) error {
 	}
 	if bel.Weights == nil {
 		sortEdgesOn(e, bel.Edges)
-		if e != nil && e.Err() != nil {
-			return e.Err()
+		if err := e.Err(); err != nil {
+			return err
 		}
 		bel.Edges = dedupEdges(bel.Edges)
 		return nil
@@ -171,13 +171,9 @@ func (bel *BiEdgeList) DedupOn(e *parallel.Engine) error {
 		idx[i] = i
 	}
 	key := func(i int) uint64 { return edgeKey(bel.Edges[i]) }
-	if e == nil {
-		parallel.RadixSort64(idx, key)
-	} else {
-		parallel.RadixSort64On(e, idx, key)
-		if e.Err() != nil {
-			return e.Err()
-		}
+	parallel.RadixSort64On(e, idx, key)
+	if err := e.Err(); err != nil {
+		return err
 	}
 	edges := make([]Edge, 0, len(bel.Edges))
 	weights := make([]float64, 0, len(bel.Weights))
@@ -215,7 +211,7 @@ func edgeKey(e Edge) uint64 { return uint64(e.U)<<32 | uint64(e.V) }
 
 // sortEdgesOn orders edges by (U, V) with the parallel LSD radix sort, after
 // a cheap sortedness scan so already-canonical inputs (snapshot loads,
-// pre-sorted files) skip the passes entirely. nil engine = default pool.
+// pre-sorted files) skip the passes entirely.
 func sortEdgesOn(e *parallel.Engine, edges []Edge) {
 	sorted := true
 	for i := 1; i < len(edges); i++ {
@@ -227,11 +223,7 @@ func sortEdgesOn(e *parallel.Engine, edges []Edge) {
 	if sorted {
 		return
 	}
-	if e == nil {
-		parallel.RadixSort64(edges, edgeKey)
-	} else {
-		parallel.RadixSort64On(e, edges, edgeKey)
-	}
+	parallel.RadixSort64On(e, edges, edgeKey)
 }
 
 func dedupEdges(edges []Edge) []Edge {

@@ -34,7 +34,7 @@ func TestSortEdgesMatchesComparisonSort(t *testing.T) {
 		got := randomEdges(n, 1<<16, int64(n))
 		want := append([]Edge(nil), got...)
 		sortEdgesRef(want)
-		sortEdgesOn(nil, got)
+		sortEdgesOn(shared(), got)
 		if !equalEdges(got, want) {
 			t.Fatalf("n=%d: radix order differs from comparison sort", n)
 		}

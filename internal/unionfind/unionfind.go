@@ -85,10 +85,13 @@ func (f *Forest) Find(x uint32) uint32 {
 	}
 }
 
-// Compress fully flattens the forest in parallel so parent[x] is x's root
-// for every element. Call between Union phases, not concurrently with them.
-func (f *Forest) Compress() {
-	parallel.For(len(f.parent), func(_, lo, hi int) {
+// Compress fully flattens the forest in parallel on eng so parent[x] is x's
+// root for every element. Call between Union phases, not concurrently with
+// them. A cancelled engine skips chunks: the forest is still a valid
+// union-find (every pointer still leads to its root), but Labels are not
+// roots until a live Compress finishes — callers return eng.Err() first.
+func (f *Forest) Compress(eng *parallel.Engine) {
+	eng.ForN(len(f.parent), func(_, lo, hi int) {
 		for x := lo; x < hi; x++ {
 			for {
 				p := parallel.LoadU32(&f.parent[x])
@@ -105,20 +108,6 @@ func (f *Forest) Compress() {
 // Labels returns the flattened parent array (aliasing internal storage);
 // call Compress first.
 func (f *Forest) Labels() []uint32 { return f.parent }
-
-// NumSets counts distinct roots; call Compress first.
-func (f *Forest) NumSets() int {
-	return parallel.Reduce(len(f.parent), 0,
-		func(lo, hi, acc int) int {
-			for x := lo; x < hi; x++ {
-				if f.parent[x] == uint32(x) {
-					acc++
-				}
-			}
-			return acc
-		},
-		func(a, b int) int { return a + b })
-}
 
 // Same reports whether u and v are currently in one set (quiescent use).
 func (f *Forest) Same(u, v uint32) bool { return f.Find(u) == f.Find(v) }

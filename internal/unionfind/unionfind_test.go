@@ -1,26 +1,45 @@
 package unionfind
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"nwhy/internal/parallel"
+	"nwhy/internal/parallel/paralleltest"
 )
+
+// teng is the engine every Compress in this file runs on.
+var teng = parallel.NewEngine(4)
+
+// numRoots counts the sets of a compressed forest: the elements that are
+// their own label.
+func numRoots(f *Forest) int {
+	n := 0
+	for x, r := range f.Labels() {
+		if r == uint32(x) {
+			n++
+		}
+	}
+	return n
+}
 
 func TestBasicUnionFind(t *testing.T) {
 	f := New(5)
-	if f.Len() != 5 || f.NumSets() != 5 {
+	if f.Len() != 5 || numRoots(f) != 5 {
 		t.Fatal("fresh forest wrong")
 	}
 	f.Union(0, 2)
 	f.Union(2, 4)
-	f.Compress()
+	f.Compress(teng)
 	if !f.Same(0, 4) || f.Same(0, 1) {
 		t.Fatal("union results wrong")
 	}
-	if f.NumSets() != 3 {
-		t.Fatalf("NumSets = %d, want 3", f.NumSets())
+	if numRoots(f) != 3 {
+		t.Fatalf("roots = %d, want 3", numRoots(f))
 	}
 	// Minimum-member representative.
 	if f.Find(4) != 0 {
@@ -34,9 +53,9 @@ func TestUnionSelfAndRepeated(t *testing.T) {
 	f.Union(0, 2)
 	f.Union(0, 2)
 	f.Union(2, 0)
-	f.Compress()
-	if f.NumSets() != 2 {
-		t.Fatalf("NumSets = %d", f.NumSets())
+	f.Compress(teng)
+	if numRoots(f) != 2 {
+		t.Fatalf("roots = %d", numRoots(f))
 	}
 }
 
@@ -77,7 +96,7 @@ func TestMatchesOracleProperty(t *testing.T) {
 			f.Union(a, b)
 			o.union(int(a), int(b))
 		}
-		f.Compress()
+		f.Compress(teng)
 		for x := 0; x < n; x++ {
 			if int(f.Labels()[x]) != o.find(x) {
 				return false
@@ -107,9 +126,9 @@ func TestConcurrentUnions(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	f.Compress()
-	if f.NumSets() != 1 {
-		t.Fatalf("NumSets = %d, want 1", f.NumSets())
+	f.Compress(teng)
+	if numRoots(f) != 1 {
+		t.Fatalf("roots = %d, want 1", numRoots(f))
 	}
 	for x := 0; x < n; x++ {
 		if f.Labels()[x] != 0 {
@@ -140,7 +159,7 @@ func TestConcurrentUnionsRandom(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	f.Compress()
+	f.Compress(teng)
 	for x := 0; x < n; x++ {
 		if int(f.Labels()[x]) != o.find(x) {
 			t.Fatalf("label[%d] = %d, oracle %d", x, f.Labels()[x], o.find(x))
@@ -162,14 +181,14 @@ func TestTryUnion(t *testing.T) {
 	if !f.TryUnion(2, 3) {
 		t.Fatal("union through a non-root member should still merge")
 	}
-	f.Compress()
-	if f.NumSets() != 2 {
-		t.Fatalf("NumSets = %d, want 2", f.NumSets())
+	f.Compress(teng)
+	if numRoots(f) != 2 {
+		t.Fatalf("roots = %d, want 2", numRoots(f))
 	}
 }
 
 func TestTryUnionCountsMerges(t *testing.T) {
-	// Across any interleaving, successful TryUnions = n - NumSets: each true
+	// Across any interleaving, successful TryUnions = n - roots: each true
 	// return is exactly one merge.
 	const n = 4000
 	f := New(n)
@@ -192,9 +211,9 @@ func TestTryUnionCountsMerges(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	f.Compress()
-	if got, want := merges.Load(), int64(n-f.NumSets()); got != want {
-		t.Fatalf("merges = %d, want %d (n - NumSets)", got, want)
+	f.Compress(teng)
+	if got, want := merges.Load(), int64(n-numRoots(f)); got != want {
+		t.Fatalf("merges = %d, want %d (n - roots)", got, want)
 	}
 }
 
@@ -260,7 +279,7 @@ func TestSameSetNeverFalsePositive(t *testing.T) {
 	if bad.Load() {
 		t.Fatal("SameSet reported true across disjoint residue classes")
 	}
-	f.Compress()
+	f.Compress(teng)
 	for x := 0; x < n; x++ {
 		if f.Labels()[x] != uint32(x%4) {
 			t.Fatalf("label[%d] = %d, want %d", x, f.Labels()[x], x%4)
@@ -276,7 +295,7 @@ func TestGrowPreservesSets(t *testing.T) {
 	if f.Len() != 7 {
 		t.Fatalf("Len = %d, want 7", f.Len())
 	}
-	f.Compress()
+	f.Compress(teng)
 	if !f.Same(0, 1) || !f.Same(2, 3) || f.Same(0, 2) {
 		t.Fatal("pre-grow sets disturbed")
 	}
@@ -287,7 +306,7 @@ func TestGrowPreservesSets(t *testing.T) {
 	}
 	// New elements participate in unions normally.
 	f.Union(3, 5)
-	f.Compress()
+	f.Compress(teng)
 	if !f.Same(2, 5) {
 		t.Fatal("union across the grown boundary failed")
 	}
@@ -296,4 +315,52 @@ func TestGrowPreservesSets(t *testing.T) {
 	if f.Len() != 7 {
 		t.Fatalf("Len after shrink attempt = %d", f.Len())
 	}
+}
+
+// TestCompressCancelledAtEveryPoll: a Compress cancelled at any poll leaves
+// a forest whose every element still finds its root, and a live Compress
+// afterwards labels it exactly as an uncancelled one.
+func TestCompressCancelledAtEveryPoll(t *testing.T) {
+	const n = 1 << 12
+	rng := rand.New(rand.NewSource(5))
+	pairs := make([][2]uint32, n/2)
+	for i := range pairs {
+		pairs[i] = [2]uint32{uint32(rng.Intn(n)), uint32(rng.Intn(n))}
+	}
+	forest := func() *Forest {
+		f := New(n)
+		for _, p := range pairs {
+			f.Union(p[0], p[1])
+		}
+		return f
+	}
+	ref := forest()
+	ref.Compress(teng)
+	want := append([]uint32(nil), ref.Labels()...)
+	paralleltest.CancelAtEveryPoll(t, teng, func(eng *parallel.Engine) ([]uint32, error) {
+		f := forest()
+		f.Compress(eng)
+		if err := eng.Err(); err != nil {
+			for x := range want {
+				if f.Find(uint32(x)) != want[x] {
+					t.Fatalf("element %d lost its root after a cancelled Compress", x)
+				}
+			}
+			f.Compress(teng)
+			if err := equalLabels(f.Labels(), want); err != nil {
+				t.Fatalf("live Compress after a cancelled one: %v", err)
+			}
+			return nil, err
+		}
+		return f.Labels(), nil
+	}, func(got []uint32) error { return equalLabels(got, want) })
+}
+
+func equalLabels(got, want []uint32) error {
+	for x := range want {
+		if got[x] != want[x] {
+			return fmt.Errorf("label[%d] = %d, want %d", x, got[x], want[x])
+		}
+	}
+	return nil
 }

@@ -280,36 +280,38 @@ func (g *NWHypergraph) Dual() *NWHypergraph {
 // Stats computes the Table I characteristics row.
 func (g *NWHypergraph) Stats() core.Stats { return core.ComputeStats(g.hg()) }
 
-// Adjoin returns the adjoin representation, built on first call and cached
-// across every copy of the handle. It is safe for concurrent callers:
-// builders are serialized and at most one adjoin graph is ever cached. A
-// build aborted by a cancelled engine context is returned to its caller but
-// not cached, so a later call retries with a live context.
-func (g *NWHypergraph) Adjoin() *core.AdjoinGraph { return g.adjoinAt(g.snap()) }
+// Adjoin returns the adjoin representation, built on the handle's engine on
+// first call and cached across every copy of the handle. It is safe for
+// concurrent callers: builders are serialized and at most one adjoin graph
+// is ever cached. A build aborted by a cancelled engine context returns nil
+// and caches nothing, so a later call retries with a live context.
+func (g *NWHypergraph) Adjoin() *core.AdjoinGraph {
+	a, _ := g.adjoinAt(g.engine(), g.snap())
+	return a
+}
 
-// adjoinAt is Adjoin for the snapshot its caller already bound — like
-// toplexCover, so one query never pairs a hypergraph with
-// the adjoin graph of another epoch.
-func (g *NWHypergraph) adjoinAt(snap *snapshot) *core.AdjoinGraph {
+// adjoinAt is Adjoin on eng for the snapshot its caller already bound —
+// like toplexCover, so one query never pairs a hypergraph with the adjoin
+// graph of another epoch.
+func (g *NWHypergraph) adjoinAt(eng *Engine, snap *snapshot) (*core.AdjoinGraph, error) {
 	lz := g.lazy
 	if lz == nil {
 		// Zero-value handle (no constructor ran): build uncached.
-		return core.Adjoin(g.engine(), snap.h)
+		return core.Adjoin(eng, snap.h), eng.Err()
 	}
 	lz.mu.Lock()
 	defer lz.mu.Unlock()
 	// The cache is keyed to the snapshot epoch: a committed mutation moves
 	// the epoch, so a stale adjoin graph is rebuilt on next use.
 	if lz.adjoin == nil || lz.adjoinEpoch != snap.epoch {
-		eng := g.engine()
 		a := core.Adjoin(eng, snap.h)
-		if eng.Err() != nil {
-			return a
+		if err := eng.Err(); err != nil {
+			return nil, err
 		}
 		lz.adjoin = a
 		lz.adjoinEpoch = snap.epoch
 	}
-	return lz.adjoin
+	return lz.adjoin, nil
 }
 
 // toplexCover returns the memoized (toplexes, containment map) of snap,
@@ -360,33 +362,53 @@ func (g *NWHypergraph) ToplexesCtx(ctx context.Context) ([]uint32, error) {
 }
 
 // Toplexify returns the hypergraph restricted to its toplexes (IDs from the
-// shared epoch-keyed toplex cache).
+// shared epoch-keyed toplex cache). Like every derived handle below it is
+// built on the handle's engine and is nil if that engine is cancelled.
 func (g *NWHypergraph) Toplexify() *NWHypergraph {
 	snap := g.snap()
-	tops, _, _ := g.toplexCover(g.engine(), snap)
-	return newHandle(core.RestrictToEdges(snap.h, tops), g.eng)
+	eng := g.engine()
+	tops, _, err := g.toplexCover(eng, snap)
+	if err != nil {
+		return nil
+	}
+	return g.derived(core.RestrictToEdges(eng, snap.h, tops))
+}
+
+// derived wraps a hypergraph built from g's as a handle on g's engine, or
+// returns nil when the build was cancelled.
+func (g *NWHypergraph) derived(h *core.Hypergraph, err error) *NWHypergraph {
+	if err != nil {
+		return nil
+	}
+	return newHandle(h, g.eng)
+}
+
+// collapsed is derived for a collapse, which also returns its classes.
+func (g *NWHypergraph) collapsed(r *core.CollapseResult, err error) (*NWHypergraph, [][]uint32) {
+	if err != nil {
+		return nil, nil
+	}
+	return newHandle(r.H, g.eng), r.Classes
 }
 
 // CollapseEdges merges duplicate hyperedges into representatives, returning
 // the reduced hypergraph and the equivalence classes (the Python API's
 // collapse_edges()).
 func (g *NWHypergraph) CollapseEdges() (*NWHypergraph, [][]uint32) {
-	r := core.CollapseEdges(g.engine(), g.hg())
-	return newHandle(r.H, g.eng), r.Classes
+	return g.collapsed(core.CollapseEdges(g.engine(), g.hg()))
 }
 
 // CollapseNodes merges hypernodes with identical hyperedge memberships
 // (collapse_nodes()).
 func (g *NWHypergraph) CollapseNodes() (*NWHypergraph, [][]uint32) {
-	r := core.CollapseNodes(g.engine(), g.hg())
-	return newHandle(r.H, g.eng), r.Classes
+	return g.collapsed(core.CollapseNodes(g.engine(), g.hg()))
 }
 
 // CollapseNodesAndEdges collapses duplicate hypernodes, then duplicate
 // hyperedges (collapse_nodes_and_edges()).
 func (g *NWHypergraph) CollapseNodesAndEdges() (*NWHypergraph, [][]uint32) {
-	r, _ := core.CollapseNodesAndEdges(g.engine(), g.hg())
-	return newHandle(r.H, g.eng), r.Classes
+	r, _, err := core.CollapseNodesAndEdges(g.engine(), g.hg())
+	return g.collapsed(r, err)
 }
 
 // EdgeSizeDist returns the histogram of hyperedge sizes: dist[d] counts
@@ -399,17 +421,18 @@ func (g *NWHypergraph) NodeDegreeDist() []int { return core.NodeDegreeDist(g.hg(
 // RestrictToEdges returns the sub-hypergraph induced by the given
 // hyperedges (renumbered in the given order).
 func (g *NWHypergraph) RestrictToEdges(edgeIDs []uint32) *NWHypergraph {
-	return newHandle(core.RestrictToEdges(g.hg(), edgeIDs), g.eng)
+	return g.derived(core.RestrictToEdges(g.engine(), g.hg(), edgeIDs))
 }
 
 // RestrictToNodes returns the sub-hypergraph induced by the given
 // hypernodes (renumbered in the given order).
 func (g *NWHypergraph) RestrictToNodes(nodeIDs []uint32) *NWHypergraph {
-	return newHandle(core.RestrictToNodes(g.hg(), nodeIDs), g.eng)
+	return g.derived(core.RestrictToNodes(g.engine(), g.hg(), nodeIDs))
 }
 
-// Validate checks structural invariants of the representation.
-func (g *NWHypergraph) Validate() error { return g.hg().Validate() }
+// Validate checks structural invariants of the representation on the
+// handle's engine (a cancelled one returns its context's error).
+func (g *NWHypergraph) Validate() error { return g.hg().Validate(g.engine()) }
 
 // SetNumThreads sets the worker count of the shared engine's pool, the
 // analogue of constraining oneTBB's concurrency. n < 1 resets to GOMAXPROCS.
@@ -418,7 +441,7 @@ func (g *NWHypergraph) Validate() error { return g.hg().Validate() }
 func SetNumThreads(n int) { parallel.SetNumWorkers(n) }
 
 // NumThreads reports the current worker count.
-func NumThreads() int { return parallel.NumWorkers() }
+func NumThreads() int { return parallel.SharedEngine().NumWorkers() }
 
 // CliqueExpansionCtx is CliqueExpansion bounded by ctx: the construction
 // aborts at the next grain boundary once ctx is cancelled and returns

@@ -110,7 +110,11 @@ func (g *NWHypergraph) lineCSR(eng *Engine, snap *snapshot, s int, edges, exact 
 	}
 	in := slinegraph.FromHypergraph(h)
 	if o.UseAdjoin && edges {
-		in = slinegraph.FromAdjoin(g.adjoinAt(snap))
+		a, err := g.adjoinAt(eng, snap)
+		if err != nil {
+			return nil, nil, err
+		}
+		in = slinegraph.FromAdjoin(a)
 	}
 	construct := slinegraph.ConstructCSR
 	if exact {
