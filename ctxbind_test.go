@@ -88,12 +88,17 @@ func (c *pollsCtx) Err() error {
 // three s-metric traversals — the point query, the closeness sweep and
 // Brandes — at the facade: cancelled before the call or between two polls
 // inside it, each *Ctx entry returns the context's error and no partial
-// answer, and the same handle then answers a live request exactly.
+// answer, and the same handle then answers a live request exactly. Each
+// polls value gets a fresh handle, so no memoised vector answers in place of
+// the cancelled kernel; on the warm handle an already cancelled ctx still
+// gets the error.
 func TestSMetricQueriesCtxCancellation(t *testing.T) {
-	lg := engineTestHypergraph(t).SLineGraph(2, true) // a 400-chain beside 200 isolated hyperedges
-	wantHarmonic, wantBC := lg.SHarmonicClosenessCentrality(), lg.SBetweennessCentrality(true)
+	g := engineTestHypergraph(t) // s = 2: a 400-chain beside 200 isolated hyperedges
+	ref := g.SLineGraph(2, true)
+	wantHarmonic, wantBC := ref.SHarmonicClosenessCentrality(), ref.SBetweennessCentrality(true)
 
 	for _, polls := range []int64{0, 3, 40} {
+		lg := g.SLineGraph(2, true)
 		newCtx := func() context.Context {
 			ctx := &pollsCtx{Context: context.Background()}
 			ctx.left.Store(polls)
@@ -130,6 +135,15 @@ func TestSMetricQueriesCtxCancellation(t *testing.T) {
 			if math.Abs(v[e]-wantBC[e]) > 1e-12 {
 				t.Fatalf("polls=%d: live betweenness[%d] = %v, want %v", polls, e, v[e], wantBC[e])
 			}
+		}
+
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
+		if v, err := lg.SHarmonicClosenessCentralityCtx(cancelled); !errors.Is(err, context.Canceled) || v != nil {
+			t.Fatalf("polls=%d: warm SHarmonicClosenessCentralityCtx = %d scores, %v; want none, Canceled", polls, len(v), err)
+		}
+		if v, err := lg.SBetweennessCentralityCtx(cancelled, true); !errors.Is(err, context.Canceled) || v != nil {
+			t.Fatalf("polls=%d: warm SBetweennessCentralityCtx = %d scores, %v; want none, Canceled", polls, len(v), err)
 		}
 	}
 }

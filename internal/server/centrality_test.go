@@ -1,12 +1,16 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"nwhy"
@@ -139,4 +143,122 @@ func TestCentralityOnMatrixComponent(t *testing.T) {
 			}
 		}
 	}
+}
+
+// getBody GETs url and returns the body of a 200 reply.
+func getBody(t *testing.T, ts *httptest.Server, url string) []byte {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d, %v: %s", url, resp.StatusCode, err, body)
+	}
+	return body
+}
+
+// TestCentralityRepeatIsByteIdentical asks every memoised kind twice, over
+// HTTP, on a dataset of two s-components: the repeat, served from the
+// handle's memo, is the same bytes as the first reply and the facade's
+// vector (one worker, so betweenness repeats bit for bit). The HTTP layer
+// rewrites scores in place (+Inf to -1), and a Server caller may write into
+// its reply too, so each gets its own copy: overwriting one reply leaves
+// the next untouched.
+func TestCentralityRepeatIsByteIdentical(t *testing.T) {
+	eng := nwhy.NewEngine(1)
+	defer eng.Close()
+	s, _ := testServer(t, Config{Engine: eng})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	// Both handles cached first, so every reply below says cache_hit.
+	getBody(t, ts, "/slinegraph?dataset=tiny&s=1")
+	getBody(t, ts, "/slinegraph?dataset=tiny&s=1&weighted=true")
+	g, err := s.Registry().Get("tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg, wlg := g.SLineGraph(1, true), g.SLineGraphWeighted(1)
+	want := map[string][]float64{
+		"kind=eccentricity":                 lg.SEccentricity(),
+		"kind=closeness":                    lg.SClosenessCentrality(),
+		"kind=harmonic":                     lg.SHarmonicClosenessCentrality(),
+		"kind=betweenness&normalized=true":  lg.SBetweennessCentrality(true),
+		"kind=eccentricity&weighted=true":   wlg.SEccentricityWeighted(),
+		"kind=harmonic&weighted=true":       wlg.SHarmonicClosenessCentralityWeighted(),
+		"kind=betweenness&weighted=true":    wlg.SBetweennessCentralityWeighted(false),
+		"kind=closeness&weighted=true":      wlg.SClosenessCentralityWeighted(),
+		"kind=betweenness&normalized=false": lg.SBetweennessCentrality(false),
+	}
+	for q, scores := range want {
+		url := "/centrality?dataset=tiny&s=1&" + q
+		first, again := getBody(t, ts, url), getBody(t, ts, url)
+		if !bytes.Equal(first, again) {
+			t.Fatalf("%s: the repeat differs:\n%s\n%s", q, first, again)
+		}
+		var got CentralityResult
+		if err := json.Unmarshal(first, &got); err != nil || !slices.Equal(got.Scores, scores) {
+			t.Fatalf("%s: scores %v (%v), want the facade's %v", q, got.Scores, err, scores)
+		}
+	}
+
+	ctx := context.Background()
+	req := CentralityRequest{Dataset: "tiny", S: 1, Kind: CentralityEccentricity}
+	out, err := s.Centrality(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range out.Scores {
+		out.Scores[i] = -1
+	}
+	if again, err := s.Centrality(ctx, req); err != nil || !slices.Equal(again.Scores, want["kind=eccentricity"]) {
+		t.Fatalf("after a caller overwrote its reply: %v, %v; want %v", again.Scores, err, want["kind=eccentricity"])
+	}
+}
+
+// TestCentralityAfterCommitIsFresh: a /mutate commit moves /centrality to
+// the new snapshot, whose handle carries no vector of the old one.
+func TestCentralityAfterCommitIsFresh(t *testing.T) {
+	s, _ := testServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	const url = "/centrality?dataset=tiny&s=1&kind=harmonic"
+	var before CentralityResult
+	if err := json.Unmarshal(getBody(t, ts, url), &before); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Post(ts.URL+"/mutate", "application/json",
+		strings.NewReader(`{"dataset":"tiny","ops":[{"op":"add","members":[4,5]}],"commit":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/mutate: status %d", resp.StatusCode)
+	}
+	var after CentralityResult
+	if err := json.Unmarshal(getBody(t, ts, url), &after); err != nil {
+		t.Fatal(err)
+	}
+	g, err := s.Registry().Get("tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := g.SLineGraph(1, true).SHarmonicClosenessCentrality()
+	if !slices.Equal(after.Scores, want) {
+		t.Fatalf("after the commit: %v, want the fresh facade vector %v", after.Scores, want)
+	}
+	if slices.Equal(after.Scores, before.Scores) {
+		t.Fatal("the commit joined the two islands, yet the scores did not move")
+	}
+}
+
+// TestCentralityMemosDoNotGrowWithCommits: the score vectors ride on the
+// s-line handles, so asking harmonic on every shape across commits leaves
+// the handles, memos included, within TestSLineHandlesDoNotGrowWithCommits'
+// bound.
+func TestCentralityMemosDoNotGrowWithCommits(t *testing.T) {
+	handlesStayBounded(t, true)
 }

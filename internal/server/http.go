@@ -322,8 +322,10 @@ func (s *Server) handleCentrality(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	// Eccentricity of disconnected graphs carries +Inf, which JSON cannot
-	// encode; map it to -1 (the same convention as unreachable distances).
+	// JSON cannot encode +Inf; map it to -1 (the same convention as
+	// unreachable distances). No kernel emits it today: eccentricity scores
+	// an isolated hyperedge 0 and skips unreachable ones. Scores is this
+	// request's own copy, so the rewrite reaches no other reply.
 	for i, v := range out.Scores {
 		if isInf(v) {
 			out.Scores[i] = -1

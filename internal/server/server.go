@@ -29,7 +29,9 @@
 //
 // Everything here is plumbing, not computation: kernels still run on the
 // facade handles' engine, and request contexts reach them through the
-// facade's *Ctx variants.
+// facade's *Ctx variants. A /centrality vector is computed once per cached
+// s-line handle by the handle's own score memo: the vectors ride on the
+// handles the cache and latest hold, not on a fifth piece of server state.
 package server
 
 import (
@@ -585,6 +587,8 @@ type CentralityResult struct {
 }
 
 // Centrality computes an s-centrality vector via the cached s-line graph.
+// Every kind but pagerank is computed once per handle (the facade's score
+// memo); the reply's Scores is the caller's own copy.
 func (s *Server) Centrality(ctx context.Context, req CentralityRequest) (CentralityResult, error) {
 	var out CentralityResult
 	err := s.do(ctx, "centrality", func(ctx context.Context) error {

@@ -494,6 +494,13 @@ func TestDoRecoversPanic(t *testing.T) {
 // Server at most the LRU's CacheEntries handles plus the newest handle of
 // each shape — never one per (shape, epoch).
 func TestSLineHandlesDoNotGrowWithCommits(t *testing.T) {
+	handlesStayBounded(t, false)
+}
+
+// handlesStayBounded is TestSLineHandlesDoNotGrowWithCommits; withScores also
+// asks each shape's harmonic vector, which the handle then carries.
+func handlesStayBounded(t *testing.T, withScores bool) {
+	t.Helper()
 	const capacity, shapes, commits = 2, 5, 3
 	s, _ := testServer(t, Config{CacheEntries: capacity})
 	ctx := context.Background()
@@ -507,6 +514,12 @@ func TestSLineHandlesDoNotGrowWithCommits(t *testing.T) {
 			if !hit {
 				built.Add(1)
 				runtime.SetFinalizer(lg, func(*nwhy.SLineGraph) { freed.Add(1) })
+			}
+			if !withScores {
+				continue
+			}
+			if _, err := s.Centrality(ctx, CentralityRequest{Dataset: "tiny", S: sv, Kind: CentralityHarmonic}); err != nil {
+				t.Fatalf("s=%d: Centrality: %v", sv, err)
 			}
 		}
 	}

@@ -71,11 +71,13 @@ func (o ConstructOptions) internal() slinegraph.Options {
 // SLineGraph is a materialized s-line graph handle exposing the s-metric
 // queries of the Python API (Listing 5). It remembers the snapshot epoch and
 // orientation it was built with, so RefreshSLineGraph can tell whether it is
-// still current and rebuild the same graph if not.
+// still current and rebuild the same graph if not. Its *Ctx score vectors are
+// computed once per handle (scoreMemo, squery.go).
 type SLineGraph struct {
 	*smetrics.SLineGraph
 	epoch     uint64
 	overEdges bool
+	memo      scoreMemo
 }
 
 // Epoch reports the snapshot epoch the handle was built from.
@@ -134,9 +136,11 @@ func (g *NWHypergraph) lineCSR(eng *Engine, snap *snapshot, s int, edges, exact 
 
 // WeightedSLineGraph is the strength-annotated s-line graph handle: every
 // s-line edge carries its exact overlap |e ∩ f| (the edge widths of the
-// paper's Figure 5), enabling strength-weighted distances.
+// paper's Figure 5), enabling strength-weighted distances. Like SLineGraph,
+// it computes each *Ctx score vector once.
 type WeightedSLineGraph struct {
 	*smetrics.WeightedSLineGraph
+	memo scoreMemo
 }
 
 // SLineGraphWeightedCtx is SLineGraphWeightedWith bounded by ctx: the
@@ -155,7 +159,7 @@ func (g *NWHypergraph) SLineGraphWeightedCtx(ctx context.Context, s int, o Const
 		return nil, err
 	}
 	l.SLineGraph = l.SLineGraph.WithEngine(g.engine())
-	return &WeightedSLineGraph{l}, nil
+	return &WeightedSLineGraph{WeightedSLineGraph: l}, nil
 }
 
 // SLineGraphEnsemble constructs the s-line graphs for several values of s
